@@ -158,10 +158,16 @@ def route_waiting_call(
 
 
 class CallEngine:
-    """Owns the subscriber registry, the session table, and hold flags."""
+    """Owns the subscriber registry, the session table, and hold flags.
+
+    The live index maps each registered subscriber to the ids of its
+    unended sessions, as caller or callee, in ascending id order: ids only
+    grow and are appended, and a session leaves both parties' entries when
+    it reaches ENDED.  Per-subscriber lookups read it, not the table.
+    """
 
     def __init__(self) -> None:
-        self._subscribers: set[str] = set()
+        self._live: dict[str, dict[int, None]] = {}
         self._sessions: dict[int, CallSession] = {}
         self._held: set[int] = set()
         self._next_session_id = 1
@@ -170,13 +176,10 @@ class CallEngine:
 
     def register(self, sub_id: str) -> str:
         validate_subscriber_id(sub_id)
-        if sub_id in self._subscribers:
+        if sub_id in self._live:
             raise InvalidSubscriber(f"subscriber {sub_id!r} already registered")
-        self._subscribers.add(sub_id)
+        self._live[sub_id] = {}
         return sub_id
-
-    def is_registered(self, sub_id: str) -> bool:
-        return sub_id in self._subscribers
 
     # -- sessions --
 
@@ -185,13 +188,9 @@ class CallEngine:
         if caller == callee:
             raise SelfCall(f"{caller!r} cannot call itself")
         for sub_id in (caller, callee):
-            if sub_id not in self._subscribers:
+            if sub_id not in self._live:
                 raise UnknownSubscriber(f"subscriber {sub_id!r} is not registered")
-        engaged = any(
-            s.state in CONNECTED_STATES
-            for s in self._sessions.values()
-            if callee in (s.caller, s.callee)
-        )
+        engaged = any(s.state in CONNECTED_STATES for s in self.sessions_of(callee))
         session = CallSession(
             session_id=self._next_session_id,
             caller=caller,
@@ -201,19 +200,29 @@ class CallEngine:
         )
         self._next_session_id += 1
         self._sessions[session.session_id] = session
+        self._live[caller][session.session_id] = None
+        self._live[callee][session.session_id] = None
         return session
 
     def get(self, session_id: int) -> CallSession:
         return self._sessions[session_id]
 
     def sessions(self) -> list[CallSession]:
-        return [self._sessions[sid] for sid in sorted(self._sessions)]
+        """Every session ever placed, ended ones included, in id order."""
+        return list(self._sessions.values())
+
+    def sessions_of(self, sub_id: str) -> list[CallSession]:
+        """Unended sessions `sub_id` takes part in, in id order; none for
+        an unregistered id."""
+        return [self._sessions[sid] for sid in self._live.get(sub_id, ())]
 
     def apply_event(self, session_id: int, event: CallEvent, now: int) -> CallSession:
         updated = transition(self._sessions[session_id], event, now)
         self._sessions[session_id] = updated
         if updated.state is CallState.ENDED:
             self._held.discard(session_id)
+            del self._live[updated.caller][session_id]
+            del self._live[updated.callee][session_id]
         return updated
 
     # -- hold bookkeeping (connect-override keeps the displaced call) --
@@ -233,16 +242,15 @@ class CallEngine:
     def connected_sessions(self, sub_id: str, include_held: bool = True) -> list[CallSession]:
         return [
             s
-            for s in self.sessions()
+            for s in self.sessions_of(sub_id)
             if s.state in CONNECTED_STATES
-            and sub_id in (s.caller, s.callee)
             and (include_held or s.session_id not in self._held)
         ]
 
     def waiting_sessions_for(self, callee: str) -> list[CallSession]:
         return [
             s
-            for s in self.sessions()
+            for s in self.sessions_of(callee)
             if s.state is CallState.WAITING and s.callee == callee
         ]
 

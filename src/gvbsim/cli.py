@@ -54,6 +54,13 @@ def _parse_thresholds(text: str) -> TierThresholds:
     return TierThresholds(*parts)
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_point(text: str) -> tuple[float, float]:
     parts = [float(p) for p in text.strip("()").split(",")]
     if len(parts) != 2:
@@ -92,9 +99,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--weights", type=_parse_weights, default=FactorWeights())
     run_p.add_argument("--thresholds", type=_parse_thresholds, default=TierThresholds())
     run_p.add_argument("--backend", default="template")
-    run_p.add_argument("--rng-seed", type=int, default=0)
+    run_p.add_argument("--rng-seed", type=_non_negative_int, default=0)
     run_p.add_argument("--speaking-rate", type=float, default=DEFAULT_SPEAKING_RATE_WPS)
-    run_p.add_argument("--abandon-timeout", type=int, default=DEFAULT_ABANDON_TIMEOUT_S)
+    run_p.add_argument(
+        "--abandon-timeout", type=_non_negative_int, default=DEFAULT_ABANDON_TIMEOUT_S
+    )
 
     score_p = sub.add_parser("score", help="one-shot emergency scoring")
     score_p.add_argument("--loc")

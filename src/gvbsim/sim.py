@@ -12,6 +12,7 @@ Identical (events, config) pairs produce byte-identical traces.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -118,6 +119,10 @@ class Simulation:
         self.clock = 0
         self._seq = 0
         self._info: dict[int, _SessionInfo] = {}
+        # (last_activity + abandon_timeout, sid), pushed whenever a session's
+        # idle clock is set; entries made stale by a later touch or by the
+        # session leaving WAITING are skipped when popped.
+        self._expiry: list[tuple[int, int]] = []
 
     # -- trace plumbing --
 
@@ -143,20 +148,24 @@ class Simulation:
         self._expire_waiting(before=None)
         return self.records
 
+    def _touch(self, sid: int) -> None:
+        """Restart the session's idle clock at the current time."""
+        self._info[sid].last_activity = self.clock
+        heapq.heappush(self._expiry, (self.clock + self.config.abandon_timeout, sid))
+
     def _expire_waiting(self, before: int | None) -> None:
         """End waiting sessions whose idle timeout elapsed strictly before
-        `before` (all of them when `before` is None, at run end)."""
-        while True:
-            due = sorted(
-                (info.last_activity + self.config.abandon_timeout, sid)
-                for sid, info in self._info.items()
-                if self.engine.get(sid).state is CallState.WAITING
-            )
-            if before is not None:
-                due = [d for d in due if d[0] < before]
-            if not due:
-                return
-            expiry, sid = due[0]
+        `before` (all of them when `before` is None, at run end), in
+        (expiry, session id) order."""
+        timeout = self.config.abandon_timeout
+        due = self._expiry
+        while due and (before is None or due[0][0] < before):
+            expiry, sid = heapq.heappop(due)
+            if (
+                self.engine.get(sid).state is not CallState.WAITING
+                or self._info[sid].last_activity + timeout != expiry
+            ):
+                continue
             self.clock = max(self.clock, expiry)
             self.engine.apply_event(sid, CallEvent.TIMEOUT, self.clock)
             self._trace("call_engine", "CALL_ENDED", [("session", str(sid)), ("by", "timeout")])
@@ -229,7 +238,8 @@ class Simulation:
         args = event.args
         session = self.engine.place_call(args["caller"], args["callee"], self.clock)
         sid = session.session_id
-        self._info[sid] = _SessionInfo(context=args["context"], last_activity=self.clock)
+        self._info[sid] = _SessionInfo(context=args["context"])
+        self._touch(sid)
         self._trace(
             "call_engine",
             "CALL_PLACED",
@@ -296,7 +306,7 @@ class Simulation:
             )
 
     def _waiting_session_of_caller(self, caller: str) -> CallSession | None:
-        for session in self.engine.sessions():
+        for session in self.engine.sessions_of(caller):
             if session.caller == caller and session.state is CallState.WAITING:
                 return session
         return None
@@ -313,7 +323,7 @@ class Simulation:
             return
         sid = session.session_id
         info = self._info[sid]
-        info.last_activity = self.clock
+        self._touch(sid)
         if info.ledger is None:
             self._trace(
                 "sim_harness",
@@ -480,7 +490,7 @@ class Simulation:
             return
         info = self._info[session.session_id]
         info.pending_media.append((args["modality"], args["description"]))
-        info.last_activity = self.clock
+        self._touch(session.session_id)
         self._trace(
             "sim_harness",
             "MEDIA_NOTED",
@@ -506,9 +516,6 @@ class Simulation:
 
     def _pick_hangup_target(self, sub_id: str) -> CallSession | None:
         def rank(session: CallSession) -> int | None:
-            involved = sub_id in (session.caller, session.callee)
-            if not involved or session.state is CallState.ENDED:
-                return None
             if session.state in CONNECTED_STATES:
                 return 2 if self.engine.is_held(session.session_id) else 0
             if session.caller == sub_id:  # abandon own waiting/dialing call
@@ -517,7 +524,7 @@ class Simulation:
 
         candidates = [
             (r, s.session_id, s)
-            for s in self.engine.sessions()
+            for s in self.engine.sessions_of(sub_id)
             if (r := rank(s)) is not None
         ]
         if not candidates:
@@ -529,17 +536,13 @@ class Simulation:
         for party in (ended.caller, ended.callee):
             if self.engine.connected_sessions(party, include_held=False):
                 continue
-            held = [
-                s
-                for s in self.engine.sessions()
-                if self.engine.is_held(s.session_id) and party in (s.caller, s.callee)
-            ]
-            if held:
-                resumed = held[0]
-                self.engine.resume(resumed.session_id)
-                self._trace(
-                    "call_engine", "CALL_RESUMED", [("session", str(resumed.session_id))]
-                )
+            for session in self.engine.sessions_of(party):
+                if self.engine.is_held(session.session_id):
+                    self.engine.resume(session.session_id)
+                    self._trace(
+                        "call_engine", "CALL_RESUMED", [("session", str(session.session_id))]
+                    )
+                    break
 
     def _handle_answer(self, event: SimEvent) -> None:
         callee = event.args["id"]
@@ -564,18 +567,13 @@ class Simulation:
 
     def _handle_dismiss(self, event: SimEvent) -> None:
         callee = event.args["id"]
-        for sid in sorted(self._info):
-            session = self.engine.get(sid)
+        for session in self.engine.waiting_sessions_for(callee):
+            sid = session.session_id
             info = self._info[sid]
-            if (
-                session.callee == callee
-                and session.state is CallState.WAITING
-                and info.ledger is not None
-                and not info.ledger.dismissed
-            ):
+            if info.ledger is not None and not info.ledger.dismissed:
                 remaining = info.ledger.policy.max_bursts_n - info.ledger.bursts_sent
                 info.ledger = dismiss(info.ledger)
-                info.last_activity = self.clock
+                self._touch(sid)
                 self._trace(
                     "burst_scheduler",
                     "BURSTS_DISMISSED",

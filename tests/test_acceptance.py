@@ -283,20 +283,202 @@ def test_c6_priority_property_suite():
 
 # --- criterion 7: deterministic golden traces ---
 
+STRESS_TIMEOUT = 25
+# Every stress subscriber shares one profile, so each context below lands
+# in a known tier: none, low, medium, highest.
+STRESS_PROFILE = "home=(0,0) usual_hours=8-22 resting_hr=70 usual_moving=0"
+STRESS_CONTEXTS = (
+    "loc=(0,0) loctype=home hour=9",
+    "loc=(40,9) loctype=highway hour=3",
+    "loctype=highway hour=3 hr=130",
+    "loctype=highway hour=3 hr=130 speed=14",
+)
+STRESS_TRANSCRIPTS = ("help", "please pick up", "the car is in a ditch", "call me back")
+
+
+class _StressShadow:
+    """Just enough of the engine's rules to know which `answer` and
+    `hangup` lines have a target.  A session is a dict with keys sid,
+    caller, callee, state (active | waiting | ended), held, tier, ledger
+    (None | "open" | "dismissed") and last (activity time)."""
+
+    def __init__(self, approvals: dict[str, set[str]]):
+        self.approvals = approvals
+        self.sessions: list[dict] = []
+
+    def live(self, sub: str) -> list[dict]:
+        return [
+            s for s in self.sessions
+            if s["state"] != "ended" and sub in (s["caller"], s["callee"])
+        ]
+
+    def connected(self, sub: str, include_held: bool) -> list[dict]:
+        return [
+            s for s in self.live(sub)
+            if s["state"] == "active" and (include_held or not s["held"])
+        ]
+
+    def waiting_of_caller(self, caller: str) -> dict | None:
+        for s in self.live(caller):
+            if s["caller"] == caller and s["state"] == "waiting":
+                return s
+        return None
+
+    def waiting_for(self, callee: str) -> list[dict]:
+        return [s for s in self.live(callee) if s["callee"] == callee and s["state"] == "waiting"]
+
+    def expire(self, now: int) -> None:
+        for s in self.sessions:
+            if s["state"] == "waiting" and s["last"] + STRESS_TIMEOUT < now:
+                s["state"] = "ended"
+
+    def call(self, caller: str, callee: str, tier: int, now: int) -> None:
+        session = {"sid": len(self.sessions) + 1, "caller": caller, "callee": callee,
+                   "state": "active", "held": False, "tier": tier, "ledger": None, "last": now}
+        if self.connected(callee, include_held=True):
+            session["state"] = "waiting"
+            if caller in self.approvals.get(callee, ()):
+                session["tier"] = max(tier, 2)
+            if session["tier"] == 3:
+                for current in self.connected(callee, include_held=False):
+                    current["held"] = True
+                session["state"] = "active"
+            elif session["tier"] > 0:
+                session["ledger"] = "open"
+        self.sessions.append(session)
+
+    def touch(self, caller: str, now: int) -> None:
+        session = self.waiting_of_caller(caller)
+        if session is not None:
+            session["last"] = now
+
+    def dismiss(self, callee: str, now: int) -> None:
+        for s in self.waiting_for(callee):
+            if s["ledger"] == "open":
+                s["ledger"], s["last"] = "dismissed", now
+
+    def hangup_target(self, sub: str) -> dict | None:
+        def rank(s: dict) -> int | None:
+            if s["state"] == "active":
+                return 2 if s["held"] else 0
+            return 1 if s["caller"] == sub else None
+
+        ranked = [(r, s["sid"], s) for s in self.live(sub) if (r := rank(s)) is not None]
+        return min(ranked)[2] if ranked else None
+
+    def hangup(self, sub: str) -> None:
+        target = self.hangup_target(sub)
+        was_connected = target["state"] == "active" and not target["held"]
+        target["state"] = "ended"
+        if not was_connected:
+            return
+        for party in (target["caller"], target["callee"]):
+            if self.connected(party, include_held=False):
+                continue
+            held = [s for s in self.live(party) if s["held"]]
+            if held:
+                held[0]["held"] = False
+
+    def answer(self, callee: str) -> None:
+        waiting = self.waiting_for(callee)
+        chosen = max(waiting, key=lambda s: (s["tier"], -s["sid"]))
+        for current in self.connected(callee, include_held=False):
+            current["state"] = "ended"
+        chosen["state"], chosen["ledger"] = "active", None
+
+
+def stress_scenario(seed: int, calls: int = 300, subscribers: int = 30) -> str:
+    """A seeded scenario with overrides that hold and resume, answers,
+    hangups, dismisses, admitted and unadmitted bursts, media, and
+    abandon timeouts; run it with --abandon-timeout STRESS_TIMEOUT."""
+    rng = random.Random(seed)
+    subs = [f"S{i}" for i in range(subscribers)]
+    lines = [f"subscriber {sub} {STRESS_PROFILE}" for sub in subs]
+    approvals: dict[str, set[str]] = {}
+    for callee in rng.sample(subs, 8):
+        approved = set(rng.sample([s for s in subs if s != callee], 3))
+        approvals[callee] = approved
+        t, g, n = rng.choice((3, 5)), rng.choice((0, 4, 10)), rng.choice((2, 4, 6))
+        lines.append(f"policy {callee} t={t} G={g} N={n} approve={','.join(sorted(approved))}")
+    shadow = _StressShadow(approvals)
+    now = placed = 0
+    while placed < calls:
+        now += rng.choice((0, 0, 1, 2, 3, 5, 8, 13, 21, 34))
+        shadow.expire(now)
+        waiting_callers = sorted({s["caller"] for s in shadow.sessions if s["state"] == "waiting"})
+        answerable = sorted({s["callee"] for s in shadow.sessions if s["state"] == "waiting"})
+        roll = rng.random()
+        if roll < 0.35:
+            caller, callee = rng.sample(subs, 2)
+            tier = rng.choice((0, 0, 1, 2, 2, 3))
+            shadow.call(caller, callee, tier, now)
+            placed += 1
+            lines.append(f"at {now} call {caller} {callee} {STRESS_CONTEXTS[tier]}")
+        elif roll < 0.55:
+            pool = waiting_callers if waiting_callers and rng.random() < 0.85 else subs
+            caller = rng.choice(pool)
+            shadow.touch(caller, now)
+            if rng.random() < 0.3:
+                body = "silence"
+            else:
+                body = f'transcript="{rng.choice(STRESS_TRANSCRIPTS)}"'
+            extra = rng.choice(("", ' keywords="Fire Kitchen"', ' image="smoke in the hall"'))
+            lines.append(f"at {now} burst {caller} {body}{extra}")
+        elif roll < 0.63:
+            pool = waiting_callers if waiting_callers and rng.random() < 0.8 else subs
+            caller = rng.choice(pool)
+            shadow.touch(caller, now)
+            kind = rng.choice(("image", "video", "gesture"))
+            lines.append(f'at {now} media {caller} {kind}="a person collapsed, blood"')
+        elif roll < 0.78:
+            candidates = [sub for sub in subs if shadow.hangup_target(sub) is not None]
+            if candidates:
+                sub = rng.choice(candidates)
+                shadow.hangup(sub)
+                lines.append(f"at {now} hangup {sub}")
+        elif roll < 0.92:
+            if answerable:
+                callee = rng.choice(answerable)
+                shadow.answer(callee)
+                lines.append(f"at {now} answer {callee}")
+        else:
+            callee = rng.choice(answerable or subs)
+            shadow.dismiss(callee, now)
+            lines.append(f"at {now} dismiss {callee}")
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of each trace at --rng-seed 7: any change to a trace byte fails here.
+GOLDEN_DIGESTS = {
+    "preapproved_bursts.gvb": "e52716d546d4a7b664806a20671e848be8d048836e1809aa69147b20a8751646",
+    "runtime_override.gvb": "2673c2245aadf2f3ebad0ab93139e64d6064f112b89dbb98c303d120dc09eb7f",
+    "silent_generative_burst.gvb": "adbf569dfdced6db9ea0a38cc6ed91ba9d8ccc189ffcd07f760b2799f939d3e4",
+    "stress.gvb": "42c1dbec99bf8b91770fa7d54e82682af230100b2e56fc490e4602350fcb5355",
+}
+STRESS_PATHS = (
+    " CALL_OVERRIDE_CONNECTED ", " CALL_HELD ", " CALL_RESUMED ", " BURSTS_DISMISSED ",
+    " MEDIA_NOTED ", " PERMIT ", " BURST_DENIED ", "reason=not_admitted", " GEN ",
+    "by=timeout",
+)
+
+
 def test_c7_golden_traces_hash_identically(tmp_path: Path):
     started = time.perf_counter()
-    for scenario in sorted(SCENARIO_DIR.glob("*.gvb")):
-        digests = []
-        for attempt in ("one", "two"):
-            trace_path = tmp_path / f"{scenario.stem}.{attempt}.trace"
-            code = main(
-                ["run", str(scenario), "--trace", str(trace_path), "--rng-seed", "7"]
-            )
-            assert code == 0
-            digests.append(hashlib.sha256(trace_path.read_bytes()).hexdigest())
-        assert digests[0] == digests[1], f"{scenario.name} traces differ"
+    stress = tmp_path / "stress.gvb"
+    stress.write_text(stress_scenario(seed=2024), encoding="utf-8")
+    runs = [(path, []) for path in sorted(SCENARIO_DIR.glob("*.gvb"))]
+    runs.append((stress, ["--abandon-timeout", str(STRESS_TIMEOUT)]))
+    assert sorted(path.name for path, _ in runs) == sorted(GOLDEN_DIGESTS)
+    for scenario, extra in runs:
+        trace_path = tmp_path / f"{scenario.stem}.trace"
+        code = main(["run", str(scenario), "--trace", str(trace_path), "--rng-seed", "7", *extra])
+        assert code == 0
+        digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[scenario.name], f"{scenario.name} trace changed"
+    stress_trace = (tmp_path / "stress.trace").read_text(encoding="utf-8")
+    assert all(path in stress_trace for path in STRESS_PATHS)
     elapsed = time.perf_counter() - started
-    announce(7, f"all golden scenarios reproduce bit-identical traces ({elapsed:.3f}s)")
+    announce(7, f"all golden scenarios match their pinned trace digests ({elapsed:.3f}s)")
 
 
 # --- criterion 8: external generator protocol ---

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvbsim.calls import (
+    CONNECTED_STATES,
     CallEngine,
     CallEvent,
     CallSession,
@@ -264,3 +267,67 @@ def test_hold_requires_connected_state():
     waiting = engine.place_call("C", "A", now=1)
     with pytest.raises(IllegalTransition):
         engine.hold(waiting.session_id)
+
+
+# -- live index against brute-force filters over the whole table --
+
+PARTIES = ("A", "B", "C")
+PLACE_CALL = st.tuples(st.just("call"), st.sampled_from(PARTIES), st.sampled_from(PARTIES))
+SESSION_OP = st.tuples(st.sampled_from(("hold", "resume")), st.integers(0, 30))
+ENGINE_STEPS = st.one_of(
+    st.tuples(st.just("register"), st.sampled_from(PARTIES)),
+    PLACE_CALL,
+    PLACE_CALL,
+    st.tuples(st.just("event"), st.integers(0, 30), st.sampled_from(CallEvent)),
+    SESSION_OP,
+    SESSION_OP,
+)
+
+
+def brute_connected(engine: CallEngine, sub: str, include_held: bool) -> list[CallSession]:
+    return [
+        s
+        for s in engine.sessions()
+        if s.state in CONNECTED_STATES
+        and sub in (s.caller, s.callee)
+        and (include_held or not engine.is_held(s.session_id))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ENGINE_STEPS, min_size=10, max_size=60))
+def test_live_index_matches_a_full_table_scan(steps):
+    engine = CallEngine()
+    registered: list[str] = []
+    for now, (op, *args) in enumerate(steps):
+        sessions = engine.sessions()
+        if op == "register" and args[0] not in registered:
+            registered.append(engine.register(args[0]))
+        elif op == "call" and args[0] != args[1] and set(args) <= set(registered):
+            engaged = bool(brute_connected(engine, args[1], include_held=True))
+            placed = engine.place_call(args[0], args[1], now)
+            assert placed.state is (CallState.WAITING if engaged else CallState.ACTIVE)
+        elif op in ("event", "hold", "resume") and sessions:
+            sid = sessions[args[0] % len(sessions)].session_id
+            try:
+                if op == "event":
+                    engine.apply_event(sid, args[1], now)
+                elif op == "hold":
+                    engine.hold(sid)
+                else:
+                    engine.resume(sid)
+            except IllegalTransition:
+                pass
+        for sub in registered:
+            assert engine.sessions_of(sub) == [
+                s
+                for s in engine.sessions()
+                if s.state is not CallState.ENDED and sub in (s.caller, s.callee)
+            ]
+            for include_held in (True, False):
+                assert engine.connected_sessions(sub, include_held) == brute_connected(
+                    engine, sub, include_held
+                )
+            assert engine.waiting_sessions_for(sub) == [
+                s for s in engine.sessions() if s.state is CallState.WAITING and s.callee == sub
+            ]

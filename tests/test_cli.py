@@ -4,6 +4,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from gvbsim.cli import main
 
 from .conftest import SCENARIO_DIR
@@ -63,6 +65,16 @@ def test_sim_error_exits_1(tmp_path: Path, capsys):
     bad.write_text("subscriber A\nat 5 hangup A\n", encoding="utf-8")
     assert main(["run", str(bad)]) == 1
     assert "simulation error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--rng-seed", "--abandon-timeout"])
+def test_run_rejects_negative_integer_flags(flag: str, capsys):
+    scenario = str(SCENARIO_DIR / "runtime_override.gvb")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", scenario, flag, "-1"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be >= 0, got -1" in capsys.readouterr().err
+    assert main(["run", scenario, flag, "0"]) == 0
 
 
 def test_cli_weights_and_thresholds_flags(tmp_path: Path, capsys):

@@ -286,6 +286,65 @@ def test_burst_activity_defers_abandonment():
     assert timeout_end[0].at == 220  # last activity at 100
 
 
+def timeouts(records: list[TraceRecord]) -> list[tuple[int, str]]:
+    return [
+        (r.at, r.get("session"))
+        for r in events_named(records, "CALL_ENDED")
+        if r.get("by") == "timeout"
+    ]
+
+
+@pytest.mark.parametrize(
+    "policy, touch",
+    [
+        ("", 'at 100 media C image="smoke in the hall"\n'),
+        ("policy A t=5 G=30 N=3 approve=C\n", "at 100 dismiss A\n"),
+        ("", 'at 100 burst C transcript="hello"\n'),  # rejected: not admitted
+    ],
+    ids=["media", "dismiss", "not_admitted_burst"],
+)
+def test_media_dismiss_and_unadmitted_bursts_defer_abandonment(policy: str, touch: str):
+    records = run_text(PREAMBLE + policy + "at 0 call A B\n" + BASELINE_CALL + touch)
+    assert timeouts(records) == [(220, "2")]  # last activity at 100
+
+
+def test_equal_expiries_end_in_session_order():
+    text = (
+        PREAMBLE
+        + "subscriber D\n"
+        + "at 0 call A B\n"
+        + "at 5 call C A loc=(0,0) loctype=home hour=9\n"
+        + "at 10 call D A\n"
+        + 'at 10 media C gesture="waving"\n'  # session 2 now expires with session 3
+    )
+    assert timeouts(run_text(text)) == [(130, "2"), (130, "3")]
+
+
+def test_expiry_at_an_event_time_fires_after_that_event():
+    text = PREAMBLE + "subscriber D\n" + "at 0 call A B\n" + BASELINE_CALL + "at 130 call D B\n"
+    records = run_text(text)
+    assert timeouts(records)[0] == (130, "2")
+    placed = events_named(records, "CALL_PLACED")[-1]
+    ended = [r for r in events_named(records, "CALL_ENDED") if r.get("session") == "2"]
+    assert placed.get("session") == "3" and placed.seq < ended[0].seq
+
+
+def test_answered_session_never_times_out():
+    text = (
+        PREAMBLE
+        + "policy A t=5 G=30 N=3 approve=C\n"
+        + "at 0 call A B\n"
+        + BASELINE_CALL
+        + 'at 100 burst C transcript="still here"\n'
+        + "at 150 answer A\n"
+        + "at 400 hangup C\n"
+    )
+    records = run_text(text)
+    assert timeouts(records) == []
+    ended = [(r.at, r.get("by")) for r in events_named(records, "CALL_ENDED")]
+    assert ended == [(150, "A"), (400, "C")]
+
+
 def test_hangup_of_held_call_leaves_override_running():
     text = (
         PREAMBLE
@@ -316,6 +375,13 @@ def test_call_with_unknown_subscriber_is_a_sim_error():
 def test_burst_without_a_waiting_call_is_rejected_not_fatal():
     records = run_text(PREAMBLE + 'at 5 burst C transcript="anyone"\n')
     assert one(records, "BURST_REJECTED").get("reason") == "no_waiting_call"
+
+
+def test_unregistered_ids_in_burst_media_and_dismiss_are_not_fatal():
+    text = PREAMBLE + 'at 5 burst Z silence\nat 6 media Z image="x"\nat 7 dismiss Z\n'
+    records = run_text(text)
+    assert one(records, "BURST_REJECTED").get("reason") == "no_waiting_call"
+    assert one(records, "MEDIA_IGNORED").get("caller") == "Z"
 
 
 def test_duplicate_subscriber_is_a_sim_error():
