@@ -1,138 +1,12 @@
-"""Deterministic call-waiting voice-burst engine and simulator."""
+"""Deterministic call-waiting voice-burst engine and simulator.
+
+The package exports the scenario-to-trace path; every other name lives in
+its module (`gvbsim.scoring`, `gvbsim.calls`, ...).
+"""
 from __future__ import annotations
 
-from .calls import (
-    CallEngine,
-    CallEvent,
-    CallSession,
-    CallState,
-    RoutingDecision,
-    RoutingKind,
-    RoutingReason,
-    route_waiting_call,
-    transition,
-)
-from .generation import (
-    BackendKind,
-    ExternalBackend,
-    GeneratedMessage,
-    GenerationParams,
-    SeedBundle,
-    TemplateBackend,
-    build_backend,
-    compose_seed,
-    fit_to_duration,
-    generate_message,
-)
-from .incapacity import (
-    BurstWindow,
-    IncapacityVerdict,
-    Modality,
-    ModalitySignal,
-    assess_incapacity,
-    detect_keywords,
-    detect_silence,
-    flag_media,
-)
-from .policy import BurstPolicy, PolicyRegistry
-from .scenario import EventKind, SimEvent, parse_scenario
-from .scheduler import (
-    BurstLedger,
-    BurstRecord,
-    CallerVoice,
-    Deny,
-    DenyReason,
-    Generated,
-    Permit,
-    SilentWindow,
-    TextWithBeep,
-    next_eligible_time,
-    record_burst,
-    request_burst,
-)
-from .scoring import (
-    BaselineProfile,
-    CallerContext,
-    EmergencyAssessment,
-    FactorScores,
-    FactorWeights,
-    LocationType,
-    PriorityTier,
-    TierThresholds,
-    activity_anomaly,
-    assess,
-    classify_tier,
-    emergency_score,
-    health_anomaly,
-    location_anomaly,
-    timing_anomaly,
-)
-from .sim import RunConfig, Simulation, run
+from .scenario import parse_scenario
+from .sim import RunConfig, run
 from .trace import TraceRecord, render_trace
 
-__all__ = [
-    "BackendKind",
-    "BaselineProfile",
-    "BurstLedger",
-    "BurstPolicy",
-    "BurstRecord",
-    "BurstWindow",
-    "CallEngine",
-    "CallEvent",
-    "CallSession",
-    "CallState",
-    "CallerContext",
-    "CallerVoice",
-    "Deny",
-    "DenyReason",
-    "EmergencyAssessment",
-    "EventKind",
-    "ExternalBackend",
-    "FactorScores",
-    "FactorWeights",
-    "Generated",
-    "GeneratedMessage",
-    "GenerationParams",
-    "IncapacityVerdict",
-    "LocationType",
-    "Modality",
-    "ModalitySignal",
-    "Permit",
-    "PolicyRegistry",
-    "PriorityTier",
-    "RoutingDecision",
-    "RoutingKind",
-    "RoutingReason",
-    "RunConfig",
-    "SeedBundle",
-    "SilentWindow",
-    "SimEvent",
-    "Simulation",
-    "TemplateBackend",
-    "TextWithBeep",
-    "TierThresholds",
-    "TraceRecord",
-    "activity_anomaly",
-    "assess",
-    "assess_incapacity",
-    "build_backend",
-    "classify_tier",
-    "compose_seed",
-    "detect_keywords",
-    "detect_silence",
-    "emergency_score",
-    "fit_to_duration",
-    "flag_media",
-    "generate_message",
-    "health_anomaly",
-    "location_anomaly",
-    "next_eligible_time",
-    "parse_scenario",
-    "record_burst",
-    "render_trace",
-    "request_burst",
-    "route_waiting_call",
-    "run",
-    "timing_anomaly",
-    "transition",
-]
+__all__ = ["RunConfig", "TraceRecord", "parse_scenario", "render_trace", "run"]

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
-from .errors import ParseError, SimError
+from .errors import ParseError, SimError, ZeroWeights
 from .generation import (
     DEFAULT_SPEAKING_RATE_WPS,
     GenerationParams,
@@ -44,7 +45,10 @@ def _parse_weights(text: str) -> FactorWeights:
     parts = [float(p) for p in text.split(",")]
     if len(parts) != 4:
         raise ValueError("--weights requires four comma-separated numbers")
-    return FactorWeights(*parts)
+    try:
+        return FactorWeights(*parts)
+    except (ValueError, ZeroWeights) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_thresholds(text: str) -> TierThresholds:
@@ -58,6 +62,13 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
     return value
 
 
@@ -100,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--thresholds", type=_parse_thresholds, default=TierThresholds())
     run_p.add_argument("--backend", default="template")
     run_p.add_argument("--rng-seed", type=_non_negative_int, default=0)
-    run_p.add_argument("--speaking-rate", type=float, default=DEFAULT_SPEAKING_RATE_WPS)
+    run_p.add_argument("--speaking-rate", type=_positive_float, default=DEFAULT_SPEAKING_RATE_WPS)
     run_p.add_argument(
         "--abandon-timeout", type=_non_negative_int, default=DEFAULT_ABANDON_TIMEOUT_S
     )
@@ -120,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--t", type=int, default=5)
     gen_p.add_argument("--loctype")
     gen_p.add_argument("--rng-seed", type=int, default=0)
-    gen_p.add_argument("--speaking-rate", type=float, default=DEFAULT_SPEAKING_RATE_WPS)
+    gen_p.add_argument("--speaking-rate", type=_positive_float, default=DEFAULT_SPEAKING_RATE_WPS)
     return parser
 
 
@@ -135,7 +146,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"gvbsim: parse error: {exc}", file=sys.stderr)
         return 2
-    backend = build_backend(args.backend)
+    try:
+        backend = build_backend(args.backend)
+    except ValueError as exc:
+        print(f"gvbsim: {exc}", file=sys.stderr)
+        return 2
     config = RunConfig(
         weights=args.weights,
         thresholds=args.thresholds,

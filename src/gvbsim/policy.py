@@ -47,25 +47,6 @@ class PolicyRegistry:
     def __init__(self) -> None:
         self._policies: dict[str, BurstPolicy] = {}
 
-    def set_policy(
-        self,
-        callee: str,
-        burst_seconds_t: int,
-        gap_seconds_g: int,
-        max_bursts_n: int,
-        approved_callers: frozenset[str] = frozenset(),
-    ) -> BurstPolicy:
-        """Store a policy for `callee`, replacing any previous one."""
-        policy = BurstPolicy(
-            callee=callee,
-            burst_seconds_t=burst_seconds_t,
-            gap_seconds_g=gap_seconds_g,
-            max_bursts_n=max_bursts_n,
-            approved_callers=frozenset(approved_callers),
-        )
-        self._policies[callee] = policy
-        return policy
-
     def store(self, policy: BurstPolicy) -> BurstPolicy:
         """Store an already-built policy, replacing any previous one."""
         self._policies[policy.callee] = policy

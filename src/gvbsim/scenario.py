@@ -19,6 +19,7 @@ wrap midnight (e.g. 22-3).
 """
 from __future__ import annotations
 
+import math
 import shlex
 from dataclasses import dataclass, field
 from enum import Enum
@@ -70,9 +71,12 @@ def _parse_int(value: str, line_no: int, what: str) -> int:
 
 def _parse_float(value: str, line_no: int, what: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
-        raise BadArgument(line_no, f"{what} must be a number, got {value!r}") from None
+        number = math.nan
+    if not math.isfinite(number):
+        raise BadArgument(line_no, f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 def _parse_point(value: str, line_no: int) -> tuple[float, float]:

@@ -63,12 +63,16 @@ class CallerContext:
     moving_speed: float | None = None  # m/s
 
     def __post_init__(self) -> None:
+        if self.location is not None and not all(map(math.isfinite, self.location)):
+            raise ValueError(f"location must be finite, got {self.location}")
         if self.hour_of_day is not None and not 0 <= self.hour_of_day <= 23:
             raise ValueError(f"hour_of_day must be in 0..23, got {self.hour_of_day}")
         if self.heart_rate is not None and not 20 <= self.heart_rate <= 250:
             raise ValueError(f"heart_rate must be in [20, 250], got {self.heart_rate}")
-        if self.moving_speed is not None and self.moving_speed < 0:
-            raise ValueError(f"moving_speed must be >= 0, got {self.moving_speed}")
+        if self.moving_speed is not None and not (
+            math.isfinite(self.moving_speed) and self.moving_speed >= 0
+        ):
+            raise ValueError(f"moving_speed must be finite and >= 0, got {self.moving_speed}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,8 @@ class BaselineProfile:
     usual_moving: bool = False
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(c) for point in self.usual_locations for c in point):
+            raise ValueError("usual_locations must be finite")
         if not self.usual_hours:
             raise ValueError("usual_hours must be non-empty")
         if any(not 0 <= h <= 23 for h in self.usual_hours):
@@ -115,6 +121,8 @@ class FactorWeights:
     activity: float = 1.0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, self.as_tuple())):
+            raise ValueError(f"weights must be finite, got {self.as_tuple()}")
         if any(w < 0 for w in self.as_tuple()):
             raise ValueError("weights must be non-negative")
         if sum(self.as_tuple()) == 0:

@@ -71,7 +71,7 @@ from .scoring import (
     TierThresholds,
     assess,
 )
-from .trace import TraceRecord, fmt_num, fmt_score
+from .trace import TRACE_EVENTS, TraceRecord, fmt_num, fmt_score
 
 DEFAULT_ABANDON_TIMEOUT_S = 120
 
@@ -126,11 +126,18 @@ class Simulation:
 
     # -- trace plumbing --
 
-    def _trace(self, component: str, event: str, details: list[tuple[str, str]]) -> None:
-        self._seq += 1
-        self.records.append(
-            TraceRecord(self.clock, self._seq, component, event, tuple(details))
+    def _emit(self, event: str, **values: object) -> None:
+        """Append one `event` record with `str(value)` in the key order
+        `TRACE_EVENTS` declares.  A None value leaves its key out; a key
+        the table does not declare raises TypeError."""
+        component, keys = TRACE_EVENTS[event]
+        details = tuple(
+            [(key, str(value)) for key in keys if (value := values.pop(key, None)) is not None]
         )
+        if values:
+            raise TypeError(f"{event} declares no trace key {sorted(values)}")
+        self._seq += 1
+        self.records.append(TraceRecord(self.clock, self._seq, component, event, details))
 
     # -- main loop --
 
@@ -168,7 +175,7 @@ class Simulation:
                 continue
             self.clock = max(self.clock, expiry)
             self.engine.apply_event(sid, CallEvent.TIMEOUT, self.clock)
-            self._trace("call_engine", "CALL_ENDED", [("session", str(sid)), ("by", "timeout")])
+            self._emit("CALL_ENDED", session=sid, by="timeout")
 
     # -- event handlers --
 
@@ -182,56 +189,44 @@ class Simulation:
             resting_heart_rate=args["resting_hr"],
             usual_moving=args["usual_moving"],
         )
-        self._trace(
-            "call_engine",
+        self._emit(
             "SUBSCRIBER_REGISTERED",
-            [
-                ("id", sub_id),
-                ("home", _fmt_point(home)),
-                ("usual_hours", args["usual_hours_label"]),
-                ("resting_hr", fmt_num(args["resting_hr"])),
-                ("usual_moving", "1" if args["usual_moving"] else "0"),
-            ],
+            id=sub_id,
+            home=_fmt_point(home),
+            usual_hours=args["usual_hours_label"],
+            resting_hr=fmt_num(args["resting_hr"]),
+            usual_moving=int(args["usual_moving"]),
         )
 
     def _handle_policy(self, event: SimEvent) -> None:
         policy = self.policies.store(event.args["policy"])
         approved = ",".join(sorted(policy.approved_callers)) or "-"
-        self._trace(
-            "approval_policy",
+        self._emit(
             "POLICY_SET",
-            [
-                ("callee", policy.callee),
-                ("t", str(policy.burst_seconds_t)),
-                ("G", str(policy.gap_seconds_g)),
-                ("N", str(policy.max_bursts_n)),
-                ("approved", approved),
-            ],
+            callee=policy.callee,
+            t=policy.burst_seconds_t,
+            G=policy.gap_seconds_g,
+            N=policy.max_bursts_n,
+            approved=approved,
         )
 
     def _handle_weights(self, event: SimEvent) -> None:
         self.weights = event.args["weights"]
-        self._trace(
-            "priority_engine",
+        self._emit(
             "WEIGHTS_SET",
-            [
-                ("location", fmt_num(self.weights.location)),
-                ("timing", fmt_num(self.weights.timing)),
-                ("health", fmt_num(self.weights.health)),
-                ("activity", fmt_num(self.weights.activity)),
-            ],
+            location=fmt_num(self.weights.location),
+            timing=fmt_num(self.weights.timing),
+            health=fmt_num(self.weights.health),
+            activity=fmt_num(self.weights.activity),
         )
 
     def _handle_thresholds(self, event: SimEvent) -> None:
         self.thresholds = event.args["thresholds"]
-        self._trace(
-            "priority_engine",
+        self._emit(
             "THRESHOLDS_SET",
-            [
-                ("connect", fmt_num(self.thresholds.theta_connect)),
-                ("voice", fmt_num(self.thresholds.theta_voice)),
-                ("text", fmt_num(self.thresholds.theta_text)),
-            ],
+            connect=fmt_num(self.thresholds.theta_connect),
+            voice=fmt_num(self.thresholds.theta_voice),
+            text=fmt_num(self.thresholds.theta_text),
         )
 
     def _handle_call(self, event: SimEvent) -> None:
@@ -240,69 +235,54 @@ class Simulation:
         sid = session.session_id
         self._info[sid] = _SessionInfo(context=args["context"])
         self._touch(sid)
-        self._trace(
-            "call_engine",
-            "CALL_PLACED",
-            [("session", str(sid)), ("caller", session.caller), ("callee", session.callee)],
-        )
+        self._emit("CALL_PLACED", session=sid, caller=session.caller, callee=session.callee)
         if session.state is CallState.ACTIVE:
-            self._trace("call_engine", "CALL_CONNECTED", [("session", str(sid))])
+            self._emit("CALL_CONNECTED", session=sid)
             return
-        self._trace("call_engine", "CALL_WAITING", [("session", str(sid))])
+        self._emit("CALL_WAITING", session=sid)
         assessment = assess(
             args["context"], self.profiles[session.caller], self.weights, self.thresholds
         )
-        self._trace(
-            "priority_engine",
+        self._emit(
             "ASSESSMENT",
-            [
-                ("session", str(sid)),
-                ("caller", session.caller),
-                ("location", fmt_score(assessment.factors.location)),
-                ("timing", fmt_score(assessment.factors.timing)),
-                ("health", fmt_score(assessment.factors.health)),
-                ("activity", fmt_score(assessment.factors.activity)),
-                ("score", fmt_score(assessment.emergency_score)),
-                ("tier", assessment.tier.token),
-            ],
+            session=sid,
+            caller=session.caller,
+            location=fmt_score(assessment.factors.location),
+            timing=fmt_score(assessment.factors.timing),
+            health=fmt_score(assessment.factors.health),
+            activity=fmt_score(assessment.factors.activity),
+            score=fmt_score(assessment.emergency_score),
+            tier=assessment.tier.token,
         )
         policy = self.policies.get_policy(session.callee)
         decision = route_waiting_call(session, assessment, policy)
         self._info[sid].decision = decision
-        self._trace(
-            "call_engine",
+        self._emit(
             "ROUTING",
-            [
-                ("session", str(sid)),
-                ("kind", decision.kind.token),
-                ("tier", decision.tier.token),
-                ("reason", decision.reason.value),
-            ],
+            session=sid,
+            kind=decision.kind.token,
+            tier=decision.tier.token,
+            reason=decision.reason.value,
         )
         if decision.kind is RoutingKind.CONNECT_OVERRIDE:
             for current in self.engine.connected_sessions(session.callee, include_held=False):
                 self.engine.hold(current.session_id)
-                self._trace(
-                    "call_engine", "CALL_HELD", [("session", str(current.session_id))]
-                )
+                self._emit("CALL_HELD", session=current.session_id)
             self.engine.apply_event(sid, CallEvent.OVERRIDE, self.clock)
-            self._trace("call_engine", "CALL_OVERRIDE_CONNECTED", [("session", str(sid))])
+            self._emit("CALL_OVERRIDE_CONNECTED", session=sid)
         elif decision.kind in (
             RoutingKind.PERMIT_VOICE_BURST,
             RoutingKind.PERMIT_TEXT_BURST_WITH_BEEP,
         ):
             self._info[sid].ledger = BurstLedger(session_id=sid, policy=policy)
             mode = "voice" if decision.kind is RoutingKind.PERMIT_VOICE_BURST else "text"
-            self._trace(
-                "burst_scheduler",
+            self._emit(
                 "BURSTS_ADMITTED",
-                [
-                    ("session", str(sid)),
-                    ("mode", mode),
-                    ("t", str(policy.burst_seconds_t)),
-                    ("G", str(policy.gap_seconds_g)),
-                    ("N", str(policy.max_bursts_n)),
-                ],
+                session=sid,
+                mode=mode,
+                t=policy.burst_seconds_t,
+                G=policy.gap_seconds_g,
+                N=policy.max_bursts_n,
             )
 
     def _waiting_session_of_caller(self, caller: str) -> CallSession | None:
@@ -315,39 +295,25 @@ class Simulation:
         args = event.args
         session = self._waiting_session_of_caller(args["caller"])
         if session is None:
-            self._trace(
-                "sim_harness",
-                "BURST_REJECTED",
-                [("caller", args["caller"]), ("reason", "no_waiting_call")],
-            )
+            self._emit("BURST_REJECTED", caller=args["caller"], reason="no_waiting_call")
             return
         sid = session.session_id
         info = self._info[sid]
         self._touch(sid)
         if info.ledger is None:
-            self._trace(
-                "sim_harness",
-                "BURST_REJECTED",
-                [("caller", args["caller"]), ("session", str(sid)), ("reason", "not_admitted")],
-            )
+            self._emit("BURST_REJECTED", caller=args["caller"], session=sid, reason="not_admitted")
             return
         grant = request_burst(info.ledger, self.clock)
         if isinstance(grant, Deny):
-            details = [("session", str(sid)), ("reason", grant.reason.value)]
-            if grant.eligible_at is not None:
-                details.append(("eligible_at", str(grant.eligible_at)))
-            self._trace("burst_scheduler", "BURST_DENIED", details)
+            self._emit(
+                "BURST_DENIED",
+                session=sid,
+                reason=grant.reason.value,
+                eligible_at=grant.eligible_at,
+            )
             return
         t = info.ledger.policy.burst_seconds_t
-        self._trace(
-            "burst_scheduler",
-            "PERMIT",
-            [
-                ("session", str(sid)),
-                ("start", str(grant.granted_at)),
-                ("window_end", str(grant.window_end)),
-            ],
-        )
+        self._emit("PERMIT", session=sid, start=grant.granted_at, window_end=grant.window_end)
         self.engine.apply_event(sid, CallEvent.PERMIT_BURST, self.clock)
         transcript: str | None = args["transcript"]
         if transcript is None:
@@ -377,15 +343,12 @@ class Simulation:
             if media_signal is not None:
                 signals.append(media_signal)
         verdict = assess_incapacity(signals)
-        self._trace(
-            "incapacity_detector",
+        self._emit(
             "INCAPACITY",
-            [
-                ("session", str(sid)),
-                ("incapacitated", "1" if verdict.incapacitated else "0"),
-                ("confidence", fmt_score(verdict.confidence)),
-                ("signals", ",".join(s.modality.value for s in verdict.contributing) or "-"),
-            ],
+            session=sid,
+            incapacitated=int(verdict.incapacitated),
+            confidence=fmt_score(verdict.confidence),
+            signals=",".join(s.modality.value for s in verdict.contributing) or "-",
         )
         assert info.decision is not None
         voice_mode = info.decision.kind is RoutingKind.PERMIT_VOICE_BURST
@@ -401,14 +364,11 @@ class Simulation:
         sequence = info.ledger.bursts_sent + 1
         record = BurstRecord(sid, sequence, start=self.clock, duration=duration, payload=payload)
         info.ledger = record_burst(info.ledger, record)
-        base_details = [
-            ("session", str(sid)),
-            ("sequence", str(sequence)),
-            ("start", str(record.start)),
-            ("duration", str(record.duration)),
-        ]
         if isinstance(payload, SilentWindow):
-            self._trace("burst_scheduler", "BURST_WINDOW_SILENT", base_details)
+            self._emit(
+                "BURST_WINDOW_SILENT",
+                session=sid, sequence=sequence, start=record.start, duration=record.duration,
+            )
         else:
             if isinstance(payload, CallerVoice):
                 kind, text = "voice", payload.transcript
@@ -416,10 +376,10 @@ class Simulation:
                 kind, text = "generated", payload.message.text
             else:
                 kind, text = "text_beep", payload.text
-            self._trace(
-                "burst_scheduler",
+            self._emit(
                 "BURST_SENT",
-                base_details + [("payload", kind), ("text", text)],
+                session=sid, sequence=sequence, start=record.start, duration=record.duration,
+                payload=kind, text=text,
             )
         self.engine.apply_event(sid, CallEvent.TIMEOUT, self.clock)
 
@@ -463,22 +423,15 @@ class Simulation:
         )
         if message.fallback_reason is not None:
             token = "timeout" if "timeout" in message.fallback_reason.lower() else "error"
-            self._trace(
-                "message_generator",
-                "GEN_FALLBACK",
-                [("session", str(sid)), ("reason", token), ("detail", message.fallback_reason)],
-            )
+            self._emit("GEN_FALLBACK", session=sid, reason=token, detail=message.fallback_reason)
         message = fit_to_duration(message, t, self.config.speaking_rate)
-        self._trace(
-            "message_generator",
+        self._emit(
             "GEN",
-            [
-                ("session", str(sid)),
-                ("backend", message.backend.value),
-                ("words", str(message.word_count)),
-                ("seconds", f"{message.estimated_speech_seconds:.2f}"),
-                ("text", message.text),
-            ],
+            session=sid,
+            backend=message.backend.value,
+            words=message.word_count,
+            seconds=f"{message.estimated_speech_seconds:.2f}",
+            text=message.text,
         )
         return Generated(message) if voice_mode else TextWithBeep(message.text)
 
@@ -486,16 +439,12 @@ class Simulation:
         args = event.args
         session = self._waiting_session_of_caller(args["caller"])
         if session is None:
-            self._trace("sim_harness", "MEDIA_IGNORED", [("caller", args["caller"])])
+            self._emit("MEDIA_IGNORED", caller=args["caller"])
             return
         info = self._info[session.session_id]
         info.pending_media.append((args["modality"], args["description"]))
         self._touch(session.session_id)
-        self._trace(
-            "sim_harness",
-            "MEDIA_NOTED",
-            [("session", str(session.session_id)), ("modality", args["modality"].value)],
-        )
+        self._emit("MEDIA_NOTED", session=session.session_id, modality=args["modality"].value)
 
     def _handle_hangup(self, event: SimEvent) -> None:
         sub_id = event.args["id"]
@@ -506,11 +455,7 @@ class Simulation:
             target.session_id
         )
         self.engine.apply_event(target.session_id, CallEvent.HANG_UP, self.clock)
-        self._trace(
-            "call_engine",
-            "CALL_ENDED",
-            [("session", str(target.session_id)), ("by", sub_id)],
-        )
+        self._emit("CALL_ENDED", session=target.session_id, by=sub_id)
         if was_connected:
             self._maybe_resume(target)
 
@@ -539,9 +484,7 @@ class Simulation:
             for session in self.engine.sessions_of(party):
                 if self.engine.is_held(session.session_id):
                     self.engine.resume(session.session_id)
-                    self._trace(
-                        "call_engine", "CALL_RESUMED", [("session", str(session.session_id))]
-                    )
+                    self._emit("CALL_RESUMED", session=session.session_id)
                     break
 
     def _handle_answer(self, event: SimEvent) -> None:
@@ -556,14 +499,10 @@ class Simulation:
             raise SimError(event.line_no, f"{callee!r} has no waiting call to answer")
         for current in self.engine.connected_sessions(callee, include_held=False):
             self.engine.apply_event(current.session_id, CallEvent.HANG_UP, self.clock)
-            self._trace(
-                "call_engine",
-                "CALL_ENDED",
-                [("session", str(current.session_id)), ("by", callee)],
-            )
+            self._emit("CALL_ENDED", session=current.session_id, by=callee)
         self.engine.apply_event(session.session_id, CallEvent.ANSWER, self.clock)
         self._info[session.session_id].ledger = None  # waiting episode over
-        self._trace("call_engine", "CALL_CONNECTED", [("session", str(session.session_id))])
+        self._emit("CALL_CONNECTED", session=session.session_id)
 
     def _handle_dismiss(self, event: SimEvent) -> None:
         callee = event.args["id"]
@@ -574,11 +513,7 @@ class Simulation:
                 remaining = info.ledger.policy.max_bursts_n - info.ledger.bursts_sent
                 info.ledger = dismiss(info.ledger)
                 self._touch(sid)
-                self._trace(
-                    "burst_scheduler",
-                    "BURSTS_DISMISSED",
-                    [("session", str(sid)), ("remaining_cancelled", str(remaining))],
-                )
+                self._emit("BURSTS_DISMISSED", session=sid, remaining_cancelled=remaining)
 
     _HANDLERS = {
         EventKind.REGISTER_SUBSCRIBER: _handle_register,

@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from gvbsim.cli import main
 
-from .conftest import SCENARIO_DIR
+from .conftest import REPO_ROOT, SCENARIO_DIR
 
 
 def test_run_writes_a_trace_file(tmp_path: Path, capsys):
@@ -75,6 +78,42 @@ def test_run_rejects_negative_integer_flags(flag: str, capsys):
     assert exc.value.code == 2
     assert f"argument {flag}: must be >= 0, got -1" in capsys.readouterr().err
     assert main(["run", scenario, flag, "0"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "run {scenarios}/preapproved_bursts.gvb --weights 0,0,0,0",
+        "score --weights 0,0,0,0",
+        "run {scenarios}/runtime_override.gvb --weights nan,1,1,1",
+        "run {scenarios}/preapproved_bursts.gvb --backend bogus",
+        "run {scenarios}/preapproved_bursts.gvb --backend external=",
+        "run {scenarios}/preapproved_bursts.gvb --speaking-rate 0",
+        "run {scenarios}/silent_generative_burst.gvb --speaking-rate 0",
+        "run {scenarios}/silent_generative_burst.gvb --speaking-rate -1",
+        "run {scenarios}/silent_generative_burst.gvb --speaking-rate nan",
+        "gen --keywords fire --speaking-rate inf",
+        "score --speed nan",
+        "score --loc nan,0 --profile {home_profile}",
+        "score --loc 1,1 --profile {nan_profile}",
+    ],
+)
+def test_input_faults_exit_2_without_a_traceback(argv: str, tmp_path: Path):
+    home_profile = tmp_path / "home.json"
+    home_profile.write_text('{"home": [0, 0]}', encoding="utf-8")
+    nan_profile = tmp_path / "nan.json"
+    nan_profile.write_text('{"home": [NaN, 0]}', encoding="utf-8")  # json.loads accepts NaN
+    args = argv.format(scenarios=SCENARIO_DIR, home_profile=home_profile, nan_profile=nan_profile)
+    result = subprocess.run(
+        [sys.executable, "-m", "gvbsim.cli", *args.split()],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        timeout=60,
+    )
+    assert result.returncode == 2, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1].startswith("gvbsim")
 
 
 def test_cli_weights_and_thresholds_flags(tmp_path: Path, capsys):

@@ -8,7 +8,7 @@ from gvbsim.policy import BurstPolicy, PolicyRegistry
 
 def test_set_then_get_round_trips():
     registry = PolicyRegistry()
-    stored = registry.set_policy("A", 5, 30, 3, frozenset({"C"}))
+    stored = registry.store(BurstPolicy("A", 5, 30, 3, frozenset({"C"})))
     assert registry.get_policy("A") == stored
     assert stored.burst_seconds_t == 5
     assert stored.gap_seconds_g == 30
@@ -24,8 +24,8 @@ def test_unknown_callee_gets_the_default_policy():
 
 def test_second_write_wins():
     registry = PolicyRegistry()
-    registry.set_policy("A", 4, 10, 2, frozenset({"C"}))
-    registry.set_policy("A", 3, 0, 1, frozenset())
+    registry.store(BurstPolicy("A", 4, 10, 2, frozenset({"C"})))
+    registry.store(BurstPolicy("A", 3, 0, 1, frozenset()))
     assert registry.get_policy("A").burst_seconds_t == 3
     assert registry.get_policy("A").approved_callers == frozenset()
 
@@ -55,6 +55,6 @@ def test_invalid_policies_rejected(kwargs):
 
 def test_approval_is_directional():
     registry = PolicyRegistry()
-    registry.set_policy("A", 5, 30, 3, frozenset({"C"}))
+    registry.store(BurstPolicy("A", 5, 30, 3, frozenset({"C"})))
     assert "C" in registry.get_policy("A").approved_callers
     assert "A" not in registry.get_policy("C").approved_callers

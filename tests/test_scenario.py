@@ -96,6 +96,23 @@ def test_invalid_weights_and_thresholds_rejected():
         parse_scenario("thresholds 0.3,0.6,0.9\n")
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "weights nan,1,1,1",
+        "weights 1,inf,1,1",
+        "thresholds 0.9,nan,0.3",
+        "subscriber A home=(nan,0)",
+        "at 5 call C A loc=(0,-inf)",
+        "at 5 call C A speed=nan",
+        "at 5 call C A hr=nan",
+    ],
+)
+def test_non_finite_numbers_are_bad_arguments(line: str):
+    with pytest.raises(BadArgument, match="finite"):
+        parse_scenario(line + "\n")
+
+
 def test_call_context_options():
     (event,) = parse_scenario("at 5 call C A loc=(40,9) loctype=highway hour=3 hr=130 speed=14\n")
     ctx = event.args["context"]

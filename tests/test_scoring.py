@@ -200,6 +200,29 @@ def test_context_field_validation():
         BaselineProfile(usual_hours=frozenset({9}), resting_heart_rate=20)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FactorWeights(math.nan, 1, 1, 1),
+        lambda: FactorWeights(1, 1, math.inf, 1),
+        lambda: CallerContext(location=(math.nan, 0.0)),
+        lambda: CallerContext(location=(0.0, -math.inf)),
+        lambda: CallerContext(moving_speed=math.nan),
+        lambda: CallerContext(moving_speed=math.inf),
+        lambda: BaselineProfile(usual_locations=frozenset({(math.nan, 0.0)})),
+    ],
+    ids=[
+        "weight-nan", "weight-inf", "location-nan", "location-inf", "speed-nan", "speed-inf",
+        "usual-location-nan",
+    ],
+)
+def test_non_finite_inputs_rejected(build):
+    # nan slips past every range check (all comparisons are false) and
+    # min(1.0, nan) is 1.0, so an accepted nan would escalate.
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 # -- property checks --
 
 def random_profile(rng: random.Random) -> BaselineProfile:
