@@ -1,7 +1,8 @@
 """Subscriber and call-session state machines, plus waiting-call routing.
 
-Sessions are immutable values; `transition` returns the updated session
-and the engine stores it.  Routing maps a priority tier to a decision:
+A `CallSession` is the one record of a call: `place_call` creates it and
+the engine changes it in place, never replacing it; `next_state` is the pure
+transition lookup.  Routing maps a priority tier to a decision:
 
     HIGHEST -> connect override      MEDIUM -> voice burst permitted
     LOW     -> text burst with beep  NONE   -> standard waiting
@@ -12,9 +13,8 @@ overrides.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Callable
 
 from .errors import (
     IllegalTransition,
@@ -23,8 +23,10 @@ from .errors import (
     SelfCall,
     UnknownSubscriber,
 )
+from .incapacity import Modality
 from .policy import BurstPolicy
-from .scoring import EmergencyAssessment, PriorityTier
+from .scheduler import BurstLedger
+from .scoring import CallerContext, EmergencyAssessment, PriorityTier
 
 
 def validate_subscriber_id(sub_id: str) -> str:
@@ -72,7 +74,7 @@ _TRANSITIONS: dict[tuple[CallState, CallEvent], CallState] = {
 CONNECTED_STATES = frozenset({CallState.ACTIVE, CallState.CONNECTED_BY_OVERRIDE})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CallSession:
     session_id: int
     caller: str
@@ -80,6 +82,12 @@ class CallSession:
     state: CallState
     started_at: int
     ended_at: int | None = None
+    held: bool = False
+    context: CallerContext | None = None
+    decision: RoutingDecision | None = None
+    ledger: BurstLedger | None = None  # this waiting episode's burst budget
+    pending_media: list[tuple[Modality, str]] = field(default_factory=list)
+    last_activity: int = 0
 
     def __post_init__(self) -> None:
         if self.caller == self.callee:
@@ -88,18 +96,12 @@ class CallSession:
             raise ValueError("ended_at must be present iff the session has ended")
 
 
-def transition(session: CallSession, event: CallEvent, now: int) -> CallSession:
-    """Apply `event`; illegal transitions raise without touching the session."""
-    target = _TRANSITIONS.get((session.state, event))
+def next_state(state: CallState, event: CallEvent) -> CallState:
+    """The state `event` leads to from `state`; raises if not permitted."""
+    target = _TRANSITIONS.get((state, event))
     if target is None:
-        raise IllegalTransition(
-            f"event {event.value} not permitted from state {session.state.value}"
-        )
-    return replace(
-        session,
-        state=target,
-        ended_at=now if target is CallState.ENDED else None,
-    )
+        raise IllegalTransition(f"event {event.value} not permitted from state {state.value}")
+    return target
 
 
 class RoutingKind(IntEnum):
@@ -158,7 +160,9 @@ def route_waiting_call(
 
 
 class CallEngine:
-    """Owns the subscriber registry, the session table, and hold flags.
+    """Owns the subscriber registry and the session table, the only
+    per-session record: each `CallSession` is created by `place_call` and
+    changed in place by `apply_event`, `hold` and `resume`, never replaced.
 
     The live index maps each registered subscriber to the ids of its
     unended sessions, as caller or callee, in ascending id order: ids only
@@ -169,7 +173,6 @@ class CallEngine:
     def __init__(self) -> None:
         self._live: dict[str, dict[int, None]] = {}
         self._sessions: dict[int, CallSession] = {}
-        self._held: set[int] = set()
         self._next_session_id = 1
 
     # -- subscribers --
@@ -217,13 +220,15 @@ class CallEngine:
         return [self._sessions[sid] for sid in self._live.get(sub_id, ())]
 
     def apply_event(self, session_id: int, event: CallEvent, now: int) -> CallSession:
-        updated = transition(self._sessions[session_id], event, now)
-        self._sessions[session_id] = updated
-        if updated.state is CallState.ENDED:
-            self._held.discard(session_id)
-            del self._live[updated.caller][session_id]
-            del self._live[updated.callee][session_id]
-        return updated
+        """Move the session along `event` in place; ending it clears its hold."""
+        session = self._sessions[session_id]
+        session.state = next_state(session.state, event)
+        if session.state is CallState.ENDED:
+            session.ended_at = now
+            session.held = False
+            del self._live[session.caller][session_id]
+            del self._live[session.callee][session_id]
+        return session
 
     # -- hold bookkeeping (connect-override keeps the displaced call) --
 
@@ -231,20 +236,16 @@ class CallEngine:
         session = self._sessions[session_id]
         if session.state not in CONNECTED_STATES:
             raise IllegalTransition(f"cannot hold a {session.state.value} session")
-        self._held.add(session_id)
+        session.held = True
 
     def resume(self, session_id: int) -> None:
-        self._held.discard(session_id)
-
-    def is_held(self, session_id: int) -> bool:
-        return session_id in self._held
+        self._sessions[session_id].held = False
 
     def connected_sessions(self, sub_id: str, include_held: bool = True) -> list[CallSession]:
         return [
             s
             for s in self.sessions_of(sub_id)
-            if s.state in CONNECTED_STATES
-            and (include_held or s.session_id not in self._held)
+            if s.state in CONNECTED_STATES and (include_held or not s.held)
         ]
 
     def waiting_sessions_for(self, callee: str) -> list[CallSession]:
@@ -254,11 +255,11 @@ class CallEngine:
             if s.state is CallState.WAITING and s.callee == callee
         ]
 
-    def pick_waiting(
-        self, callee: str, tier_of: Callable[[int], PriorityTier]
-    ) -> CallSession | None:
-        """Queue discipline: higher tier first, FIFO within a tier."""
-        waiting = self.waiting_sessions_for(callee)
-        if not waiting:
-            return None
-        return min(waiting, key=lambda s: (-tier_of(s.session_id), s.session_id))
+    def pick_waiting(self, callee: str) -> CallSession | None:
+        """Queue discipline: higher tier first, FIFO within a tier; a session
+        with no routing decision ranks as NONE."""
+        return min(
+            self.waiting_sessions_for(callee),
+            key=lambda s: (-(s.decision.tier if s.decision else PriorityTier.NONE), s.session_id),
+            default=None,
+        )

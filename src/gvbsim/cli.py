@@ -28,7 +28,7 @@ from .generation import (
     fit_to_duration,
     generate_message,
 )
-from .scenario import parse_scenario
+from .scenario import _parse_coordinates, _parse_float, _parse_hours, parse_scenario
 from .scoring import (
     BaselineProfile,
     CallerContext,
@@ -72,31 +72,35 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _parse_point(text: str) -> tuple[float, float]:
-    parts = [float(p) for p in text.strip("()").split(",")]
-    if len(parts) != 2:
-        raise ValueError("--loc requires x,y")
-    return (parts[0], parts[1])
+# Profile fields and --loc reuse the scenario grammar's number, point and
+# hours rules; they have no scenario line, so their ParseErrors carry line 0.
+_NO_LINE = 0
 
 
 def _load_profile(path: str | None) -> BaselineProfile:
+    """Read a JSON baseline profile; a malformed field raises ValueError or
+    ParseError."""
     if path is None:
         return BaselineProfile()
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    hours = data.get("usual_hours", list(range(24)))
+    if not isinstance(data, dict):
+        raise ValueError("profile must be a JSON object")
+    home, hours = data.get("home"), data.get("usual_hours", "0-23")
+    if not isinstance(home, (list, type(None))):
+        raise ValueError(f"home must be [x, y], got {home!r}")
+    points = [] if home is None else [_parse_coordinates(home, _NO_LINE, home)]
     if isinstance(hours, str):
-        lo, _, hi = hours.partition("-")
-        lo_i, hi_i = int(lo), int(hi)
-        if lo_i <= hi_i:
-            hours = list(range(lo_i, hi_i + 1))
-        else:
-            hours = list(range(lo_i, 24)) + list(range(0, hi_i + 1))
-    home = data.get("home")
+        hours = _parse_hours(hours, _NO_LINE)
+    elif not (isinstance(hours, list) and all(type(h) is int for h in hours)):
+        raise ValueError(f'usual_hours must be an "a-b" range or a list of hours, got {hours!r}')
+    moving = data.get("usual_moving", False)
+    if moving not in (True, False):  # 1 and 0 compare equal to them
+        raise ValueError(f"usual_moving must be true or false, got {moving!r}")
     return BaselineProfile(
-        usual_locations=frozenset({(float(home[0]), float(home[1]))}) if home else frozenset(),
-        usual_hours=frozenset(int(h) for h in hours),
-        resting_heart_rate=float(data.get("resting_hr", 70)),
-        usual_moving=bool(data.get("usual_moving", False)),
+        usual_locations=frozenset(points),
+        usual_hours=frozenset(hours),
+        resting_heart_rate=_parse_float(data.get("resting_hr", 70), _NO_LINE, "resting_hr"),
+        usual_moving=bool(moving),
     )
 
 
@@ -178,7 +182,11 @@ def _cmd_score(args: argparse.Namespace) -> int:
     try:
         profile = _load_profile(args.profile)
         ctx = CallerContext(
-            location=_parse_point(args.loc) if args.loc else None,
+            location=(
+                _parse_coordinates(args.loc.strip("()").split(","), _NO_LINE, args.loc)
+                if args.loc
+                else None
+            ),
             location_type=LocationType(args.loctype.lower()),
             hour_of_day=args.hour,
             heart_rate=args.hr,
@@ -186,6 +194,9 @@ def _cmd_score(args: argparse.Namespace) -> int:
         )
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"gvbsim: {exc}", file=sys.stderr)
+        return 2
+    except ParseError as exc:
+        print(f"gvbsim: {exc.message}", file=sys.stderr)
         return 2
     assessment = assess(ctx, profile, args.weights, args.thresholds)
     print(f"location={fmt_score(assessment.factors.location)}")

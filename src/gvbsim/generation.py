@@ -10,8 +10,8 @@ child process's standard streams (or a TCP connection):
     response: OK text=<percent-encoded message>   |   ERR <reason>
 
 Percent-encoding covers space, percent, and newline bytes.  Any external
-failure (timeout, dead process, ERR reply) falls back to the template
-backend; the returned message records the fallback reason.
+failure (timeout, dead process, ERR reply, over-long response line) falls
+back to the template backend; the returned message records the reason.
 """
 from __future__ import annotations
 
@@ -32,6 +32,9 @@ DEFAULT_MAX_WORDS = 50
 DEFAULT_TEMPERATURE = 0.9
 DEFAULT_SPEAKING_RATE_WPS = 2.5
 DEFAULT_EXTERNAL_TIMEOUT_S = 2.0
+# Longest generator response line accepted, newline included, so a peer
+# that never ends a line cannot grow memory until the timeout.
+MAX_RESPONSE_LINE_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -187,25 +190,32 @@ class _LineReader:
     longer than the configured timeout."""
 
     def __init__(self, stream: IO[bytes]):
-        self._queue: Queue[bytes | None] = Queue()
+        self._queue: Queue[bytes | ExternalGeneratorError] = Queue()
         self._thread = threading.Thread(target=self._pump, args=(stream,), daemon=True)
         self._thread.start()
 
     def _pump(self, stream: IO[bytes]) -> None:
+        """Queue each line, then the error that ends the stream."""
+        end = ExternalGeneratorError("generator closed its output stream")
         try:
-            for line in stream:
+            while line := stream.readline(MAX_RESPONSE_LINE_BYTES + 1):
+                if len(line) > MAX_RESPONSE_LINE_BYTES:
+                    end = ExternalGeneratorError(
+                        f"generator response line exceeds {MAX_RESPONSE_LINE_BYTES} bytes"
+                    )
+                    break
                 self._queue.put(line)
         except (ValueError, OSError):
             pass  # stream closed under us
-        self._queue.put(None)
+        self._queue.put(end)
 
     def readline(self, timeout: float) -> bytes:
         try:
             line = self._queue.get(timeout=timeout)
         except Empty:
             raise ExternalTimeout("timeout waiting for generator response") from None
-        if line is None:
-            raise ExternalGeneratorError("generator closed its output stream")
+        if isinstance(line, ExternalGeneratorError):
+            raise line
         return line
 
 

@@ -23,7 +23,7 @@ import math
 import shlex
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Sequence
 
 from .errors import BadArgument, InvalidPolicy, ParseError, UnknownDirective, ZeroWeights
 from .incapacity import Modality
@@ -69,10 +69,10 @@ def _parse_int(value: str, line_no: int, what: str) -> int:
         raise BadArgument(line_no, f"{what} must be an integer, got {value!r}") from None
 
 
-def _parse_float(value: str, line_no: int, what: str) -> float:
+def _parse_float(value: object, line_no: int, what: str) -> float:
     try:
         number = float(value)
-    except ValueError:
+    except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):
         raise BadArgument(line_no, f"{what} must be a finite number, got {value!r}")
@@ -83,7 +83,13 @@ def _parse_point(value: str, line_no: int) -> tuple[float, float]:
     raw = value.strip()
     if not (raw.startswith("(") and raw.endswith(")")):
         raise BadArgument(line_no, f"expected (x,y), got {value!r}")
-    parts = raw[1:-1].split(",")
+    return _parse_coordinates(raw[1:-1].split(","), line_no, value)
+
+
+def _parse_coordinates(
+    parts: Sequence[object], line_no: int, value: object
+) -> tuple[float, float]:
+    """The point rule: exactly two finite coordinates; errors quote `value`."""
     if len(parts) != 2:
         raise BadArgument(line_no, f"expected (x,y), got {value!r}")
     return (

@@ -115,16 +115,6 @@ def record_burst(ledger: BurstLedger, record: BurstRecord) -> BurstLedger:
     )
 
 
-def next_eligible_time(ledger: BurstLedger) -> int | None:
-    """Earliest instant a permit could be granted; None when exhausted."""
-    if ledger.dismissed or ledger.bursts_sent >= ledger.policy.max_bursts_n:
-        return None
-    if ledger.bursts_sent == 0:
-        return 0
-    assert ledger.last_burst_end is not None
-    return ledger.last_burst_end + ledger.policy.gap_seconds_g
-
-
 def dismiss(ledger: BurstLedger) -> BurstLedger:
     """Cancel the remaining budget; further requests deny as exhausted."""
     return replace(ledger, dismissed=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .calls import (
     CallEngine,
@@ -22,7 +22,6 @@ from .calls import (
     CallSession,
     CallState,
     CONNECTED_STATES,
-    RoutingDecision,
     RoutingKind,
     route_waiting_call,
 )
@@ -64,10 +63,8 @@ from .scheduler import (
 )
 from .scoring import (
     BaselineProfile,
-    CallerContext,
     FactorWeights,
     LocationType,
-    PriorityTier,
     TierThresholds,
     assess,
 )
@@ -87,16 +84,13 @@ class RunConfig:
     incapacity_keywords: frozenset[str] = DEFAULT_KEYWORDS
     distress_lexicon: frozenset[str] = DEFAULT_DISTRESS_LEXICON
 
-
-@dataclass
-class _SessionInfo:
-    """Simulator-side bookkeeping attached to one call session."""
-
-    context: CallerContext | None = None
-    decision: RoutingDecision | None = None
-    ledger: BurstLedger | None = None
-    pending_media: list[tuple[Modality, str]] = field(default_factory=list)
-    last_activity: int = 0
+    def __post_init__(self) -> None:
+        for name in ("abandon_timeout", "rng_seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        rate = self.speaking_rate
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValueError(f"speaking_rate must be a finite number > 0, got {rate}")
 
 
 def _fmt_point(point: tuple[float, float] | None) -> str:
@@ -118,7 +112,6 @@ class Simulation:
         self.records: list[TraceRecord] = []
         self.clock = 0
         self._seq = 0
-        self._info: dict[int, _SessionInfo] = {}
         # (last_activity + abandon_timeout, sid), pushed whenever a session's
         # idle clock is set; entries made stale by a later touch or by the
         # session leaving WAITING are skipped when popped.
@@ -155,10 +148,11 @@ class Simulation:
         self._expire_waiting(before=None)
         return self.records
 
-    def _touch(self, sid: int) -> None:
+    def _touch(self, session: CallSession) -> None:
         """Restart the session's idle clock at the current time."""
-        self._info[sid].last_activity = self.clock
-        heapq.heappush(self._expiry, (self.clock + self.config.abandon_timeout, sid))
+        session.last_activity = self.clock
+        expiry = self.clock + self.config.abandon_timeout
+        heapq.heappush(self._expiry, (expiry, session.session_id))
 
     def _expire_waiting(self, before: int | None) -> None:
         """End waiting sessions whose idle timeout elapsed strictly before
@@ -168,10 +162,8 @@ class Simulation:
         due = self._expiry
         while due and (before is None or due[0][0] < before):
             expiry, sid = heapq.heappop(due)
-            if (
-                self.engine.get(sid).state is not CallState.WAITING
-                or self._info[sid].last_activity + timeout != expiry
-            ):
+            session = self.engine.get(sid)
+            if session.state is not CallState.WAITING or session.last_activity + timeout != expiry:
                 continue
             self.clock = max(self.clock, expiry)
             self.engine.apply_event(sid, CallEvent.TIMEOUT, self.clock)
@@ -233,8 +225,8 @@ class Simulation:
         args = event.args
         session = self.engine.place_call(args["caller"], args["callee"], self.clock)
         sid = session.session_id
-        self._info[sid] = _SessionInfo(context=args["context"])
-        self._touch(sid)
+        session.context = args["context"]
+        self._touch(session)
         self._emit("CALL_PLACED", session=sid, caller=session.caller, callee=session.callee)
         if session.state is CallState.ACTIVE:
             self._emit("CALL_CONNECTED", session=sid)
@@ -255,8 +247,7 @@ class Simulation:
             tier=assessment.tier.token,
         )
         policy = self.policies.get_policy(session.callee)
-        decision = route_waiting_call(session, assessment, policy)
-        self._info[sid].decision = decision
+        decision = session.decision = route_waiting_call(session, assessment, policy)
         self._emit(
             "ROUTING",
             session=sid,
@@ -274,7 +265,7 @@ class Simulation:
             RoutingKind.PERMIT_VOICE_BURST,
             RoutingKind.PERMIT_TEXT_BURST_WITH_BEEP,
         ):
-            self._info[sid].ledger = BurstLedger(session_id=sid, policy=policy)
+            session.ledger = BurstLedger(session_id=sid, policy=policy)
             mode = "voice" if decision.kind is RoutingKind.PERMIT_VOICE_BURST else "text"
             self._emit(
                 "BURSTS_ADMITTED",
@@ -298,12 +289,11 @@ class Simulation:
             self._emit("BURST_REJECTED", caller=args["caller"], reason="no_waiting_call")
             return
         sid = session.session_id
-        info = self._info[sid]
-        self._touch(sid)
-        if info.ledger is None:
+        self._touch(session)
+        if session.ledger is None:
             self._emit("BURST_REJECTED", caller=args["caller"], session=sid, reason="not_admitted")
             return
-        grant = request_burst(info.ledger, self.clock)
+        grant = request_burst(session.ledger, self.clock)
         if isinstance(grant, Deny):
             self._emit(
                 "BURST_DENIED",
@@ -312,7 +302,7 @@ class Simulation:
                 eligible_at=grant.eligible_at,
             )
             return
-        t = info.ledger.policy.burst_seconds_t
+        t = session.ledger.policy.burst_seconds_t
         self._emit("PERMIT", session=sid, start=grant.granted_at, window_end=grant.window_end)
         self.engine.apply_event(sid, CallEvent.PERMIT_BURST, self.clock)
         transcript: str | None = args["transcript"]
@@ -333,9 +323,9 @@ class Simulation:
         media_descs: dict[Modality, list[str]] = {}
         if args["image"]:
             media_descs.setdefault(Modality.IMAGE_DESCRIPTION, []).append(args["image"])
-        for modality, description in info.pending_media:
+        for modality, description in session.pending_media:
             media_descs.setdefault(modality, []).append(description)
-        info.pending_media.clear()
+        session.pending_media.clear()
         for modality, descriptions in media_descs.items():
             media_signal = flag_media(
                 "; ".join(descriptions), modality, self.config.distress_lexicon
@@ -350,20 +340,20 @@ class Simulation:
             confidence=fmt_score(verdict.confidence),
             signals=",".join(s.modality.value for s in verdict.contributing) or "-",
         )
-        assert info.decision is not None
-        voice_mode = info.decision.kind is RoutingKind.PERMIT_VOICE_BURST
+        assert session.decision is not None
+        voice_mode = session.decision.kind is RoutingKind.PERMIT_VOICE_BURST
         payload: CallerVoice | Generated | TextWithBeep | SilentWindow
         if verdict.incapacitated:
             payload = self._generate_substitute(
-                sid, info, args, transcript, media_descs, t, voice_mode
+                session, args, transcript, media_descs, t, voice_mode
             )
         elif transcript is not None:
             payload = CallerVoice(transcript) if voice_mode else TextWithBeep(transcript)
         else:
             payload = SilentWindow()
-        sequence = info.ledger.bursts_sent + 1
+        sequence = session.ledger.bursts_sent + 1
         record = BurstRecord(sid, sequence, start=self.clock, duration=duration, payload=payload)
-        info.ledger = record_burst(info.ledger, record)
+        session.ledger = record_burst(session.ledger, record)
         if isinstance(payload, SilentWindow):
             self._emit(
                 "BURST_WINDOW_SILENT",
@@ -385,8 +375,7 @@ class Simulation:
 
     def _generate_substitute(
         self,
-        sid: int,
-        info: _SessionInfo,
+        session: CallSession,
         args: dict,
         transcript: str | None,
         media_descs: dict[Modality, list[str]],
@@ -398,9 +387,10 @@ class Simulation:
         With no seedable context at all there is nothing to generate from,
         so the window stands as silent.
         """
+        sid, context = session.session_id, session.context
         location_type = None
-        if info.context is not None and info.context.location_type is not LocationType.OTHER:
-            location_type = info.context.location_type.value
+        if context is not None and context.location_type is not LocationType.OTHER:
+            location_type = context.location_type.value
 
         def joined(modality: Modality) -> str | None:
             descriptions = media_descs.get(modality)
@@ -441,9 +431,8 @@ class Simulation:
         if session is None:
             self._emit("MEDIA_IGNORED", caller=args["caller"])
             return
-        info = self._info[session.session_id]
-        info.pending_media.append((args["modality"], args["description"]))
-        self._touch(session.session_id)
+        session.pending_media.append((args["modality"], args["description"]))
+        self._touch(session)
         self._emit("MEDIA_NOTED", session=session.session_id, modality=args["modality"].value)
 
     def _handle_hangup(self, event: SimEvent) -> None:
@@ -451,9 +440,7 @@ class Simulation:
         target = self._pick_hangup_target(sub_id)
         if target is None:
             raise SimError(event.line_no, f"{sub_id!r} has no session to hang up")
-        was_connected = target.state in CONNECTED_STATES and not self.engine.is_held(
-            target.session_id
-        )
+        was_connected = target.state in CONNECTED_STATES and not target.held
         self.engine.apply_event(target.session_id, CallEvent.HANG_UP, self.clock)
         self._emit("CALL_ENDED", session=target.session_id, by=sub_id)
         if was_connected:
@@ -462,7 +449,7 @@ class Simulation:
     def _pick_hangup_target(self, sub_id: str) -> CallSession | None:
         def rank(session: CallSession) -> int | None:
             if session.state in CONNECTED_STATES:
-                return 2 if self.engine.is_held(session.session_id) else 0
+                return 2 if session.held else 0
             if session.caller == sub_id:  # abandon own waiting/dialing call
                 return 1 if session.state in (CallState.WAITING, CallState.BURST_PERMITTED) else 3
             return None
@@ -482,37 +469,31 @@ class Simulation:
             if self.engine.connected_sessions(party, include_held=False):
                 continue
             for session in self.engine.sessions_of(party):
-                if self.engine.is_held(session.session_id):
+                if session.held:
                     self.engine.resume(session.session_id)
                     self._emit("CALL_RESUMED", session=session.session_id)
                     break
 
     def _handle_answer(self, event: SimEvent) -> None:
         callee = event.args["id"]
-
-        def tier_of(sid: int) -> PriorityTier:
-            decision = self._info[sid].decision
-            return decision.tier if decision is not None else PriorityTier.NONE
-
-        session = self.engine.pick_waiting(callee, tier_of)
+        session = self.engine.pick_waiting(callee)
         if session is None:
             raise SimError(event.line_no, f"{callee!r} has no waiting call to answer")
         for current in self.engine.connected_sessions(callee, include_held=False):
             self.engine.apply_event(current.session_id, CallEvent.HANG_UP, self.clock)
             self._emit("CALL_ENDED", session=current.session_id, by=callee)
         self.engine.apply_event(session.session_id, CallEvent.ANSWER, self.clock)
-        self._info[session.session_id].ledger = None  # waiting episode over
+        session.ledger = None  # waiting episode over
         self._emit("CALL_CONNECTED", session=session.session_id)
 
     def _handle_dismiss(self, event: SimEvent) -> None:
         callee = event.args["id"]
         for session in self.engine.waiting_sessions_for(callee):
-            sid = session.session_id
-            info = self._info[sid]
-            if info.ledger is not None and not info.ledger.dismissed:
-                remaining = info.ledger.policy.max_bursts_n - info.ledger.bursts_sent
-                info.ledger = dismiss(info.ledger)
-                self._touch(sid)
+            sid, ledger = session.session_id, session.ledger
+            if ledger is not None and not ledger.dismissed:
+                remaining = ledger.policy.max_bursts_n - ledger.bursts_sent
+                session.ledger = dismiss(ledger)
+                self._touch(session)
                 self._emit("BURSTS_DISMISSED", session=sid, remaining_cancelled=remaining)
 
     _HANDLERS = {

@@ -10,10 +10,11 @@ from gvbsim.calls import (
     CallEvent,
     CallSession,
     CallState,
+    RoutingDecision,
     RoutingKind,
     RoutingReason,
+    next_state,
     route_waiting_call,
-    transition,
 )
 from gvbsim.errors import (
     IllegalTransition,
@@ -104,28 +105,26 @@ def test_held_call_still_counts_as_engaged():
 # -- transition --
 
 def test_override_connects_waiting_call():
-    session = waiting_session()
-    updated = transition(session, CallEvent.OVERRIDE, now=5)
-    assert updated.state is CallState.CONNECTED_BY_OVERRIDE
+    assert next_state(CallState.WAITING, CallEvent.OVERRIDE) is CallState.CONNECTED_BY_OVERRIDE
 
 
 def test_answer_from_active_is_illegal():
-    session = CallSession(1, "A", "B", CallState.ACTIVE, started_at=0)
     with pytest.raises(IllegalTransition):
-        transition(session, CallEvent.ANSWER, now=1)
+        next_state(CallState.ACTIVE, CallEvent.ANSWER)
 
 
 def test_burst_window_timeout_returns_to_waiting():
-    session = CallSession(1, "C", "A", CallState.BURST_PERMITTED, started_at=0)
-    assert transition(session, CallEvent.TIMEOUT, now=3).state is CallState.WAITING
+    assert next_state(CallState.BURST_PERMITTED, CallEvent.TIMEOUT) is CallState.WAITING
 
 
 def test_ended_at_set_exactly_on_ending():
-    session = waiting_session()
-    ended = transition(session, CallEvent.HANG_UP, now=42)
+    engine = make_engine("A", "B", "C")
+    engine.place_call("A", "B", now=0)
+    session = engine.place_call("C", "A", now=1)
+    assert session.ended_at is None
+    ended = engine.apply_event(session.session_id, CallEvent.HANG_UP, now=42)
     assert ended.state is CallState.ENDED
     assert ended.ended_at == 42
-    assert session.ended_at is None  # original untouched
 
 
 def test_transition_graph_targets():
@@ -145,15 +144,11 @@ def test_transition_graph_targets():
     }
     reached: dict[CallState, set[CallState]] = {state: set() for state in CallState}
     for state in CallState:
-        session = CallSession(
-            1, "C", "A", state, started_at=0, ended_at=0 if state is CallState.ENDED else None
-        )
         for event in CallEvent:
             try:
-                updated = transition(session, event, now=1)
+                reached[state].add(next_state(state, event))
             except IllegalTransition:
                 continue
-            reached[state].add(updated.state)
     for state, targets in graph.items():
         assert reached[state] <= targets
     # every documented edge is reachable through some event
@@ -249,15 +244,14 @@ def test_at_most_one_unheld_connected_session_per_callee():
 def test_pick_waiting_prefers_higher_tier_then_fifo():
     engine = make_engine("A", "B", "C", "D", "E")
     engine.place_call("A", "B", now=0)
-    first = engine.place_call("C", "A", now=1)
+    engine.place_call("C", "A", now=1)  # first waiter: no decision, so it ranks as NONE
     second = engine.place_call("D", "A", now=2)
     third = engine.place_call("E", "A", now=3)
-    tiers = {
-        first.session_id: PriorityTier.NONE,
-        second.session_id: PriorityTier.MEDIUM,
-        third.session_id: PriorityTier.MEDIUM,
-    }
-    picked = engine.pick_waiting("A", tiers.__getitem__)
+    for session in (second, third):
+        session.decision = RoutingDecision(
+            RoutingKind.PERMIT_VOICE_BURST, PriorityTier.MEDIUM, RoutingReason.SCORE_THRESHOLD
+        )
+    picked = engine.pick_waiting("A")
     assert picked is not None and picked.session_id == second.session_id
 
 
@@ -290,7 +284,7 @@ def brute_connected(engine: CallEngine, sub: str, include_held: bool) -> list[Ca
         for s in engine.sessions()
         if s.state in CONNECTED_STATES
         and sub in (s.caller, s.callee)
-        and (include_held or not engine.is_held(s.session_id))
+        and (include_held or not s.held)
     ]
 
 
@@ -299,6 +293,7 @@ def brute_connected(engine: CallEngine, sub: str, include_held: bool) -> list[Ca
 def test_live_index_matches_a_full_table_scan(steps):
     engine = CallEngine()
     registered: list[str] = []
+    placed_records: list[CallSession] = []
     for now, (op, *args) in enumerate(steps):
         sessions = engine.sessions()
         if op == "register" and args[0] not in registered:
@@ -307,6 +302,7 @@ def test_live_index_matches_a_full_table_scan(steps):
             engaged = bool(brute_connected(engine, args[1], include_held=True))
             placed = engine.place_call(args[0], args[1], now)
             assert placed.state is (CallState.WAITING if engaged else CallState.ACTIVE)
+            placed_records.append(placed)
         elif op in ("event", "hold", "resume") and sessions:
             sid = sessions[args[0] % len(sessions)].session_id
             try:
@@ -318,6 +314,10 @@ def test_live_index_matches_a_full_table_scan(steps):
                     engine.resume(sid)
             except IllegalTransition:
                 pass
+        # one record per session: every step updates the object place_call returned
+        for placed in placed_records:
+            assert engine.get(placed.session_id) is placed
+            assert not (placed.state is CallState.ENDED and placed.held)
         for sub in registered:
             assert engine.sessions_of(sub) == [
                 s

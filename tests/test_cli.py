@@ -80,6 +80,18 @@ def test_run_rejects_negative_integer_flags(flag: str, capsys):
     assert main(["run", scenario, flag, "0"]) == 0
 
 
+PROFILES = {
+    "home_profile": '{"home": [0, 0]}',
+    "nan_profile": '{"home": [NaN, 0]}',  # json.loads accepts NaN
+    "scalar_home": '{"home": 5}',
+    "short_home": '{"home": [1]}',
+    "scalar_hours": '{"usual_hours": 5}',
+    "hours_out_of_range": '{"usual_hours": "25-3"}',
+    "list_profile": "[1]",
+    "string_moving": '{"usual_moving": "false"}',
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -96,14 +108,19 @@ def test_run_rejects_negative_integer_flags(flag: str, capsys):
         "score --speed nan",
         "score --loc nan,0 --profile {home_profile}",
         "score --loc 1,1 --profile {nan_profile}",
+        "score --profile {scalar_home}",
+        "score --profile {short_home}",
+        "score --profile {scalar_hours}",
+        "score --profile {hours_out_of_range}",
+        "score --profile {list_profile}",
+        "score --profile {string_moving}",
     ],
 )
 def test_input_faults_exit_2_without_a_traceback(argv: str, tmp_path: Path):
-    home_profile = tmp_path / "home.json"
-    home_profile.write_text('{"home": [0, 0]}', encoding="utf-8")
-    nan_profile = tmp_path / "nan.json"
-    nan_profile.write_text('{"home": [NaN, 0]}', encoding="utf-8")  # json.loads accepts NaN
-    args = argv.format(scenarios=SCENARIO_DIR, home_profile=home_profile, nan_profile=nan_profile)
+    profiles = {name: tmp_path / f"{name}.json" for name in PROFILES}
+    for name, path in profiles.items():
+        path.write_text(PROFILES[name], encoding="utf-8")
+    args = argv.format(scenarios=SCENARIO_DIR, **profiles)
     result = subprocess.run(
         [sys.executable, "-m", "gvbsim.cli", *args.split()],
         capture_output=True,

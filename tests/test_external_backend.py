@@ -3,11 +3,13 @@ from __future__ import annotations
 import socket
 import socketserver
 import threading
+import time
 
 import pytest
 
 from gvbsim.errors import ExternalGeneratorError, ExternalTimeout
 from gvbsim.generation import (
+    MAX_RESPONSE_LINE_BYTES,
     BackendKind,
     ExternalBackend,
     GenerationParams,
@@ -19,6 +21,8 @@ from gvbsim.generation import (
     generate_message,
     parse_response_line,
 )
+from gvbsim.scenario import parse_scenario
+from gvbsim.sim import RunConfig, run
 
 from .conftest import stub_command
 
@@ -126,6 +130,29 @@ def test_timeout_surfaces_as_its_own_error_type():
             backend.generate("seed", GenerationParams())
     finally:
         backend.close()
+
+
+def test_over_long_response_line_falls_back_before_the_timeout():
+    # gen_flood.py answers with 1 MiB and no newline, then keeps the stream open
+    scenario = (
+        "subscriber A\nsubscriber B\nsubscriber C\npolicy A t=5 G=0 N=2 approve=C\n"
+        "at 0 call A B\nat 1 call C A\n"
+        'at 2 burst C silence keywords="fire"\nat 10 burst C silence keywords="fire"\n'
+    )
+    backend = ExternalBackend(stub_command("gen_flood.py"), timeout=10.0)
+    started = time.monotonic()
+    try:
+        with pytest.raises(ExternalGeneratorError, match="exceeds") as exc:
+            backend.generate("seed", GenerationParams())
+        assert not isinstance(exc.value, ExternalTimeout)
+        records = run(parse_scenario(scenario), RunConfig(backend=backend))
+    finally:
+        backend.close()
+    assert time.monotonic() - started < 10.0  # three floods, each well inside one timeout
+    fallbacks = [r for r in records if r.event == "GEN_FALLBACK"]
+    assert [r.get("reason") for r in fallbacks] == ["error", "error"]
+    assert f"exceeds {MAX_RESPONSE_LINE_BYTES} bytes" in fallbacks[0].get("detail")
+    assert [r.get("payload") for r in records if r.event == "BURST_SENT"] == ["generated"] * 2
 
 
 def test_unreachable_command_falls_back():

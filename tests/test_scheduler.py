@@ -14,7 +14,6 @@ from gvbsim.scheduler import (
     DenyReason,
     Permit,
     dismiss,
-    next_eligible_time,
     record_burst,
     request_burst,
 )
@@ -123,24 +122,40 @@ def test_ledger_invariants():
         BurstLedger(session_id=1, policy=BurstPolicy(callee="A"), bursts_sent=1)
 
 
-# -- next_eligible_time --
+# -- eligibility --
+
+def assert_next_eligible(led: BurstLedger, at: int) -> None:
+    """A request just before `at` is denied for the gap, naming `at`;
+    one at `at` is permitted."""
+    grant = request_burst(led, now=at - 1)
+    assert isinstance(grant, Deny)
+    assert grant.reason is DenyReason.GAP_NOT_ELAPSED
+    assert grant.eligible_at == at
+    assert isinstance(request_burst(led, now=at), Permit)
+
+
+def assert_exhausted(led: BurstLedger) -> None:
+    grant = request_burst(led, now=10_000)
+    assert isinstance(grant, Deny)
+    assert grant.reason is DenyReason.BUDGET_EXHAUSTED
+
 
 def test_next_eligible_progression():
     led = ledger(t=5, g=30, n=3)
-    assert next_eligible_time(led) == 0
+    assert isinstance(request_burst(led, now=0), Permit)
     led = send(led, start=0, duration=5)
-    assert next_eligible_time(led) == 35
+    assert_next_eligible(led, 35)
     led = send(led, start=35, duration=5)
-    assert next_eligible_time(led) == 70
+    assert_next_eligible(led, 70)
     led = send(led, start=70, duration=5)
-    assert next_eligible_time(led) is None
+    assert_exhausted(led)
 
 
 def test_specific_eligibility_arithmetic():
     led = send(send(ledger(t=5, g=30, n=5), 0, 5), 35, 5)
     assert led.bursts_sent == 2
     assert led.last_burst_end == 40
-    assert next_eligible_time(led) == 70
+    assert_next_eligible(led, 70)
 
 
 # -- dismissal --
@@ -150,7 +165,7 @@ def test_dismissal_cancels_the_remaining_budget():
     grant = request_burst(led, now=500)
     assert isinstance(grant, Deny)
     assert grant.reason is DenyReason.BUDGET_EXHAUSTED
-    assert next_eligible_time(led) is None
+    assert_exhausted(led)
 
 
 # -- golden timeline --

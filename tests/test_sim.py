@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from gvbsim.errors import SimError
@@ -271,6 +273,23 @@ def test_abandonment_timeout_is_configurable():
     records = run_text(text, RunConfig(abandon_timeout=15))
     timeout_end = [r for r in events_named(records, "CALL_ENDED") if r.get("by") == "timeout"]
     assert timeout_end[0].at == 25
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("abandon_timeout", -5),
+        ("rng_seed", -1),
+        ("speaking_rate", 0),
+        ("speaking_rate", -2.5),
+        ("speaking_rate", math.nan),
+        ("speaking_rate", math.inf),
+    ],
+)
+def test_run_config_rejects_invalid_values(field: str, value: float):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value})
+    RunConfig(abandon_timeout=0, rng_seed=0, speaking_rate=0.1)  # the edges stay valid
 
 
 def test_burst_activity_defers_abandonment():
