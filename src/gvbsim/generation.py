@@ -27,6 +27,7 @@ from queue import Empty, Queue
 from typing import IO
 
 from .errors import EmptyBundle, EmptySeed, ExternalGeneratorError, ExternalTimeout
+from .incapacity import phrase_pattern
 
 DEFAULT_MAX_WORDS = 50
 DEFAULT_TEMPERATURE = 0.9
@@ -35,6 +36,12 @@ DEFAULT_EXTERNAL_TIMEOUT_S = 2.0
 # Longest generator response line accepted, newline included, so a peer
 # that never ends a line cannot grow memory until the timeout.
 MAX_RESPONSE_LINE_BYTES = 64 * 1024
+
+
+def check_speaking_rate(rate: float) -> None:
+    """Reject a rate that would make a word count's speaking time non-finite."""
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"speaking_rate must be a finite number > 0, got {rate}")
 
 
 @dataclass(frozen=True)
@@ -108,9 +115,9 @@ class GeneratedMessage:
     fallback_reason: str | None = None
 
 
-# Scanned in order; the first term found in the seed picks the message.
-# Each message repeats its trigger term so the output stays anchored to
-# the seed content.
+# Scanned in order; the first term found in the seed, as a whole word in
+# any case, picks the message.  Each message repeats its trigger term so
+# the output stays anchored to the seed content.
 _TEMPLATE_RULES: tuple[tuple[str, str], ...] = (
     ("fire", "The house is on fire. Please send help immediately."),
     ("smoke", "There is smoke everywhere. Please send the fire brigade."),
@@ -123,13 +130,14 @@ _TEMPLATE_RULES: tuple[tuple[str, str], ...] = (
     ("intruder", "An intruder is in the house. Please call the police."),
     ("thief", "A thief has entered the house. Please call the police."),
 )
+_TEMPLATE_PATTERNS = tuple((phrase_pattern(term), message) for term, message in _TEMPLATE_RULES)
 
 _LOCATION_IN_SEED = re.compile(r"(?:^|; )location: ([^;]+)")
 
 
 def _template_text(seed: str) -> str:
-    for term, message in _TEMPLATE_RULES:
-        if re.search(r"\b" + re.escape(term) + r"\b", seed, re.IGNORECASE):
+    for pattern, message in _TEMPLATE_PATTERNS:
+        if pattern.search(seed):
             return message
     location = _LOCATION_IN_SEED.search(seed)
     if location:
@@ -320,8 +328,7 @@ def generate_message(
     template backend and note the reason on the message."""
     if not seed.strip():
         raise EmptySeed("seed must be non-empty")
-    if speaking_rate <= 0:
-        raise ValueError(f"speaking_rate must be > 0, got {speaking_rate}")
+    check_speaking_rate(speaking_rate)
     fallback_reason: str | None = None
     if backend is None or isinstance(backend, TemplateBackend):
         text = (backend or TemplateBackend()).generate(seed, params)
@@ -366,8 +373,7 @@ def fit_to_duration(
     """
     if t < 1:
         raise ValueError(f"burst duration must be >= 1s, got {t}")
-    if speaking_rate <= 0:
-        raise ValueError(f"speaking_rate must be > 0, got {speaking_rate}")
+    check_speaking_rate(speaking_rate)
     budget = math.floor(t * speaking_rate)
     words = msg.text.split()
     if len(words) > budget:

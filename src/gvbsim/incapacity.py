@@ -2,6 +2,7 @@
 incapacity verdict that triggers generated-message substitution."""
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -57,8 +58,11 @@ class IncapacityVerdict:
     contributing: tuple[ModalitySignal, ...]
 
 
-def _phrase_pattern(phrase: str) -> re.Pattern[str]:
-    # Word-boundary match so "help" never fires inside "helpful".
+# Bounded, because library callers may pass any phrases.
+@functools.lru_cache(maxsize=1024)
+def phrase_pattern(phrase: str) -> re.Pattern[str]:
+    """`phrase` as a whole word or words, in any case: "help" never fires
+    inside "helpful"."""
     return re.compile(r"\b" + re.escape(phrase) + r"\b", re.IGNORECASE)
 
 
@@ -70,7 +74,7 @@ def detect_keywords(
     if not keywords:
         raise ValueError("keyword set must be non-empty")
     for phrase in sorted(keywords):
-        if _phrase_pattern(phrase).search(transcript):
+        if phrase_pattern(phrase).search(transcript):
             return ModalitySignal(Modality.KEYWORD, 1.0, phrase)
     return None
 
@@ -93,7 +97,7 @@ def flag_media(
     strength saturates at two matches."""
     if modality not in MEDIA_MODALITIES:
         raise ValueError(f"flag_media expects a media modality, got {modality}")
-    matched = sorted(term for term in lexicon if _phrase_pattern(term).search(description))
+    matched = sorted(term for term in lexicon if phrase_pattern(term).search(description))
     if not matched:
         return None
     return ModalitySignal(modality, min(1.0, len(matched) / 2), ", ".join(matched))

@@ -1,4 +1,4 @@
-"""Line-oriented scenario grammar and its parser.
+r"""Line-oriented scenario grammar and its parser.
 
     # comment
     subscriber <id> [home=(x,y)] [usual_hours=<a>-<b>] [resting_hr=<int>] [usual_moving=<0|1>]
@@ -12,7 +12,15 @@
     at <sec> answer <id>
     at <sec> dismiss <callee>
 
-Tokens are whitespace-separated; double quotes allow embedded spaces.
+Lines end at `\n`; one `\r` before it is dropped, and any other
+character that `str.splitlines` treats as a line break is an error.
+Tokens follow POSIX shell quoting, as `shlex.split(line, comments=True)`
+does: only space and tab separate tokens; `"..."` and `'...'` keep
+spaces, and adjacent quoted and bare pieces join into one token (`""` is
+an empty token); a backslash outside quotes takes the next character
+literally, and inside double quotes it escapes only `"` and `\`; `#`
+outside quotes starts a comment, also in the middle of a word.
+
 Directives without an `at` prefix take effect at the most recent event
 time (time 0 before the first `at` line).  An `usual_hours` range may
 wrap midnight (e.g. 22-3).
@@ -20,7 +28,7 @@ wrap midnight (e.g. 22-3).
 from __future__ import annotations
 
 import math
-import shlex
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Sequence
@@ -55,6 +63,59 @@ class SimEvent:
         return (self.at, self.line_no)
 
 
+# One match per token, comment or stray quote; unmatched characters are
+# separators.  A token is a run of bare characters, backslash escapes and
+# closed quotes.  A quote or backslash that cannot start one of those is
+# unclosed, so the stray group takes the rest of the line.
+_TOKEN = re.compile(
+    r"""((?:[^ \t\r\n#"'\\]+|\\.|"(?:[^"\\]|\\.)*"|'[^']*')+)|#[^\n]*|(["'\\].*)""",
+    re.DOTALL,
+)
+_QUOTED_PIECE = re.compile(r"""\\(.)|"((?:[^"\\]|\\.)*)"|'([^']*)'""", re.DOTALL)
+_DOUBLE_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
+# What str.splitlines would also break at: a \r not ending a line, and the rest.
+_OTHER_LINE_BREAK = re.compile(r"\r(?!\n|\Z)|[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+
+
+def _unquote_piece(match: re.Match[str]) -> str:
+    escaped, double, single = match.groups()
+    if escaped is not None:
+        return escaped
+    if double is not None:
+        return _DOUBLE_QUOTED_ESCAPE.sub(r"\1", double)
+    return single
+
+
+def _split_line(line: str) -> list[str]:
+    """Split `line` into tokens exactly as shlex.split(line, comments=True,
+    posix=True) does, raising ValueError with shlex's message."""
+    tokens = []
+    for raw, stray in _TOKEN.findall(line):
+        if stray:
+            # shlex reads on to the end: a lone backslash there, outside
+            # quotes or inside double ones, is the error it reports.
+            if stray[0] != "'" and (len(stray) - len(stray.rstrip("\\"))) % 2:
+                raise ValueError("No escaped character")
+            raise ValueError("No closing quotation")
+        if not raw:
+            continue  # a comment
+        if "\\" in raw or "'" in raw:
+            raw = _QUOTED_PIECE.sub(_unquote_piece, raw)
+        elif '"' in raw:
+            raw = raw.replace('"', "")  # _TOKEN matched its quotes in pairs
+        tokens.append(raw)
+    return tokens
+
+
+def _lines(text: str) -> list[str]:
+    r"""Split `text` at \n, dropping a \r before it or at the very end."""
+    other = _OTHER_LINE_BREAK.search(text)
+    if other:
+        line_no = text.count("\n", 0, other.start()) + 1
+        raise BadArgument(line_no, f"line break {other.group()!r} inside a line; lines end at \\n")
+    return text.replace("\r\n", "\n").removesuffix("\r").split("\n")
+
+
 def _split_kv(token: str, line_no: int) -> tuple[str, str]:
     if "=" not in token:
         raise BadArgument(line_no, f"expected key=value, got {token!r}")
@@ -71,7 +132,8 @@ def _parse_int(value: str, line_no: int, what: str) -> int:
 
 def _parse_float(value: object, line_no: int, what: str) -> float:
     try:
-        number = float(value)
+        # A JSON profile's true/false would otherwise read as 1.0/0.0.
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):
@@ -272,9 +334,9 @@ def parse_scenario(text: str) -> list[SimEvent]:
     """
     events: list[SimEvent] = []
     current_time = 0
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for line_no, raw_line in enumerate(_lines(text), start=1):
         try:
-            tokens = shlex.split(raw_line, comments=True, posix=True)
+            tokens = _split_line(raw_line)
         except ValueError as exc:
             raise ParseError(line_no, f"bad quoting: {exc}") from None
         if not tokens:

@@ -32,6 +32,7 @@ from .generation import (
     GenerationParams,
     SeedBundle,
     TemplateBackend,
+    check_speaking_rate,
     compose_seed,
     fit_to_duration,
     generate_message,
@@ -88,9 +89,7 @@ class RunConfig:
         for name in ("abandon_timeout", "rng_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        rate = self.speaking_rate
-        if not (math.isfinite(rate) and rate > 0):
-            raise ValueError(f"speaking_rate must be a finite number > 0, got {rate}")
+        check_speaking_rate(self.speaking_rate)
 
 
 def _fmt_point(point: tuple[float, float] | None) -> str:

@@ -89,6 +89,8 @@ PROFILES = {
     "hours_out_of_range": '{"usual_hours": "25-3"}',
     "list_profile": "[1]",
     "string_moving": '{"usual_moving": "false"}',
+    "bool_home": '{"home": [true, false]}',
+    "bool_resting_hr": '{"resting_hr": true}',
 }
 
 
@@ -114,6 +116,8 @@ PROFILES = {
         "score --profile {hours_out_of_range}",
         "score --profile {list_profile}",
         "score --profile {string_moving}",
+        "score --loc 1,0 --profile {bool_home}",
+        "score --profile {bool_resting_hr}",
     ],
 )
 def test_input_faults_exit_2_without_a_traceback(argv: str, tmp_path: Path):

@@ -199,3 +199,12 @@ def test_fit_validates_inputs():
         fit_to_duration(msg, t=0)
     with pytest.raises(ValueError):
         fit_to_duration(msg, t=5, speaking_rate=0)
+
+
+@pytest.mark.parametrize("rate", [0, -1.0, math.nan, math.inf, -math.inf])
+def test_speaking_rate_must_be_a_finite_positive_number(rate):
+    msg = generate_message("keywords: fire")
+    with pytest.raises(ValueError, match="finite number > 0"):
+        generate_message("keywords: fire", speaking_rate=rate)
+    with pytest.raises(ValueError, match="finite number > 0"):
+        fit_to_duration(msg, t=5, speaking_rate=rate)

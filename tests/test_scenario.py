@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import shlex
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gvbsim.errors import BadArgument, ParseError, UnknownDirective
 from gvbsim.incapacity import Modality
-from gvbsim.scenario import EventKind, parse_scenario
+from gvbsim.scenario import EventKind, _split_line, parse_scenario
 from gvbsim.scoring import LocationType
 
 
@@ -203,3 +207,100 @@ def test_events_keep_file_order_and_line_numbers():
     events = parse_scenario(text)
     assert [e.line_no for e in events] == [1, 2, 3, 4]
     assert sorted(events, key=lambda e: e.sort_key()) == events
+
+
+def _outcome(split, line: str) -> list[str] | str:
+    try:
+        return split(line)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _shlex_split(line: str) -> list[str]:
+    return shlex.split(line, comments=True, posix=True)
+
+
+_QUOTING_CHARS = st.sampled_from(["\"", "'", "\\", "#", " ", "\t", "=", ",", "(", "\xa0", "a"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.text(st.one_of(_QUOTING_CHARS, st.characters())), st.text()))
+@example("a#b c")  # a comment may start mid-word
+@example('x="" y')  # an empty token
+@example("a\xa0b\tc")  # only space and tab separate
+@example(r'"a\"b\\c\d" e\ f')  # escapes inside and outside double quotes
+@example(r"'a\'b")  # no escapes inside single quotes
+@example('k="ab\\')  # unclosed double quote ending in a lone backslash
+@example('k="ab\\\\')  # ... and in an escaped one
+@example("k=v \\")
+def test_tokenizer_matches_shlex(line: str):
+    assert _outcome(_split_line, line) == _outcome(_shlex_split, line)
+
+
+@pytest.mark.parametrize(
+    ("text", "line_no"),
+    [
+        ("subscriber A\x0cbogus", 1),
+        ("subscriber A\nsubscriber B\x0bC", 2),
+        ("subscriber A\n# note\u2028more\n", 2),
+        ('subscriber A\nat 1 burst A transcript="a\x85b"\n', 2),
+        ("subscriber A\rsubscriber B\n", 1),
+        ("subscriber A\r\r\nsubscriber B\n", 1),
+    ],
+)
+def test_other_line_breaks_are_bad_arguments_on_their_real_line(text: str, line_no: int):
+    with pytest.raises(BadArgument, match="line break") as info:
+        parse_scenario(text)
+    assert info.value.line_no == line_no
+
+
+def test_crlf_and_a_final_carriage_return_end_lines():
+    lf = parse_scenario("subscriber A\nsubscriber B\n")
+    assert parse_scenario("subscriber A\r\nsubscriber B\r\n") == lf
+    assert parse_scenario("subscriber A\r\nsubscriber B\r") == lf
+    with pytest.raises(ParseError, match="No escaped character"):
+        parse_scenario("subscriber A\\\r\n")  # the \r is dropped, not escaped
+
+
+# Well-formed lines, one default value per {} slot.
+_TEMPLATES = [
+    ("subscriber {} home={} usual_hours={} resting_hr={} usual_moving={}",
+     ["A", "(1,2)", "8-22", "70", "0"]),
+    ("policy {} t={} G={} N={} approve={}", ["A", "5", "30", "3", "B"]),
+    ("weights {}", ["1,1,1,1"]),
+    ("thresholds {}", ["0.9,0.6,0.3"]),
+    ("at {} call A B loc={} loctype={} hour={} hr={} speed={}",
+     ["5", "(1,2)", "highway", "3", "130", "14"]),
+    ("at 1 burst {} transcript={} keywords={} image={}", ["A", '"help me"', "fire", "smoke"]),
+    ("at 1 burst {} {}", ["A", "silence"]),
+    ("at 1 media {} {}={}", ["A", "image", '"smoke"']),
+    ("at 1 {} {}", ["hangup", "A"]),
+    ("{} {}", ["dismiss", "A"]),
+]
+# What a slot may hold instead: hostile numbers, points and lists, words
+# that belong in other slots, and quoting.
+_FRAGMENTS = [
+    "", "0", "-1", "-7", "24", "500", "2.5", "nan", "1e309", "9" * 30, "-" + "9" * 30,
+    "(nan,0)", "(1)", "0,0,0,0", "1,-1,1,1", "0.3,0.6,0.9", "25-3", "castle", "silence", "x=y",
+    '"two words"', '"a\\"b"', "A\\ B", '"unclosed', "'", "\\", "#",
+]
+
+
+@st.composite
+def _scenario_lines(draw) -> str:
+    template, defaults = draw(st.sampled_from(_TEMPLATES))
+    values = list(defaults)
+    for slot in draw(st.lists(st.integers(0, len(values) - 1), max_size=2)):
+        values[slot] = draw(st.sampled_from(_FRAGMENTS))
+    return template.format(*values)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(_scenario_lines(), max_size=8))
+def test_scenario_text_parses_or_raises_a_parse_error(lines: list[str]):
+    # Parsing stops at the first bad line, so each line is also parsed alone.
+    for text in ["\n".join(lines), *lines]:
+        try:
+            parse_scenario(text)
+        except ParseError:
+            pass
