@@ -7,6 +7,6 @@ from __future__ import annotations
 
 from .scenario import parse_scenario
 from .sim import RunConfig, run
-from .trace import TraceRecord, render_trace
+from .trace import TraceRecord, parse_trace, render_trace
 
-__all__ = ["RunConfig", "TraceRecord", "parse_scenario", "render_trace", "run"]
+__all__ = ["RunConfig", "TraceRecord", "parse_scenario", "parse_trace", "render_trace", "run"]

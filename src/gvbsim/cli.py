@@ -78,13 +78,16 @@ _NO_LINE = 0
 
 
 def _load_profile(path: str | None) -> BaselineProfile:
-    """Read a JSON baseline profile; a malformed field raises ValueError or
-    ParseError."""
+    """Read a JSON baseline profile; an unknown key or a malformed field
+    raises ValueError or ParseError."""
     if path is None:
         return BaselineProfile()
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("profile must be a JSON object")
+    for key in data:
+        if key not in ("home", "usual_hours", "resting_hr", "usual_moving"):
+            raise ValueError(f"unknown profile key {key!r}")
     home, hours = data.get("home"), data.get("usual_hours", "0-23")
     if not isinstance(home, (list, type(None))):
         raise ValueError(f"home must be [x, y], got {home!r}")

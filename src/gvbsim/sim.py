@@ -69,7 +69,7 @@ from .scoring import (
     TierThresholds,
     assess,
 )
-from .trace import TRACE_EVENTS, TraceRecord, fmt_num, fmt_score
+from .trace import TraceRecord, fmt_num, fmt_score, make_record
 
 DEFAULT_ABANDON_TIMEOUT_S = 120
 
@@ -119,17 +119,10 @@ class Simulation:
     # -- trace plumbing --
 
     def _emit(self, event: str, **values: object) -> None:
-        """Append one `event` record with `str(value)` in the key order
-        `TRACE_EVENTS` declares.  A None value leaves its key out; a key
-        the table does not declare raises TypeError."""
-        component, keys = TRACE_EVENTS[event]
-        details = tuple(
-            [(key, str(value)) for key in keys if (value := values.pop(key, None)) is not None]
-        )
-        if values:
-            raise TypeError(f"{event} declares no trace key {sorted(values)}")
+        """Append one `event` record at the current clock (see `make_record`);
+        `seq` advances only when the record is made."""
+        self.records.append(make_record(self.clock, self._seq + 1, event, values))
         self._seq += 1
-        self.records.append(TraceRecord(self.clock, self._seq, component, event, details))
 
     # -- main loop --
 

@@ -10,12 +10,19 @@ A key whose value is absent is left out, so a record's keys are always an
 in-order subsequence of the declared ones.  Values reuse the wire
 protocol's percent-encoding (space, percent, newline), so a record always
 stays on one line and round-trips exactly.
+
+A `TraceRecord` is its rendered line (a `str`, without the newline), built
+once by `make_record` when the event is emitted; `.at`, `.event`,
+`.get(key)` and the rest parse it on demand.  `render_trace` joins records
+with newlines and `parse_trace` reads that text back.  Split a trace at
+`\\n` only: a value may hold a raw `\\r`, `\\x0b` or other character that
+`str.splitlines` also treats as a line break.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
-from .generation import encode_text
+from .generation import decode_text, encode_text
 
 TRACE_EVENTS: dict[str, tuple[str, tuple[str, ...]]] = {
     "SUBSCRIBER_REGISTERED": (
@@ -52,6 +59,9 @@ TRACE_EVENTS: dict[str, tuple[str, tuple[str, ...]]] = {
     "MEDIA_IGNORED": ("sim_harness", ("caller",)),
 }
 
+# t=<int> seq=<int> <component> <EVENT>, then " key=value" fields.
+_LINE = re.compile(r"t=[0-9]+ seq=[0-9]+ (\S+) (\S+)((?: [^ =]+=[^ ]*)*)")
+
 
 def fmt_score(value: float) -> str:
     """Scores and factor values: fixed six decimals."""
@@ -63,18 +73,38 @@ def fmt_num(value: float) -> str:
     return f"{value:g}"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    at: int
-    seq: int
-    component: str
-    event: str
-    details: tuple[tuple[str, str], ...]
+class TraceRecord(str):
+    """One rendered trace line, without its newline.  The fields are read
+    from the line when asked for; values come back decoded."""
+
+    __slots__ = ()
+
+    @property
+    def at(self) -> int:
+        return int(self[2 : self.index(" ")])
+
+    @property
+    def seq(self) -> int:
+        return int(self.split(" ", 2)[1][4:])
+
+    @property
+    def component(self) -> str:
+        return self.split(" ", 3)[2]
+
+    @property
+    def event(self) -> str:
+        return self.split(" ", 4)[3]
+
+    @property
+    def details(self) -> tuple[tuple[str, str], ...]:
+        """(key, raw value) pairs in written order."""
+        pairs = (field.partition("=") for field in self.split(" ")[4:])
+        return tuple(
+            (key, decode_text(value) if "%" in value else value) for key, _, value in pairs
+        )
 
     def render(self) -> str:
-        parts = [f"t={self.at}", f"seq={self.seq}", self.component, self.event]
-        parts.extend(f"{key}={encode_text(value)}" for key, value in self.details)
-        return " ".join(parts)
+        return str(self)
 
     def get(self, key: str) -> str | None:
         """Raw (unencoded) value for `key`, or None."""
@@ -84,5 +114,47 @@ class TraceRecord:
         return None
 
 
+def make_record(at: int, seq: int, event: str, values: dict[str, object]) -> TraceRecord:
+    """The record of `event` with `str(value)` in the key order `TRACE_EVENTS`
+    declares.  A None value leaves its key out; a key the table does not
+    declare raises TypeError.  Only a value holding a reserved character
+    goes through `encode_text`.  Empties `values`."""
+    component, keys = TRACE_EVENTS[event]
+    line = f"t={at} seq={seq} {component} {event}"
+    for key in keys:
+        value = values.pop(key, None)
+        if value is not None:
+            text = str(value)
+            if "%" in text or " " in text or "\n" in text:
+                text = encode_text(text)
+            line += f" {key}={text}"
+    if values:
+        raise TypeError(f"{event} declares no trace key {sorted(values)}")
+    return TraceRecord(line)
+
+
 def render_trace(records: list[TraceRecord]) -> str:
-    return "".join(record.render() + "\n" for record in records)
+    return "\n".join(records) + "\n" if records else ""
+
+
+def _is_record(line: str) -> bool:
+    match = _LINE.fullmatch(line)
+    if match is None or match[2] not in TRACE_EVENTS:
+        return False
+    component, keys = TRACE_EVENTS[match[2]]
+    declared = iter(keys)  # `in` consumes it, so keys must come in declared order
+    fields = match[3].split(" ")[1:]
+    return match[1] == component and all(field.partition("=")[0] in declared for field in fields)
+
+
+def parse_trace(text: str) -> list[TraceRecord]:
+    """Read `render_trace` output back into records, splitting at `\\n`
+    only.  Raises ValueError for a line that is not a record of a
+    `TRACE_EVENTS` event with its component and keys in declared order."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    for number, line in enumerate(lines, 1):
+        if not _is_record(line):
+            raise ValueError(f"trace line {number} is not a record: {line!r}")
+    return [TraceRecord(line) for line in lines]

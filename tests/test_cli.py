@@ -91,6 +91,7 @@ PROFILES = {
     "string_moving": '{"usual_moving": "false"}',
     "bool_home": '{"home": [true, false]}',
     "bool_resting_hr": '{"resting_hr": true}',
+    "unknown_key": '{"resting_HR": 40}',
 }
 
 
@@ -118,6 +119,7 @@ PROFILES = {
         "score --profile {string_moving}",
         "score --loc 1,0 --profile {bool_home}",
         "score --profile {bool_resting_hr}",
+        "score --profile {unknown_key}",
     ],
 )
 def test_input_faults_exit_2_without_a_traceback(argv: str, tmp_path: Path):
@@ -193,6 +195,13 @@ def test_score_defaults_to_an_uninformative_profile(capsys):
 def test_score_rejects_bad_input(capsys):
     assert main(["score", "--hour", "99"]) == 2
     assert capsys.readouterr().err
+
+
+def test_score_names_an_unknown_profile_key(tmp_path: Path, capsys):
+    profile = tmp_path / "profile.json"
+    profile.write_text('{"resting_hr": 60, "resting_HR": 40}', encoding="utf-8")
+    assert main(["score", "--profile", str(profile)]) == 2
+    assert capsys.readouterr().err == "gvbsim: unknown profile key 'resting_HR'\n"
 
 
 def test_gen_subcommand(capsys):

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gvbsim.generation import ExternalBackend
+from gvbsim.errors import SimError
+from gvbsim.generation import ExternalBackend, encode_text
 from gvbsim.scenario import parse_scenario
 from gvbsim.sim import RunConfig, Simulation, run
-from gvbsim.trace import TRACE_EVENTS, TraceRecord
+from gvbsim.trace import TRACE_EVENTS, TraceRecord, parse_trace, render_trace
 
 from .conftest import SCENARIO_DIR, stub_command
 from .test_acceptance import STRESS_TIMEOUT, stress_scenario
@@ -65,3 +68,76 @@ def test_emit_renders_in_table_order_and_rejects_undeclared_keys():
     with pytest.raises(TypeError, match="sesion"):
         sim._emit("CALL_HELD", sesion=3)
     assert len(sim.records) == 2
+    sim._emit("GEN_FALLBACK", session=3, reason="error", detail="50% off\nnow")
+    assert sim.records[2] == (
+        "t=0 seq=3 message_generator GEN_FALLBACK session=3 reason=error detail=50%25%20off%0Anow"
+    )
+
+
+@given(st.text())
+def test_emit_encodes_a_value_as_encode_text_does(value: str):
+    sim = Simulation()
+    sim._emit("GEN_FALLBACK", session=1, reason="error", detail=value)
+    [record] = sim.records
+    header = "t=0 seq=1 message_generator GEN_FALLBACK session=1 reason=error"
+    assert record == f"{header} detail={encode_text(value)}"
+    assert record.get("detail") == value
+
+
+def assert_round_trips(records: list[TraceRecord]) -> None:
+    """The trace reads back as the same records, and every value decodes to
+    the one raw value whose encoding the line holds."""
+    assert parse_trace(render_trace(records)) == records
+    for record in records:
+        fields = record.split(" ")[4:]
+        assert [f"{key}={encode_text(record.get(key))}" for key, _ in record.details] == fields
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    calls=st.integers(20, 300),
+    timeout=st.sampled_from([0, 7, STRESS_TIMEOUT, 120]),
+)
+def test_stress_traces_round_trip(seed: int, calls: int, timeout: int):
+    sim = Simulation(RunConfig(rng_seed=seed, abandon_timeout=timeout))
+    try:
+        sim.run(parse_scenario(stress_scenario(seed, calls=calls)))
+    except SimError:
+        pass  # the records emitted before the error still round-trip
+    assert sim.records
+    assert_round_trips(sim.records)
+
+
+def test_raw_line_break_characters_round_trip():
+    backend = ExternalBackend(stub_command("gen_cr.py"), timeout=10.0)
+    try:
+        records = run(parse_scenario(RARE_EVENTS_SCENARIO), RunConfig(backend=backend))
+    finally:
+        backend.close()
+    texts = [record.get("text") for record in records if record.event in ("GEN", "BURST_SENT")]
+    assert texts == ["help\rme\x0bnow"] * 2
+    assert_round_trips(records)
+    # str.splitlines also breaks at the raw \r and \x0b; parse_trace does not
+    assert len(render_trace(records).splitlines()) == len(records) + 4
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "",
+        "seq=1 t=0 call_engine CALL_HELD session=1",
+        "t=x seq=1 call_engine CALL_HELD session=1",
+        "t=0 seq=1 call_engine CALL_PARKED session=1",
+        "t=0 seq=1 sim_harness CALL_HELD session=1",
+        "t=0 seq=1 call_engine CALL_HELD sesion=1",
+        "t=0 seq=1 call_engine CALL_ENDED by=A session=1",
+        "t=0 seq=1 call_engine CALL_HELD session",
+        "t=0 seq=1 call_engine CALL_HELD  session=1",
+    ],
+)
+def test_parse_trace_rejects_a_line_that_is_not_a_record(line: str):
+    good = "t=0 seq=1 call_engine CALL_HELD session=1"
+    assert parse_trace(good + "\n") == [good]
+    with pytest.raises(ValueError, match="line 2"):
+        parse_trace(f"{good}\n{line}\n")
