@@ -17,8 +17,9 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
-from .errors import ParseError, SimError, ZeroWeights
+from .errors import ParseError, SimError
 from .generation import (
     DEFAULT_SPEAKING_RATE_WPS,
     GenerationParams,
@@ -28,7 +29,15 @@ from .generation import (
     fit_to_duration,
     generate_message,
 )
-from .scenario import _parse_coordinates, _parse_float, _parse_hours, parse_scenario
+from .scenario import (
+    _parse_coordinates,
+    _parse_float,
+    _parse_hours,
+    _parse_loctype,
+    _parse_thresholds_value,
+    _parse_weights_value,
+    parse_scenario,
+)
 from .scoring import (
     BaselineProfile,
     CallerContext,
@@ -39,23 +48,6 @@ from .scoring import (
 )
 from .sim import DEFAULT_ABANDON_TIMEOUT_S, RunConfig, run
 from .trace import fmt_score, render_trace
-
-
-def _parse_weights(text: str) -> FactorWeights:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("--weights requires four comma-separated numbers")
-    try:
-        return FactorWeights(*parts)
-    except (ValueError, ZeroWeights) as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_thresholds(text: str) -> TierThresholds:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError("--thresholds requires three comma-separated numbers")
-    return TierThresholds(*parts)
 
 
 def _non_negative_int(text: str) -> int:
@@ -72,9 +64,27 @@ def _positive_float(text: str) -> float:
     return value
 
 
-# Profile fields and --loc reuse the scenario grammar's number, point and
-# hours rules; they have no scenario line, so their ParseErrors carry line 0.
+# Profile fields and flags reuse the scenario grammar's rules; they have no
+# scenario line, so their ParseErrors carry line 0.
 _NO_LINE = 0
+
+
+def _grammar_arg(rule: Callable[[str, int], object]) -> Callable[[str], object]:
+    """An argparse `type=` that applies a scenario grammar rule and reports
+    its message (a ParseError is not a ValueError argparse would catch)."""
+
+    def parse(text: str) -> object:
+        try:
+            return rule(text, _NO_LINE)
+        except ParseError as exc:
+            raise argparse.ArgumentTypeError(exc.message) from None
+
+    return parse
+
+
+_weights_arg = _grammar_arg(_parse_weights_value)
+_thresholds_arg = _grammar_arg(_parse_thresholds_value)
+_loctype_arg = _grammar_arg(_parse_loctype)
 
 
 def _load_profile(path: str | None) -> BaselineProfile:
@@ -114,8 +124,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario file and emit its trace")
     run_p.add_argument("scenario")
     run_p.add_argument("--trace", help="write the trace here instead of stdout")
-    run_p.add_argument("--weights", type=_parse_weights, default=FactorWeights())
-    run_p.add_argument("--thresholds", type=_parse_thresholds, default=TierThresholds())
+    run_p.add_argument("--weights", type=_weights_arg, default=FactorWeights())
+    run_p.add_argument("--thresholds", type=_thresholds_arg, default=TierThresholds())
     run_p.add_argument("--backend", default="template")
     run_p.add_argument("--rng-seed", type=_non_negative_int, default=0)
     run_p.add_argument("--speaking-rate", type=_positive_float, default=DEFAULT_SPEAKING_RATE_WPS)
@@ -125,18 +135,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     score_p = sub.add_parser("score", help="one-shot emergency scoring")
     score_p.add_argument("--loc")
-    score_p.add_argument("--loctype", default="other")
+    score_p.add_argument("--loctype", type=_loctype_arg, default=LocationType.OTHER)
     score_p.add_argument("--hour", type=int)
     score_p.add_argument("--hr", type=float)
     score_p.add_argument("--speed", type=float)
     score_p.add_argument("--profile", help="JSON baseline profile file")
-    score_p.add_argument("--weights", type=_parse_weights, default=FactorWeights())
-    score_p.add_argument("--thresholds", type=_parse_thresholds, default=TierThresholds())
+    score_p.add_argument("--weights", type=_weights_arg, default=FactorWeights())
+    score_p.add_argument("--thresholds", type=_thresholds_arg, default=TierThresholds())
 
     gen_p = sub.add_parser("gen", help="one-shot message generation")
     gen_p.add_argument("--keywords", required=True)
     gen_p.add_argument("--t", type=int, default=5)
-    gen_p.add_argument("--loctype")
+    gen_p.add_argument("--loctype", type=_loctype_arg, default=LocationType.OTHER)
     gen_p.add_argument("--rng-seed", type=int, default=0)
     gen_p.add_argument("--speaking-rate", type=_positive_float, default=DEFAULT_SPEAKING_RATE_WPS)
     return parser
@@ -190,7 +200,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
                 if args.loc
                 else None
             ),
-            location_type=LocationType(args.loctype.lower()),
+            location_type=args.loctype,
             hour_of_day=args.hour,
             heart_rate=args.hr,
             moving_speed=args.speed,
@@ -213,7 +223,9 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     try:
-        seed = compose_seed(SeedBundle(keywords=args.keywords, location_type=args.loctype))
+        # As in a run, OTHER says nothing about the place and is left out.
+        location_type = None if args.loctype is LocationType.OTHER else args.loctype.value
+        seed = compose_seed(SeedBundle(keywords=args.keywords, location_type=location_type))
         params = GenerationParams(rng_seed=args.rng_seed)
         message = generate_message(seed, params, speaking_rate=args.speaking_rate)
         message = fit_to_duration(message, args.t, args.speaking_rate)

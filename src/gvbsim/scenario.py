@@ -5,7 +5,7 @@ r"""Line-oriented scenario grammar and its parser.
     policy <callee> t=<s> G=<s> N=<n> [approve=<id>[,<id>...]]
     weights <wl>,<wt>,<wh>,<wa>
     thresholds <connect>,<voice>,<text>
-    at <sec> call <caller> <callee> [loc=(x,y)] [loctype=<type>] [hour=<0-23>] [hr=<int>] [speed=<m/s>]
+    at <sec> call <caller> <callee> [loc=(x,y)] [loctype=<type>] [hour=<0-23>] [hr=<bpm>] [speed=<m/s>]
     at <sec> burst <caller> (transcript="<text>" | silence) [keywords="<text>"] [image="<text>"]
     at <sec> media <caller> (image|video|gesture)="<text>"
     at <sec> hangup <id>
@@ -21,17 +21,18 @@ an empty token); a backslash outside quotes takes the next character
 literally, and inside double quotes it escapes only `"` and `\`; `#`
 outside quotes starts a comment, also in the middle of a word.
 
-Directives without an `at` prefix take effect at the most recent event
-time (time 0 before the first `at` line).  An `usual_hours` range may
-wrap midnight (e.g. 22-3).
+`DIRECTIVES` is the one list of heads: each maps to its argument parser
+and to whether an `at` line may carry it.  Directives without an `at`
+prefix take effect at the most recent event time (time 0 before the first
+`at` line).  An `usual_hours` range may wrap midnight (e.g. 22-3).
 """
 from __future__ import annotations
 
 import math
 import re
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import Any, Sequence
+from functools import partial
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import BadArgument, InvalidPolicy, ParseError, UnknownDirective, ZeroWeights
 from .incapacity import Modality
@@ -39,24 +40,11 @@ from .policy import BurstPolicy
 from .scoring import CallerContext, FactorWeights, LocationType, TierThresholds
 
 
-class EventKind(Enum):
-    REGISTER_SUBSCRIBER = "register_subscriber"
-    SET_POLICY = "set_policy"
-    SET_WEIGHTS = "set_weights"
-    SET_THRESHOLDS = "set_thresholds"
-    PLACE_CALL = "place_call"
-    HANG_UP = "hang_up"
-    ANSWER = "answer"
-    BURST_ATTEMPT = "burst_attempt"
-    MEDIA_DESCRIPTION = "media_description"
-    DISMISS = "dismiss"
-
-
 @dataclass(frozen=True)
 class SimEvent:
     at: int
     line_no: int
-    kind: EventKind
+    kind: str  # the directive head
     args: dict[str, Any] = field(default_factory=dict)
 
     def sort_key(self) -> tuple[int, int]:
@@ -243,6 +231,40 @@ def _parse_csv_floats(value: str, line_no: int, what: str, count: int) -> list[f
     return [_parse_float(p, line_no, what) for p in parts]
 
 
+def _parse_weights_value(value: str, line_no: int) -> FactorWeights:
+    try:
+        return FactorWeights(*_parse_csv_floats(value, line_no, "weights", 4))
+    except (ValueError, ZeroWeights) as exc:
+        raise BadArgument(line_no, str(exc)) from None
+
+
+def _parse_thresholds_value(value: str, line_no: int) -> TierThresholds:
+    try:
+        return TierThresholds(*_parse_csv_floats(value, line_no, "thresholds", 3))
+    except ValueError as exc:
+        raise BadArgument(line_no, str(exc)) from None
+
+
+def _parse_weights(tokens: list[str], line_no: int) -> dict[str, Any]:
+    if len(tokens) != 1:
+        raise BadArgument(line_no, "weights requires one wl,wt,wh,wa argument")
+    return {"weights": _parse_weights_value(tokens[0], line_no)}
+
+
+def _parse_thresholds(tokens: list[str], line_no: int) -> dict[str, Any]:
+    if len(tokens) != 1:
+        raise BadArgument(line_no, "thresholds requires one connect,voice,text argument")
+    return {"thresholds": _parse_thresholds_value(tokens[0], line_no)}
+
+
+def _parse_loctype(value: str, line_no: int) -> LocationType:
+    try:
+        return LocationType(value.lower())
+    except ValueError:
+        names = ", ".join(t.value for t in LocationType)
+        raise BadArgument(line_no, f"loctype must be one of {names}") from None
+
+
 def _parse_call(tokens: list[str], line_no: int) -> dict[str, Any]:
     if len(tokens) < 2:
         raise BadArgument(line_no, "call requires <caller> <callee>")
@@ -253,11 +275,7 @@ def _parse_call(tokens: list[str], line_no: int) -> dict[str, Any]:
         if key == "loc":
             ctx_kwargs["location"] = _parse_point(value, line_no)
         elif key == "loctype":
-            try:
-                ctx_kwargs["location_type"] = LocationType(value.lower())
-            except ValueError:
-                names = ", ".join(t.value for t in LocationType)
-                raise BadArgument(line_no, f"loctype must be one of {names}") from None
+            ctx_kwargs["location_type"] = _parse_loctype(value, line_no)
         elif key == "hour":
             ctx_kwargs["hour_of_day"] = _parse_int(value, line_no, "hour")
         elif key == "hr":
@@ -278,15 +296,12 @@ def _parse_burst(tokens: list[str], line_no: int) -> dict[str, Any]:
         raise BadArgument(line_no, "burst requires <caller> and transcript=... or silence")
     args: dict[str, Any] = {
         "caller": tokens[0],
-        "transcript": None,
-        "silence": False,
+        "transcript": None,  # None for a silent burst
         "keywords": None,
         "image": None,
     }
     mode = tokens[1]
-    if mode == "silence":
-        args["silence"] = True
-    else:
+    if mode != "silence":
         key, value = _split_kv(mode, line_no)
         if key != "transcript":
             raise BadArgument(line_no, "burst needs transcript=\"...\" or silence first")
@@ -320,10 +335,29 @@ def _parse_media(tokens: list[str], line_no: int) -> dict[str, Any]:
     return {"caller": tokens[0], "modality": _MEDIA_KEYS[key], "description": value}
 
 
-def _parse_single_id(tokens: list[str], line_no: int, directive: str) -> dict[str, Any]:
+def _parse_single_id(directive: str, tokens: list[str], line_no: int) -> dict[str, Any]:
     if len(tokens) != 1:
         raise BadArgument(line_no, f"{directive} requires exactly one subscriber id")
     return {"id": tokens[0]}
+
+
+class Directive(NamedTuple):
+    parse: Callable[[list[str], int], dict[str, Any]]
+    takes_at: bool  # whether an `at <sec>` line may carry it
+
+
+DIRECTIVES: dict[str, Directive] = {
+    "subscriber": Directive(_parse_subscriber, False),
+    "policy": Directive(_parse_policy, False),
+    "weights": Directive(_parse_weights, False),
+    "thresholds": Directive(_parse_thresholds, False),
+    "call": Directive(_parse_call, True),
+    "burst": Directive(_parse_burst, True),
+    "media": Directive(_parse_media, True),
+    "hangup": Directive(partial(_parse_single_id, "hangup"), True),
+    "answer": Directive(partial(_parse_single_id, "answer"), True),
+    "dismiss": Directive(partial(_parse_single_id, "dismiss"), True),
+}
 
 
 def parse_scenario(text: str) -> list[SimEvent]:
@@ -342,63 +376,18 @@ def parse_scenario(text: str) -> list[SimEvent]:
         if not tokens:
             continue
         head, rest = tokens[0], tokens[1:]
-        at = current_time
-        if head == "at":
+        at_line = head == "at"
+        if at_line:
             if len(rest) < 2:
                 raise BadArgument(line_no, "at requires a time and a directive")
-            at = _parse_int(rest[0], line_no, "event time")
-            if at < 0:
-                raise BadArgument(line_no, f"event time must be >= 0, got {at}")
-            current_time = at
+            current_time = _parse_int(rest[0], line_no, "event time")
+            if current_time < 0:
+                raise BadArgument(line_no, f"event time must be >= 0, got {current_time}")
             head, rest = rest[1], rest[2:]
-            if head in ("subscriber", "policy", "weights", "thresholds"):
-                raise BadArgument(line_no, f"{head} is a directive, not an at-event")
-        if head == "subscriber":
-            events.append(
-                SimEvent(at, line_no, EventKind.REGISTER_SUBSCRIBER, _parse_subscriber(rest, line_no))
-            )
-        elif head == "policy":
-            events.append(SimEvent(at, line_no, EventKind.SET_POLICY, _parse_policy(rest, line_no)))
-        elif head == "weights":
-            if len(rest) != 1:
-                raise BadArgument(line_no, "weights requires one wl,wt,wh,wa argument")
-            values = _parse_csv_floats(rest[0], line_no, "weights", 4)
-            try:
-                weights = FactorWeights(*values)
-            except (ValueError, ZeroWeights) as exc:
-                raise BadArgument(line_no, str(exc)) from None
-            events.append(SimEvent(at, line_no, EventKind.SET_WEIGHTS, {"weights": weights}))
-        elif head == "thresholds":
-            if len(rest) != 1:
-                raise BadArgument(line_no, "thresholds requires one connect,voice,text argument")
-            values = _parse_csv_floats(rest[0], line_no, "thresholds", 3)
-            try:
-                thresholds = TierThresholds(*values)
-            except ValueError as exc:
-                raise BadArgument(line_no, str(exc)) from None
-            events.append(
-                SimEvent(at, line_no, EventKind.SET_THRESHOLDS, {"thresholds": thresholds})
-            )
-        elif head == "call":
-            events.append(SimEvent(at, line_no, EventKind.PLACE_CALL, _parse_call(rest, line_no)))
-        elif head == "burst":
-            events.append(SimEvent(at, line_no, EventKind.BURST_ATTEMPT, _parse_burst(rest, line_no)))
-        elif head == "media":
-            events.append(
-                SimEvent(at, line_no, EventKind.MEDIA_DESCRIPTION, _parse_media(rest, line_no))
-            )
-        elif head == "hangup":
-            events.append(
-                SimEvent(at, line_no, EventKind.HANG_UP, _parse_single_id(rest, line_no, "hangup"))
-            )
-        elif head == "answer":
-            events.append(
-                SimEvent(at, line_no, EventKind.ANSWER, _parse_single_id(rest, line_no, "answer"))
-            )
-        elif head == "dismiss":
-            events.append(
-                SimEvent(at, line_no, EventKind.DISMISS, _parse_single_id(rest, line_no, "dismiss"))
-            )
-        else:
+        directive = DIRECTIVES.get(head)
+        if directive is None:
             raise UnknownDirective(line_no, f"unknown directive {head!r}")
+        if at_line and not directive.takes_at:
+            raise BadArgument(line_no, f"{head} is a directive, not an at-event")
+        events.append(SimEvent(current_time, line_no, head, directive.parse(rest, line_no)))
     return events

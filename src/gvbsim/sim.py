@@ -49,7 +49,7 @@ from .incapacity import (
     flag_media,
 )
 from .policy import PolicyRegistry
-from .scenario import EventKind, SimEvent
+from .scenario import SimEvent
 from .scheduler import (
     BurstLedger,
     BurstRecord,
@@ -488,17 +488,17 @@ class Simulation:
                 self._touch(session)
                 self._emit("BURSTS_DISMISSED", session=sid, remaining_cancelled=remaining)
 
-    _HANDLERS = {
-        EventKind.REGISTER_SUBSCRIBER: _handle_register,
-        EventKind.SET_POLICY: _handle_policy,
-        EventKind.SET_WEIGHTS: _handle_weights,
-        EventKind.SET_THRESHOLDS: _handle_thresholds,
-        EventKind.PLACE_CALL: _handle_call,
-        EventKind.BURST_ATTEMPT: _handle_burst,
-        EventKind.MEDIA_DESCRIPTION: _handle_media,
-        EventKind.HANG_UP: _handle_hangup,
-        EventKind.ANSWER: _handle_answer,
-        EventKind.DISMISS: _handle_dismiss,
+    _HANDLERS = {  # keyed by the heads of scenario.DIRECTIVES
+        "subscriber": _handle_register,
+        "policy": _handle_policy,
+        "weights": _handle_weights,
+        "thresholds": _handle_thresholds,
+        "call": _handle_call,
+        "burst": _handle_burst,
+        "media": _handle_media,
+        "hangup": _handle_hangup,
+        "answer": _handle_answer,
+        "dismiss": _handle_dismiss,
     }
 
 

@@ -103,9 +103,6 @@ class TraceRecord(str):
             (key, decode_text(value) if "%" in value else value) for key, _, value in pairs
         )
 
-    def render(self) -> str:
-        return str(self)
-
     def get(self, key: str) -> str | None:
         """Raw (unencoded) value for `key`, or None."""
         for k, v in self.details:

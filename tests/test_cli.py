@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from gvbsim.cli import main
+from gvbsim.errors import ParseError
+from gvbsim.scenario import parse_scenario
 
 from .conftest import REPO_ROOT, SCENARIO_DIR
 
@@ -108,6 +110,7 @@ PROFILES = {
         "run {scenarios}/silent_generative_burst.gvb --speaking-rate -1",
         "run {scenarios}/silent_generative_burst.gvb --speaking-rate nan",
         "gen --keywords fire --speaking-rate inf",
+        "gen --keywords help --loctype bogus",
         "score --speed nan",
         "score --loc nan,0 --profile {home_profile}",
         "score --loc 1,1 --profile {nan_profile}",
@@ -152,6 +155,25 @@ def test_cli_weights_and_thresholds_flags(tmp_path: Path, capsys):
     assert "score=1.000000" in out
     assert "connect_override" in out
     assert main(["run", str(scenario), "--weights", "1,0,0,0", "--thresholds", "0.9,0.6,0.3"]) == 0
+
+
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [
+        ("--weights", "1,2,3"),
+        ("--weights", "x,1,1,1"),
+        ("--weights", "0,0,0,0"),
+        ("--thresholds", "0.3,0.6,0.9"),
+        ("--thresholds", "0.9,0.6"),
+    ],
+)
+def test_weights_and_thresholds_flags_report_the_scenario_rule(flag: str, value: str, capsys):
+    with pytest.raises(ParseError) as line_error:
+        parse_scenario(f"{flag.removeprefix('--')} {value}\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["score", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {line_error.value.message}\n" in capsys.readouterr().err
 
 
 def test_score_subcommand(tmp_path: Path, capsys):
@@ -221,3 +243,14 @@ def test_gen_fits_the_duration(capsys):
 def test_gen_rejects_bad_duration(capsys):
     assert main(["gen", "--keywords", "fire", "--t", "0"]) == 2
     assert capsys.readouterr().err
+
+
+def test_gen_reads_loctype_as_a_run_does(capsys):
+    out = {}
+    for loctype in ("", "other", "highway", "HIGHWAY"):
+        assert main(["gen", "--keywords", "help", *(["--loctype", loctype] if loctype else [])]) == 0
+        out[loctype] = capsys.readouterr().out
+    assert "Location" not in out[""]  # OTHER says nothing about the place
+    assert out["other"] == out[""]
+    assert "Location: highway." in out["highway"]
+    assert out["HIGHWAY"] == out["highway"]

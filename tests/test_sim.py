@@ -525,4 +525,4 @@ def test_trace_lines_are_single_lines_with_encoded_text():
         assert "\n" not in line
     sent = one(records, "BURST_SENT")
     assert " " in sent.get("text")  # raw value keeps spaces
-    assert "%20" in sent.render()  # rendering encodes them
+    assert "%20" in sent  # rendering encodes them

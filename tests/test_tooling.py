@@ -1,12 +1,21 @@
-"""The benchmark's tracer wraps engine functions by name from outside the
-package; a rename in `src/` must fail here, not only in a traced run."""
+"""Names and tables that other code or docs repeat: the benchmark's tracer
+wraps engine functions by name from outside the package, and the handlers,
+the docs and the hostile-text property each list the scenario directives.
+A rename or a new head in `src/` must fail here, not only in a traced run
+or a reader's hands."""
 from __future__ import annotations
 
 import importlib
 import importlib.util
+import re
 import sys
 
+from gvbsim import scenario
+from gvbsim.scenario import DIRECTIVES
+from gvbsim.sim import Simulation
+
 from .conftest import REPO_ROOT
+from .test_scenario import _TEMPLATES
 
 
 def load_tracer(monkeypatch):
@@ -34,3 +43,25 @@ def test_every_name_the_tracer_wraps_resolves(monkeypatch):
         if name not in getattr(owner, "__dict__", {}):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def grammar_heads(lines: list[str]) -> list[tuple[str, bool]]:
+    """(head, has an `at <sec>` prefix) for each grammar line."""
+    heads = []
+    for line in lines:
+        rest = line.removeprefix("at <sec> ")
+        heads.append((rest.split()[0], rest != line))
+    return heads
+
+
+def test_the_directive_table_is_the_one_list_of_heads():
+    declared = [(head, directive.takes_at) for head, directive in DIRECTIVES.items()]
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1]
+    readme_block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    doc_block = scenario.__doc__.split("\n\n")[1]  # after the title line
+    doc_lines = [line.strip() for line in doc_block.splitlines()]
+    assert grammar_heads(readme_block.splitlines()) == declared
+    assert grammar_heads([line for line in doc_lines if line != "# comment"]) == declared
+    assert set(Simulation._HANDLERS) == set(DIRECTIVES)
+    assert set(_TEMPLATES) == set(DIRECTIVES)

@@ -50,9 +50,9 @@ def test_every_record_follows_the_declared_schema():
     for records in schema_traces():
         for record in records:
             component, keys = TRACE_EVENTS[record.event]
-            assert record.component == component, record.render()
+            assert record.component == component, record
             declared = iter(keys)  # `in` consumes it, so keys must come in declared order
-            assert all(key in declared for key, _ in record.details), record.render()
+            assert all(key in declared for key, _ in record.details), record
             seen.add(record.event)
     assert sorted(set(TRACE_EVENTS) - seen) == []
 
@@ -61,7 +61,7 @@ def test_emit_renders_in_table_order_and_rejects_undeclared_keys():
     sim = Simulation()
     sim._emit("BURST_DENIED", eligible_at=None, reason="gap", session=3)
     sim._emit("BURST_DENIED", eligible_at=40, reason="gap", session=3)
-    assert [record.render() for record in sim.records] == [
+    assert sim.records == [
         "t=0 seq=1 burst_scheduler BURST_DENIED session=3 reason=gap",
         "t=0 seq=2 burst_scheduler BURST_DENIED session=3 reason=gap eligible_at=40",
     ]
