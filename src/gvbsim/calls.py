@@ -36,10 +36,8 @@ def validate_subscriber_id(sub_id: str) -> str:
 
 
 class CallState(Enum):
-    DIALING = "dialing"
     ACTIVE = "active"
     WAITING = "waiting"
-    BURST_PERMITTED = "burst_permitted"
     ENDED = "ended"
     CONNECTED_BY_OVERRIDE = "connected_by_override"
 
@@ -47,26 +45,18 @@ class CallState(Enum):
 class CallEvent(Enum):
     ANSWER = "answer"
     HANG_UP = "hang_up"
-    PERMIT_BURST = "permit_burst"
     OVERRIDE = "override"
     TIMEOUT = "timeout"
 
 
-# TIMEOUT means "the current phase ran out": an unanswered dial joins the
-# waiting queue, a burst window closes back to waiting, and a stale
-# waiting call is abandoned.
+# `place_call` creates a call WAITING or ACTIVE, and a waiting call keeps
+# its state through its bursts.  TIMEOUT means a waiting call sat idle too
+# long and is abandoned.
 _TRANSITIONS: dict[tuple[CallState, CallEvent], CallState] = {
-    (CallState.DIALING, CallEvent.ANSWER): CallState.ACTIVE,
-    (CallState.DIALING, CallEvent.TIMEOUT): CallState.WAITING,
-    (CallState.DIALING, CallEvent.HANG_UP): CallState.ENDED,
-    (CallState.WAITING, CallEvent.PERMIT_BURST): CallState.BURST_PERMITTED,
     (CallState.WAITING, CallEvent.OVERRIDE): CallState.CONNECTED_BY_OVERRIDE,
     (CallState.WAITING, CallEvent.ANSWER): CallState.ACTIVE,
     (CallState.WAITING, CallEvent.HANG_UP): CallState.ENDED,
     (CallState.WAITING, CallEvent.TIMEOUT): CallState.ENDED,
-    (CallState.BURST_PERMITTED, CallEvent.TIMEOUT): CallState.WAITING,
-    (CallState.BURST_PERMITTED, CallEvent.ANSWER): CallState.ACTIVE,
-    (CallState.BURST_PERMITTED, CallEvent.HANG_UP): CallState.ENDED,
     (CallState.ACTIVE, CallEvent.HANG_UP): CallState.ENDED,
     (CallState.CONNECTED_BY_OVERRIDE, CallEvent.HANG_UP): CallState.ENDED,
 }

@@ -229,6 +229,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         params = GenerationParams(rng_seed=args.rng_seed)
         message = generate_message(seed, params, speaking_rate=args.speaking_rate)
         message = fit_to_duration(message, args.t, args.speaking_rate)
+        if not message.word_count:
+            raise ValueError(f"no word fits {args.t}s at {args.speaking_rate} words/s")
     except ValueError as exc:
         print(f"gvbsim: {exc}", file=sys.stderr)
         return 2

@@ -239,9 +239,11 @@ class ExternalBackend:
     kind = BackendKind.EXTERNAL
 
     def __init__(self, target: str, timeout: float = DEFAULT_EXTERNAL_TIMEOUT_S):
-        if not target:
-            raise ValueError("external backend target must be non-empty")
         self._target = target
+        # the command's words, split once; an unclosed quote raises ValueError
+        self._argv = None if target.startswith("tcp:") else shlex.split(target)
+        if self._argv == []:
+            raise ValueError(f"external generator command has no words: {target!r}")
         self._timeout = timeout
         self._proc: subprocess.Popen[bytes] | None = None
         self._sock: socket.socket | None = None
@@ -249,7 +251,7 @@ class ExternalBackend:
         self._reader: _LineReader | None = None
 
     def _connect(self) -> None:
-        if self._target.startswith("tcp:"):
+        if self._argv is None:
             _, host, port = self._target.split(":", 2)
             self._sock = socket.create_connection((host, int(port)), timeout=self._timeout)
             # per-request deadlines come from the reader queue, not the socket
@@ -258,7 +260,7 @@ class ExternalBackend:
             self._reader = _LineReader(self._sock.makefile("rb"))
         else:
             self._proc = subprocess.Popen(
-                shlex.split(self._target),
+                self._argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
@@ -374,7 +376,10 @@ def fit_to_duration(
     if t < 1:
         raise ValueError(f"burst duration must be >= 1s, got {t}")
     check_speaking_rate(speaking_rate)
-    budget = math.floor(t * speaking_rate)
+    try:
+        budget = math.floor(t * speaking_rate)
+    except OverflowError:
+        raise ValueError(f"burst duration times speaking_rate {speaking_rate} overflows") from None
     words = msg.text.split()
     if len(words) > budget:
         kept: list[str] = []

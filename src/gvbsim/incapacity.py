@@ -44,14 +44,6 @@ class ModalitySignal:
 
 
 @dataclass(frozen=True)
-class BurstWindow:
-    """Observed burst window: how long it ran and whether speech occurred."""
-
-    duration: int
-    speech_present: bool
-
-
-@dataclass(frozen=True)
 class IncapacityVerdict:
     incapacitated: bool
     confidence: float
@@ -79,13 +71,12 @@ def detect_keywords(
     return None
 
 
-def detect_silence(window: BurstWindow) -> ModalitySignal | None:
-    """A permitted window with no speech is a full-strength silence signal."""
-    if window.duration <= 0:
-        raise InvalidWindow(f"window duration must be positive, got {window.duration}")
-    if window.speech_present:
-        return None
-    return ModalitySignal(Modality.SILENCE, 1.0, f"no speech in {window.duration}s window")
+def detect_silence(duration: int) -> ModalitySignal:
+    """A permitted window of `duration` seconds that passed with no speech
+    is a full-strength silence signal."""
+    if duration <= 0:
+        raise InvalidWindow(f"window duration must be positive, got {duration}")
+    return ModalitySignal(Modality.SILENCE, 1.0, f"no speech in {duration}s window")
 
 
 def flag_media(

@@ -1,10 +1,12 @@
 """Enforces burst duration, inter-burst gap, and budget per waiting caller.
 
-The ledger is a value: `request_burst` inspects it, `record_burst` returns
-the updated copy.  Denial is a normal outcome, not an error; callers are
-expected to retry at `eligible_at`.  The gap is measured from the END of
-the previous burst, so back-to-back audio is impossible even when the gap
-is shorter than the burst duration.
+The ledger is a value: `request_burst` inspects it, and
+`record_burst(ledger, start, duration)` returns the copy that counts one
+more burst; the new `bursts_sent` is that burst's 1-based sequence.
+Denial is a normal outcome, not an error; callers are expected to retry
+at `eligible_at`.  The gap is measured from the END of the previous
+burst, so back-to-back audio is impossible even when the gap is shorter
+than the burst duration.
 """
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import DurationExceeded, NoPermit
-from .generation import GeneratedMessage
 from .policy import BurstPolicy
 
 
@@ -20,7 +21,6 @@ from .policy import BurstPolicy
 class BurstLedger:
     """Per-waiting-episode burst accounting against a policy snapshot."""
 
-    session_id: int
     policy: BurstPolicy
     bursts_sent: int = 0
     last_burst_end: int | None = None
@@ -31,38 +31,6 @@ class BurstLedger:
             raise ValueError(f"bursts_sent out of range: {self.bursts_sent}")
         if (self.last_burst_end is not None) != (self.bursts_sent >= 1):
             raise ValueError("last_burst_end must be present iff a burst was sent")
-
-
-@dataclass(frozen=True)
-class CallerVoice:
-    transcript: str
-
-
-@dataclass(frozen=True)
-class Generated:
-    message: GeneratedMessage
-
-
-@dataclass(frozen=True)
-class TextWithBeep:
-    text: str
-
-
-@dataclass(frozen=True)
-class SilentWindow:
-    """Window elapsed with no speech and nothing to substitute."""
-
-
-BurstPayload = CallerVoice | Generated | TextWithBeep | SilentWindow
-
-
-@dataclass(frozen=True)
-class BurstRecord:
-    session_id: int
-    sequence: int  # 1-based
-    start: int
-    duration: int
-    payload: BurstPayload
 
 
 class DenyReason(Enum):
@@ -93,26 +61,19 @@ def request_burst(ledger: BurstLedger, now: int) -> Permit | Deny:
     return Permit(granted_at=now, window_end=now + ledger.policy.burst_seconds_t)
 
 
-def record_burst(ledger: BurstLedger, record: BurstRecord) -> BurstLedger:
-    """Account a completed burst; rejects records no permit would cover."""
-    grant = request_burst(ledger, record.start)
+def record_burst(ledger: BurstLedger, start: int, duration: int) -> BurstLedger:
+    """Account the next burst, `duration` seconds from `start`; rejects a
+    burst no permit would cover."""
+    grant = request_burst(ledger, start)
     if not isinstance(grant, Permit):
-        raise NoPermit(f"no permit covers a burst at t={record.start}: {grant.reason.value}")
-    if record.duration > ledger.policy.burst_seconds_t:
+        raise NoPermit(f"no permit covers a burst at t={start}: {grant.reason.value}")
+    if duration > ledger.policy.burst_seconds_t:
         raise DurationExceeded(
-            f"burst of {record.duration}s exceeds the {ledger.policy.burst_seconds_t}s cap"
+            f"burst of {duration}s exceeds the {ledger.policy.burst_seconds_t}s cap"
         )
-    if record.duration < 1:
-        raise ValueError(f"burst duration must be >= 1s, got {record.duration}")
-    if record.sequence != ledger.bursts_sent + 1:
-        raise ValueError(
-            f"expected sequence {ledger.bursts_sent + 1}, got {record.sequence}"
-        )
-    return replace(
-        ledger,
-        bursts_sent=ledger.bursts_sent + 1,
-        last_burst_end=record.start + record.duration,
-    )
+    if duration < 1:
+        raise ValueError(f"burst duration must be >= 1s, got {duration}")
+    return replace(ledger, bursts_sent=ledger.bursts_sent + 1, last_burst_end=start + duration)
 
 
 def dismiss(ledger: BurstLedger) -> BurstLedger:

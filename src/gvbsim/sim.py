@@ -40,7 +40,6 @@ from .generation import (
 from .incapacity import (
     DEFAULT_DISTRESS_LEXICON,
     DEFAULT_KEYWORDS,
-    BurstWindow,
     Modality,
     ModalitySignal,
     assess_incapacity,
@@ -50,18 +49,7 @@ from .incapacity import (
 )
 from .policy import PolicyRegistry
 from .scenario import SimEvent
-from .scheduler import (
-    BurstLedger,
-    BurstRecord,
-    CallerVoice,
-    Deny,
-    Generated,
-    SilentWindow,
-    TextWithBeep,
-    dismiss,
-    record_burst,
-    request_burst,
-)
+from .scheduler import BurstLedger, Deny, dismiss, record_burst, request_burst
 from .scoring import (
     BaselineProfile,
     FactorWeights,
@@ -257,7 +245,7 @@ class Simulation:
             RoutingKind.PERMIT_VOICE_BURST,
             RoutingKind.PERMIT_TEXT_BURST_WITH_BEEP,
         ):
-            session.ledger = BurstLedger(session_id=sid, policy=policy)
+            session.ledger = BurstLedger(policy)
             mode = "voice" if decision.kind is RoutingKind.PERMIT_VOICE_BURST else "text"
             self._emit(
                 "BURSTS_ADMITTED",
@@ -296,19 +284,14 @@ class Simulation:
             return
         t = session.ledger.policy.burst_seconds_t
         self._emit("PERMIT", session=sid, start=grant.granted_at, window_end=grant.window_end)
-        self.engine.apply_event(sid, CallEvent.PERMIT_BURST, self.clock)
         transcript: str | None = args["transcript"]
-        if transcript is None:
-            duration = t
-        else:
-            spoken = max(1, math.ceil(len(transcript.split()) / self.config.speaking_rate))
-            duration = min(t, spoken)
         signals: list[ModalitySignal] = []
         if transcript is None:
-            silence_signal = detect_silence(BurstWindow(duration, speech_present=False))
-            assert silence_signal is not None
-            signals.append(silence_signal)
+            duration = t
+            signals.append(detect_silence(duration))
         else:
+            spoken = len(transcript.split()) / self.config.speaking_rate
+            duration = max(1, math.ceil(min(spoken, t)))
             keyword_signal = detect_keywords(transcript, self.config.incapacity_keywords)
             if keyword_signal is not None:
                 signals.append(keyword_signal)
@@ -334,36 +317,22 @@ class Simulation:
         )
         assert session.decision is not None
         voice_mode = session.decision.kind is RoutingKind.PERMIT_VOICE_BURST
-        payload: CallerVoice | Generated | TextWithBeep | SilentWindow
+        # (BURST_SENT payload token, text), or None for a silent window
+        sent: tuple[str, str] | None = None
         if verdict.incapacitated:
-            payload = self._generate_substitute(
+            sent = self._generate_substitute(
                 session, args, transcript, media_descs, t, voice_mode
             )
         elif transcript is not None:
-            payload = CallerVoice(transcript) if voice_mode else TextWithBeep(transcript)
+            sent = ("voice" if voice_mode else "text_beep", transcript)
+        session.ledger = record_burst(session.ledger, self.clock, duration)
+        window = dict(
+            session=sid, sequence=session.ledger.bursts_sent, start=self.clock, duration=duration
+        )
+        if sent is None:
+            self._emit("BURST_WINDOW_SILENT", **window)
         else:
-            payload = SilentWindow()
-        sequence = session.ledger.bursts_sent + 1
-        record = BurstRecord(sid, sequence, start=self.clock, duration=duration, payload=payload)
-        session.ledger = record_burst(session.ledger, record)
-        if isinstance(payload, SilentWindow):
-            self._emit(
-                "BURST_WINDOW_SILENT",
-                session=sid, sequence=sequence, start=record.start, duration=record.duration,
-            )
-        else:
-            if isinstance(payload, CallerVoice):
-                kind, text = "voice", payload.transcript
-            elif isinstance(payload, Generated):
-                kind, text = "generated", payload.message.text
-            else:
-                kind, text = "text_beep", payload.text
-            self._emit(
-                "BURST_SENT",
-                session=sid, sequence=sequence, start=record.start, duration=record.duration,
-                payload=kind, text=text,
-            )
-        self.engine.apply_event(sid, CallEvent.TIMEOUT, self.clock)
+            self._emit("BURST_SENT", **window, payload=sent[0], text=sent[1])
 
     def _generate_substitute(
         self,
@@ -373,11 +342,14 @@ class Simulation:
         media_descs: dict[Modality, list[str]],
         t: int,
         voice_mode: bool,
-    ) -> Generated | TextWithBeep | SilentWindow:
-        """Build a seed from the burst's context and generate a message.
+    ) -> tuple[str, str] | None:
+        """Build a seed from the burst's context and generate a message
+        fitted to `t` seconds, sent as `generated` in voice mode and as
+        `text_beep` otherwise.
 
         With no seedable context at all there is nothing to generate from,
-        so the window stands as silent.
+        and a message with no word left after fitting says nothing, so
+        either way the window stands as silent (None).
         """
         sid, context = session.session_id, session.context
         location_type = None
@@ -397,7 +369,7 @@ class Simulation:
             location_type=location_type,
         )
         if bundle.is_empty():
-            return SilentWindow()
+            return None
         seed = compose_seed(bundle)
         params = GenerationParams(rng_seed=self.config.rng_seed)
         message = generate_message(
@@ -415,7 +387,9 @@ class Simulation:
             seconds=f"{message.estimated_speech_seconds:.2f}",
             text=message.text,
         )
-        return Generated(message) if voice_mode else TextWithBeep(message.text)
+        if not message.word_count:
+            return None
+        return ("generated" if voice_mode else "text_beep", message.text)
 
     def _handle_media(self, event: SimEvent) -> None:
         args = event.args
@@ -442,9 +416,7 @@ class Simulation:
         def rank(session: CallSession) -> int | None:
             if session.state in CONNECTED_STATES:
                 return 2 if session.held else 0
-            if session.caller == sub_id:  # abandon own waiting/dialing call
-                return 1 if session.state in (CallState.WAITING, CallState.BURST_PERMITTED) else 3
-            return None
+            return 1 if session.caller == sub_id else None  # abandon own waiting call
 
         candidates = [
             (r, s.session_id, s)

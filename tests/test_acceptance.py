@@ -19,8 +19,6 @@ from gvbsim.policy import BurstPolicy
 from gvbsim.scenario import parse_scenario
 from gvbsim.scheduler import (
     BurstLedger,
-    BurstRecord,
-    CallerVoice,
     Deny,
     DenyReason,
     Permit,
@@ -108,17 +106,14 @@ def test_c2_preapproved_burst_timeline():
     oracle = brute_force_starts(t=5, g=30, n=3, horizon=400)
     assert oracle == [0, 35, 70]
     policy = BurstPolicy(callee="A", burst_seconds_t=5, gap_seconds_g=30, max_bursts_n=3)
-    ledger = BurstLedger(session_id=1, policy=policy)
+    ledger = BurstLedger(policy)
     starts: list[int] = []
     denial: Deny | None = None
     for now in range(400):
         grant = request_burst(ledger, now)
         if isinstance(grant, Permit):
             starts.append(now)
-            ledger = record_burst(
-                ledger,
-                BurstRecord(1, ledger.bursts_sent + 1, now, 5, CallerVoice("x")),
-            )
+            ledger = record_burst(ledger, now, 5)
         elif denial is None and grant.reason is DenyReason.BUDGET_EXHAUSTED:
             denial = grant
     assert starts == oracle
@@ -203,7 +198,7 @@ def test_c5_scheduler_property_suite():
         g = rng.randint(0, 60)
         n = rng.randint(1, 5)
         policy = BurstPolicy(callee="A", burst_seconds_t=t, gap_seconds_g=g, max_bursts_n=n)
-        ledger = BurstLedger(session_id=1, policy=policy)
+        ledger = BurstLedger(policy)
         intervals: list[tuple[int, int]] = []
         now = 0
         for _ in range(rng.randint(1, 10)):
@@ -213,10 +208,7 @@ def test_c5_scheduler_property_suite():
                 if grant.granted_at != now or grant.window_end != now + t:
                     violations += 1
                 duration = rng.randint(1, t)
-                ledger = record_burst(
-                    ledger,
-                    BurstRecord(1, ledger.bursts_sent + 1, now, duration, CallerVoice("x")),
-                )
+                ledger = record_burst(ledger, now, duration)
                 intervals.append((now, now + duration))
         if len(intervals) > n:
             violations += 1

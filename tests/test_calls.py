@@ -113,10 +113,6 @@ def test_answer_from_active_is_illegal():
         next_state(CallState.ACTIVE, CallEvent.ANSWER)
 
 
-def test_burst_window_timeout_returns_to_waiting():
-    assert next_state(CallState.BURST_PERMITTED, CallEvent.TIMEOUT) is CallState.WAITING
-
-
 def test_ended_at_set_exactly_on_ending():
     engine = make_engine("A", "B", "C")
     engine.place_call("A", "B", now=0)
@@ -130,14 +126,7 @@ def test_ended_at_set_exactly_on_ending():
 def test_transition_graph_targets():
     # Full map of the documented graph; anything else must raise.
     graph = {
-        CallState.DIALING: {CallState.ACTIVE, CallState.WAITING, CallState.ENDED},
-        CallState.WAITING: {
-            CallState.BURST_PERMITTED,
-            CallState.CONNECTED_BY_OVERRIDE,
-            CallState.ACTIVE,
-            CallState.ENDED,
-        },
-        CallState.BURST_PERMITTED: {CallState.WAITING, CallState.ACTIVE, CallState.ENDED},
+        CallState.WAITING: {CallState.CONNECTED_BY_OVERRIDE, CallState.ACTIVE, CallState.ENDED},
         CallState.ACTIVE: {CallState.ENDED},
         CallState.CONNECTED_BY_OVERRIDE: {CallState.ENDED},
         CallState.ENDED: set(),

@@ -1,13 +1,18 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gvbsim.cli import main
 from gvbsim.errors import ParseError
@@ -142,6 +147,27 @@ def test_input_faults_exit_2_without_a_traceback(argv: str, tmp_path: Path):
     assert result.stderr.splitlines()[-1].startswith("gvbsim")
 
 
+HUGE = "9" * 400  # overflows a float
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "silent_generative_burst.gvb", "--backend", "external= "],
+        ["run", "silent_generative_burst.gvb", "--backend", 'external=gen "unclosed'],
+        ["gen", "--keywords", "fire", "--t", HUGE],
+        ["gen", "--keywords", "fire", "--speaking-rate", "0.1"],
+    ],
+)
+def test_input_faults_in_one_argument_exit_2(argv: list[str], capsys):
+    # Arguments with spaces in them, which the table above cannot hold.
+    if argv[0] == "run":
+        argv = ["run", str(SCENARIO_DIR / argv[1]), *argv[2:]]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gvbsim: ") and err.count("\n") == 1
+
+
 def test_cli_weights_and_thresholds_flags(tmp_path: Path, capsys):
     scenario = tmp_path / "s.gvb"
     scenario.write_text(
@@ -254,3 +280,97 @@ def test_gen_reads_loctype_as_a_run_does(capsys):
     assert out["other"] == out[""]
     assert "Location: highway." in out["highway"]
     assert out["HIGHWAY"] == out["highway"]
+
+
+# -- argv fuzzing --
+
+_FLAG_VALUES = {
+    "--backend": ["template", "bogus", "external=", "external= ", 'external="unclosed'],
+    "--speaking-rate": ["2.5", "0.1", "1e-320", "1e308", "0", "-1", "nan", "x"],
+    "--t": ["1", "5", "0", "-3", HUGE, "x"],
+    "--rng-seed": ["0", "7", "-1", HUGE],
+    "--abandon-timeout": ["0", "1", "120", "-1", HUGE],
+    "--weights": ["1,1,1,1", "0,0,0,0", "nan,1,1,1", "1,2,3"],
+    "--thresholds": ["0.9,0.6,0.3", "0.3,0.6,0.9", "1,1,1"],
+    "--loctype": ["highway", "other", "bogus", ""],
+    "--keywords": ["fire", "help", "", " "],
+    "--loc": ["40,9", "nan,0", "(1)", ""],
+    "--hour": ["3", "99", "-1"],
+    "--hr": ["130", "nan", "-5"],
+    "--speed": ["14", "inf"],
+    "--profile": ["{missing}"],
+    "--trace": ["{trace}"],
+}
+_COMMAND_FLAGS = {
+    "run": ["--backend", "--speaking-rate", "--rng-seed", "--abandon-timeout",
+            "--weights", "--thresholds", "--trace"],
+    "score": ["--loc", "--loctype", "--hour", "--hr", "--speed", "--profile",
+              "--weights", "--thresholds"],
+    "gen": ["--keywords", "--t", "--loctype", "--rng-seed", "--speaking-rate"],
+}
+_SCENARIOS = [
+    *(str(path) for path in sorted(SCENARIO_DIR.glob("*.gvb"))),
+    "{huge_t}",
+    "{missing}",
+]
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    if command == "run" and draw(st.integers(0, 9)):
+        argv.append(draw(st.sampled_from(_SCENARIOS)))
+    if command == "gen" and draw(st.integers(0, 9)):
+        argv += ["--keywords", "fire"]
+    # now and then a flag of another command
+    flags = st.sampled_from(_COMMAND_FLAGS[command] * 4 + sorted(_FLAG_VALUES))
+    for flag in draw(st.lists(flags, max_size=4)):
+        argv.append(flag)
+        if draw(st.integers(0, 9)):  # now and then the value is missing
+            argv.append(draw(st.sampled_from(_FLAG_VALUES[flag])))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory) -> dict[str, str]:
+    root = tmp_path_factory.mktemp("argv")
+    huge_t = root / "huge_t.gvb"
+    huge_t.write_text(
+        (SCENARIO_DIR / "silent_generative_burst.gvb")
+        .read_text(encoding="utf-8")
+        .replace("t=5 ", f"t={HUGE} "),
+        encoding="utf-8",
+    )
+    return {
+        "huge_t": str(huge_t),
+        "missing": str(root / "missing"),
+        "trace": str(root / "out.trace"),
+    }
+
+
+def _no_spawn(argv, *args, **kwargs):
+    pytest.fail(f"a generator process was started: {argv!r}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+@example(["run", _SCENARIOS[2], "--backend", "external= "])
+@example(["run", _SCENARIOS[2], "--backend", 'external="unclosed'])
+@example(["run", _SCENARIOS[0], "--speaking-rate", "1e-320"])
+@example(["run", "{huge_t}"])
+@example(["gen", "--keywords", "fire", "--t", HUGE])
+@example(["gen", "--keywords", "fire", "--speaking-rate", "0.1"])
+def test_any_argv_exits_0_1_or_2(argv_files: dict[str, str], argv: list[str]):
+    argv = [arg.format(**argv_files) if arg.startswith("{") else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with (
+        mock.patch("subprocess.Popen", _no_spawn),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2), err.getvalue()

@@ -221,3 +221,10 @@ def test_build_backend_specs():
     external.close()
     with pytest.raises(ValueError):
         build_backend("mystery")
+
+
+@pytest.mark.parametrize("spec", ["external=", "external= ", 'external=gen "unclosed'])
+def test_a_command_with_no_words_or_an_unclosed_quote_is_rejected(spec: str):
+    # split once, when the backend is built, not on every request
+    with pytest.raises(ValueError):
+        build_backend(spec)

@@ -201,6 +201,13 @@ def test_fit_validates_inputs():
         fit_to_duration(msg, t=5, speaking_rate=0)
 
 
+@pytest.mark.parametrize(("t", "rate"), [(10**400, 2.5), (5, 1e308)])
+def test_fit_rejects_a_word_budget_that_overflows(t: int, rate: float):
+    msg = generate_message("keywords: fire")
+    with pytest.raises(ValueError, match="overflows"):
+        fit_to_duration(msg, t, rate)
+
+
 @pytest.mark.parametrize("rate", [0, -1.0, math.nan, math.inf, -math.inf])
 def test_speaking_rate_must_be_a_finite_positive_number(rate):
     msg = generate_message("keywords: fire")

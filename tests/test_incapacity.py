@@ -6,7 +6,6 @@ import pytest
 
 from gvbsim.errors import InvalidWindow
 from gvbsim.incapacity import (
-    BurstWindow,
     Modality,
     ModalitySignal,
     assess_incapacity,
@@ -59,19 +58,15 @@ def test_keyword_detection_ignores_case():
 # -- silence --
 
 def test_silent_window_is_a_full_strength_signal():
-    signal = detect_silence(BurstWindow(5, speech_present=False))
+    signal = detect_silence(5)
     assert signal is not None
     assert signal.modality is Modality.SILENCE
     assert signal.strength == 1.0
 
 
-def test_speech_negates_silence():
-    assert detect_silence(BurstWindow(5, speech_present=True)) is None
-
-
 def test_zero_duration_window_rejected():
     with pytest.raises(InvalidWindow):
-        detect_silence(BurstWindow(0, speech_present=False))
+        detect_silence(0)
 
 
 # -- media descriptions --

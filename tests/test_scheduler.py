@@ -8,8 +8,6 @@ from gvbsim.errors import DurationExceeded, NoPermit
 from gvbsim.policy import BurstPolicy
 from gvbsim.scheduler import (
     BurstLedger,
-    BurstRecord,
-    CallerVoice,
     Deny,
     DenyReason,
     Permit,
@@ -19,20 +17,9 @@ from gvbsim.scheduler import (
 )
 
 
-def ledger(t: int = 5, g: int = 30, n: int = 3, session_id: int = 1) -> BurstLedger:
+def ledger(t: int = 5, g: int = 30, n: int = 3) -> BurstLedger:
     policy = BurstPolicy(callee="A", burst_seconds_t=t, gap_seconds_g=g, max_bursts_n=n)
-    return BurstLedger(session_id=session_id, policy=policy)
-
-
-def send(led: BurstLedger, start: int, duration: int) -> BurstLedger:
-    record = BurstRecord(
-        session_id=led.session_id,
-        sequence=led.bursts_sent + 1,
-        start=start,
-        duration=duration,
-        payload=CallerVoice("x"),
-    )
-    return record_burst(led, record)
+    return BurstLedger(policy)
 
 
 def greedy_burst_starts(t: int, g: int, n: int, horizon: int) -> list[int]:
@@ -58,7 +45,7 @@ def test_fresh_ledger_grants_a_full_window():
 
 
 def test_gap_not_elapsed_reports_when_to_retry():
-    led = send(ledger(), start=0, duration=5)
+    led = record_burst(ledger(), start=0, duration=5)
     grant = request_burst(led, now=20)
     assert isinstance(grant, Deny)
     assert grant.reason is DenyReason.GAP_NOT_ELAPSED
@@ -68,7 +55,7 @@ def test_gap_not_elapsed_reports_when_to_retry():
 def test_budget_exhaustion():
     led = ledger(n=3)
     for start in (0, 35, 70):
-        led = send(led, start, 5)
+        led = record_burst(led, start, 5)
     grant = request_burst(led, now=1000)
     assert isinstance(grant, Deny)
     assert grant.reason is DenyReason.BUDGET_EXHAUSTED
@@ -76,7 +63,7 @@ def test_budget_exhaustion():
 
 
 def test_zero_gap_allows_adjacent_but_not_overlapping_bursts():
-    led = send(ledger(g=0), start=0, duration=5)
+    led = record_burst(ledger(g=0), start=0, duration=5)
     assert isinstance(request_burst(led, now=4), Deny)
     assert isinstance(request_burst(led, now=5), Permit)
 
@@ -84,42 +71,35 @@ def test_zero_gap_allows_adjacent_but_not_overlapping_bursts():
 # -- record_burst --
 
 def test_recording_updates_the_ledger():
-    led = send(ledger(), start=0, duration=4)
+    led = record_burst(ledger(), start=0, duration=4)
     assert led.bursts_sent == 1
     assert led.last_burst_end == 4
 
 
 def test_overlong_burst_rejected():
     with pytest.raises(DurationExceeded):
-        send(ledger(t=5), start=0, duration=6)
+        record_burst(ledger(t=5), start=0, duration=6)
 
 
 def test_record_without_a_covering_permit_rejected():
-    led = send(ledger(g=30), start=0, duration=5)
+    led = record_burst(ledger(g=30), start=0, duration=5)
     with pytest.raises(NoPermit):
-        send(led, start=10, duration=2)  # inside the gap
-    exhausted = send(send(led, start=35, duration=5), start=70, duration=5)
+        record_burst(led, start=10, duration=2)  # inside the gap
+    exhausted = record_burst(record_burst(led, start=35, duration=5), start=70, duration=5)
     with pytest.raises(NoPermit):
-        send(exhausted, start=200, duration=1)
+        record_burst(exhausted, start=200, duration=1)
 
 
-def test_record_rejects_wrong_sequence_and_bad_duration():
-    led = ledger()
+def test_record_rejects_bad_duration():
     with pytest.raises(ValueError):
-        record_burst(
-            led, BurstRecord(led.session_id, sequence=2, start=0, duration=3, payload=CallerVoice("x"))
-        )
-    with pytest.raises(ValueError):
-        record_burst(
-            led, BurstRecord(led.session_id, sequence=1, start=0, duration=0, payload=CallerVoice("x"))
-        )
+        record_burst(ledger(), start=0, duration=0)
 
 
 def test_ledger_invariants():
     with pytest.raises(ValueError):
-        BurstLedger(session_id=1, policy=BurstPolicy(callee="A"), bursts_sent=4)
+        BurstLedger(BurstPolicy(callee="A"), bursts_sent=4)
     with pytest.raises(ValueError):
-        BurstLedger(session_id=1, policy=BurstPolicy(callee="A"), bursts_sent=1)
+        BurstLedger(BurstPolicy(callee="A"), bursts_sent=1)
 
 
 # -- eligibility --
@@ -143,16 +123,16 @@ def assert_exhausted(led: BurstLedger) -> None:
 def test_next_eligible_progression():
     led = ledger(t=5, g=30, n=3)
     assert isinstance(request_burst(led, now=0), Permit)
-    led = send(led, start=0, duration=5)
+    led = record_burst(led, start=0, duration=5)
     assert_next_eligible(led, 35)
-    led = send(led, start=35, duration=5)
+    led = record_burst(led, start=35, duration=5)
     assert_next_eligible(led, 70)
-    led = send(led, start=70, duration=5)
+    led = record_burst(led, start=70, duration=5)
     assert_exhausted(led)
 
 
 def test_specific_eligibility_arithmetic():
-    led = send(send(ledger(t=5, g=30, n=5), 0, 5), 35, 5)
+    led = record_burst(record_burst(ledger(t=5, g=30, n=5), 0, 5), 35, 5)
     assert led.bursts_sent == 2
     assert led.last_burst_end == 40
     assert_next_eligible(led, 70)
@@ -161,7 +141,7 @@ def test_specific_eligibility_arithmetic():
 # -- dismissal --
 
 def test_dismissal_cancels_the_remaining_budget():
-    led = dismiss(send(ledger(), start=0, duration=5))
+    led = dismiss(record_burst(ledger(), start=0, duration=5))
     grant = request_burst(led, now=500)
     assert isinstance(grant, Deny)
     assert grant.reason is DenyReason.BUDGET_EXHAUSTED
@@ -180,7 +160,7 @@ def test_default_policy_timeline_matches_the_oracle():
         grant = request_burst(led, now)
         if isinstance(grant, Permit):
             starts.append(now)
-            led = send(led, now, 5)
+            led = record_burst(led, now, 5)
     assert starts == expected
     assert isinstance(request_burst(led, now=500), Deny)
 
@@ -197,7 +177,7 @@ def test_random_policies_match_the_oracle_with_full_bursts():
         for now in range(horizon):
             if isinstance(request_burst(led, now), Permit):
                 starts.append(now)
-                led = send(led, now, t)
+                led = record_burst(led, now, t)
         assert starts == greedy_burst_starts(t, g, n, horizon)
 
 
@@ -215,7 +195,7 @@ def test_randomized_attempts_respect_all_scheduler_invariants():
             grant = request_burst(led, now)
             if isinstance(grant, Permit):
                 duration = rng.randint(1, t)
-                led = send(led, now, duration)
+                led = record_burst(led, now, duration)
                 intervals.append((now, now + duration))
             else:
                 assert isinstance(grant, Deny)

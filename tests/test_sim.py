@@ -3,8 +3,10 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gvbsim.errors import SimError
+from gvbsim.errors import ParseError, SimError
 from gvbsim.scenario import parse_scenario
 from gvbsim.sim import RunConfig, run
 from gvbsim.trace import TraceRecord, render_trace
@@ -481,6 +483,33 @@ def test_speaking_rate_affects_burst_duration():
     assert one(slow, "BURST_SENT").get("duration") == "5"  # capped at t
 
 
+def test_a_vanishing_speaking_rate_gives_speech_the_full_window():
+    text = (
+        PREAMBLE
+        + "policy A t=5 G=30 N=3 approve=C\n"
+        + "at 0 call A B\n"
+        + BASELINE_CALL
+        + 'at 11 burst C transcript="one two three"\n'
+    )
+    records = run_text(text, RunConfig(speaking_rate=1e-320))  # 3 / rate is inf
+    assert one(records, "BURST_SENT").get("duration") == "5"
+
+
+def test_a_generated_message_with_no_word_leaves_the_window_silent():
+    # 5 s at 0.1 words/s is half a word: the fitted message is empty
+    records = run_text(silent_scenario(), RunConfig(speaking_rate=0.1))
+    gen = one(records, "GEN")
+    assert (gen.get("words"), gen.get("text")) == ("0", "")
+    assert one(records, "BURST_WINDOW_SILENT").get("duration") == "5"
+    assert not events_named(records, "BURST_SENT")
+
+
+def test_a_word_budget_that_overflows_is_a_sim_error():
+    text = silent_scenario().replace("t=5 ", "t=" + "9" * 400 + " ")
+    with pytest.raises(SimError, match="overflows"):
+        run_text(text)
+
+
 # -- trace-level invariants --
 
 def all_trace_scenarios() -> list[str]:
@@ -526,3 +555,76 @@ def test_trace_lines_are_single_lines_with_encoded_text():
     sent = one(records, "BURST_SENT")
     assert " " in sent.get("text")  # raw value keeps spaces
     assert "%20" in sent  # rendering encodes them
+
+
+# -- hostile runs --
+
+_IDS = st.sampled_from(["A", "B", "C"] * 3 + ["D"])  # D is never registered
+_CALLERS = st.sampled_from(["C"] * 3 + ["A", "B", "D"])  # C is the one who waits
+# Mostly distinct registered pairs; a self-call and an unregistered party
+# end a run in a SimError.
+_PAIRS = st.sampled_from(
+    [(a, b) for a in "ABC" for b in "ABC" if a != b] + [("A", "A"), ("D", "A"), ("B", "D")]
+)
+_CONTEXTS = ["", " loc=(40,9) loctype=highway hour=3 hr=130 speed=14", " loc=(0,0) hour=9"]
+_BURST_MODES = [
+    'transcript="help me"', 'transcript="all fine here"', "silence",
+    "silence keywords=fire", 'transcript="hi" image=smoke',
+]
+
+
+@st.composite
+def _hostile_scenarios(draw) -> str:
+    """Registrations, policies and `at` lines out of time order, with
+    self-calls, unregistered ids and actions that have no target."""
+    unregistered = draw(st.sampled_from(["D"] * 6 + ["A", "B", "C"]))
+    lines = [f"subscriber {sub}" for sub in "ABC" if sub != unregistered]
+    opening = draw(st.booleans())  # C waits on a busy A, which approves it
+    callees = ["A"] * opening + draw(st.lists(_IDS, max_size=2))
+    for callee in callees:
+        t = draw(st.sampled_from(["1", "5", "9" * 400]))
+        g, n = draw(st.sampled_from(["0", "30"])), draw(st.sampled_from(["1", "3"]))
+        approved = "C" if opening and callee == "A" else draw(_IDS.filter(lambda x: x != callee))
+        lines.append(f"policy {callee} t={t} G={g} N={n} approve={approved}")
+    if draw(st.booleans()):
+        lines.append("thresholds 0.9,0.5,0.1")
+    calls = st.builds(
+        lambda pair, context: f"call {pair[0]} {pair[1]}{context}",
+        _PAIRS, st.sampled_from(_CONTEXTS),
+    )
+    bursts = st.builds("burst {} {}".format, _CALLERS, st.sampled_from(_BURST_MODES))
+    actions = st.one_of(
+        calls, bursts, bursts, bursts,
+        st.builds("media {} image=smoke".format, _IDS),
+        st.builds("{} {}".format, st.sampled_from(["hangup", "answer", "dismiss"]), _IDS),
+    )
+    if opening:
+        lines += ["at 0 call A B", f"at 1 call C A{draw(st.sampled_from(_CONTEXTS))}"]
+    for at, action in draw(st.lists(st.tuples(st.integers(0, 150), actions), max_size=12)):
+        lines.append(f"at {at} {action}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _hostile_scenarios(),
+    st.sampled_from([0, 1, 7, 120]),
+    st.sampled_from([2.5, 0.1, 1e-320]),
+)
+def test_a_hostile_run_ends_in_a_trace_or_a_sim_error(
+    text: str, abandon_timeout: int, speaking_rate: float
+):
+    try:
+        events = parse_scenario(text)
+    except ParseError:
+        return
+    config = RunConfig(abandon_timeout=abandon_timeout, speaking_rate=speaking_rate)
+    try:
+        records = run(events, config)
+    except SimError:
+        return
+    permits = len(events_named(records, "PERMIT"))
+    delivered = len(events_named(records, "BURST_SENT")) + len(
+        events_named(records, "BURST_WINDOW_SILENT")
+    )
+    assert permits == delivered

@@ -11,7 +11,9 @@ import re
 import sys
 
 from gvbsim import scenario
+from gvbsim.policy import BurstPolicy
 from gvbsim.scenario import DIRECTIVES
+from gvbsim.scheduler import BurstLedger, request_burst
 from gvbsim.sim import Simulation
 
 from .conftest import REPO_ROOT
@@ -43,6 +45,12 @@ def test_every_name_the_tracer_wraps_resolves(monkeypatch):
         if name not in getattr(owner, "__dict__", {}):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_a_granted_burst_is_named_permit():
+    # `scheduler.permit_ratio` counts results whose type is named "Permit"
+    grant = request_burst(BurstLedger(BurstPolicy(callee="A")), now=0)
+    assert type(grant).__name__ == "Permit"
 
 
 def grammar_heads(lines: list[str]) -> list[tuple[str, bool]]:
