@@ -185,7 +185,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         backend.close()
     rendered = render_trace(records)
     if args.trace:
-        Path(args.trace).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.trace).write_text(rendered, encoding="utf-8")
+        except OSError as exc:
+            print(f"gvbsim: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return 0

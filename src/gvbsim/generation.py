@@ -12,18 +12,17 @@ child process's standard streams (or a TCP connection):
 Percent-encoding covers space, percent, and newline bytes.  Any external
 failure (timeout, dead process, ERR reply, over-long response line) falls
 back to the template backend; the returned message records the reason.
+Replies are read on the calling thread, `select` waiting on the pipe or
+socket (on POSIX only) until each request's deadline.
 """
 from __future__ import annotations
 
 import math
+import os
 import re
-import shlex
-import socket
-import subprocess
-import threading
+import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from queue import Empty, Queue
 from typing import IO
 
 from .errors import EmptyBundle, EmptySeed, ExternalGeneratorError, ExternalTimeout
@@ -169,8 +168,18 @@ def encode_text(text: str) -> str:
     return text.replace("%", "%25").replace(" ", "%20").replace("\n", "%0A")
 
 
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+_ESCAPED = {a + b: chr(int(a + b, 16)) for a in _HEX_DIGITS for b in _HEX_DIGITS}
+
+
 def decode_text(text: str) -> str:
-    return re.sub("%([0-9A-Fa-f]{2})", lambda m: chr(int(m.group(1), 16)), text)
+    """Replace each `%XX` escape (hex digits in any case) by its character."""
+    parts = text.split("%")
+    for i in range(1, len(parts)):
+        piece = parts[i]
+        char = _ESCAPED.get(piece[:2])
+        parts[i] = "%" + piece if char is None else char + piece[2:]
+    return "".join(parts)
 
 
 def build_request_line(seed: str, params: GenerationParams) -> str:
@@ -193,40 +202,6 @@ def parse_response_line(line: str) -> str:
     raise ExternalGeneratorError(f"malformed response: {line!r}")
 
 
-class _LineReader:
-    """Background reader so a stuck peer cannot block the simulation
-    longer than the configured timeout."""
-
-    def __init__(self, stream: IO[bytes]):
-        self._queue: Queue[bytes | ExternalGeneratorError] = Queue()
-        self._thread = threading.Thread(target=self._pump, args=(stream,), daemon=True)
-        self._thread.start()
-
-    def _pump(self, stream: IO[bytes]) -> None:
-        """Queue each line, then the error that ends the stream."""
-        end = ExternalGeneratorError("generator closed its output stream")
-        try:
-            while line := stream.readline(MAX_RESPONSE_LINE_BYTES + 1):
-                if len(line) > MAX_RESPONSE_LINE_BYTES:
-                    end = ExternalGeneratorError(
-                        f"generator response line exceeds {MAX_RESPONSE_LINE_BYTES} bytes"
-                    )
-                    break
-                self._queue.put(line)
-        except (ValueError, OSError):
-            pass  # stream closed under us
-        self._queue.put(end)
-
-    def readline(self, timeout: float) -> bytes:
-        try:
-            line = self._queue.get(timeout=timeout)
-        except Empty:
-            raise ExternalTimeout("timeout waiting for generator response") from None
-        if isinstance(line, ExternalGeneratorError):
-            raise line
-        return line
-
-
 class ExternalBackend:
     """Client for an out-of-process generator.
 
@@ -239,25 +214,41 @@ class ExternalBackend:
     kind = BackendKind.EXTERNAL
 
     def __init__(self, target: str, timeout: float = DEFAULT_EXTERNAL_TIMEOUT_S):
-        self._target = target
-        # the command's words, split once; an unclosed quote raises ValueError
-        self._argv = None if target.startswith("tcp:") else shlex.split(target)
-        if self._argv == []:
-            raise ValueError(f"external generator command has no words: {target!r}")
+        # The transport's modules load with the first external backend, so a
+        # template run never imports them and no request pays for the import.
+        import select, shlex, socket, subprocess  # noqa: E401, F401
+
+        self._argv: list[str] | None = None
+        self._address: tuple[str, int] | None = None
+        if target.startswith("tcp:"):
+            host, _, port = target[len("tcp:"):].partition(":")
+            if not host:
+                raise ValueError(f"external generator target has no host: {target!r}")
+            if not (port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
+                raise ValueError(f"external generator port must be 1-65535, got {port!r}")
+            self._address = (host, int(port))
+        else:
+            # the command's words, split once; an unclosed quote raises ValueError
+            self._argv = shlex.split(target)
+            if not self._argv:
+                raise ValueError(f"external generator command has no words: {target!r}")
         self._timeout = timeout
         self._proc: subprocess.Popen[bytes] | None = None
         self._sock: socket.socket | None = None
         self._writer: IO[bytes] | None = None
-        self._reader: _LineReader | None = None
+        self._fd = -1  # what replies are read from while connected
+        self._pending = bytearray()  # bytes read past the last reply line
 
     def _connect(self) -> None:
-        if self._argv is None:
-            _, host, port = self._target.split(":", 2)
-            self._sock = socket.create_connection((host, int(port)), timeout=self._timeout)
-            # per-request deadlines come from the reader queue, not the socket
+        import socket
+        import subprocess
+
+        if self._address is not None:
+            self._sock = socket.create_connection(self._address, timeout=self._timeout)
+            # per-request deadlines come from select, not the socket
             self._sock.settimeout(None)
             self._writer = self._sock.makefile("wb")
-            self._reader = _LineReader(self._sock.makefile("rb"))
+            self._fd = self._sock.fileno()
         else:
             self._proc = subprocess.Popen(
                 self._argv,
@@ -267,7 +258,29 @@ class ExternalBackend:
             )
             assert self._proc.stdin is not None and self._proc.stdout is not None
             self._writer = self._proc.stdin
-            self._reader = _LineReader(self._proc.stdout)
+            self._fd = self._proc.stdout.fileno()
+
+    def _read_line(self) -> bytes:
+        """The next reply line, newline included.  The line cap is checked
+        as bytes arrive, so an endless line fails before the deadline."""
+        import select
+
+        deadline = time.monotonic() + self._timeout
+        pending, scanned, cap = self._pending, 0, MAX_RESPONSE_LINE_BYTES
+        while (end := pending.find(b"\n", scanned)) < 0 and len(pending) <= cap:
+            scanned = len(pending)
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([self._fd], [], [], remaining)[0]:
+                raise ExternalTimeout("timeout waiting for generator response")
+            chunk = os.read(self._fd, cap)
+            if not chunk:
+                raise ExternalGeneratorError("generator closed its output stream")
+            pending += chunk
+        if not 0 <= end < cap:
+            raise ExternalGeneratorError(f"generator response line exceeds {cap} bytes")
+        line = bytes(pending[: end + 1])
+        del pending[: end + 1]
+        return line
 
     def generate(self, seed: str, params: GenerationParams) -> str:
         if self._writer is None:
@@ -275,12 +288,12 @@ class ExternalBackend:
                 self._connect()
             except (OSError, ValueError) as exc:
                 raise ExternalGeneratorError(f"cannot reach generator: {exc}") from exc
-        assert self._writer is not None and self._reader is not None
+        assert self._writer is not None
         request = build_request_line(seed, params).encode("utf-8") + b"\n"
         try:
             self._writer.write(request)
             self._writer.flush()
-            line = self._reader.readline(self._timeout)
+            line = self._read_line()
         except (OSError, ExternalGeneratorError) as exc:
             self.close()
             if isinstance(exc, ExternalGeneratorError):
@@ -301,14 +314,11 @@ class ExternalBackend:
                 self._proc.stdout.close()
             self._proc = None
         if self._sock is not None:
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
             self._sock.close()
             self._sock = None
         self._writer = None
-        self._reader = None
+        self._fd = -1
+        self._pending.clear()
 
 
 def build_backend(spec: str, timeout: float = DEFAULT_EXTERNAL_TIMEOUT_S):

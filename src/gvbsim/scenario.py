@@ -56,10 +56,10 @@ class SimEvent:
 # closed quotes.  A quote or backslash that cannot start one of those is
 # unclosed, so the stray group takes the rest of the line.
 _TOKEN = re.compile(
-    r"""((?:[^ \t\r\n#"'\\]+|\\.|"(?:[^"\\]|\\.)*"|'[^']*')+)|#[^\n]*|(["'\\].*)""",
+    r"""((?:[^ \t\r\n#"'\\]+|\\.|"[^"\\]*(?:\\.[^"\\]*)*"|'[^']*')+)|#[^\n]*|(["'\\].*)""",
     re.DOTALL,
 )
-_QUOTED_PIECE = re.compile(r"""\\(.)|"((?:[^"\\]|\\.)*)"|'([^']*)'""", re.DOTALL)
+_QUOTED_PIECE = re.compile(r"""\\(.)|"([^"\\]*(?:\\.[^"\\]*)*)"|'([^']*)'""", re.DOTALL)
 _DOUBLE_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
 # What str.splitlines would also break at: a \r not ending a line, and the rest.
 _OTHER_LINE_BREAK = re.compile(r"\r(?!\n|\Z)|[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")

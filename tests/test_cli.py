@@ -110,6 +110,10 @@ PROFILES = {
         "run {scenarios}/runtime_override.gvb --weights nan,1,1,1",
         "run {scenarios}/preapproved_bursts.gvb --backend bogus",
         "run {scenarios}/preapproved_bursts.gvb --backend external=",
+        "run {scenarios}/preapproved_bursts.gvb --backend external=tcp:nohost",
+        "run {scenarios}/preapproved_bursts.gvb --backend external=tcp:localhost:notaport",
+        "run {scenarios}/preapproved_bursts.gvb --trace {tmp}/no-such-dir/out.trace",
+        "run {scenarios}/preapproved_bursts.gvb --trace {tmp}",
         "run {scenarios}/preapproved_bursts.gvb --speaking-rate 0",
         "run {scenarios}/silent_generative_burst.gvb --speaking-rate 0",
         "run {scenarios}/silent_generative_burst.gvb --speaking-rate -1",
@@ -134,7 +138,7 @@ def test_input_faults_exit_2_without_a_traceback(argv: str, tmp_path: Path):
     profiles = {name: tmp_path / f"{name}.json" for name in PROFILES}
     for name, path in profiles.items():
         path.write_text(PROFILES[name], encoding="utf-8")
-    args = argv.format(scenarios=SCENARIO_DIR, **profiles)
+    args = argv.format(scenarios=SCENARIO_DIR, tmp=tmp_path, **profiles)
     result = subprocess.run(
         [sys.executable, "-m", "gvbsim.cli", *args.split()],
         capture_output=True,
@@ -299,7 +303,7 @@ _FLAG_VALUES = {
     "--hr": ["130", "nan", "-5"],
     "--speed": ["14", "inf"],
     "--profile": ["{missing}"],
-    "--trace": ["{trace}"],
+    "--trace": ["{trace}", "{trace_in_missing_dir}", "{trace_dir}"],
 }
 _COMMAND_FLAGS = {
     "run": ["--backend", "--speaking-rate", "--rng-seed", "--abandon-timeout",
@@ -346,6 +350,8 @@ def argv_files(tmp_path_factory) -> dict[str, str]:
         "huge_t": str(huge_t),
         "missing": str(root / "missing"),
         "trace": str(root / "out.trace"),
+        "trace_in_missing_dir": str(root / "no-such-dir" / "out.trace"),
+        "trace_dir": str(root),
     }
 
 
@@ -361,6 +367,8 @@ def _no_spawn(argv, *args, **kwargs):
 @example(["run", "{huge_t}"])
 @example(["gen", "--keywords", "fire", "--t", HUGE])
 @example(["gen", "--keywords", "fire", "--speaking-rate", "0.1"])
+@example(["run", _SCENARIOS[0], "--trace", "{trace_in_missing_dir}"])
+@example(["run", _SCENARIOS[0], "--trace", "{trace_dir}"])
 def test_any_argv_exits_0_1_or_2(argv_files: dict[str, str], argv: list[str]):
     argv = [arg.format(**argv_files) if arg.startswith("{") else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()

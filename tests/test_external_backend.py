@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import re
 import socket
 import socketserver
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvbsim.errors import ExternalGeneratorError, ExternalTimeout
 from gvbsim.generation import (
@@ -37,6 +40,16 @@ def test_encoding_round_trips(raw):
     encoded = encode_text(raw)
     assert " " not in encoded and "\n" not in encoded
     assert decode_text(encoded) == raw
+
+
+def _decode_by_regex(text: str) -> str:
+    return re.sub("%([0-9A-Fa-f]{2})", lambda m: chr(int(m.group(1), 16)), text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet=st.sampled_from("%%%0123456789aAfFgG zé\n\u2028"), max_size=24) | st.text())
+def test_decode_text_matches_the_regex_reference(text: str):
+    assert decode_text(text) == _decode_by_regex(text)
 
 
 def test_encoding_is_order_safe():
@@ -173,6 +186,56 @@ def test_multiple_requests_reuse_one_child():
     assert "text=second%20seed" in second.text
 
 
+def test_a_reply_split_across_writes_is_joined():
+    backend = ExternalBackend(stub_command("gen_chunked.py"), timeout=10.0)
+    try:
+        assert backend.generate("seed", GenerationParams()) == "split reply"
+        assert backend.generate("seed", GenerationParams()) == "split reply"
+    finally:
+        backend.close()
+
+
+def test_two_reply_lines_in_one_read_answer_two_requests():
+    # the stub writes both lines at once and reads no second request
+    backend = ExternalBackend(stub_command("gen_double.py"), timeout=10.0)
+    try:
+        assert backend.generate("one", GenerationParams()) == "first"
+        assert backend.generate("two", GenerationParams()) == "second"
+    finally:
+        backend.close()
+
+
+def test_end_of_stream_inside_a_line_is_not_a_reply():
+    backend = ExternalBackend(stub_command("gen_truncated.py"), timeout=10.0)
+    started = time.monotonic()
+    try:
+        with pytest.raises(ExternalGeneratorError, match="closed its output stream") as exc:
+            backend.generate("seed", GenerationParams())
+    finally:
+        backend.close()
+    assert not isinstance(exc.value, ExternalTimeout)
+    assert time.monotonic() - started < 10.0
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_the_line_cap_counts_the_newline(extra: int):
+    # a reply of exactly the cap is read; one byte more fails before the timeout
+    length = MAX_RESPONSE_LINE_BYTES + extra
+    backend = ExternalBackend(f"{stub_command('gen_long_line.py')} {length}", timeout=10.0)
+    started = time.monotonic()
+    try:
+        if extra:
+            with pytest.raises(ExternalGeneratorError, match="exceeds") as exc:
+                backend.generate("seed", GenerationParams())
+            assert not isinstance(exc.value, ExternalTimeout)
+        else:
+            text = backend.generate("seed", GenerationParams())
+            assert text == "x" * (length - len("OK text=") - 1)
+    finally:
+        backend.close()
+    assert time.monotonic() - started < 10.0
+
+
 # -- tcp transport --
 
 class _TcpGenerator(socketserver.StreamRequestHandler):
@@ -221,6 +284,20 @@ def test_build_backend_specs():
     external.close()
     with pytest.raises(ValueError):
         build_backend("mystery")
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["tcp:nohost", "tcp:localhost:notaport", "tcp::80", "tcp:localhost:", "tcp:localhost:0",
+     "tcp:localhost:65536", "tcp:localhost:+80", "tcp:localhost: 80"],
+)
+def test_a_malformed_tcp_target_is_rejected(target: str):
+    with pytest.raises(ValueError):
+        build_backend(f"external={target}")
+
+
+def test_a_tcp_target_may_use_port_65535():
+    build_backend("external=tcp:localhost:65535").close()
 
 
 @pytest.mark.parametrize("spec", ["external=", "external= ", 'external=gen "unclosed'])

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 
 from gvbsim import scenario
@@ -73,3 +75,28 @@ def test_the_directive_table_is_the_one_list_of_heads():
     assert grammar_heads([line for line in doc_lines if line != "# comment"]) == declared
     assert set(Simulation._HANDLERS) == set(DIRECTIVES)
     assert set(_TEMPLATES) == set(DIRECTIVES)
+
+
+_TRANSPORT_MODULES = ("subprocess", "socket", "shlex", "select", "queue", "threading")
+_IMPORT_PROBE = f"""
+import sys
+transport = set({_TRANSPORT_MODULES!r})
+before = set(sys.modules)
+import gvbsim.cli
+print(sorted(transport & (set(sys.modules) - before)))
+gvbsim.cli.build_backend("external=generator --flag").close()
+print("subprocess" in set(sys.modules) - before)
+"""
+
+
+def test_only_an_external_backend_loads_the_transport():
+    # a fresh interpreter, since this one has loaded all of them already
+    result = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "True"]
