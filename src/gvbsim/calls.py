@@ -16,13 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
-from .errors import (
-    IllegalTransition,
-    InvalidSubscriber,
-    NotWaiting,
-    SelfCall,
-    UnknownSubscriber,
-)
 from .incapacity import Modality
 from .policy import BurstPolicy
 from .scheduler import BurstLedger
@@ -31,7 +24,7 @@ from .scoring import CallerContext, EmergencyAssessment, PriorityTier
 
 def validate_subscriber_id(sub_id: str) -> str:
     if not sub_id or not sub_id.isascii() or any(ch.isspace() for ch in sub_id):
-        raise InvalidSubscriber(f"subscriber id must be a non-empty ASCII token: {sub_id!r}")
+        raise ValueError(f"subscriber id must be a non-empty ASCII token: {sub_id!r}")
     return sub_id
 
 
@@ -39,7 +32,6 @@ class CallState(Enum):
     ACTIVE = "active"
     WAITING = "waiting"
     ENDED = "ended"
-    CONNECTED_BY_OVERRIDE = "connected_by_override"
 
 
 class CallEvent(Enum):
@@ -50,18 +42,16 @@ class CallEvent(Enum):
 
 
 # `place_call` creates a call WAITING or ACTIVE, and a waiting call keeps
-# its state through its bursts.  TIMEOUT means a waiting call sat idle too
-# long and is abandoned.
+# its state through its bursts.  OVERRIDE connects a waiting call past the
+# callee's current one; TIMEOUT means a waiting call sat idle too long and
+# is abandoned.
 _TRANSITIONS: dict[tuple[CallState, CallEvent], CallState] = {
-    (CallState.WAITING, CallEvent.OVERRIDE): CallState.CONNECTED_BY_OVERRIDE,
+    (CallState.WAITING, CallEvent.OVERRIDE): CallState.ACTIVE,
     (CallState.WAITING, CallEvent.ANSWER): CallState.ACTIVE,
     (CallState.WAITING, CallEvent.HANG_UP): CallState.ENDED,
     (CallState.WAITING, CallEvent.TIMEOUT): CallState.ENDED,
     (CallState.ACTIVE, CallEvent.HANG_UP): CallState.ENDED,
-    (CallState.CONNECTED_BY_OVERRIDE, CallEvent.HANG_UP): CallState.ENDED,
 }
-
-CONNECTED_STATES = frozenset({CallState.ACTIVE, CallState.CONNECTED_BY_OVERRIDE})
 
 
 @dataclass(slots=True)
@@ -81,7 +71,7 @@ class CallSession:
 
     def __post_init__(self) -> None:
         if self.caller == self.callee:
-            raise SelfCall(f"{self.caller!r} cannot call itself")
+            raise ValueError(f"{self.caller!r} cannot call itself")
         if (self.ended_at is not None) != (self.state is CallState.ENDED):
             raise ValueError("ended_at must be present iff the session has ended")
 
@@ -90,7 +80,7 @@ def next_state(state: CallState, event: CallEvent) -> CallState:
     """The state `event` leads to from `state`; raises if not permitted."""
     target = _TRANSITIONS.get((state, event))
     if target is None:
-        raise IllegalTransition(f"event {event.value} not permitted from state {state.value}")
+        raise ValueError(f"event {event.value} not permitted from state {state.value}")
     return target
 
 
@@ -135,7 +125,7 @@ def route_waiting_call(
 ) -> RoutingDecision:
     """Pure tier-table lookup with the pre-approval floor applied first."""
     if waiting.state is not CallState.WAITING:
-        raise NotWaiting(f"session {waiting.session_id} is {waiting.state.value}, not waiting")
+        raise ValueError(f"session {waiting.session_id} is {waiting.state.value}, not waiting")
     score_tier = assessment.tier
     effective = score_tier
     if waiting.caller in policy.approved_callers:
@@ -170,7 +160,7 @@ class CallEngine:
     def register(self, sub_id: str) -> str:
         validate_subscriber_id(sub_id)
         if sub_id in self._live:
-            raise InvalidSubscriber(f"subscriber {sub_id!r} already registered")
+            raise ValueError(f"subscriber {sub_id!r} already registered")
         self._live[sub_id] = {}
         return sub_id
 
@@ -179,11 +169,11 @@ class CallEngine:
     def place_call(self, caller: str, callee: str, now: int) -> CallSession:
         """Connect directly when the callee is idle; queue otherwise."""
         if caller == callee:
-            raise SelfCall(f"{caller!r} cannot call itself")
+            raise ValueError(f"{caller!r} cannot call itself")
         for sub_id in (caller, callee):
             if sub_id not in self._live:
-                raise UnknownSubscriber(f"subscriber {sub_id!r} is not registered")
-        engaged = any(s.state in CONNECTED_STATES for s in self.sessions_of(callee))
+                raise ValueError(f"subscriber {sub_id!r} is not registered")
+        engaged = any(s.state is CallState.ACTIVE for s in self.sessions_of(callee))
         session = CallSession(
             session_id=self._next_session_id,
             caller=caller,
@@ -224,8 +214,8 @@ class CallEngine:
 
     def hold(self, session_id: int) -> None:
         session = self._sessions[session_id]
-        if session.state not in CONNECTED_STATES:
-            raise IllegalTransition(f"cannot hold a {session.state.value} session")
+        if session.state is not CallState.ACTIVE:
+            raise ValueError(f"cannot hold a {session.state.value} session")
         session.held = True
 
     def resume(self, session_id: int) -> None:
@@ -235,7 +225,7 @@ class CallEngine:
         return [
             s
             for s in self.sessions_of(sub_id)
-            if s.state in CONNECTED_STATES and (include_held or not s.held)
+            if s.state is CallState.ACTIVE and (include_held or not s.held)
         ]
 
     def waiting_sessions_for(self, callee: str) -> list[CallSession]:

@@ -71,13 +71,15 @@ _NO_LINE = 0
 
 def _grammar_arg(rule: Callable[[str, int], object]) -> Callable[[str], object]:
     """An argparse `type=` that applies a scenario grammar rule and reports
-    its message (a ParseError is not a ValueError argparse would catch)."""
+    its message, where argparse would report only the rule's name."""
 
     def parse(text: str) -> object:
         try:
             return rule(text, _NO_LINE)
         except ParseError as exc:
             raise argparse.ArgumentTypeError(exc.message) from None
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
     return parse
 
@@ -209,7 +211,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
             heart_rate=args.hr,
             moving_speed=args.speed,
         )
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"gvbsim: {exc}", file=sys.stderr)
         return 2
     except ParseError as exc:

@@ -1,104 +1,30 @@
-"""Exception hierarchy shared across the package."""
+"""The failures the program acts on.  A value that breaks any other rule
+raises ValueError, which the scenario parser and the simulation turn into
+a ParseError or a SimError carrying the offending line."""
 from __future__ import annotations
 
 
-class GvbError(Exception):
-    """Base class for all engine and simulator errors."""
+class ParseError(Exception):
+    """Scenario text could not be parsed (the CLI exits 2)."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+        self.message = message
 
 
-# --- call engine ---
+class SimError(Exception):
+    """A scenario event could not be applied (the CLI exits 1)."""
 
-class InvalidSubscriber(GvbError):
-    """Subscriber id is malformed or already registered."""
-
-
-class UnknownSubscriber(GvbError):
-    """Call references an unregistered subscriber."""
-
-
-class SelfCall(GvbError):
-    """Caller and callee are the same subscriber."""
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+        self.message = message
 
 
-class NotWaiting(GvbError):
-    """Routing requested for a session that is not in the waiting state."""
-
-
-class IllegalTransition(GvbError):
-    """Event is not permitted from the session's current state."""
-
-
-# --- burst policy ---
-
-class InvalidPolicy(GvbError):
-    """Burst policy violates its field constraints."""
-
-
-# --- priority scoring ---
-
-class ZeroWeights(GvbError):
-    """All factor weights are zero; the combined score is undefined."""
-
-
-# --- incapacity detection ---
-
-class InvalidWindow(GvbError):
-    """Burst window has a non-positive duration."""
-
-
-# --- message generation ---
-
-class EmptyBundle(GvbError):
-    """Seed bundle has no populated fields."""
-
-
-class EmptySeed(GvbError):
-    """Generation requested with a blank seed string."""
-
-
-class ExternalGeneratorError(GvbError):
-    """External generator failed: timeout, dead process, or protocol error."""
+class ExternalGeneratorError(Exception):
+    """External generator failed; generation falls back to the template."""
 
 
 class ExternalTimeout(ExternalGeneratorError):
     """External generator did not answer within the configured timeout."""
-
-
-# --- burst scheduler ---
-
-class NoPermit(GvbError):
-    """Burst recorded without a matching permit."""
-
-
-class DurationExceeded(GvbError):
-    """Recorded burst is longer than the policy's burst duration."""
-
-
-# --- scenario parsing ---
-
-class ParseError(GvbError):
-    """Scenario text could not be parsed."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-        self.message = message
-
-
-class UnknownDirective(ParseError):
-    """Line starts with a directive the grammar does not define."""
-
-
-class BadArgument(ParseError):
-    """Directive argument is malformed or out of range."""
-
-
-# --- simulation ---
-
-class SimError(GvbError):
-    """Module error raised while applying a scenario event."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-        self.message = message

@@ -10,8 +10,9 @@ child process's standard streams (or a TCP connection):
     response: OK text=<percent-encoded message>   |   ERR <reason>
 
 Percent-encoding covers space, percent, and newline bytes.  Any external
-failure (timeout, dead process, ERR reply, over-long response line) falls
-back to the template backend; the returned message records the reason.
+failure (timeout, dead process, ERR reply, a response line that is
+over-long, malformed or not UTF-8) falls back to the template backend; the
+returned message keeps the exception as its `fallback`.
 Replies are read on the calling thread, `select` waiting on the pipe or
 socket (on POSIX only) until each request's deadline.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import IO
 
-from .errors import EmptyBundle, EmptySeed, ExternalGeneratorError, ExternalTimeout
+from .errors import ExternalGeneratorError, ExternalTimeout
 from .incapacity import phrase_pattern
 
 DEFAULT_MAX_WORDS = 50
@@ -80,7 +81,7 @@ def compose_seed(bundle: SeedBundle) -> str:
         if getattr(bundle, field) is not None
     ]
     if not parts:
-        raise EmptyBundle("seed bundle has no populated fields")
+        raise ValueError("seed bundle has no populated fields")
     return "; ".join(parts)
 
 
@@ -111,7 +112,11 @@ class GeneratedMessage:
     word_count: int
     estimated_speech_seconds: float
     backend: BackendKind
-    fallback_reason: str | None = None
+    fallback: ExternalGeneratorError | None = None  # why the template stood in
+
+    @property
+    def fallback_reason(self) -> str | None:
+        return None if self.fallback is None else str(self.fallback)
 
 
 # Scanned in order; the first term found in the seed, as a whole word in
@@ -299,7 +304,10 @@ class ExternalBackend:
             if isinstance(exc, ExternalGeneratorError):
                 raise
             raise ExternalGeneratorError(f"generator transport failed: {exc}") from exc
-        return parse_response_line(line.decode("utf-8"))
+        try:
+            return parse_response_line(line.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ExternalGeneratorError(f"malformed response: {line!r}") from None
 
     def close(self) -> None:
         if self._writer is not None:
@@ -339,9 +347,9 @@ def generate_message(
     """Produce a message for `seed`; external failures fall back to the
     template backend and note the reason on the message."""
     if not seed.strip():
-        raise EmptySeed("seed must be non-empty")
+        raise ValueError("seed must be non-empty")
     check_speaking_rate(speaking_rate)
-    fallback_reason: str | None = None
+    fallback: ExternalGeneratorError | None = None
     if backend is None or isinstance(backend, TemplateBackend):
         text = (backend or TemplateBackend()).generate(seed, params)
         kind = BackendKind.TEMPLATE
@@ -352,7 +360,7 @@ def generate_message(
             if not text.strip():
                 raise ExternalGeneratorError("generator returned empty text")
         except ExternalGeneratorError as exc:
-            fallback_reason = str(exc)
+            fallback = exc.with_traceback(None)  # the message keeps no frames alive
             text = TemplateBackend().generate(seed, params)
             kind = BackendKind.TEMPLATE
     word_count = len(text.split())
@@ -361,7 +369,7 @@ def generate_message(
         word_count=word_count,
         estimated_speech_seconds=word_count / speaking_rate,
         backend=kind,
-        fallback_reason=fallback_reason,
+        fallback=fallback,
     )
 
 

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
-from .errors import InvalidWindow
 
 DEFAULT_KEYWORDS = frozenset({"help", "can't speak", "cant speak"})
 DEFAULT_DISTRESS_LEXICON = frozenset(
@@ -75,7 +74,7 @@ def detect_silence(duration: int) -> ModalitySignal:
     """A permitted window of `duration` seconds that passed with no speech
     is a full-strength silence signal."""
     if duration <= 0:
-        raise InvalidWindow(f"window duration must be positive, got {duration}")
+        raise ValueError(f"window duration must be positive, got {duration}")
     return ModalitySignal(Modality.SILENCE, 1.0, f"no speech in {duration}s window")
 
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidPolicy
 
 DEFAULT_BURST_SECONDS = 5
 DEFAULT_GAP_SECONDS = 30
@@ -28,13 +27,13 @@ class BurstPolicy:
 
     def __post_init__(self) -> None:
         if self.burst_seconds_t < 1:
-            raise InvalidPolicy(f"burst duration must be >= 1s, got {self.burst_seconds_t}")
+            raise ValueError(f"burst duration must be >= 1s, got {self.burst_seconds_t}")
         if self.gap_seconds_g < 0:
-            raise InvalidPolicy(f"burst gap must be >= 0s, got {self.gap_seconds_g}")
+            raise ValueError(f"burst gap must be >= 0s, got {self.gap_seconds_g}")
         if self.max_bursts_n < 1:
-            raise InvalidPolicy(f"burst budget must be >= 1, got {self.max_bursts_n}")
+            raise ValueError(f"burst budget must be >= 1, got {self.max_bursts_n}")
         if self.callee in self.approved_callers:
-            raise InvalidPolicy(f"callee {self.callee!r} cannot approve itself")
+            raise ValueError(f"callee {self.callee!r} cannot approve itself")
 
 
 class PolicyRegistry:

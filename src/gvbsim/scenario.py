@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .errors import BadArgument, InvalidPolicy, ParseError, UnknownDirective, ZeroWeights
+from .errors import ParseError
 from .incapacity import Modality
 from .policy import BurstPolicy
 from .scoring import CallerContext, FactorWeights, LocationType, TierThresholds
@@ -100,13 +100,13 @@ def _lines(text: str) -> list[str]:
     other = _OTHER_LINE_BREAK.search(text)
     if other:
         line_no = text.count("\n", 0, other.start()) + 1
-        raise BadArgument(line_no, f"line break {other.group()!r} inside a line; lines end at \\n")
+        raise ParseError(line_no, f"line break {other.group()!r} inside a line; lines end at \\n")
     return text.replace("\r\n", "\n").removesuffix("\r").split("\n")
 
 
 def _split_kv(token: str, line_no: int) -> tuple[str, str]:
     if "=" not in token:
-        raise BadArgument(line_no, f"expected key=value, got {token!r}")
+        raise ParseError(line_no, f"expected key=value, got {token!r}")
     key, _, value = token.partition("=")
     return key, value
 
@@ -115,7 +115,7 @@ def _parse_int(value: str, line_no: int, what: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise BadArgument(line_no, f"{what} must be an integer, got {value!r}") from None
+        raise ParseError(line_no, f"{what} must be an integer, got {value!r}") from None
 
 
 def _parse_float(value: object, line_no: int, what: str) -> float:
@@ -125,14 +125,14 @@ def _parse_float(value: object, line_no: int, what: str) -> float:
     except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):
-        raise BadArgument(line_no, f"{what} must be a finite number, got {value!r}")
+        raise ParseError(line_no, f"{what} must be a finite number, got {value!r}")
     return number
 
 
 def _parse_point(value: str, line_no: int) -> tuple[float, float]:
     raw = value.strip()
     if not (raw.startswith("(") and raw.endswith(")")):
-        raise BadArgument(line_no, f"expected (x,y), got {value!r}")
+        raise ParseError(line_no, f"expected (x,y), got {value!r}")
     return _parse_coordinates(raw[1:-1].split(","), line_no, value)
 
 
@@ -141,7 +141,7 @@ def _parse_coordinates(
 ) -> tuple[float, float]:
     """The point rule: exactly two finite coordinates; errors quote `value`."""
     if len(parts) != 2:
-        raise BadArgument(line_no, f"expected (x,y), got {value!r}")
+        raise ParseError(line_no, f"expected (x,y), got {value!r}")
     return (
         _parse_float(parts[0], line_no, "x coordinate"),
         _parse_float(parts[1], line_no, "y coordinate"),
@@ -151,11 +151,11 @@ def _parse_coordinates(
 def _parse_hours(value: str, line_no: int) -> frozenset[int]:
     parts = value.split("-")
     if len(parts) != 2:
-        raise BadArgument(line_no, f"usual_hours must be <a>-<b>, got {value!r}")
+        raise ParseError(line_no, f"usual_hours must be <a>-<b>, got {value!r}")
     lo = _parse_int(parts[0], line_no, "usual_hours start")
     hi = _parse_int(parts[1], line_no, "usual_hours end")
     if not (0 <= lo <= 23 and 0 <= hi <= 23):
-        raise BadArgument(line_no, f"usual_hours must be within 0..23, got {value!r}")
+        raise ParseError(line_no, f"usual_hours must be within 0..23, got {value!r}")
     if lo <= hi:
         return frozenset(range(lo, hi + 1))
     return frozenset(range(lo, 24)) | frozenset(range(0, hi + 1))  # wraps midnight
@@ -164,12 +164,12 @@ def _parse_hours(value: str, line_no: int) -> frozenset[int]:
 def _parse_bool(value: str, line_no: int, what: str) -> bool:
     if value in ("0", "1"):
         return value == "1"
-    raise BadArgument(line_no, f"{what} must be 0 or 1, got {value!r}")
+    raise ParseError(line_no, f"{what} must be 0 or 1, got {value!r}")
 
 
 def _parse_subscriber(tokens: list[str], line_no: int) -> dict[str, Any]:
     if not tokens:
-        raise BadArgument(line_no, "subscriber requires an id")
+        raise ParseError(line_no, "subscriber requires an id")
     args: dict[str, Any] = {
         "id": tokens[0],
         "home": None,
@@ -190,13 +190,13 @@ def _parse_subscriber(tokens: list[str], line_no: int) -> dict[str, Any]:
         elif key == "usual_moving":
             args["usual_moving"] = _parse_bool(value, line_no, "usual_moving")
         else:
-            raise BadArgument(line_no, f"unknown subscriber option {key!r}")
+            raise ParseError(line_no, f"unknown subscriber option {key!r}")
     return args
 
 
 def _parse_policy(tokens: list[str], line_no: int) -> dict[str, Any]:
     if not tokens:
-        raise BadArgument(line_no, "policy requires a callee id")
+        raise ParseError(line_no, "policy requires a callee id")
     callee = tokens[0]
     fields: dict[str, Any] = {"t": None, "G": None, "N": None, "approve": frozenset()}
     for token in tokens[1:]:
@@ -207,53 +207,44 @@ def _parse_policy(tokens: list[str], line_no: int) -> dict[str, Any]:
             ids = [s for s in value.split(",") if s]
             fields["approve"] = frozenset(ids)
         else:
-            raise BadArgument(line_no, f"unknown policy option {key!r}")
+            raise ParseError(line_no, f"unknown policy option {key!r}")
     missing = [k for k in ("t", "G", "N") if fields[k] is None]
     if missing:
-        raise BadArgument(line_no, f"policy requires {', '.join(missing)}")
-    try:
-        policy = BurstPolicy(
-            callee=callee,
-            burst_seconds_t=fields["t"],
-            gap_seconds_g=fields["G"],
-            max_bursts_n=fields["N"],
-            approved_callers=fields["approve"],
-        )
-    except InvalidPolicy as exc:
-        raise BadArgument(line_no, str(exc)) from None
+        raise ParseError(line_no, f"policy requires {', '.join(missing)}")
+    policy = BurstPolicy(
+        callee=callee,
+        burst_seconds_t=fields["t"],
+        gap_seconds_g=fields["G"],
+        max_bursts_n=fields["N"],
+        approved_callers=fields["approve"],
+    )
     return {"policy": policy}
 
 
 def _parse_csv_floats(value: str, line_no: int, what: str, count: int) -> list[float]:
     parts = value.split(",")
     if len(parts) != count:
-        raise BadArgument(line_no, f"{what} requires {count} comma-separated numbers")
+        raise ParseError(line_no, f"{what} requires {count} comma-separated numbers")
     return [_parse_float(p, line_no, what) for p in parts]
 
 
 def _parse_weights_value(value: str, line_no: int) -> FactorWeights:
-    try:
-        return FactorWeights(*_parse_csv_floats(value, line_no, "weights", 4))
-    except (ValueError, ZeroWeights) as exc:
-        raise BadArgument(line_no, str(exc)) from None
+    return FactorWeights(*_parse_csv_floats(value, line_no, "weights", 4))
 
 
 def _parse_thresholds_value(value: str, line_no: int) -> TierThresholds:
-    try:
-        return TierThresholds(*_parse_csv_floats(value, line_no, "thresholds", 3))
-    except ValueError as exc:
-        raise BadArgument(line_no, str(exc)) from None
+    return TierThresholds(*_parse_csv_floats(value, line_no, "thresholds", 3))
 
 
 def _parse_weights(tokens: list[str], line_no: int) -> dict[str, Any]:
     if len(tokens) != 1:
-        raise BadArgument(line_no, "weights requires one wl,wt,wh,wa argument")
+        raise ParseError(line_no, "weights requires one wl,wt,wh,wa argument")
     return {"weights": _parse_weights_value(tokens[0], line_no)}
 
 
 def _parse_thresholds(tokens: list[str], line_no: int) -> dict[str, Any]:
     if len(tokens) != 1:
-        raise BadArgument(line_no, "thresholds requires one connect,voice,text argument")
+        raise ParseError(line_no, "thresholds requires one connect,voice,text argument")
     return {"thresholds": _parse_thresholds_value(tokens[0], line_no)}
 
 
@@ -262,12 +253,12 @@ def _parse_loctype(value: str, line_no: int) -> LocationType:
         return LocationType(value.lower())
     except ValueError:
         names = ", ".join(t.value for t in LocationType)
-        raise BadArgument(line_no, f"loctype must be one of {names}") from None
+        raise ParseError(line_no, f"loctype must be one of {names}") from None
 
 
 def _parse_call(tokens: list[str], line_no: int) -> dict[str, Any]:
     if len(tokens) < 2:
-        raise BadArgument(line_no, "call requires <caller> <callee>")
+        raise ParseError(line_no, "call requires <caller> <callee>")
     caller, callee = tokens[0], tokens[1]
     ctx_kwargs: dict[str, Any] = {}
     for token in tokens[2:]:
@@ -283,17 +274,13 @@ def _parse_call(tokens: list[str], line_no: int) -> dict[str, Any]:
         elif key == "speed":
             ctx_kwargs["moving_speed"] = _parse_float(value, line_no, "speed")
         else:
-            raise BadArgument(line_no, f"unknown call option {key!r}")
-    try:
-        context = CallerContext(**ctx_kwargs)
-    except ValueError as exc:
-        raise BadArgument(line_no, str(exc)) from None
-    return {"caller": caller, "callee": callee, "context": context}
+            raise ParseError(line_no, f"unknown call option {key!r}")
+    return {"caller": caller, "callee": callee, "context": CallerContext(**ctx_kwargs)}
 
 
 def _parse_burst(tokens: list[str], line_no: int) -> dict[str, Any]:
     if len(tokens) < 2:
-        raise BadArgument(line_no, "burst requires <caller> and transcript=... or silence")
+        raise ParseError(line_no, "burst requires <caller> and transcript=... or silence")
     args: dict[str, Any] = {
         "caller": tokens[0],
         "transcript": None,  # None for a silent burst
@@ -304,16 +291,16 @@ def _parse_burst(tokens: list[str], line_no: int) -> dict[str, Any]:
     if mode != "silence":
         key, value = _split_kv(mode, line_no)
         if key != "transcript":
-            raise BadArgument(line_no, "burst needs transcript=\"...\" or silence first")
+            raise ParseError(line_no, "burst needs transcript=\"...\" or silence first")
         if not value:
-            raise BadArgument(line_no, "transcript must be non-empty; use silence instead")
+            raise ParseError(line_no, "transcript must be non-empty; use silence instead")
         args["transcript"] = value
     for token in tokens[2:]:
         key, value = _split_kv(token, line_no)
         if key in ("keywords", "image"):
             args[key] = value
         else:
-            raise BadArgument(line_no, f"unknown burst option {key!r}")
+            raise ParseError(line_no, f"unknown burst option {key!r}")
     return args
 
 
@@ -326,18 +313,18 @@ _MEDIA_KEYS = {
 
 def _parse_media(tokens: list[str], line_no: int) -> dict[str, Any]:
     if len(tokens) != 2:
-        raise BadArgument(line_no, "media requires <caller> and one image|video|gesture=\"...\"")
+        raise ParseError(line_no, "media requires <caller> and one image|video|gesture=\"...\"")
     key, value = _split_kv(tokens[1], line_no)
     if key not in _MEDIA_KEYS:
-        raise BadArgument(line_no, f"media kind must be image, video, or gesture, got {key!r}")
+        raise ParseError(line_no, f"media kind must be image, video, or gesture, got {key!r}")
     if not value:
-        raise BadArgument(line_no, "media description must be non-empty")
+        raise ParseError(line_no, "media description must be non-empty")
     return {"caller": tokens[0], "modality": _MEDIA_KEYS[key], "description": value}
 
 
 def _parse_single_id(directive: str, tokens: list[str], line_no: int) -> dict[str, Any]:
     if len(tokens) != 1:
-        raise BadArgument(line_no, f"{directive} requires exactly one subscriber id")
+        raise ParseError(line_no, f"{directive} requires exactly one subscriber id")
     return {"id": tokens[0]}
 
 
@@ -363,8 +350,8 @@ DIRECTIVES: dict[str, Directive] = {
 def parse_scenario(text: str) -> list[SimEvent]:
     """Parse scenario text into events, in file order.
 
-    Raises ParseError (UnknownDirective / BadArgument) with the offending
-    line number.
+    Raises ParseError with the offending line number; a value that breaks
+    a rule of the event it builds (a ValueError) is one too.
     """
     events: list[SimEvent] = []
     current_time = 0
@@ -379,15 +366,19 @@ def parse_scenario(text: str) -> list[SimEvent]:
         at_line = head == "at"
         if at_line:
             if len(rest) < 2:
-                raise BadArgument(line_no, "at requires a time and a directive")
+                raise ParseError(line_no, "at requires a time and a directive")
             current_time = _parse_int(rest[0], line_no, "event time")
             if current_time < 0:
-                raise BadArgument(line_no, f"event time must be >= 0, got {current_time}")
+                raise ParseError(line_no, f"event time must be >= 0, got {current_time}")
             head, rest = rest[1], rest[2:]
         directive = DIRECTIVES.get(head)
         if directive is None:
-            raise UnknownDirective(line_no, f"unknown directive {head!r}")
+            raise ParseError(line_no, f"unknown directive {head!r}")
         if at_line and not directive.takes_at:
-            raise BadArgument(line_no, f"{head} is a directive, not an at-event")
-        events.append(SimEvent(current_time, line_no, head, directive.parse(rest, line_no)))
+            raise ParseError(line_no, f"{head} is a directive, not an at-event")
+        try:
+            args = directive.parse(rest, line_no)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
+        events.append(SimEvent(current_time, line_no, head, args))
     return events

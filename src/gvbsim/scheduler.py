@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import DurationExceeded, NoPermit
 from .policy import BurstPolicy
 
 
@@ -66,9 +65,9 @@ def record_burst(ledger: BurstLedger, start: int, duration: int) -> BurstLedger:
     burst no permit would cover."""
     grant = request_burst(ledger, start)
     if not isinstance(grant, Permit):
-        raise NoPermit(f"no permit covers a burst at t={start}: {grant.reason.value}")
+        raise ValueError(f"no permit covers a burst at t={start}: {grant.reason.value}")
     if duration > ledger.policy.burst_seconds_t:
-        raise DurationExceeded(
+        raise ValueError(
             f"burst of {duration}s exceeds the {ledger.policy.burst_seconds_t}s cap"
         )
     if duration < 1:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Sequence
 
-from .errors import ZeroWeights
 
 # Normalization constants for the factor formulas.  All are configuration
 # knobs in principle; the module-level values are the defaults.
@@ -126,7 +125,7 @@ class FactorWeights:
         if any(w < 0 for w in self.as_tuple()):
             raise ValueError("weights must be non-negative")
         if sum(self.as_tuple()) == 0:
-            raise ZeroWeights("at least one weight must be positive")
+            raise ValueError("at least one weight must be positive")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.location, self.timing, self.health, self.activity)
@@ -197,7 +196,7 @@ def emergency_score(scores: Sequence[float], weights: Sequence[float]) -> float:
     """Normalized weighted average of factor scores.
 
     Invariant under scaling all weights by a positive constant (up to
-    float rounding).  Raises ZeroWeights when every weight is zero.
+    float rounding).  Raises ValueError when every weight is zero.
     """
     if len(scores) != len(weights) or not scores:
         raise ValueError("scores and weights must be equal-length, non-empty sequences")
@@ -205,7 +204,7 @@ def emergency_score(scores: Sequence[float], weights: Sequence[float]) -> float:
         raise ValueError("weights must be non-negative")
     total = sum(weights)
     if total == 0:
-        raise ZeroWeights("at least one weight must be positive")
+        raise ValueError("at least one weight must be positive")
     return sum(w * s for w, s in zip(weights, scores)) / total
 
 

@@ -21,11 +21,10 @@ from .calls import (
     CallEvent,
     CallSession,
     CallState,
-    CONNECTED_STATES,
     RoutingKind,
     route_waiting_call,
 )
-from .errors import GvbError, SimError
+from .errors import ExternalTimeout, SimError
 from .generation import (
     DEFAULT_SPEAKING_RATE_WPS,
     ExternalBackend,
@@ -121,9 +120,7 @@ class Simulation:
             handler = self._HANDLERS[event.kind]
             try:
                 handler(self, event)
-            except SimError:
-                raise
-            except (GvbError, ValueError, KeyError) as exc:
+            except (ValueError, KeyError) as exc:
                 raise SimError(event.line_no, str(exc)) from exc
         self._expire_waiting(before=None)
         return self.records
@@ -375,8 +372,8 @@ class Simulation:
         message = generate_message(
             seed, params, self.config.backend, self.config.speaking_rate
         )
-        if message.fallback_reason is not None:
-            token = "timeout" if "timeout" in message.fallback_reason.lower() else "error"
+        if message.fallback is not None:
+            token = "timeout" if isinstance(message.fallback, ExternalTimeout) else "error"
             self._emit("GEN_FALLBACK", session=sid, reason=token, detail=message.fallback_reason)
         message = fit_to_duration(message, t, self.config.speaking_rate)
         self._emit(
@@ -405,8 +402,8 @@ class Simulation:
         sub_id = event.args["id"]
         target = self._pick_hangup_target(sub_id)
         if target is None:
-            raise SimError(event.line_no, f"{sub_id!r} has no session to hang up")
-        was_connected = target.state in CONNECTED_STATES and not target.held
+            raise ValueError(f"{sub_id!r} has no session to hang up")
+        was_connected = target.state is CallState.ACTIVE and not target.held
         self.engine.apply_event(target.session_id, CallEvent.HANG_UP, self.clock)
         self._emit("CALL_ENDED", session=target.session_id, by=sub_id)
         if was_connected:
@@ -414,7 +411,7 @@ class Simulation:
 
     def _pick_hangup_target(self, sub_id: str) -> CallSession | None:
         def rank(session: CallSession) -> int | None:
-            if session.state in CONNECTED_STATES:
+            if session.state is CallState.ACTIVE:
                 return 2 if session.held else 0
             return 1 if session.caller == sub_id else None  # abandon own waiting call
 
@@ -442,7 +439,7 @@ class Simulation:
         callee = event.args["id"]
         session = self.engine.pick_waiting(callee)
         if session is None:
-            raise SimError(event.line_no, f"{callee!r} has no waiting call to answer")
+            raise ValueError(f"{callee!r} has no waiting call to answer")
         for current in self.engine.connected_sessions(callee, include_held=False):
             self.engine.apply_event(current.session_id, CallEvent.HANG_UP, self.clock)
             self._emit("CALL_ENDED", session=current.session_id, by=callee)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gvbsim.cli import main
 from gvbsim.errors import ExternalGeneratorError, ExternalTimeout
 from gvbsim.generation import (
     MAX_RESPONSE_LINE_BYTES,
@@ -26,8 +27,9 @@ from gvbsim.generation import (
 )
 from gvbsim.scenario import parse_scenario
 from gvbsim.sim import RunConfig, run
+from gvbsim.trace import parse_trace
 
-from .conftest import stub_command
+from .conftest import SCENARIO_DIR, stub_command
 
 
 # -- percent encoding --
@@ -143,6 +145,39 @@ def test_timeout_surfaces_as_its_own_error_type():
             backend.generate("seed", GenerationParams())
     finally:
         backend.close()
+
+
+def test_a_reply_that_is_not_utf8_falls_back_and_the_run_exits_0(tmp_path, capsys):
+    backend = ExternalBackend(stub_command("gen_bad_utf8.py"), timeout=10.0)
+    try:
+        with pytest.raises(ExternalGeneratorError, match="malformed response") as exc:
+            backend.generate("seed", GenerationParams())
+        assert not isinstance(exc.value, ExternalTimeout)
+    finally:
+        backend.close()
+    trace = tmp_path / "out.trace"
+    code = main([
+        "run", str(SCENARIO_DIR / "silent_generative_burst.gvb"), "--trace", str(trace),
+        "--backend", f"external={stub_command('gen_bad_utf8.py')}",
+    ])
+    assert code == 0, capsys.readouterr().err
+    records = parse_trace(trace.read_text(encoding="utf-8"))
+    fallbacks = [r for r in records if r.event == "GEN_FALLBACK"]
+    assert [r.get("reason") for r in fallbacks] == ["error"]
+    assert "malformed response" in fallbacks[0].get("detail")
+
+
+def test_an_err_reply_naming_a_timeout_is_an_error_not_a_timeout():
+    # the reason token comes from the exception's type, not from its words
+    backend = ExternalBackend(stub_command("gen_err_timeout.py"), timeout=10.0)
+    scenario = (SCENARIO_DIR / "silent_generative_burst.gvb").read_text(encoding="utf-8")
+    try:
+        records = run(parse_scenario(scenario), RunConfig(backend=backend))
+    finally:
+        backend.close()
+    fallbacks = [r for r in records if r.event == "GEN_FALLBACK"]
+    assert [r.get("reason") for r in fallbacks] == ["error"]
+    assert fallbacks[0].get("detail") == "generator error: upstream model timeout"
 
 
 def test_over_long_response_line_falls_back_before_the_timeout():

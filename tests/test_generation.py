@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from gvbsim.errors import EmptyBundle, EmptySeed
 from gvbsim.generation import (
     BackendKind,
     GeneratedMessage,
@@ -27,7 +26,7 @@ def test_single_field_seed():
 
 
 def test_empty_bundle_rejected():
-    with pytest.raises(EmptyBundle):
+    with pytest.raises(ValueError, match="seed bundle has no populated fields"):
         compose_seed(SeedBundle())
 
 
@@ -121,7 +120,7 @@ def test_word_count_and_estimate_consistent():
 
 
 def test_empty_seed_rejected():
-    with pytest.raises(EmptySeed):
+    with pytest.raises(ValueError, match="seed must be non-empty"):
         generate_message("   ")
 
 

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from gvbsim.errors import InvalidWindow
 from gvbsim.incapacity import (
     Modality,
     ModalitySignal,
@@ -65,7 +64,7 @@ def test_silent_window_is_a_full_strength_signal():
 
 
 def test_zero_duration_window_rejected():
-    with pytest.raises(InvalidWindow):
+    with pytest.raises(ValueError, match="window duration must be positive, got 0"):
         detect_silence(0)
 
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import pytest
 
-from gvbsim.errors import InvalidPolicy
 from gvbsim.policy import BurstPolicy, PolicyRegistry
 
 
@@ -40,16 +39,16 @@ def test_boundary_values_are_valid():
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    ("kwargs", "message"),
     [
-        {"burst_seconds_t": 0},
-        {"gap_seconds_g": -1},
-        {"max_bursts_n": 0},
-        {"approved_callers": frozenset({"A"})},
+        ({"burst_seconds_t": 0}, "burst duration must be >= 1s, got 0"),
+        ({"gap_seconds_g": -1}, "burst gap must be >= 0s, got -1"),
+        ({"max_bursts_n": 0}, "burst budget must be >= 1, got 0"),
+        ({"approved_callers": frozenset({"A"})}, "callee 'A' cannot approve itself"),
     ],
 )
-def test_invalid_policies_rejected(kwargs):
-    with pytest.raises(InvalidPolicy):
+def test_invalid_policies_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=message):
         BurstPolicy(callee="A", **kwargs)
 
 

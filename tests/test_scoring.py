@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from gvbsim.errors import ZeroWeights
 from gvbsim.scoring import (
     BaselineProfile,
     CallerContext,
@@ -153,9 +152,9 @@ def test_runtime_emergency_context_scores_23_over_24():
 
 
 def test_zero_weights_rejected():
-    with pytest.raises(ZeroWeights):
+    with pytest.raises(ValueError, match="at least one weight must be positive"):
         emergency_score((1, 1, 1, 1), (0, 0, 0, 0))
-    with pytest.raises(ZeroWeights):
+    with pytest.raises(ValueError, match="at least one weight must be positive"):
         FactorWeights(0, 0, 0, 0)
 
 

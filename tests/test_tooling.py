@@ -2,9 +2,10 @@
 wraps engine functions by name from outside the package, and the handlers,
 the docs and the hostile-text property each list the scenario directives.
 A rename or a new head in `src/` must fail here, not only in a traced run
-or a reader's hands."""
+or a reader's hands.  The error convention is checked here too."""
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -100,3 +101,23 @@ def test_only_an_external_backend_loads_the_transport():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["[]", "True"]
+
+
+_ERROR_CLASSES = ("ParseError", "SimError", "ExternalGeneratorError", "ExternalTimeout")
+_RAISABLE = {*_ERROR_CLASSES, "ValueError", "TypeError", "argparse.ArgumentTypeError", "SystemExit"}
+
+
+def test_a_broken_rule_raises_value_error_and_errors_py_has_four_classes():
+    src = REPO_ROOT / "src" / "gvbsim"
+    errors = ast.parse((src / "errors.py").read_text(encoding="utf-8"))
+    assert [node.name for node in errors.body if isinstance(node, ast.ClassDef)] == list(
+        _ERROR_CLASSES
+    )
+    other = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:  # not a bare re-raise
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if ast.unparse(exc) not in _RAISABLE:
+                    other.append(f"{path.name}:{node.lineno} raises {ast.unparse(exc)}")
+    assert other == []
