@@ -22,8 +22,6 @@ from typing import Callable
 from .errors import ParseError, SimError
 from .generation import (
     DEFAULT_SPEAKING_RATE_WPS,
-    GenerationParams,
-    SeedBundle,
     build_backend,
     compose_seed,
     fit_to_duration,
@@ -149,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--keywords", required=True)
     gen_p.add_argument("--t", type=int, default=5)
     gen_p.add_argument("--loctype", type=_loctype_arg, default=LocationType.OTHER)
-    gen_p.add_argument("--rng-seed", type=int, default=0)
+    gen_p.add_argument("--rng-seed", type=_non_negative_int, default=0)
     gen_p.add_argument("--speaking-rate", type=_positive_float, default=DEFAULT_SPEAKING_RATE_WPS)
     return parser
 
@@ -231,9 +229,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         # As in a run, OTHER says nothing about the place and is left out.
         location_type = None if args.loctype is LocationType.OTHER else args.loctype.value
-        seed = compose_seed(SeedBundle(keywords=args.keywords, location_type=location_type))
-        params = GenerationParams(rng_seed=args.rng_seed)
-        message = generate_message(seed, params, speaking_rate=args.speaking_rate)
+        seed = compose_seed(keywords=args.keywords, location=location_type)
+        message = generate_message(seed, rng_seed=args.rng_seed, speaking_rate=args.speaking_rate)
         message = fit_to_duration(message, args.t, args.speaking_rate)
         if not message.word_count:
             raise ValueError(f"no word fits {args.t}s at {args.speaking_rate} words/s")

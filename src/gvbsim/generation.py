@@ -2,10 +2,13 @@
 template backend, an optional external generator protocol, and fitting
 messages to the burst duration.
 
-The external generator speaks a one-line-per-message protocol over the
-child process's standard streams (or a TCP connection):
+Generation takes a seed text (`compose_seed`) and an RNG seed.  Both
+backends share `generate(seed, rng_seed)`; `generate_message` falls back
+from any backend to the template.  The external generator speaks a
+one-line-per-message protocol over the child process's standard streams
+(or a TCP connection):
 
-    request:  GENERATE max_words=<int> temperature=<decimal> sample=<0|1>
+    request:  GENERATE max_words=50 temperature=0.9 sample=1
               seed_rng=<uint> text=<percent-encoded seed>
     response: OK text=<percent-encoded message>   |   ERR <reason>
 
@@ -23,14 +26,15 @@ import os
 import re
 import time
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import IO
 
 from .errors import ExternalGeneratorError, ExternalTimeout
 from .incapacity import phrase_pattern
 
-DEFAULT_MAX_WORDS = 50
-DEFAULT_TEMPERATURE = 0.9
+# Every request asks for at most MAX_WORDS words at TEMPERATURE, sampled;
+# the template caps its own text at MAX_WORDS too.
+MAX_WORDS = 50
+TEMPERATURE = 0.9
 DEFAULT_SPEAKING_RATE_WPS = 2.5
 DEFAULT_EXTERNAL_TIMEOUT_S = 2.0
 # Longest generator response line accepted, newline included, so a peer
@@ -44,66 +48,20 @@ def check_speaking_rate(rate: float) -> None:
         raise ValueError(f"speaking_rate must be a finite number > 0, got {rate}")
 
 
-@dataclass(frozen=True)
-class SeedBundle:
-    """Contextual inputs for generation, in their canonical emission order."""
-
-    keywords: str | None = None
-    gesture_desc: str | None = None
-    image_desc: str | None = None
-    video_desc: str | None = None
-    background_speech: str | None = None
-    background_noise_desc: str | None = None
-    context_summary: str | None = None
-    location_type: str | None = None
-
-    def is_empty(self) -> bool:
-        return all(value is None for value in self.__dict__.values())
+# The seed's parts in the order they are written.  The media labels are
+# the `Modality` values of the media kinds.
+SEED_LABELS = ("keywords", "gesture", "image", "video", "speech", "location")
 
 
-_SEED_LABELS = (
-    ("keywords", "keywords"),
-    ("gesture_desc", "gesture"),
-    ("image_desc", "image"),
-    ("video_desc", "video"),
-    ("background_speech", "speech"),
-    ("background_noise_desc", "noise"),
-    ("context_summary", "context"),
-    ("location_type", "location"),
-)
-
-
-def compose_seed(bundle: SeedBundle) -> str:
-    """Concatenate present fields, labelled, in canonical order."""
-    parts = [
-        f"{label}: {getattr(bundle, field)}"
-        for field, label in _SEED_LABELS
-        if getattr(bundle, field) is not None
-    ]
-    if not parts:
-        raise ValueError("seed bundle has no populated fields")
-    return "; ".join(parts)
-
-
-@dataclass(frozen=True)
-class GenerationParams:
-    max_words: int = DEFAULT_MAX_WORDS
-    temperature: float = DEFAULT_TEMPERATURE
-    sampling: bool = True
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_words < 1:
-            raise ValueError(f"max_words must be >= 1, got {self.max_words}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be unsigned, got {self.rng_seed}")
-
-
-class BackendKind(Enum):
-    TEMPLATE = "template"
-    EXTERNAL = "external"
+def compose_seed(**parts: str | None) -> str:
+    """`label: text` for each part that is not None, in `SEED_LABELS`
+    order, joined by "; "; "" when no part is present."""
+    unknown = parts.keys() - SEED_LABELS
+    if unknown:
+        raise TypeError(f"compose_seed() got unknown seed labels {sorted(unknown)}")
+    return "; ".join(
+        f"{label}: {parts[label]}" for label in SEED_LABELS if parts.get(label) is not None
+    )
 
 
 @dataclass(frozen=True)
@@ -111,7 +69,7 @@ class GeneratedMessage:
     text: str
     word_count: int
     estimated_speech_seconds: float
-    backend: BackendKind
+    backend: str  # the `kind` of the backend that wrote `text`
     fallback: ExternalGeneratorError | None = None  # why the template stood in
 
     @property
@@ -150,16 +108,17 @@ def _template_text(seed: str) -> str:
 
 
 class TemplateBackend:
-    """Deterministic rule-table generator; pure in (seed, params)."""
+    """Deterministic rule-table generator; pure in the seed, so `rng_seed`
+    is taken only to match `ExternalBackend.generate`."""
 
-    kind = BackendKind.TEMPLATE
+    kind = "template"
 
-    def generate(self, seed: str, params: GenerationParams) -> str:
+    def generate(self, seed: str, rng_seed: int) -> str:
         text = _template_text(seed)
         words = text.split()
-        if len(words) > params.max_words:
+        if len(words) > MAX_WORDS:
             # keep the output sentence-terminated even when capped
-            text = " ".join(words[: params.max_words]).rstrip(".,;:") + "."
+            text = " ".join(words[:MAX_WORDS]).rstrip(".,;:") + "."
         return text
 
     def close(self) -> None:
@@ -187,13 +146,12 @@ def decode_text(text: str) -> str:
     return "".join(parts)
 
 
-def build_request_line(seed: str, params: GenerationParams) -> str:
+def build_request_line(seed: str, rng_seed: int) -> str:
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be unsigned, got {rng_seed}")
     return (
-        f"GENERATE max_words={params.max_words}"
-        f" temperature={params.temperature:g}"
-        f" sample={1 if params.sampling else 0}"
-        f" seed_rng={params.rng_seed}"
-        f" text={encode_text(seed)}"
+        f"GENERATE max_words={MAX_WORDS} temperature={TEMPERATURE:g} sample=1"
+        f" seed_rng={rng_seed} text={encode_text(seed)}"
     )
 
 
@@ -216,7 +174,7 @@ class ExternalBackend:
     and tears the connection down so the next request starts clean.
     """
 
-    kind = BackendKind.EXTERNAL
+    kind = "external"
 
     def __init__(self, target: str, timeout: float = DEFAULT_EXTERNAL_TIMEOUT_S):
         # The transport's modules load with the first external backend, so a
@@ -287,14 +245,14 @@ class ExternalBackend:
         del pending[: end + 1]
         return line
 
-    def generate(self, seed: str, params: GenerationParams) -> str:
+    def generate(self, seed: str, rng_seed: int) -> str:
         if self._writer is None:
             try:
                 self._connect()
             except (OSError, ValueError) as exc:
                 raise ExternalGeneratorError(f"cannot reach generator: {exc}") from exc
         assert self._writer is not None
-        request = build_request_line(seed, params).encode("utf-8") + b"\n"
+        request = build_request_line(seed, rng_seed).encode("utf-8") + b"\n"
         try:
             self._writer.write(request)
             self._writer.flush()
@@ -338,10 +296,13 @@ def build_backend(spec: str, timeout: float = DEFAULT_EXTERNAL_TIMEOUT_S):
     raise ValueError(f"unknown backend spec {spec!r}")
 
 
+_TEMPLATE = TemplateBackend()
+
+
 def generate_message(
     seed: str,
-    params: GenerationParams = GenerationParams(),
-    backend: TemplateBackend | ExternalBackend | None = None,
+    backend: TemplateBackend | ExternalBackend = _TEMPLATE,
+    rng_seed: int = 0,
     speaking_rate: float = DEFAULT_SPEAKING_RATE_WPS,
 ) -> GeneratedMessage:
     """Produce a message for `seed`; external failures fall back to the
@@ -350,19 +311,13 @@ def generate_message(
         raise ValueError("seed must be non-empty")
     check_speaking_rate(speaking_rate)
     fallback: ExternalGeneratorError | None = None
-    if backend is None or isinstance(backend, TemplateBackend):
-        text = (backend or TemplateBackend()).generate(seed, params)
-        kind = BackendKind.TEMPLATE
-    else:
-        try:
-            text = backend.generate(seed, params)
-            kind = BackendKind.EXTERNAL
-            if not text.strip():
-                raise ExternalGeneratorError("generator returned empty text")
-        except ExternalGeneratorError as exc:
-            fallback = exc.with_traceback(None)  # the message keeps no frames alive
-            text = TemplateBackend().generate(seed, params)
-            kind = BackendKind.TEMPLATE
+    try:
+        text, kind = backend.generate(seed, rng_seed), backend.kind
+        if not text.strip():
+            raise ExternalGeneratorError("generator returned empty text")
+    except ExternalGeneratorError as exc:
+        fallback = exc.with_traceback(None)  # the message keeps no frames alive
+        text, kind = _TEMPLATE.generate(seed, rng_seed), _TEMPLATE.kind
     word_count = len(text.split())
     return GeneratedMessage(
         text=text,

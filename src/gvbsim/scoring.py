@@ -145,7 +145,6 @@ class FactorScores:
 @dataclass(frozen=True)
 class EmergencyAssessment:
     factors: FactorScores
-    weights: FactorWeights
     emergency_score: float
     tier: PriorityTier
 
@@ -234,7 +233,6 @@ def assess(
     score = emergency_score(factors.as_tuple(), weights.as_tuple())
     return EmergencyAssessment(
         factors=factors,
-        weights=weights,
         emergency_score=score,
         tier=classify_tier(score, thresholds),
     )

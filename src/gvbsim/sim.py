@@ -28,8 +28,6 @@ from .errors import ExternalTimeout, SimError
 from .generation import (
     DEFAULT_SPEAKING_RATE_WPS,
     ExternalBackend,
-    GenerationParams,
-    SeedBundle,
     TemplateBackend,
     check_speaking_rate,
     compose_seed,
@@ -65,7 +63,7 @@ DEFAULT_ABANDON_TIMEOUT_S = 120
 class RunConfig:
     weights: FactorWeights = FactorWeights()
     thresholds: TierThresholds = TierThresholds()
-    backend: TemplateBackend | ExternalBackend | None = None
+    backend: TemplateBackend | ExternalBackend = TemplateBackend()
     rng_seed: int = 0
     speaking_rate: float = DEFAULT_SPEAKING_RATE_WPS
     abandon_timeout: int = DEFAULT_ABANDON_TIMEOUT_S
@@ -352,26 +350,16 @@ class Simulation:
         location_type = None
         if context is not None and context.location_type is not LocationType.OTHER:
             location_type = context.location_type.value
-
-        def joined(modality: Modality) -> str | None:
-            descriptions = media_descs.get(modality)
-            return "; ".join(descriptions) if descriptions else None
-
-        bundle = SeedBundle(
+        seed = compose_seed(
             keywords=args["keywords"],
-            gesture_desc=joined(Modality.GESTURE),
-            image_desc=joined(Modality.IMAGE_DESCRIPTION),
-            video_desc=joined(Modality.VIDEO_DESCRIPTION),
-            background_speech=transcript,
-            location_type=location_type,
+            speech=transcript,
+            location=location_type,
+            **{m.value: "; ".join(texts) for m, texts in media_descs.items()},
         )
-        if bundle.is_empty():
+        if not seed:
             return None
-        seed = compose_seed(bundle)
-        params = GenerationParams(rng_seed=self.config.rng_seed)
-        message = generate_message(
-            seed, params, self.config.backend, self.config.speaking_rate
-        )
+        config = self.config
+        message = generate_message(seed, config.backend, config.rng_seed, config.speaking_rate)
         if message.fallback is not None:
             token = "timeout" if isinstance(message.fallback, ExternalTimeout) else "error"
             self._emit("GEN_FALLBACK", session=sid, reason=token, detail=message.fallback_reason)
@@ -379,7 +367,7 @@ class Simulation:
         self._emit(
             "GEN",
             session=sid,
-            backend=message.backend.value,
+            backend=message.backend,
             words=message.word_count,
             seconds=f"{message.estimated_speech_seconds:.2f}",
             text=message.text,

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from gvbsim.calls import CallState, CallSession, RoutingKind, route_waiting_call
 from gvbsim.cli import main
-from gvbsim.generation import ExternalBackend, GenerationParams, TemplateBackend
+from gvbsim.generation import ExternalBackend, TemplateBackend
 from gvbsim.policy import BurstPolicy
 from gvbsim.scenario import parse_scenario
 from gvbsim.scheduler import (
@@ -30,7 +30,6 @@ from gvbsim.scoring import (
     CallerContext,
     EmergencyAssessment,
     FactorScores,
-    FactorWeights,
     LocationType,
     PriorityTier,
     TierThresholds,
@@ -73,7 +72,6 @@ def test_c1_tier_routing_table():
         tier = classify_tier(score, thresholds)
         assessment = EmergencyAssessment(
             factors=FactorScores(score, score, score, score),
-            weights=FactorWeights(),
             emergency_score=score,
             tier=tier,
         )
@@ -501,7 +499,7 @@ def test_c8_external_protocol_and_fallback():
     assert len(fallbacks) == 1
     assert fallbacks[0].get("reason") == "timeout"
     seed = "keywords: House Fire Help Come; location: home"
-    expected = TemplateBackend().generate(seed, GenerationParams(rng_seed=0))
+    expected = TemplateBackend().generate(seed, 0)
     sent = named(records, "BURST_SENT")[0]
     assert sent.get("text") == expected
     assert named(records, "GEN")[0].get("backend") == "template"

@@ -19,7 +19,6 @@ from gvbsim.policy import BurstPolicy
 from gvbsim.scoring import (
     EmergencyAssessment,
     FactorScores,
-    FactorWeights,
     PriorityTier,
 )
 
@@ -35,7 +34,6 @@ def assessment_with_tier(tier: PriorityTier) -> EmergencyAssessment:
     # The routing decision only reads the tier; score fields are filler.
     return EmergencyAssessment(
         factors=FactorScores(0.0, 0.0, 0.0, 0.0),
-        weights=FactorWeights(),
         emergency_score=0.0,
         tier=tier,
     )

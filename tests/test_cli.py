@@ -77,14 +77,23 @@ def test_sim_error_exits_1(tmp_path: Path, capsys):
     assert "simulation error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag", ["--rng-seed", "--abandon-timeout"])
-def test_run_rejects_negative_integer_flags(flag: str, capsys):
-    scenario = str(SCENARIO_DIR / "runtime_override.gvb")
+_RUN = ["run", str(SCENARIO_DIR / "runtime_override.gvb")]
+
+
+@pytest.mark.parametrize(
+    ("command", "flag"),
+    [
+        pytest.param(_RUN, "--rng-seed", id="--rng-seed"),
+        pytest.param(_RUN, "--abandon-timeout", id="--abandon-timeout"),
+        pytest.param(["gen", "--keywords", "fire"], "--rng-seed", id="gen --rng-seed"),
+    ],
+)
+def test_run_rejects_negative_integer_flags(command: list[str], flag: str, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["run", scenario, flag, "-1"])
+        main([*command, flag, "-1"])
     assert exc.value.code == 2
     assert f"argument {flag}: must be >= 0, got -1" in capsys.readouterr().err
-    assert main(["run", scenario, flag, "0"]) == 0
+    assert main([*command, flag, "0"]) == 0
 
 
 PROFILES = {

@@ -14,9 +14,7 @@ from gvbsim.cli import main
 from gvbsim.errors import ExternalGeneratorError, ExternalTimeout
 from gvbsim.generation import (
     MAX_RESPONSE_LINE_BYTES,
-    BackendKind,
     ExternalBackend,
-    GenerationParams,
     TemplateBackend,
     build_backend,
     build_request_line,
@@ -63,19 +61,13 @@ def test_encoding_is_order_safe():
 # -- request/response lines --
 
 def test_request_line_carries_generation_parameters():
-    params = GenerationParams(max_words=50, temperature=0.9, sampling=True, rng_seed=7)
-    line = build_request_line("House Fire Help Come", params)
+    line = build_request_line("House Fire Help Come", 7)
     assert line.startswith("GENERATE ")
     assert " max_words=50 " in line
     assert " temperature=0.9 " in line
     assert " sample=1 " in line
     assert " seed_rng=7 " in line
     assert line.endswith(" text=House%20Fire%20Help%20Come")
-
-
-def test_sampling_flag_renders_as_zero_when_off():
-    line = build_request_line("x", GenerationParams(sampling=False))
-    assert " sample=0 " in line
 
 
 def test_response_parsing():
@@ -91,10 +83,10 @@ def test_response_parsing():
 def test_echo_stub_receives_the_documented_request():
     backend = ExternalBackend(stub_command("gen_echo.py"), timeout=10.0)
     try:
-        msg = generate_message("House Fire", GenerationParams(rng_seed=3), backend)
+        msg = generate_message("House Fire", backend, rng_seed=3)
     finally:
         backend.close()
-    assert msg.backend is BackendKind.EXTERNAL
+    assert msg.backend == "external"
     assert msg.fallback_reason is None
     request = msg.text  # the stub echoes the raw request line back
     assert request.startswith("GENERATE ")
@@ -112,7 +104,7 @@ def test_fixed_stub_reply_is_decoded():
     finally:
         backend.close()
     assert msg.text == "Generator says: the kitchen is burning."
-    assert msg.backend is BackendKind.EXTERNAL
+    assert msg.backend == "external"
 
 
 def test_err_reply_falls_back_to_template():
@@ -121,7 +113,7 @@ def test_err_reply_falls_back_to_template():
         msg = generate_message("keywords: fire", backend=backend)
     finally:
         backend.close()
-    assert msg.backend is BackendKind.TEMPLATE
+    assert msg.backend == "template"
     assert msg.fallback_reason is not None
     assert "model_unavailable" in msg.fallback_reason
     assert "fire" in msg.text.lower()
@@ -133,7 +125,7 @@ def test_timeout_falls_back_to_template():
         msg = generate_message("keywords: fire", backend=backend)
     finally:
         backend.close()
-    assert msg.backend is BackendKind.TEMPLATE
+    assert msg.backend == "template"
     assert msg.fallback_reason is not None
     assert "timeout" in msg.fallback_reason
 
@@ -142,7 +134,7 @@ def test_timeout_surfaces_as_its_own_error_type():
     backend = ExternalBackend(stub_command("gen_sleepy.py"), timeout=0.3)
     try:
         with pytest.raises(ExternalTimeout):
-            backend.generate("seed", GenerationParams())
+            backend.generate("seed", 0)
     finally:
         backend.close()
 
@@ -151,7 +143,7 @@ def test_a_reply_that_is_not_utf8_falls_back_and_the_run_exits_0(tmp_path, capsy
     backend = ExternalBackend(stub_command("gen_bad_utf8.py"), timeout=10.0)
     try:
         with pytest.raises(ExternalGeneratorError, match="malformed response") as exc:
-            backend.generate("seed", GenerationParams())
+            backend.generate("seed", 0)
         assert not isinstance(exc.value, ExternalTimeout)
     finally:
         backend.close()
@@ -180,6 +172,31 @@ def test_an_err_reply_naming_a_timeout_is_an_error_not_a_timeout():
     assert fallbacks[0].get("detail") == "generator error: upstream model timeout"
 
 
+def test_the_simulator_sends_the_seed_in_label_order_with_media_joined():
+    # media queued before the burst joins the burst's own image, in arrival
+    # order; t=60 leaves the echoed request line unfitted
+    scenario = (
+        "subscriber A\nsubscriber B\nsubscriber C\npolicy A t=60 G=0 N=3 approve=C\n"
+        "at 0 call A B\nat 10 call C A loc=(40,9) loctype=highway hour=3\n"
+        'at 11 media C video="person on the floor"\n'
+        'at 11 media C gesture="waving arms"\n'
+        'at 11 media C image="car on its side"\n'
+        'at 12 burst C transcript="help me" keywords="crash" image="broken glass"\n'
+    )
+    backend = ExternalBackend(stub_command("gen_echo.py"), timeout=10.0)
+    try:
+        records = run(parse_scenario(scenario), RunConfig(backend=backend))
+    finally:
+        backend.close()
+    seed = (
+        "keywords: crash; gesture: waving arms; image: broken glass; car on its side;"
+        " video: person on the floor; speech: help me; location: highway"
+    )
+    [gen] = [r for r in records if r.event == "GEN"]
+    assert gen.get("backend") == "external"
+    assert gen.get("text") == build_request_line(seed, 0)
+
+
 def test_over_long_response_line_falls_back_before_the_timeout():
     # gen_flood.py answers with 1 MiB and no newline, then keeps the stream open
     scenario = (
@@ -191,7 +208,7 @@ def test_over_long_response_line_falls_back_before_the_timeout():
     started = time.monotonic()
     try:
         with pytest.raises(ExternalGeneratorError, match="exceeds") as exc:
-            backend.generate("seed", GenerationParams())
+            backend.generate("seed", 0)
         assert not isinstance(exc.value, ExternalTimeout)
         records = run(parse_scenario(scenario), RunConfig(backend=backend))
     finally:
@@ -206,7 +223,7 @@ def test_over_long_response_line_falls_back_before_the_timeout():
 def test_unreachable_command_falls_back():
     backend = ExternalBackend("/nonexistent/generator --flag", timeout=1.0)
     msg = generate_message("keywords: fire", backend=backend)
-    assert msg.backend is BackendKind.TEMPLATE
+    assert msg.backend == "template"
     assert msg.fallback_reason is not None
 
 
@@ -224,8 +241,8 @@ def test_multiple_requests_reuse_one_child():
 def test_a_reply_split_across_writes_is_joined():
     backend = ExternalBackend(stub_command("gen_chunked.py"), timeout=10.0)
     try:
-        assert backend.generate("seed", GenerationParams()) == "split reply"
-        assert backend.generate("seed", GenerationParams()) == "split reply"
+        assert backend.generate("seed", 0) == "split reply"
+        assert backend.generate("seed", 0) == "split reply"
     finally:
         backend.close()
 
@@ -234,8 +251,8 @@ def test_two_reply_lines_in_one_read_answer_two_requests():
     # the stub writes both lines at once and reads no second request
     backend = ExternalBackend(stub_command("gen_double.py"), timeout=10.0)
     try:
-        assert backend.generate("one", GenerationParams()) == "first"
-        assert backend.generate("two", GenerationParams()) == "second"
+        assert backend.generate("one", 0) == "first"
+        assert backend.generate("two", 0) == "second"
     finally:
         backend.close()
 
@@ -245,7 +262,7 @@ def test_end_of_stream_inside_a_line_is_not_a_reply():
     started = time.monotonic()
     try:
         with pytest.raises(ExternalGeneratorError, match="closed its output stream") as exc:
-            backend.generate("seed", GenerationParams())
+            backend.generate("seed", 0)
     finally:
         backend.close()
     assert not isinstance(exc.value, ExternalTimeout)
@@ -261,10 +278,10 @@ def test_the_line_cap_counts_the_newline(extra: int):
     try:
         if extra:
             with pytest.raises(ExternalGeneratorError, match="exceeds") as exc:
-                backend.generate("seed", GenerationParams())
+                backend.generate("seed", 0)
             assert not isinstance(exc.value, ExternalTimeout)
         else:
-            text = backend.generate("seed", GenerationParams())
+            text = backend.generate("seed", 0)
             assert text == "x" * (length - len("OK text=") - 1)
     finally:
         backend.close()
@@ -294,7 +311,7 @@ def test_tcp_transport():
         finally:
             backend.close()
         assert msg.text == "tcp generator reply"
-        assert msg.backend is BackendKind.EXTERNAL
+        assert msg.backend == "external"
     finally:
         server.shutdown()
         server.server_close()
@@ -306,7 +323,7 @@ def test_tcp_connection_refused_falls_back():
         free_port = probe.getsockname()[1]
     backend = ExternalBackend(f"tcp:127.0.0.1:{free_port}", timeout=0.5)
     msg = generate_message("keywords: fire", backend=backend)
-    assert msg.backend is BackendKind.TEMPLATE
+    assert msg.backend == "template"
     assert msg.fallback_reason is not None
 
 

@@ -6,11 +6,10 @@ import random
 import pytest
 
 from gvbsim.generation import (
-    BackendKind,
     GeneratedMessage,
-    GenerationParams,
-    SeedBundle,
+    MAX_WORDS,
     TemplateBackend,
+    build_request_line,
     compose_seed,
     fit_to_duration,
     generate_message,
@@ -20,44 +19,36 @@ from gvbsim.generation import (
 # -- seed composition --
 
 def test_single_field_seed():
-    assert compose_seed(SeedBundle(keywords="House Fire Help Come")) == (
-        "keywords: House Fire Help Come"
-    )
+    assert compose_seed(keywords="House Fire Help Come") == "keywords: House Fire Help Come"
 
 
-def test_empty_bundle_rejected():
-    with pytest.raises(ValueError, match="seed bundle has no populated fields"):
-        compose_seed(SeedBundle())
+def test_no_part_composes_the_empty_seed():
+    assert compose_seed() == ""
+    assert compose_seed(keywords=None, location=None) == ""
+
+
+def test_an_unknown_label_is_rejected():
+    with pytest.raises(TypeError, match="noise"):
+        compose_seed(keywords="x", noise="siren")
 
 
 def test_fields_emitted_in_canonical_order():
-    seed = compose_seed(SeedBundle(keywords="Help", location_type="Highway"))
+    seed = compose_seed(keywords="Help", location="Highway")
     assert seed == "keywords: Help; location: Highway"
-    # declaration order wins even when constructed the other way round
-    seed = compose_seed(SeedBundle(location_type="Highway", keywords="Help"))
+    # label order wins even when passed the other way round
+    seed = compose_seed(location="Highway", keywords="Help")
     assert seed == "keywords: Help; location: Highway"
 
 
 def test_all_fields_in_order():
-    bundle = SeedBundle(
-        keywords="k",
-        gesture_desc="g",
-        image_desc="i",
-        video_desc="v",
-        background_speech="s",
-        background_noise_desc="n",
-        context_summary="c",
-        location_type="l",
-    )
-    assert compose_seed(bundle) == (
-        "keywords: k; gesture: g; image: i; video: v; speech: s; noise: n; context: c; location: l"
-    )
+    seed = compose_seed(location="l", speech="s", video="v", image="i", gesture="g", keywords="k")
+    assert seed == "keywords: k; gesture: g; image: i; video: v; speech: s; location: l"
 
 
 def test_distinct_bundles_compose_distinct_seeds():
-    a = compose_seed(SeedBundle(keywords="x"))
-    b = compose_seed(SeedBundle(context_summary="x"))
-    c = compose_seed(SeedBundle(keywords="x", context_summary="x"))
+    a = compose_seed(keywords="x")
+    b = compose_seed(speech="x")
+    c = compose_seed(keywords="x", speech="x")
     assert len({a, b, c}) == 3
 
 
@@ -66,7 +57,7 @@ def test_distinct_bundles_compose_distinct_seeds():
 def test_fire_seed_produces_a_fire_message():
     msg = generate_message("keywords: House Fire Help Come")
     assert "fire" in msg.text.lower()
-    assert msg.backend is BackendKind.TEMPLATE
+    assert msg.backend == "template"
 
 
 def test_accident_rule_lookup():
@@ -85,9 +76,8 @@ def test_fallback_includes_location_when_present():
 
 
 def test_template_is_deterministic():
-    params = GenerationParams(rng_seed=1234)
-    first = generate_message("keywords: smoke in hallway", params)
-    second = generate_message("keywords: smoke in hallway", params)
+    first = generate_message("keywords: smoke in hallway", rng_seed=1234)
+    second = generate_message("keywords: smoke in hallway", rng_seed=1234)
     assert first.text == second.text
     assert first == second
 
@@ -108,9 +98,13 @@ def test_template_output_anchored_to_seed_or_emergency():
 
 
 def test_template_honors_max_words_and_stays_sentence_terminated():
-    msg = generate_message("keywords: fire", GenerationParams(max_words=3))
-    assert msg.word_count == 3
-    assert msg.text == "The house is."
+    # no rule matches, so all 60 location words reach the text; the cap keeps
+    # 6 lead words and w0..w43, and trades the comma after w43 for a stop
+    place = " ".join(f"w{i}," for i in range(60))
+    msg = generate_message(compose_seed(keywords="please call", location=place))
+    assert msg.word_count == MAX_WORDS
+    assert msg.text.startswith("Emergency. Please call back immediately. Location: w0, w1,")
+    assert msg.text.endswith(" w42, w43.")
 
 
 def test_word_count_and_estimate_consistent():
@@ -124,13 +118,9 @@ def test_empty_seed_rejected():
         generate_message("   ")
 
 
-def test_generation_params_validation():
-    with pytest.raises(ValueError):
-        GenerationParams(max_words=0)
-    with pytest.raises(ValueError):
-        GenerationParams(temperature=0)
-    with pytest.raises(ValueError):
-        GenerationParams(rng_seed=-1)
+def test_request_line_rejects_a_negative_rng_seed():
+    with pytest.raises(ValueError, match="rng_seed must be unsigned, got -1"):
+        build_request_line("keywords: fire", -1)
 
 
 # -- duration fitting --
@@ -152,7 +142,7 @@ def test_single_long_sentence_is_hard_truncated():
         text=text,
         word_count=15,
         estimated_speech_seconds=6.0,
-        backend=BackendKind.TEMPLATE,
+        backend="template",
     )
     fitted = fit_to_duration(msg, t=4, speaking_rate=2.5)  # budget 10
     assert fitted.text == "a b c d e f g h i j"
@@ -165,7 +155,7 @@ def test_truncation_prefers_sentence_boundaries():
         text=ten_word_message(),
         word_count=10,
         estimated_speech_seconds=4.0,
-        backend=BackendKind.TEMPLATE,
+        backend="template",
     )
     fitted = fit_to_duration(msg, t=2, speaking_rate=2.5)  # budget 5
     assert fitted.text == "One two three four five."
