@@ -60,20 +60,12 @@ class CallSession:
     caller: str
     callee: str
     state: CallState
-    started_at: int
-    ended_at: int | None = None
     held: bool = False
     context: CallerContext | None = None
     decision: RoutingDecision | None = None
     ledger: BurstLedger | None = None  # this waiting episode's burst budget
     pending_media: list[tuple[Modality, str]] = field(default_factory=list)
     last_activity: int = 0
-
-    def __post_init__(self) -> None:
-        if self.caller == self.callee:
-            raise ValueError(f"{self.caller!r} cannot call itself")
-        if (self.ended_at is not None) != (self.state is CallState.ENDED):
-            raise ValueError("ended_at must be present iff the session has ended")
 
 
 def next_state(state: CallState, event: CallEvent) -> CallState:
@@ -166,7 +158,7 @@ class CallEngine:
 
     # -- sessions --
 
-    def place_call(self, caller: str, callee: str, now: int) -> CallSession:
+    def place_call(self, caller: str, callee: str) -> CallSession:
         """Connect directly when the callee is idle; queue otherwise."""
         if caller == callee:
             raise ValueError(f"{caller!r} cannot call itself")
@@ -179,7 +171,6 @@ class CallEngine:
             caller=caller,
             callee=callee,
             state=CallState.WAITING if engaged else CallState.ACTIVE,
-            started_at=now,
         )
         self._next_session_id += 1
         self._sessions[session.session_id] = session
@@ -199,12 +190,11 @@ class CallEngine:
         an unregistered id."""
         return [self._sessions[sid] for sid in self._live.get(sub_id, ())]
 
-    def apply_event(self, session_id: int, event: CallEvent, now: int) -> CallSession:
+    def apply_event(self, session_id: int, event: CallEvent) -> CallSession:
         """Move the session along `event` in place; ending it clears its hold."""
         session = self._sessions[session_id]
         session.state = next_state(session.state, event)
         if session.state is CallState.ENDED:
-            session.ended_at = now
             session.held = False
             del self._live[session.caller][session_id]
             del self._live[session.callee][session_id]
@@ -221,12 +211,9 @@ class CallEngine:
     def resume(self, session_id: int) -> None:
         self._sessions[session_id].held = False
 
-    def connected_sessions(self, sub_id: str, include_held: bool = True) -> list[CallSession]:
-        return [
-            s
-            for s in self.sessions_of(sub_id)
-            if s.state is CallState.ACTIVE and (include_held or not s.held)
-        ]
+    def connected_sessions(self, sub_id: str) -> list[CallSession]:
+        """Sessions `sub_id` is talking on now: active and not held."""
+        return [s for s in self.sessions_of(sub_id) if s.state is CallState.ACTIVE and not s.held]
 
     def waiting_sessions_for(self, callee: str) -> list[CallSession]:
         return [

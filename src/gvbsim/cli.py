@@ -158,6 +158,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"gvbsim: {exc}", file=sys.stderr)
         return 2
+    except UnicodeDecodeError as exc:
+        print(f"gvbsim: {args.scenario!r} is not UTF-8: {exc}", file=sys.stderr)
+        return 2
     try:
         events = parse_scenario(text)
     except ParseError as exc:
@@ -230,7 +233,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         # As in a run, OTHER says nothing about the place and is left out.
         location_type = None if args.loctype is LocationType.OTHER else args.loctype.value
         seed = compose_seed(keywords=args.keywords, location=location_type)
-        message = generate_message(seed, rng_seed=args.rng_seed, speaking_rate=args.speaking_rate)
+        message = generate_message(seed, rng_seed=args.rng_seed)
         message = fit_to_duration(message, args.t, args.speaking_rate)
         if not message.word_count:
             raise ValueError(f"no word fits {args.t}s at {args.speaking_rate} words/s")

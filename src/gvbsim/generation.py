@@ -67,10 +67,12 @@ def compose_seed(**parts: str | None) -> str:
 @dataclass(frozen=True)
 class GeneratedMessage:
     text: str
-    word_count: int
-    estimated_speech_seconds: float
     backend: str  # the `kind` of the backend that wrote `text`
     fallback: ExternalGeneratorError | None = None  # why the template stood in
+
+    @property
+    def word_count(self) -> int:
+        return len(self.text.split())
 
     @property
     def fallback_reason(self) -> str | None:
@@ -287,12 +289,12 @@ class ExternalBackend:
         self._pending.clear()
 
 
-def build_backend(spec: str, timeout: float = DEFAULT_EXTERNAL_TIMEOUT_S):
+def build_backend(spec: str):
     """Build a backend from a CLI-style spec: `template` or `external=<target>`."""
     if spec == "template":
         return TemplateBackend()
     if spec.startswith("external="):
-        return ExternalBackend(spec[len("external="):], timeout=timeout)
+        return ExternalBackend(spec[len("external="):])
     raise ValueError(f"unknown backend spec {spec!r}")
 
 
@@ -303,13 +305,11 @@ def generate_message(
     seed: str,
     backend: TemplateBackend | ExternalBackend = _TEMPLATE,
     rng_seed: int = 0,
-    speaking_rate: float = DEFAULT_SPEAKING_RATE_WPS,
 ) -> GeneratedMessage:
     """Produce a message for `seed`; external failures fall back to the
     template backend and note the reason on the message."""
     if not seed.strip():
         raise ValueError("seed must be non-empty")
-    check_speaking_rate(speaking_rate)
     fallback: ExternalGeneratorError | None = None
     try:
         text, kind = backend.generate(seed, rng_seed), backend.kind
@@ -318,14 +318,7 @@ def generate_message(
     except ExternalGeneratorError as exc:
         fallback = exc.with_traceback(None)  # the message keeps no frames alive
         text, kind = _TEMPLATE.generate(seed, rng_seed), _TEMPLATE.kind
-    word_count = len(text.split())
-    return GeneratedMessage(
-        text=text,
-        word_count=word_count,
-        estimated_speech_seconds=word_count / speaking_rate,
-        backend=kind,
-        fallback=fallback,
-    )
+    return GeneratedMessage(text, kind, fallback)
 
 
 _SENTENCE_SPLIT = re.compile(r"[^.!?]+[.!?]+|[^.!?]+$")
@@ -343,8 +336,7 @@ def fit_to_duration(
     """Shrink `msg` so it speaks within `t` seconds at `speaking_rate`.
 
     Whole trailing sentences are dropped first; if even the first sentence
-    exceeds the word budget, the text is cut at the budget.  The timing
-    estimate is recomputed at the given rate either way.
+    exceeds the word budget, the text is cut at the budget.
     """
     if t < 1:
         raise ValueError(f"burst duration must be >= 1s, got {t}")
@@ -354,22 +346,14 @@ def fit_to_duration(
     except OverflowError:
         raise ValueError(f"burst duration times speaking_rate {speaking_rate} overflows") from None
     words = msg.text.split()
-    if len(words) > budget:
-        kept: list[str] = []
-        used = 0
-        for sentence in _sentences(msg.text):
-            sentence_words = len(sentence.split())
-            if used + sentence_words > budget:
-                break
-            kept.append(sentence)
-            used += sentence_words
-        text = " ".join(kept) if kept else " ".join(words[:budget])
-    else:
-        text = msg.text
-    word_count = len(text.split())
-    return replace(
-        msg,
-        text=text,
-        word_count=word_count,
-        estimated_speech_seconds=word_count / speaking_rate,
-    )
+    if len(words) <= budget:
+        return msg
+    kept: list[str] = []
+    used = 0
+    for sentence in _sentences(msg.text):
+        sentence_words = len(sentence.split())
+        if used + sentence_words > budget:
+            break
+        kept.append(sentence)
+        used += sentence_words
+    return replace(msg, text=" ".join(kept) if kept else " ".join(words[:budget]))

@@ -1,18 +1,21 @@
 """Fuses keyword, silence, and media-description signals into an
-incapacity verdict that triggers generated-message substitution."""
+incapacity verdict that triggers generated-message substitution.
+
+Two fixed vocabularies are read, each term as a whole word or words in any
+case: a transcript holding a KEYWORDS phrase is a full-strength keyword
+signal, and a media description scores one half per distinct
+DISTRESS_LEXICON term, saturating at two.
+"""
 from __future__ import annotations
 
-import functools
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 
-DEFAULT_KEYWORDS = frozenset({"help", "can't speak", "cant speak"})
-DEFAULT_DISTRESS_LEXICON = frozenset(
-    {"fire", "accident", "blood", "collapsed", "smoke", "intruder", "faint"}
-)
+KEYWORDS = ("can't speak", "cant speak", "help")
+DISTRESS_LEXICON = ("accident", "blood", "collapsed", "faint", "fire", "intruder", "smoke")
 INCAPACITY_THRESHOLD = 0.5
 
 
@@ -33,13 +36,10 @@ MEDIA_MODALITIES = frozenset(
 class ModalitySignal:
     modality: Modality
     strength: float
-    evidence: str
 
     def __post_init__(self) -> None:
         if not 0 <= self.strength <= 1:
             raise ValueError(f"strength must be in [0, 1], got {self.strength}")
-        if self.strength > 0 and not self.evidence:
-            raise ValueError("evidence required for a non-zero signal")
 
 
 @dataclass(frozen=True)
@@ -49,24 +49,20 @@ class IncapacityVerdict:
     contributing: tuple[ModalitySignal, ...]
 
 
-# Bounded, because library callers may pass any phrases.
-@functools.lru_cache(maxsize=1024)
 def phrase_pattern(phrase: str) -> re.Pattern[str]:
     """`phrase` as a whole word or words, in any case: "help" never fires
     inside "helpful"."""
     return re.compile(r"\b" + re.escape(phrase) + r"\b", re.IGNORECASE)
 
 
-def detect_keywords(
-    transcript: str, keywords: frozenset[str] = DEFAULT_KEYWORDS
-) -> ModalitySignal | None:
-    """Case-insensitive phrase match on word boundaries; first matching
-    phrase (in sorted order) becomes the evidence."""
-    if not keywords:
-        raise ValueError("keyword set must be non-empty")
-    for phrase in sorted(keywords):
-        if phrase_pattern(phrase).search(transcript):
-            return ModalitySignal(Modality.KEYWORD, 1.0, phrase)
+_KEYWORD_PATTERNS = tuple(phrase_pattern(phrase) for phrase in KEYWORDS)
+_DISTRESS_PATTERNS = tuple(phrase_pattern(term) for term in DISTRESS_LEXICON)
+
+
+def detect_keywords(transcript: str) -> ModalitySignal | None:
+    """A full-strength signal when any KEYWORDS phrase is in `transcript`."""
+    if any(pattern.search(transcript) for pattern in _KEYWORD_PATTERNS):
+        return ModalitySignal(Modality.KEYWORD, 1.0)
     return None
 
 
@@ -75,22 +71,18 @@ def detect_silence(duration: int) -> ModalitySignal:
     is a full-strength silence signal."""
     if duration <= 0:
         raise ValueError(f"window duration must be positive, got {duration}")
-    return ModalitySignal(Modality.SILENCE, 1.0, f"no speech in {duration}s window")
+    return ModalitySignal(Modality.SILENCE, 1.0)
 
 
-def flag_media(
-    description: str,
-    modality: Modality,
-    lexicon: frozenset[str] = DEFAULT_DISTRESS_LEXICON,
-) -> ModalitySignal | None:
-    """Count distinct distress terms in a textual media description;
+def flag_media(description: str, modality: Modality) -> ModalitySignal | None:
+    """Count distinct DISTRESS_LEXICON terms in a textual media description;
     strength saturates at two matches."""
     if modality not in MEDIA_MODALITIES:
         raise ValueError(f"flag_media expects a media modality, got {modality}")
-    matched = sorted(term for term in lexicon if phrase_pattern(term).search(description))
+    matched = sum(1 for pattern in _DISTRESS_PATTERNS if pattern.search(description))
     if not matched:
         return None
-    return ModalitySignal(modality, min(1.0, len(matched) / 2), ", ".join(matched))
+    return ModalitySignal(modality, min(1.0, matched / 2))
 
 
 def assess_incapacity(signals: Iterable[ModalitySignal]) -> IncapacityVerdict:

@@ -14,8 +14,8 @@ from enum import Enum, IntEnum
 from typing import Sequence
 
 
-# Normalization constants for the factor formulas.  All are configuration
-# knobs in principle; the module-level values are the defaults.
+# Normalization constants for the factor formulas; no flag or scenario
+# line sets them.
 LOCATION_NORM_KM = 5.0
 HOUR_NORM = 6.0
 HEART_RATE_NORM_BPM = 60.0

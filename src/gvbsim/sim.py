@@ -35,8 +35,6 @@ from .generation import (
     generate_message,
 )
 from .incapacity import (
-    DEFAULT_DISTRESS_LEXICON,
-    DEFAULT_KEYWORDS,
     Modality,
     ModalitySignal,
     assess_incapacity,
@@ -67,8 +65,6 @@ class RunConfig:
     rng_seed: int = 0
     speaking_rate: float = DEFAULT_SPEAKING_RATE_WPS
     abandon_timeout: int = DEFAULT_ABANDON_TIMEOUT_S
-    incapacity_keywords: frozenset[str] = DEFAULT_KEYWORDS
-    distress_lexicon: frozenset[str] = DEFAULT_DISTRESS_LEXICON
 
     def __post_init__(self) -> None:
         for name in ("abandon_timeout", "rng_seed"):
@@ -141,7 +137,7 @@ class Simulation:
             if session.state is not CallState.WAITING or session.last_activity + timeout != expiry:
                 continue
             self.clock = max(self.clock, expiry)
-            self.engine.apply_event(sid, CallEvent.TIMEOUT, self.clock)
+            self.engine.apply_event(sid, CallEvent.TIMEOUT)
             self._emit("CALL_ENDED", session=sid, by="timeout")
 
     # -- event handlers --
@@ -198,7 +194,7 @@ class Simulation:
 
     def _handle_call(self, event: SimEvent) -> None:
         args = event.args
-        session = self.engine.place_call(args["caller"], args["callee"], self.clock)
+        session = self.engine.place_call(args["caller"], args["callee"])
         sid = session.session_id
         session.context = args["context"]
         self._touch(session)
@@ -231,10 +227,10 @@ class Simulation:
             reason=decision.reason.value,
         )
         if decision.kind is RoutingKind.CONNECT_OVERRIDE:
-            for current in self.engine.connected_sessions(session.callee, include_held=False):
+            for current in self.engine.connected_sessions(session.callee):
                 self.engine.hold(current.session_id)
                 self._emit("CALL_HELD", session=current.session_id)
-            self.engine.apply_event(sid, CallEvent.OVERRIDE, self.clock)
+            self.engine.apply_event(sid, CallEvent.OVERRIDE)
             self._emit("CALL_OVERRIDE_CONNECTED", session=sid)
         elif decision.kind in (
             RoutingKind.PERMIT_VOICE_BURST,
@@ -287,7 +283,7 @@ class Simulation:
         else:
             spoken = len(transcript.split()) / self.config.speaking_rate
             duration = max(1, math.ceil(min(spoken, t)))
-            keyword_signal = detect_keywords(transcript, self.config.incapacity_keywords)
+            keyword_signal = detect_keywords(transcript)
             if keyword_signal is not None:
                 signals.append(keyword_signal)
         media_descs: dict[Modality, list[str]] = {}
@@ -297,9 +293,7 @@ class Simulation:
             media_descs.setdefault(modality, []).append(description)
         session.pending_media.clear()
         for modality, descriptions in media_descs.items():
-            media_signal = flag_media(
-                "; ".join(descriptions), modality, self.config.distress_lexicon
-            )
+            media_signal = flag_media("; ".join(descriptions), modality)
             if media_signal is not None:
                 signals.append(media_signal)
         verdict = assess_incapacity(signals)
@@ -359,20 +353,21 @@ class Simulation:
         if not seed:
             return None
         config = self.config
-        message = generate_message(seed, config.backend, config.rng_seed, config.speaking_rate)
+        message = generate_message(seed, config.backend, config.rng_seed)
         if message.fallback is not None:
             token = "timeout" if isinstance(message.fallback, ExternalTimeout) else "error"
             self._emit("GEN_FALLBACK", session=sid, reason=token, detail=message.fallback_reason)
-        message = fit_to_duration(message, t, self.config.speaking_rate)
+        message = fit_to_duration(message, t, config.speaking_rate)
+        words = message.word_count
         self._emit(
             "GEN",
             session=sid,
             backend=message.backend,
-            words=message.word_count,
-            seconds=f"{message.estimated_speech_seconds:.2f}",
+            words=words,
+            seconds=f"{words / config.speaking_rate:.2f}",
             text=message.text,
         )
-        if not message.word_count:
+        if not words:
             return None
         return ("generated" if voice_mode else "text_beep", message.text)
 
@@ -392,7 +387,7 @@ class Simulation:
         if target is None:
             raise ValueError(f"{sub_id!r} has no session to hang up")
         was_connected = target.state is CallState.ACTIVE and not target.held
-        self.engine.apply_event(target.session_id, CallEvent.HANG_UP, self.clock)
+        self.engine.apply_event(target.session_id, CallEvent.HANG_UP)
         self._emit("CALL_ENDED", session=target.session_id, by=sub_id)
         if was_connected:
             self._maybe_resume(target)
@@ -415,7 +410,7 @@ class Simulation:
     def _maybe_resume(self, ended: CallSession) -> None:
         """Un-hold the displaced call once the overriding call ends."""
         for party in (ended.caller, ended.callee):
-            if self.engine.connected_sessions(party, include_held=False):
+            if self.engine.connected_sessions(party):
                 continue
             for session in self.engine.sessions_of(party):
                 if session.held:
@@ -428,10 +423,10 @@ class Simulation:
         session = self.engine.pick_waiting(callee)
         if session is None:
             raise ValueError(f"{callee!r} has no waiting call to answer")
-        for current in self.engine.connected_sessions(callee, include_held=False):
-            self.engine.apply_event(current.session_id, CallEvent.HANG_UP, self.clock)
+        for current in self.engine.connected_sessions(callee):
+            self.engine.apply_event(current.session_id, CallEvent.HANG_UP)
             self._emit("CALL_ENDED", session=current.session_id, by=callee)
-        self.engine.apply_event(session.session_id, CallEvent.ANSWER, self.clock)
+        self.engine.apply_event(session.session_id, CallEvent.ANSWER)
         session.ledger = None  # waiting episode over
         self._emit("CALL_CONNECTED", session=session.session_id)
 

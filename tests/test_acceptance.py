@@ -8,7 +8,10 @@ scripted stubs under tests/stubs/.
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -44,7 +47,7 @@ from gvbsim.scoring import (
 from gvbsim.sim import RunConfig, run
 from gvbsim.trace import TraceRecord
 
-from .conftest import SCENARIO_DIR, stub_command
+from .conftest import REPO_ROOT, SCENARIO_DIR, stub_command
 
 
 def announce(number: int, message: str) -> None:
@@ -60,7 +63,7 @@ def named(records: list[TraceRecord], event: str) -> list[TraceRecord]:
 def test_c1_tier_routing_table():
     started = time.perf_counter()
     thresholds = TierThresholds(0.9, 0.6, 0.3)
-    waiting = CallSession(1, "C", "A", CallState.WAITING, started_at=0)
+    waiting = CallSession(1, "C", "A", CallState.WAITING)
     policy = BurstPolicy(callee="A")
     expected = {
         0.95: RoutingKind.CONNECT_OVERRIDE,
@@ -145,7 +148,7 @@ def test_c3_runtime_scoring_scenario():
     assert abs(result.emergency_score - exact) <= 1e-9
     assert round(result.emergency_score, 3) == 0.958
     assert result.tier is PriorityTier.HIGHEST
-    waiting = CallSession(1, "C", "A", CallState.WAITING, started_at=0)
+    waiting = CallSession(1, "C", "A", CallState.WAITING)
     decision = route_waiting_call(waiting, result, BurstPolicy(callee="A"))
     assert decision.kind is RoutingKind.CONNECT_OVERRIDE
 
@@ -469,6 +472,50 @@ def test_c7_golden_traces_hash_identically(tmp_path: Path):
     assert all(path in stress_trace for path in STRESS_PATHS)
     elapsed = time.perf_counter() - started
     announce(7, f"all golden scenarios match their pinned trace digests ({elapsed:.3f}s)")
+
+
+# The approvals are a string set; this scenario gives them four members, so
+# their order in POLICY_SET would show a hash-seeded iteration order.
+HASH_SEED_SCENARIO = """\
+subscriber A
+subscriber B
+subscriber C home=(0,0) usual_hours=8-22 resting_hr=70 usual_moving=0
+subscriber D
+policy A t=5 G=30 N=3 approve=C,D,E,F
+at 0 call A B
+at 10 call C A loc=(0,0) loctype=home hour=9
+at 11 media C video="smoke and someone collapsed"
+at 12 burst C transcript="help me" keywords="fire"
+at 20 call D A
+at 21 burst D silence image="blood on the floor"
+at 60 hangup C
+at 70 hangup A
+"""
+_TRACE_DIGESTS = """
+import hashlib, sys
+from pathlib import Path
+from gvbsim import parse_scenario, render_trace, run
+for path in sys.argv[1:]:
+    trace = render_trace(run(parse_scenario(Path(path).read_text(encoding="utf-8"))))
+    print(hashlib.sha256(trace.encode("utf-8")).hexdigest())
+"""
+
+
+def test_c7_traces_do_not_depend_on_the_hash_seed(tmp_path: Path):
+    inline = tmp_path / "hash_seed.gvb"
+    inline.write_text(HASH_SEED_SCENARIO, encoding="utf-8")
+    paths = [str(path) for path in sorted(SCENARIO_DIR.glob("*.gvb"))] + [str(inline)]
+    digests = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(REPO_ROOT / "src")}
+        result = subprocess.run(
+            [sys.executable, "-c", _TRACE_DIGESTS, *paths],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout.split())
+    assert len(digests[0]) == len(paths)
+    assert digests[0] == digests[1]
 
 
 # --- criterion 8: external generator protocol ---

@@ -40,7 +40,7 @@ def assessment_with_tier(tier: PriorityTier) -> EmergencyAssessment:
 
 
 def waiting_session(caller: str = "C", callee: str = "A") -> CallSession:
-    return CallSession(1, caller, callee, CallState.WAITING, started_at=0)
+    return CallSession(1, caller, callee, CallState.WAITING)
 
 
 # -- registration --
@@ -58,38 +58,38 @@ def test_register_rejects_duplicates_and_bad_ids():
 
 def test_idle_callee_connects_directly():
     engine = make_engine("A", "C")
-    session = engine.place_call("C", "A", now=0)
+    session = engine.place_call("C", "A")
     assert session.state is CallState.ACTIVE
 
 
 def test_busy_callee_queues_the_call():
     engine = make_engine("A", "B", "C")
-    engine.place_call("A", "B", now=0)
-    session = engine.place_call("C", "A", now=10)
+    engine.place_call("A", "B")
+    session = engine.place_call("C", "A")
     assert session.state is CallState.WAITING
 
 
 def test_self_call_rejected():
     engine = make_engine("C")
     with pytest.raises(ValueError, match="cannot call itself"):
-        engine.place_call("C", "C", now=0)
+        engine.place_call("C", "C")
 
 
 def test_unregistered_subscriber_rejected():
     engine = make_engine("A")
     with pytest.raises(ValueError, match="is not registered"):
-        engine.place_call("Z", "A", now=0)
+        engine.place_call("Z", "A")
     with pytest.raises(ValueError, match="is not registered"):
-        engine.place_call("A", "Z", now=0)
+        engine.place_call("A", "Z")
 
 
 def test_held_call_still_counts_as_engaged():
     engine = make_engine("A", "B", "C", "D")
-    first = engine.place_call("A", "B", now=0)
+    first = engine.place_call("A", "B")
     engine.hold(first.session_id)
-    assert engine.place_call("C", "A", now=1).state is CallState.WAITING
+    assert engine.place_call("C", "A").state is CallState.WAITING
     # B is on the held call, so B is engaged too
-    assert engine.place_call("D", "B", now=2).state is CallState.WAITING
+    assert engine.place_call("D", "B").state is CallState.WAITING
 
 
 # -- transition --
@@ -101,16 +101,6 @@ def test_override_connects_waiting_call():
 def test_answer_from_active_is_illegal():
     with pytest.raises(ValueError, match="event answer not permitted from state active"):
         next_state(CallState.ACTIVE, CallEvent.ANSWER)
-
-
-def test_ended_at_set_exactly_on_ending():
-    engine = make_engine("A", "B", "C")
-    engine.place_call("A", "B", now=0)
-    session = engine.place_call("C", "A", now=1)
-    assert session.ended_at is None
-    ended = engine.apply_event(session.session_id, CallEvent.HANG_UP, now=42)
-    assert ended.state is CallState.ENDED
-    assert ended.ended_at == 42
 
 
 def test_transition_graph_targets():
@@ -181,7 +171,7 @@ def test_low_tier_gets_text_burst_with_beep():
 
 
 def test_routing_requires_a_waiting_session():
-    active = CallSession(1, "C", "A", CallState.ACTIVE, started_at=0)
+    active = CallSession(1, "C", "A", CallState.ACTIVE)
     with pytest.raises(ValueError, match="is active, not waiting"):
         route_waiting_call(active, assessment_with_tier(PriorityTier.NONE), BurstPolicy(callee="A"))
 
@@ -211,20 +201,20 @@ def test_raising_tier_never_downgrades_the_decision(approved: bool):
 
 def test_at_most_one_unheld_connected_session_per_callee():
     engine = make_engine("A", "B", "C")
-    first = engine.place_call("A", "B", now=0)
-    waiting = engine.place_call("C", "A", now=1)
+    first = engine.place_call("A", "B")
+    waiting = engine.place_call("C", "A")
     engine.hold(first.session_id)
-    engine.apply_event(waiting.session_id, CallEvent.OVERRIDE, now=1)
+    engine.apply_event(waiting.session_id, CallEvent.OVERRIDE)
     for sub in ("A", "B", "C"):
-        assert len(engine.connected_sessions(sub, include_held=False)) <= 1
+        assert len(engine.connected_sessions(sub)) <= 1
 
 
 def test_pick_waiting_prefers_higher_tier_then_fifo():
     engine = make_engine("A", "B", "C", "D", "E")
-    engine.place_call("A", "B", now=0)
-    engine.place_call("C", "A", now=1)  # first waiter: no decision, so it ranks as NONE
-    second = engine.place_call("D", "A", now=2)
-    third = engine.place_call("E", "A", now=3)
+    engine.place_call("A", "B")
+    engine.place_call("C", "A")  # first waiter: no decision, so it ranks as NONE
+    second = engine.place_call("D", "A")
+    third = engine.place_call("E", "A")
     for session in (second, third):
         session.decision = RoutingDecision(
             RoutingKind.PERMIT_VOICE_BURST, PriorityTier.MEDIUM, RoutingReason.SCORE_THRESHOLD
@@ -235,8 +225,8 @@ def test_pick_waiting_prefers_higher_tier_then_fifo():
 
 def test_hold_requires_connected_state():
     engine = make_engine("A", "B", "C")
-    engine.place_call("A", "B", now=0)
-    waiting = engine.place_call("C", "A", now=1)
+    engine.place_call("A", "B")
+    waiting = engine.place_call("C", "A")
     with pytest.raises(ValueError, match="cannot hold a waiting session"):
         engine.hold(waiting.session_id)
 
@@ -272,20 +262,20 @@ def test_live_index_matches_a_full_table_scan(steps):
     engine = CallEngine()
     registered: list[str] = []
     placed_records: list[CallSession] = []
-    for now, (op, *args) in enumerate(steps):
+    for op, *args in steps:
         sessions = engine.sessions()
         if op == "register" and args[0] not in registered:
             registered.append(engine.register(args[0]))
         elif op == "call" and args[0] != args[1] and set(args) <= set(registered):
             engaged = bool(brute_connected(engine, args[1], include_held=True))
-            placed = engine.place_call(args[0], args[1], now)
+            placed = engine.place_call(args[0], args[1])
             assert placed.state is (CallState.WAITING if engaged else CallState.ACTIVE)
             placed_records.append(placed)
         elif op in ("event", "hold", "resume") and sessions:
             sid = sessions[args[0] % len(sessions)].session_id
             try:
                 if op == "event":
-                    engine.apply_event(sid, args[1], now)
+                    engine.apply_event(sid, args[1])
                 elif op == "hold":
                     engine.hold(sid)
                 else:
@@ -302,10 +292,9 @@ def test_live_index_matches_a_full_table_scan(steps):
                 for s in engine.sessions()
                 if s.state is not CallState.ENDED and sub in (s.caller, s.callee)
             ]
-            for include_held in (True, False):
-                assert engine.connected_sessions(sub, include_held) == brute_connected(
-                    engine, sub, include_held
-                )
+            assert engine.connected_sessions(sub) == brute_connected(
+                engine, sub, include_held=False
+            )
             assert engine.waiting_sessions_for(sub) == [
                 s for s in engine.sessions() if s.state is CallState.WAITING and s.callee == sub
             ]

@@ -70,6 +70,15 @@ def test_missing_scenario_exits_2(tmp_path: Path, capsys):
     assert capsys.readouterr().err
 
 
+def test_scenario_that_is_not_utf8_exits_2(tmp_path: Path, capsys):
+    bad = tmp_path / "bad.gvb"
+    bad.write_bytes(b"subscriber A\xff\n")
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("gvbsim: ") and "is not UTF-8" in err
+    assert err.count("\n") == 1
+
+
 def test_sim_error_exits_1(tmp_path: Path, capsys):
     bad = tmp_path / "bad.gvb"
     bad.write_text("subscriber A\nat 5 hangup A\n", encoding="utf-8")
@@ -325,6 +334,7 @@ _SCENARIOS = [
     *(str(path) for path in sorted(SCENARIO_DIR.glob("*.gvb"))),
     "{huge_t}",
     "{missing}",
+    "{not_utf8}",
 ]
 
 
@@ -355,9 +365,12 @@ def argv_files(tmp_path_factory) -> dict[str, str]:
         .replace("t=5 ", f"t={HUGE} "),
         encoding="utf-8",
     )
+    not_utf8 = root / "not_utf8.gvb"
+    not_utf8.write_bytes(b"subscriber A\xff\n")
     return {
         "huge_t": str(huge_t),
         "missing": str(root / "missing"),
+        "not_utf8": str(not_utf8),
         "trace": str(root / "out.trace"),
         "trace_in_missing_dir": str(root / "no-such-dir" / "out.trace"),
         "trace_dir": str(root),
@@ -374,6 +387,7 @@ def _no_spawn(argv, *args, **kwargs):
 @example(["run", _SCENARIOS[2], "--backend", 'external="unclosed'])
 @example(["run", _SCENARIOS[0], "--speaking-rate", "1e-320"])
 @example(["run", "{huge_t}"])
+@example(["run", "{not_utf8}"])
 @example(["gen", "--keywords", "fire", "--t", HUGE])
 @example(["gen", "--keywords", "fire", "--speaking-rate", "0.1"])
 @example(["run", _SCENARIOS[0], "--trace", "{trace_in_missing_dir}"])

@@ -107,12 +107,6 @@ def test_template_honors_max_words_and_stays_sentence_terminated():
     assert msg.text.endswith(" w42, w43.")
 
 
-def test_word_count_and_estimate_consistent():
-    msg = generate_message("keywords: fire", speaking_rate=2.0)
-    assert msg.word_count == len(msg.text.split())
-    assert msg.estimated_speech_seconds == pytest.approx(msg.word_count / 2.0)
-
-
 def test_empty_seed_rejected():
     with pytest.raises(ValueError, match="seed must be non-empty"):
         generate_message("   ")
@@ -133,30 +127,21 @@ def test_short_message_passes_through_unchanged():
     msg = generate_message("keywords: fire")  # 9 words
     fitted = fit_to_duration(msg, t=5, speaking_rate=2.5)  # budget 12
     assert fitted.text == msg.text
-    assert fitted.estimated_speech_seconds <= 5
+    assert fitted.word_count / 2.5 <= 5
 
 
 def test_single_long_sentence_is_hard_truncated():
     text = "a b c d e f g h i j k l m n o"  # 15 words, no sentence break
-    msg = GeneratedMessage(
-        text=text,
-        word_count=15,
-        estimated_speech_seconds=6.0,
-        backend="template",
-    )
+    msg = GeneratedMessage(text=text, backend="template")
+    assert msg.word_count == 15
     fitted = fit_to_duration(msg, t=4, speaking_rate=2.5)  # budget 10
     assert fitted.text == "a b c d e f g h i j"
     assert fitted.word_count == 10
-    assert fitted.estimated_speech_seconds <= 4
+    assert fitted.word_count / 2.5 <= 4
 
 
 def test_truncation_prefers_sentence_boundaries():
-    msg = GeneratedMessage(
-        text=ten_word_message(),
-        word_count=10,
-        estimated_speech_seconds=4.0,
-        backend="template",
-    )
+    msg = GeneratedMessage(text=ten_word_message(), backend="template")
     fitted = fit_to_duration(msg, t=2, speaking_rate=2.5)  # budget 5
     assert fitted.text == "One two three four five."
     assert fitted.word_count == 5
@@ -167,7 +152,7 @@ def test_minimum_budget_is_two_words_at_default_rate():
     msg = generate_message("keywords: fire")
     fitted = fit_to_duration(msg, t=1, speaking_rate=2.5)
     assert fitted.word_count == 2
-    assert fitted.estimated_speech_seconds <= 1
+    assert fitted.word_count / 2.5 <= 1
 
 
 def test_fitted_estimate_never_exceeds_duration():
@@ -177,9 +162,9 @@ def test_fitted_estimate_never_exceeds_duration():
     for _ in range(200):
         t = rng.randint(1, 5)
         rate = rng.uniform(1.0, 4.0)
-        msg = generate_message(rng.choice(seeds), backend=backend, speaking_rate=rate)
+        msg = generate_message(rng.choice(seeds), backend=backend)
         fitted = fit_to_duration(msg, t, rate)
-        assert fitted.estimated_speech_seconds <= t + 1e-9
+        assert fitted.word_count / rate <= t + 1e-9
 
 
 def test_fit_validates_inputs():
@@ -200,7 +185,5 @@ def test_fit_rejects_a_word_budget_that_overflows(t: int, rate: float):
 @pytest.mark.parametrize("rate", [0, -1.0, math.nan, math.inf, -math.inf])
 def test_speaking_rate_must_be_a_finite_positive_number(rate):
     msg = generate_message("keywords: fire")
-    with pytest.raises(ValueError, match="finite number > 0"):
-        generate_message("keywords: fire", speaking_rate=rate)
     with pytest.raises(ValueError, match="finite number > 0"):
         fit_to_duration(msg, t=5, speaking_rate=rate)

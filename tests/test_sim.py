@@ -437,38 +437,6 @@ def test_thresholds_directive_changes_the_tier():
     assert one(records, "ROUTING").get("kind") == "standard_waiting"
 
 
-def test_keyword_set_is_overridable_per_run():
-    text = (
-        PREAMBLE
-        + "policy A t=5 G=30 N=3 approve=C\n"
-        + "at 0 call A B\n"
-        + BASELINE_CALL
-        + 'at 12 burst C transcript="mayday mayday"\n'
-    )
-    default_records = run_text(text)
-    assert one(default_records, "INCAPACITY").get("incapacitated") == "0"
-    custom = run_text(text, RunConfig(incapacity_keywords=frozenset({"mayday"})))
-    assert one(custom, "INCAPACITY").get("incapacitated") == "1"
-
-
-def test_distress_lexicon_is_overridable_per_run():
-    text = (
-        PREAMBLE
-        + "policy A t=5 G=30 N=3 approve=C\n"
-        + "at 0 call A B\n"
-        + BASELINE_CALL
-        + 'at 12 burst C transcript="look at this" image="flood water rising"\n'
-    )
-    default_records = run_text(text)
-    assert one(default_records, "INCAPACITY").get("incapacitated") == "0"
-    custom = run_text(
-        text, RunConfig(distress_lexicon=frozenset({"flood", "rising"}))
-    )
-    incapacity = one(custom, "INCAPACITY")
-    assert incapacity.get("incapacitated") == "1"
-    assert incapacity.get("signals") == "image"
-
-
 def test_speaking_rate_affects_burst_duration():
     text = (
         PREAMBLE

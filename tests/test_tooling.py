@@ -5,7 +5,9 @@ A rename or a new head in `src/` must fail here, not only in a traced run
 or a reader's hands.  The error convention is checked here too."""
 from __future__ import annotations
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import os
@@ -14,10 +16,12 @@ import subprocess
 import sys
 
 from gvbsim import scenario
+from gvbsim.cli import _build_parser
+from gvbsim.incapacity import DISTRESS_LEXICON, KEYWORDS
 from gvbsim.policy import BurstPolicy
 from gvbsim.scenario import DIRECTIVES
 from gvbsim.scheduler import BurstLedger, request_burst
-from gvbsim.sim import Simulation
+from gvbsim.sim import RunConfig, Simulation
 
 from .conftest import REPO_ROOT
 from .test_scenario import _TEMPLATES
@@ -76,6 +80,24 @@ def test_the_directive_table_is_the_one_list_of_heads():
     assert grammar_heads([line for line in doc_lines if line != "# comment"]) == declared
     assert set(Simulation._HANDLERS) == set(DIRECTIVES)
     assert set(_TEMPLATES) == set(DIRECTIVES)
+
+
+def test_every_run_config_field_is_set_by_a_run_flag():
+    # a knob that no caller can set is not configuration
+    subcommands = next(
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    dests = {action.dest for action in subcommands.choices["run"]._actions}
+    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    assert fields == dests - {"help", "scenario", "trace"}
+
+
+def test_the_readme_lists_both_incapacity_vocabularies():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    for vocabulary in (KEYWORDS, DISTRESS_LEXICON):
+        listed = ", ".join(f"`{term}`" for term in vocabulary)
+        assert listed in readme
 
 
 _TRANSPORT_MODULES = ("subprocess", "socket", "shlex", "select", "queue", "threading")
