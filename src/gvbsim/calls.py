@@ -1,8 +1,10 @@
 """Subscriber and call-session state machines, plus waiting-call routing.
 
 A `CallSession` is the one record of a call: `place_call` creates it and
-the engine changes it in place, never replacing it; `next_state` is the pure
-transition lookup.  Routing maps a priority tier to a decision:
+the engine changes it in place, never replacing it.  Its `state` is
+WAITING, ACTIVE, HELD (parked by a connect-override, resumed later) or
+ENDED, and `next_state` is the pure lookup of every move it can make.
+Routing maps a priority tier to a decision:
 
     HIGHEST -> connect override      MEDIUM -> voice burst permitted
     LOW     -> text burst with beep  NONE   -> standard waiting
@@ -31,6 +33,7 @@ def validate_subscriber_id(sub_id: str) -> str:
 class CallState(Enum):
     ACTIVE = "active"
     WAITING = "waiting"
+    HELD = "held"
     ENDED = "ended"
 
 
@@ -39,18 +42,24 @@ class CallEvent(Enum):
     HANG_UP = "hang_up"
     OVERRIDE = "override"
     TIMEOUT = "timeout"
+    HOLD = "hold"
+    RESUME = "resume"
 
 
 # `place_call` creates a call WAITING or ACTIVE, and a waiting call keeps
 # its state through its bursts.  OVERRIDE connects a waiting call past the
-# callee's current one; TIMEOUT means a waiting call sat idle too long and
-# is abandoned.
+# callee's current one, which HOLD parks as HELD until RESUME gives it the
+# line back; TIMEOUT means a waiting call sat idle too long and is
+# abandoned.  Any party may hang up a held call.
 _TRANSITIONS: dict[tuple[CallState, CallEvent], CallState] = {
     (CallState.WAITING, CallEvent.OVERRIDE): CallState.ACTIVE,
     (CallState.WAITING, CallEvent.ANSWER): CallState.ACTIVE,
     (CallState.WAITING, CallEvent.HANG_UP): CallState.ENDED,
     (CallState.WAITING, CallEvent.TIMEOUT): CallState.ENDED,
     (CallState.ACTIVE, CallEvent.HANG_UP): CallState.ENDED,
+    (CallState.ACTIVE, CallEvent.HOLD): CallState.HELD,
+    (CallState.HELD, CallEvent.RESUME): CallState.ACTIVE,
+    (CallState.HELD, CallEvent.HANG_UP): CallState.ENDED,
 }
 
 
@@ -60,7 +69,6 @@ class CallSession:
     caller: str
     callee: str
     state: CallState
-    held: bool = False
     context: CallerContext | None = None
     decision: RoutingDecision | None = None
     ledger: BurstLedger | None = None  # this waiting episode's burst budget
@@ -134,7 +142,8 @@ def route_waiting_call(
 class CallEngine:
     """Owns the subscriber registry and the session table, the only
     per-session record: each `CallSession` is created by `place_call` and
-    changed in place by `apply_event`, `hold` and `resume`, never replaced.
+    changed in place by `apply_event`, never replaced; `hold` parks an
+    ACTIVE call as HELD and `resume` gives it the line back.
 
     The live index maps each registered subscriber to the ids of its
     unended sessions, as caller or callee, in ascending id order: ids only
@@ -159,13 +168,13 @@ class CallEngine:
     # -- sessions --
 
     def place_call(self, caller: str, callee: str) -> CallSession:
-        """Connect directly when the callee is idle; queue otherwise."""
+        """Connect directly when the callee has no ACTIVE or HELD call; queue otherwise."""
         if caller == callee:
             raise ValueError(f"{caller!r} cannot call itself")
         for sub_id in (caller, callee):
             if sub_id not in self._live:
                 raise ValueError(f"subscriber {sub_id!r} is not registered")
-        engaged = any(s.state is CallState.ACTIVE for s in self.sessions_of(callee))
+        engaged = any(s.state is not CallState.WAITING for s in self.sessions_of(callee))
         session = CallSession(
             session_id=self._next_session_id,
             caller=caller,
@@ -191,29 +200,23 @@ class CallEngine:
         return [self._sessions[sid] for sid in self._live.get(sub_id, ())]
 
     def apply_event(self, session_id: int, event: CallEvent) -> CallSession:
-        """Move the session along `event` in place; ending it clears its hold."""
+        """Move the session along `event` in place."""
         session = self._sessions[session_id]
         session.state = next_state(session.state, event)
         if session.state is CallState.ENDED:
-            session.held = False
             del self._live[session.caller][session_id]
             del self._live[session.callee][session_id]
         return session
 
-    # -- hold bookkeeping (connect-override keeps the displaced call) --
-
     def hold(self, session_id: int) -> None:
-        session = self._sessions[session_id]
-        if session.state is not CallState.ACTIVE:
-            raise ValueError(f"cannot hold a {session.state.value} session")
-        session.held = True
+        self.apply_event(session_id, CallEvent.HOLD)
 
     def resume(self, session_id: int) -> None:
-        self._sessions[session_id].held = False
+        self.apply_event(session_id, CallEvent.RESUME)
 
     def connected_sessions(self, sub_id: str) -> list[CallSession]:
-        """Sessions `sub_id` is talking on now: active and not held."""
-        return [s for s in self.sessions_of(sub_id) if s.state is CallState.ACTIVE and not s.held]
+        """Sessions `sub_id` is talking on now: the ACTIVE ones."""
+        return [s for s in self.sessions_of(sub_id) if s.state is CallState.ACTIVE]
 
     def waiting_sessions_for(self, callee: str) -> list[CallSession]:
         return [

@@ -8,7 +8,8 @@
     gvbsim gen --keywords "<text>" [--t S] [--loctype T] [--rng-seed N]
                [--speaking-rate WPS]
 
-Exit codes: 0 success, 1 simulation error, 2 scenario/input parse error.
+Exit codes: 0 success, 1 simulation error (`SimError`), 2 a parse error
+(`ParseError`) or any other bad input (`ValueError`, `OSError`).
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from .scoring import (
     assess,
 )
 from .sim import DEFAULT_ABANDON_TIMEOUT_S, RunConfig, run
-from .trace import fmt_score, render_trace
+from .trace import assessment_fields, render_trace
 
 
 def _non_negative_int(text: str) -> int:
@@ -152,25 +153,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> None:
     try:
         text = Path(args.scenario).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"gvbsim: {exc}", file=sys.stderr)
-        return 2
     except UnicodeDecodeError as exc:
-        print(f"gvbsim: {args.scenario!r} is not UTF-8: {exc}", file=sys.stderr)
-        return 2
-    try:
-        events = parse_scenario(text)
-    except ParseError as exc:
-        print(f"gvbsim: parse error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        backend = build_backend(args.backend)
-    except ValueError as exc:
-        print(f"gvbsim: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{args.scenario!r} is not UTF-8: {exc}") from None
+    events = parse_scenario(text)
+    backend = build_backend(args.backend)
     config = RunConfig(
         weights=args.weights,
         thresholds=args.thresholds,
@@ -181,76 +170,61 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     try:
         records = run(events, config)
-    except SimError as exc:
-        print(f"gvbsim: simulation error: {exc}", file=sys.stderr)
-        return 1
     finally:
         backend.close()
     rendered = render_trace(records)
     if args.trace:
-        try:
-            Path(args.trace).write_text(rendered, encoding="utf-8")
-        except OSError as exc:
-            print(f"gvbsim: {exc}", file=sys.stderr)
-            return 2
+        Path(args.trace).write_text(rendered, encoding="utf-8")
     else:
         sys.stdout.write(rendered)
-    return 0
 
 
-def _cmd_score(args: argparse.Namespace) -> int:
-    try:
-        profile = _load_profile(args.profile)
-        ctx = CallerContext(
-            location=(
-                _parse_coordinates(args.loc.strip("()").split(","), _NO_LINE, args.loc)
-                if args.loc
-                else None
-            ),
-            location_type=args.loctype,
-            hour_of_day=args.hour,
-            heart_rate=args.hr,
-            moving_speed=args.speed,
-        )
-    except (ValueError, OSError) as exc:
-        print(f"gvbsim: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
-        print(f"gvbsim: {exc.message}", file=sys.stderr)
-        return 2
+def _cmd_score(args: argparse.Namespace) -> None:
+    profile = _load_profile(args.profile)
+    ctx = CallerContext(
+        location=(
+            _parse_coordinates(args.loc.strip("()").split(","), _NO_LINE, args.loc)
+            if args.loc
+            else None
+        ),
+        location_type=args.loctype,
+        hour_of_day=args.hour,
+        heart_rate=args.hr,
+        moving_speed=args.speed,
+    )
     assessment = assess(ctx, profile, args.weights, args.thresholds)
-    print(f"location={fmt_score(assessment.factors.location)}")
-    print(f"timing={fmt_score(assessment.factors.timing)}")
-    print(f"health={fmt_score(assessment.factors.health)}")
-    print(f"activity={fmt_score(assessment.factors.activity)}")
-    print(f"score={fmt_score(assessment.emergency_score)}")
-    print(f"tier={assessment.tier.token}")
-    return 0
+    for key, value in assessment_fields(assessment).items():
+        print(f"{key}={value}")
 
 
-def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        # As in a run, OTHER says nothing about the place and is left out.
-        location_type = None if args.loctype is LocationType.OTHER else args.loctype.value
-        seed = compose_seed(keywords=args.keywords, location=location_type)
-        message = generate_message(seed, rng_seed=args.rng_seed)
-        message = fit_to_duration(message, args.t, args.speaking_rate)
-        if not message.word_count:
-            raise ValueError(f"no word fits {args.t}s at {args.speaking_rate} words/s")
-    except ValueError as exc:
-        print(f"gvbsim: {exc}", file=sys.stderr)
-        return 2
+def _cmd_gen(args: argparse.Namespace) -> None:
+    # As in a run, OTHER says nothing about the place and is left out.
+    location_type = None if args.loctype is LocationType.OTHER else args.loctype.value
+    seed = compose_seed(keywords=args.keywords, location=location_type)
+    message = generate_message(seed, rng_seed=args.rng_seed)
+    message = fit_to_duration(message, args.t, args.speaking_rate)
+    if not message.word_count:
+        raise ValueError(f"no word fits {args.t}s at {args.speaking_rate} words/s")
     print(message.text)
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; here, and only here, a failure picks the exit code."""
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "score":
-        return _cmd_score(args)
-    return _cmd_gen(args)
+    command = {"run": _cmd_run, "score": _cmd_score, "gen": _cmd_gen}[args.command]
+    try:
+        command(args)
+    except SimError as exc:
+        print(f"gvbsim: simulation error: {exc}", file=sys.stderr)
+        return 1
+    except ParseError as exc:
+        reason = exc.message if exc.line_no == _NO_LINE else f"parse error: {exc}"
+        print(f"gvbsim: {reason}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
+        print(f"gvbsim: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,8 @@
-"""Per-callee burst policies: duration, gap, budget, and approved callers."""
+"""Per-callee burst policies: duration, gap, budget, and approved callers.
+
+The simulator keeps each callee's latest `policy` line; a callee with none
+gets a `BurstPolicy` with the defaults below.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -17,6 +21,9 @@ class BurstPolicy:
     quiet time after a burst ends, `max_bursts_n` the budget per waiting
     episode.  The typical burst length is 3-5 seconds; any value >= 1 is
     accepted when configured explicitly.
+
+    Approval is directional: approving C in A's policy says nothing about
+    A's standing in C's policy.
     """
 
     callee: str
@@ -35,24 +42,3 @@ class BurstPolicy:
         if self.callee in self.approved_callers:
             raise ValueError(f"callee {self.callee!r} cannot approve itself")
 
-
-class PolicyRegistry:
-    """Stores one policy per callee; unknown callees get the default policy.
-
-    Approval is directional: approving C for A's policy says nothing about
-    A's standing in C's policy.
-    """
-
-    def __init__(self) -> None:
-        self._policies: dict[str, BurstPolicy] = {}
-
-    def store(self, policy: BurstPolicy) -> BurstPolicy:
-        """Store an already-built policy, replacing any previous one."""
-        self._policies[policy.callee] = policy
-        return policy
-
-    def get_policy(self, callee: str) -> BurstPolicy:
-        stored = self._policies.get(callee)
-        if stored is not None:
-            return stored
-        return BurstPolicy(callee=callee)

@@ -37,7 +37,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 from .errors import ParseError
 from .incapacity import Modality
 from .policy import BurstPolicy
-from .scoring import CallerContext, FactorWeights, LocationType, TierThresholds
+from .scoring import BaselineProfile, CallerContext, FactorWeights, LocationType, TierThresholds
 
 
 @dataclass(frozen=True)
@@ -170,27 +170,23 @@ def _parse_bool(value: str, line_no: int, what: str) -> bool:
 def _parse_subscriber(tokens: list[str], line_no: int) -> dict[str, Any]:
     if not tokens:
         raise ParseError(line_no, "subscriber requires an id")
-    args: dict[str, Any] = {
-        "id": tokens[0],
-        "home": None,
-        "usual_hours": frozenset(range(24)),
-        "usual_hours_label": "0-23",
-        "resting_hr": 70,
-        "usual_moving": False,
-    }
+    args: dict[str, Any] = {"id": tokens[0], "home": None, "usual_hours_label": "0-23"}
+    fields: dict[str, Any] = {}
     for token in tokens[1:]:
         key, value = _split_kv(token, line_no)
         if key == "home":
             args["home"] = _parse_point(value, line_no)
+            fields["usual_locations"] = frozenset({args["home"]})
         elif key == "usual_hours":
-            args["usual_hours"] = _parse_hours(value, line_no)
+            fields["usual_hours"] = _parse_hours(value, line_no)
             args["usual_hours_label"] = value
         elif key == "resting_hr":
-            args["resting_hr"] = _parse_int(value, line_no, "resting_hr")
+            fields["resting_heart_rate"] = _parse_int(value, line_no, "resting_hr")
         elif key == "usual_moving":
-            args["usual_moving"] = _parse_bool(value, line_no, "usual_moving")
+            fields["usual_moving"] = _parse_bool(value, line_no, "usual_moving")
         else:
             raise ParseError(line_no, f"unknown subscriber option {key!r}")
+    args["profile"] = BaselineProfile(**fields)
     return args
 
 

@@ -42,7 +42,7 @@ from .incapacity import (
     detect_silence,
     flag_media,
 )
-from .policy import PolicyRegistry
+from .policy import BurstPolicy
 from .scenario import SimEvent
 from .scheduler import BurstLedger, Deny, dismiss, record_burst, request_burst
 from .scoring import (
@@ -52,9 +52,10 @@ from .scoring import (
     TierThresholds,
     assess,
 )
-from .trace import TraceRecord, fmt_num, fmt_score, make_record
+from .trace import TraceRecord, assessment_fields, fmt_num, fmt_score, make_record
 
 DEFAULT_ABANDON_TIMEOUT_S = 120
+_HANGUP_RANK = {CallState.ACTIVE: 0, CallState.WAITING: 1, CallState.HELD: 2}
 
 
 @dataclass
@@ -85,7 +86,7 @@ class Simulation:
     def __init__(self, config: RunConfig | None = None):
         self.config = config or RunConfig()
         self.engine = CallEngine()
-        self.policies = PolicyRegistry()
+        self.policies: dict[str, BurstPolicy] = {}  # the latest `policy` line per callee
         self.weights = self.config.weights
         self.thresholds = self.config.thresholds
         self.profiles: dict[str, BaselineProfile] = {}
@@ -145,24 +146,20 @@ class Simulation:
     def _handle_register(self, event: SimEvent) -> None:
         args = event.args
         sub_id = self.engine.register(args["id"])
-        home = args["home"]
-        self.profiles[sub_id] = BaselineProfile(
-            usual_locations=frozenset({home}) if home is not None else frozenset(),
-            usual_hours=args["usual_hours"],
-            resting_heart_rate=args["resting_hr"],
-            usual_moving=args["usual_moving"],
-        )
+        profile = args["profile"]
+        self.profiles[sub_id] = profile
         self._emit(
             "SUBSCRIBER_REGISTERED",
             id=sub_id,
-            home=_fmt_point(home),
+            home=_fmt_point(args["home"]),
             usual_hours=args["usual_hours_label"],
-            resting_hr=fmt_num(args["resting_hr"]),
-            usual_moving=int(args["usual_moving"]),
+            resting_hr=fmt_num(profile.resting_heart_rate),
+            usual_moving=int(profile.usual_moving),
         )
 
     def _handle_policy(self, event: SimEvent) -> None:
-        policy = self.policies.store(event.args["policy"])
+        policy = event.args["policy"]
+        self.policies[policy.callee] = policy
         approved = ",".join(sorted(policy.approved_callers)) or "-"
         self._emit(
             "POLICY_SET",
@@ -206,18 +203,9 @@ class Simulation:
         assessment = assess(
             args["context"], self.profiles[session.caller], self.weights, self.thresholds
         )
-        self._emit(
-            "ASSESSMENT",
-            session=sid,
-            caller=session.caller,
-            location=fmt_score(assessment.factors.location),
-            timing=fmt_score(assessment.factors.timing),
-            health=fmt_score(assessment.factors.health),
-            activity=fmt_score(assessment.factors.activity),
-            score=fmt_score(assessment.emergency_score),
-            tier=assessment.tier.token,
-        )
-        policy = self.policies.get_policy(session.callee)
+        fields = assessment_fields(assessment)
+        self._emit("ASSESSMENT", session=sid, caller=session.caller, **fields)
+        policy = self.policies.get(session.callee) or BurstPolicy(session.callee)
         decision = session.decision = route_waiting_call(session, assessment, policy)
         self._emit(
             "ROUTING",
@@ -386,26 +374,21 @@ class Simulation:
         target = self._pick_hangup_target(sub_id)
         if target is None:
             raise ValueError(f"{sub_id!r} has no session to hang up")
-        was_connected = target.state is CallState.ACTIVE and not target.held
+        was_connected = target.state is CallState.ACTIVE
         self.engine.apply_event(target.session_id, CallEvent.HANG_UP)
         self._emit("CALL_ENDED", session=target.session_id, by=sub_id)
         if was_connected:
             self._maybe_resume(target)
 
     def _pick_hangup_target(self, sub_id: str) -> CallSession | None:
-        def rank(session: CallSession) -> int | None:
-            if session.state is CallState.ACTIVE:
-                return 2 if session.held else 0
-            return 1 if session.caller == sub_id else None  # abandon own waiting call
-
-        candidates = [
-            (r, s.session_id, s)
+        """The connected call first, then the hanger-up's own waiting call
+        (abandoned), then a held call; the lowest id within a rank."""
+        candidates = (
+            s
             for s in self.engine.sessions_of(sub_id)
-            if (r := rank(s)) is not None
-        ]
-        if not candidates:
-            return None
-        return min(candidates)[2]
+            if s.state is not CallState.WAITING or s.caller == sub_id
+        )
+        return min(candidates, key=lambda s: (_HANGUP_RANK[s.state], s.session_id), default=None)
 
     def _maybe_resume(self, ended: CallSession) -> None:
         """Un-hold the displaced call once the overriding call ends."""
@@ -413,7 +396,7 @@ class Simulation:
             if self.engine.connected_sessions(party):
                 continue
             for session in self.engine.sessions_of(party):
-                if session.held:
+                if session.state is CallState.HELD:
                     self.engine.resume(session.session_id)
                     self._emit("CALL_RESUMED", session=session.session_id)
                     break

@@ -73,6 +73,19 @@ def fmt_num(value: float) -> str:
     return f"{value:g}"
 
 
+def assessment_fields(assessment) -> dict[str, str]:
+    """An `EmergencyAssessment` as `ASSESSMENT` and `gvbsim score` show it."""
+    factors = assessment.factors
+    return {
+        "location": fmt_score(factors.location),
+        "timing": fmt_score(factors.timing),
+        "health": fmt_score(factors.health),
+        "activity": fmt_score(factors.activity),
+        "score": fmt_score(assessment.emergency_score),
+        "tier": assessment.tier.token,
+    }
+
+
 class TraceRecord(str):
     """One rendered trace line, without its newline.  The fields are read
     from the line when asked for; values come back decoded."""

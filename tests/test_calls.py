@@ -107,7 +107,8 @@ def test_transition_graph_targets():
     # Full map of the documented graph; anything else must raise.
     graph = {
         CallState.WAITING: {CallState.ACTIVE, CallState.ENDED},
-        CallState.ACTIVE: {CallState.ENDED},
+        CallState.ACTIVE: {CallState.HELD, CallState.ENDED},
+        CallState.HELD: {CallState.ACTIVE, CallState.ENDED},
         CallState.ENDED: set(),
     }
     reached: dict[CallState, set[CallState]] = {state: set() for state in CallState}
@@ -227,8 +228,22 @@ def test_hold_requires_connected_state():
     engine = make_engine("A", "B", "C")
     engine.place_call("A", "B")
     waiting = engine.place_call("C", "A")
-    with pytest.raises(ValueError, match="cannot hold a waiting session"):
+    with pytest.raises(ValueError, match="event hold not permitted from state waiting"):
         engine.hold(waiting.session_id)
+
+
+def test_only_an_active_call_is_held_and_only_a_held_call_resumed():
+    engine = make_engine("A", "B", "C")
+    active = engine.place_call("A", "B")
+    waiting = engine.place_call("C", "A")
+    with pytest.raises(ValueError, match="event resume not permitted from state active"):
+        engine.resume(active.session_id)
+    with pytest.raises(ValueError, match="event resume not permitted from state waiting"):
+        engine.resume(waiting.session_id)
+    engine.hold(active.session_id)
+    with pytest.raises(ValueError, match="event hold not permitted from state held"):
+        engine.hold(active.session_id)
+    assert active.state is CallState.HELD
 
 
 # -- live index against brute-force filters over the whole table --
@@ -247,13 +262,8 @@ ENGINE_STEPS = st.one_of(
 
 
 def brute_connected(engine: CallEngine, sub: str, include_held: bool) -> list[CallSession]:
-    return [
-        s
-        for s in engine.sessions()
-        if s.state is CallState.ACTIVE
-        and sub in (s.caller, s.callee)
-        and (include_held or not s.held)
-    ]
+    states = (CallState.ACTIVE, CallState.HELD) if include_held else (CallState.ACTIVE,)
+    return [s for s in engine.sessions() if s.state in states and sub in (s.caller, s.callee)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -281,11 +291,10 @@ def test_live_index_matches_a_full_table_scan(steps):
                 else:
                     engine.resume(sid)
             except ValueError as exc:
-                assert "not permitted from state" in str(exc) or "cannot hold a" in str(exc)
+                assert "not permitted from state" in str(exc)
         # one record per session: every step updates the object place_call returned
         for placed in placed_records:
             assert engine.get(placed.session_id) is placed
-            assert not (placed.state is CallState.ENDED and placed.held)
         for sub in registered:
             assert engine.sessions_of(sub) == [
                 s

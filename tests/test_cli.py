@@ -19,6 +19,7 @@ from gvbsim.errors import ParseError
 from gvbsim.scenario import parse_scenario
 
 from .conftest import REPO_ROOT, SCENARIO_DIR
+from .test_sim import EMERGENCY_CALL, PREAMBLE, run_text
 
 
 def test_run_writes_a_trace_file(tmp_path: Path, capsys):
@@ -84,6 +85,15 @@ def test_sim_error_exits_1(tmp_path: Path, capsys):
     bad.write_text("subscriber A\nat 5 hangup A\n", encoding="utf-8")
     assert main(["run", str(bad)]) == 1
     assert "simulation error" in capsys.readouterr().err
+
+
+def test_an_out_of_range_subscriber_value_exits_2(tmp_path: Path, capsys):
+    bad = tmp_path / "bad.gvb"
+    bad.write_text("subscriber A resting_hr=500\n", encoding="utf-8")
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "gvbsim: parse error: line 1: resting_heart_rate must be in [30, 120], got 500\n"
+    )
 
 
 _RUN = ["run", str(SCENARIO_DIR / "runtime_override.gvb")]
@@ -253,6 +263,25 @@ def test_score_subcommand(tmp_path: Path, capsys):
     out = capsys.readouterr().out
     assert "score=0.958333" in out
     assert "tier=highest" in out
+
+
+def test_score_prints_the_fields_of_the_assessment_record(tmp_path: Path, capsys):
+    # the EMERGENCY_CALL context, with a profile equal to C's in PREAMBLE
+    records = run_text(PREAMBLE + "at 0 call A B\n" + EMERGENCY_CALL)
+    (record,) = [r for r in records if r.event == "ASSESSMENT"]
+    fields = [f"{k}={v}" for k, v in record.details if k not in ("session", "caller")]
+    profile = tmp_path / "profile.json"
+    profile.write_text(
+        '{"home": [0, 0], "usual_hours": "8-22", "resting_hr": 70, "usual_moving": false}',
+        encoding="utf-8",
+    )
+    context = "--loc 40,9 --loctype highway --hour 3 --hr 130 --speed 14".split()
+    assert main(["score", *context, "--profile", str(profile)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == fields
+    assert [field.partition("=")[0] for field in fields] == [
+        "location", "timing", "health", "activity", "score", "tier"
+    ]
 
 
 def test_score_defaults_to_an_uninformative_profile(capsys):

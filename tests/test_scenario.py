@@ -52,14 +52,23 @@ def test_directives_after_an_at_line_take_the_recent_time():
 def test_subscriber_options():
     (event,) = parse_scenario("subscriber C home=(1.5,-2) usual_hours=8-22 resting_hr=64 usual_moving=1\n")
     assert event.args["home"] == (1.5, -2.0)
-    assert event.args["usual_hours"] == frozenset(range(8, 23))
-    assert event.args["resting_hr"] == 64
-    assert event.args["usual_moving"] is True
+    profile = event.args["profile"]
+    assert profile.usual_locations == frozenset({(1.5, -2.0)})
+    assert profile.usual_hours == frozenset(range(8, 23))
+    assert profile.resting_heart_rate == 64
+    assert profile.usual_moving is True
 
 
 def test_usual_hours_can_wrap_midnight():
     (event,) = parse_scenario("subscriber N usual_hours=22-3\n")
-    assert event.args["usual_hours"] == frozenset({22, 23, 0, 1, 2, 3})
+    assert event.args["profile"].usual_hours == frozenset({22, 23, 0, 1, 2, 3})
+
+
+@pytest.mark.parametrize("resting_hr", ["500", "10"])
+def test_a_resting_heart_rate_out_of_range_is_a_parse_error(resting_hr):
+    message = rf"line 2: resting_heart_rate must be in \[30, 120\], got {resting_hr}"
+    with pytest.raises(ParseError, match=message):
+        parse_scenario(f"subscriber A\nsubscriber B resting_hr={resting_hr}\n")
 
 
 def test_policy_line():

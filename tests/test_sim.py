@@ -133,6 +133,51 @@ def test_low_tier_gets_text_bursts():
     assert sent.get("text") == "stranded on the highway"
 
 
+# -- policies --
+
+def admitted_budget(records: list[TraceRecord]) -> list[tuple[str | None, ...]]:
+    return [(r.get("t"), r.get("G"), r.get("N")) for r in events_named(records, "BURSTS_ADMITTED")]
+
+
+def test_a_callee_without_a_policy_line_gets_the_default_policy():
+    text = PREAMBLE + "at 0 call A B\n" + "at 10 call C A loc=(40,9) loctype=highway hour=3\n"
+    records = run_text(text)
+    assert not events_named(records, "POLICY_SET")
+    assert one(records, "ROUTING").get("reason") == "score_threshold"
+    assert admitted_budget(records) == [("5", "30", "3")]
+
+
+def test_a_second_policy_line_replaces_the_first():
+    text = (
+        PREAMBLE
+        + "policy A t=4 G=10 N=2 approve=C\n"
+        + "at 0 call A B\n"
+        + BASELINE_CALL
+        + "at 20 hangup C\n"
+        + "policy A t=3 G=0 N=1\n"
+        + "at 30 call C A loc=(40,9) loctype=highway hour=3\n"  # low tier by score
+    )
+    records = run_text(text)
+    assert [r.get("approved") for r in events_named(records, "POLICY_SET")] == ["C", "-"]
+    routings = events_named(records, "ROUTING")
+    # the second line approves no one, so C's low tier is not floored at medium
+    assert [(r.get("tier"), r.get("reason")) for r in routings] == [
+        ("medium", "pre_approved"),
+        ("low", "score_threshold"),
+    ]
+    assert admitted_budget(records) == [("4", "10", "2"), ("3", "0", "1")]
+
+
+def test_approval_is_directional():
+    policy = "policy A t=5 G=30 N=3 approve=C\n"
+    into_a = run_text(PREAMBLE + policy + "at 0 call A B\n" + BASELINE_CALL)
+    assert one(into_a, "ROUTING").get("reason") == "pre_approved"
+    into_c = run_text(PREAMBLE + policy + "at 0 call C B\nat 10 call A C\n")
+    routing = one(into_c, "ROUTING")
+    assert routing.get("session") == "2"
+    assert (routing.get("tier"), routing.get("reason")) == ("none", "default")
+
+
 # -- incapacity and generation --
 
 def silent_scenario() -> str:

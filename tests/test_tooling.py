@@ -143,3 +143,18 @@ def test_a_broken_rule_raises_value_error_and_errors_py_has_four_classes():
                 if ast.unparse(exc) not in _RAISABLE:
                     other.append(f"{path.name}:{node.lineno} raises {ast.unparse(exc)}")
     assert other == []
+
+
+def test_only_main_maps_a_failure_to_an_exit_code():
+    tree = ast.parse((REPO_ROOT / "src" / "gvbsim" / "cli.py").read_text(encoding="utf-8"))
+    exits = []
+    for function in ast.walk(tree):
+        if isinstance(function, ast.FunctionDef):
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.Return)
+                    and isinstance(node.value, ast.Constant)
+                    and node.value.value in (1, 2)
+                ):
+                    exits.append((function.name, node.value.value))
+    assert sorted(set(exits)) == [("main", 1), ("main", 2)]
