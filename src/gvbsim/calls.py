@@ -4,7 +4,8 @@ A `CallSession` is the one record of a call: `place_call` creates it and
 the engine changes it in place, never replacing it.  Its `state` is
 WAITING, ACTIVE, HELD (parked by a connect-override, resumed later) or
 ENDED, and `next_state` is the pure lookup of every move it can make.
-Routing maps a priority tier to a decision:
+Routing gives a waiting call its priority tier, and the tier is what the
+call gets; `ROUTING_KINDS` names each in the trace:
 
     HIGHEST -> connect override      MEDIUM -> voice burst permitted
     LOW     -> text burst with beep  NONE   -> standard waiting
@@ -16,7 +17,7 @@ overrides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import Enum
 
 from .incapacity import Modality
 from .policy import BurstPolicy
@@ -70,7 +71,7 @@ class CallSession:
     callee: str
     state: CallState
     context: CallerContext | None = None
-    decision: RoutingDecision | None = None
+    tier: PriorityTier = PriorityTier.NONE  # set when a waiting call is routed
     ledger: BurstLedger | None = None  # this waiting episode's burst budget
     pending_media: list[tuple[Modality, str]] = field(default_factory=list)
     last_activity: int = 0
@@ -84,46 +85,27 @@ def next_state(state: CallState, event: CallEvent) -> CallState:
     return target
 
 
-class RoutingKind(IntEnum):
-    """Ordered by escalation: raising the tier never downgrades the kind."""
-
-    STANDARD_WAITING = 0
-    PERMIT_TEXT_BURST_WITH_BEEP = 1
-    PERMIT_VOICE_BURST = 2
-    CONNECT_OVERRIDE = 3
-
-    @property
-    def token(self) -> str:
-        return self.name.lower()
-
-
 class RoutingReason(Enum):
     PRE_APPROVED = "pre_approved"
     SCORE_THRESHOLD = "score_threshold"
     DEFAULT = "default"
 
 
-_KIND_FOR_TIER = {
-    PriorityTier.HIGHEST: RoutingKind.CONNECT_OVERRIDE,
-    PriorityTier.MEDIUM: RoutingKind.PERMIT_VOICE_BURST,
-    PriorityTier.LOW: RoutingKind.PERMIT_TEXT_BURST_WITH_BEEP,
-    PriorityTier.NONE: RoutingKind.STANDARD_WAITING,
+# The `kind=` token of a ROUTING record for each tier.
+ROUTING_KINDS: dict[PriorityTier, str] = {
+    PriorityTier.HIGHEST: "connect_override",
+    PriorityTier.MEDIUM: "permit_voice_burst",
+    PriorityTier.LOW: "permit_text_burst_with_beep",
+    PriorityTier.NONE: "standard_waiting",
 }
-
-
-@dataclass(frozen=True)
-class RoutingDecision:
-    kind: RoutingKind
-    tier: PriorityTier
-    reason: RoutingReason
 
 
 def route_waiting_call(
     waiting: CallSession,
     assessment: EmergencyAssessment,
     policy: BurstPolicy,
-) -> RoutingDecision:
-    """Pure tier-table lookup with the pre-approval floor applied first."""
+) -> tuple[PriorityTier, RoutingReason]:
+    """The waiting call's tier, with the pre-approval floor applied, and why."""
     if waiting.state is not CallState.WAITING:
         raise ValueError(f"session {waiting.session_id} is {waiting.state.value}, not waiting")
     score_tier = assessment.tier
@@ -136,7 +118,7 @@ def route_waiting_call(
         reason = RoutingReason.SCORE_THRESHOLD
     else:
         reason = RoutingReason.DEFAULT
-    return RoutingDecision(kind=_KIND_FOR_TIER[effective], tier=effective, reason=reason)
+    return effective, reason
 
 
 class CallEngine:
@@ -226,10 +208,9 @@ class CallEngine:
         ]
 
     def pick_waiting(self, callee: str) -> CallSession | None:
-        """Queue discipline: higher tier first, FIFO within a tier; a session
-        with no routing decision ranks as NONE."""
+        """Queue discipline: higher tier first, FIFO within a tier."""
         return min(
             self.waiting_sessions_for(callee),
-            key=lambda s: (-(s.decision.tier if s.decision else PriorityTier.NONE), s.session_id),
+            key=lambda s: (-s.tier, s.session_id),
             default=None,
         )

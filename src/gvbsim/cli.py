@@ -63,20 +63,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
-# Profile fields and flags reuse the scenario grammar's rules; they have no
-# scenario line, so their ParseErrors carry line 0.
-_NO_LINE = 0
-
-
-def _grammar_arg(rule: Callable[[str, int], object]) -> Callable[[str], object]:
+def _grammar_arg(rule: Callable[[str], object]) -> Callable[[str], object]:
     """An argparse `type=` that applies a scenario grammar rule and reports
     its message, where argparse would report only the rule's name."""
 
     def parse(text: str) -> object:
         try:
-            return rule(text, _NO_LINE)
-        except ParseError as exc:
-            raise argparse.ArgumentTypeError(exc.message) from None
+            return rule(text)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -90,7 +83,7 @@ _loctype_arg = _grammar_arg(_parse_loctype)
 
 def _load_profile(path: str | None) -> BaselineProfile:
     """Read a JSON baseline profile; an unknown key or a malformed field
-    raises ValueError or ParseError."""
+    raises ValueError."""
     if path is None:
         return BaselineProfile()
     data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -102,9 +95,9 @@ def _load_profile(path: str | None) -> BaselineProfile:
     home, hours = data.get("home"), data.get("usual_hours", "0-23")
     if not isinstance(home, (list, type(None))):
         raise ValueError(f"home must be [x, y], got {home!r}")
-    points = [] if home is None else [_parse_coordinates(home, _NO_LINE, home)]
+    points = [] if home is None else [_parse_coordinates(home, home)]
     if isinstance(hours, str):
-        hours = _parse_hours(hours, _NO_LINE)
+        hours = _parse_hours(hours)
     elif not (isinstance(hours, list) and all(type(h) is int for h in hours)):
         raise ValueError(f'usual_hours must be an "a-b" range or a list of hours, got {hours!r}')
     moving = data.get("usual_moving", False)
@@ -113,7 +106,7 @@ def _load_profile(path: str | None) -> BaselineProfile:
     return BaselineProfile(
         usual_locations=frozenset(points),
         usual_hours=frozenset(hours),
-        resting_heart_rate=_parse_float(data.get("resting_hr", 70), _NO_LINE, "resting_hr"),
+        resting_heart_rate=_parse_float(data.get("resting_hr", 70), "resting_hr"),
         usual_moving=bool(moving),
     )
 
@@ -183,7 +176,7 @@ def _cmd_score(args: argparse.Namespace) -> None:
     profile = _load_profile(args.profile)
     ctx = CallerContext(
         location=(
-            _parse_coordinates(args.loc.strip("()").split(","), _NO_LINE, args.loc)
+            _parse_coordinates(args.loc.strip("()").split(","), args.loc)
             if args.loc
             else None
         ),
@@ -218,8 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"gvbsim: simulation error: {exc}", file=sys.stderr)
         return 1
     except ParseError as exc:
-        reason = exc.message if exc.line_no == _NO_LINE else f"parse error: {exc}"
-        print(f"gvbsim: {reason}", file=sys.stderr)
+        print(f"gvbsim: parse error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"gvbsim: {exc}", file=sys.stderr)

@@ -25,6 +25,9 @@ outside quotes starts a comment, also in the middle of a word.
 and to whether an `at` line may carry it.  Directives without an `at`
 prefix take effect at the most recent event time (time 0 before the first
 `at` line).  An `usual_hours` range may wrap midnight (e.g. 22-3).
+
+A broken grammar rule raises ValueError; `parse_scenario` alone adds the
+line number, so the CLI applies the same rules to flags and profile fields.
 """
 from __future__ import annotations
 
@@ -104,109 +107,107 @@ def _lines(text: str) -> list[str]:
     return text.replace("\r\n", "\n").removesuffix("\r").split("\n")
 
 
-def _split_kv(token: str, line_no: int) -> tuple[str, str]:
+def _split_kv(token: str) -> tuple[str, str]:
     if "=" not in token:
-        raise ParseError(line_no, f"expected key=value, got {token!r}")
+        raise ValueError(f"expected key=value, got {token!r}")
     key, _, value = token.partition("=")
     return key, value
 
 
-def _parse_int(value: str, line_no: int, what: str) -> int:
+def _parse_int(value: str, what: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ParseError(line_no, f"{what} must be an integer, got {value!r}") from None
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _parse_float(value: object, line_no: int, what: str) -> float:
+def _parse_float(value: object, what: str) -> float:
     try:
         # A JSON profile's true/false would otherwise read as 1.0/0.0.
         number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
         number = math.nan
     if not math.isfinite(number):
-        raise ParseError(line_no, f"{what} must be a finite number, got {value!r}")
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
     return number
 
 
-def _parse_point(value: str, line_no: int) -> tuple[float, float]:
+def _parse_point(value: str) -> tuple[float, float]:
     raw = value.strip()
     if not (raw.startswith("(") and raw.endswith(")")):
-        raise ParseError(line_no, f"expected (x,y), got {value!r}")
-    return _parse_coordinates(raw[1:-1].split(","), line_no, value)
+        raise ValueError(f"expected (x,y), got {value!r}")
+    return _parse_coordinates(raw[1:-1].split(","), value)
 
 
-def _parse_coordinates(
-    parts: Sequence[object], line_no: int, value: object
-) -> tuple[float, float]:
+def _parse_coordinates(parts: Sequence[object], value: object) -> tuple[float, float]:
     """The point rule: exactly two finite coordinates; errors quote `value`."""
     if len(parts) != 2:
-        raise ParseError(line_no, f"expected (x,y), got {value!r}")
+        raise ValueError(f"expected (x,y), got {value!r}")
     return (
-        _parse_float(parts[0], line_no, "x coordinate"),
-        _parse_float(parts[1], line_no, "y coordinate"),
+        _parse_float(parts[0], "x coordinate"),
+        _parse_float(parts[1], "y coordinate"),
     )
 
 
-def _parse_hours(value: str, line_no: int) -> frozenset[int]:
+def _parse_hours(value: str) -> frozenset[int]:
     parts = value.split("-")
     if len(parts) != 2:
-        raise ParseError(line_no, f"usual_hours must be <a>-<b>, got {value!r}")
-    lo = _parse_int(parts[0], line_no, "usual_hours start")
-    hi = _parse_int(parts[1], line_no, "usual_hours end")
+        raise ValueError(f"usual_hours must be <a>-<b>, got {value!r}")
+    lo = _parse_int(parts[0], "usual_hours start")
+    hi = _parse_int(parts[1], "usual_hours end")
     if not (0 <= lo <= 23 and 0 <= hi <= 23):
-        raise ParseError(line_no, f"usual_hours must be within 0..23, got {value!r}")
+        raise ValueError(f"usual_hours must be within 0..23, got {value!r}")
     if lo <= hi:
         return frozenset(range(lo, hi + 1))
     return frozenset(range(lo, 24)) | frozenset(range(0, hi + 1))  # wraps midnight
 
 
-def _parse_bool(value: str, line_no: int, what: str) -> bool:
+def _parse_bool(value: str, what: str) -> bool:
     if value in ("0", "1"):
         return value == "1"
-    raise ParseError(line_no, f"{what} must be 0 or 1, got {value!r}")
+    raise ValueError(f"{what} must be 0 or 1, got {value!r}")
 
 
-def _parse_subscriber(tokens: list[str], line_no: int) -> dict[str, Any]:
+def _parse_subscriber(tokens: list[str]) -> dict[str, Any]:
     if not tokens:
-        raise ParseError(line_no, "subscriber requires an id")
+        raise ValueError("subscriber requires an id")
     args: dict[str, Any] = {"id": tokens[0], "home": None, "usual_hours_label": "0-23"}
     fields: dict[str, Any] = {}
     for token in tokens[1:]:
-        key, value = _split_kv(token, line_no)
+        key, value = _split_kv(token)
         if key == "home":
-            args["home"] = _parse_point(value, line_no)
+            args["home"] = _parse_point(value)
             fields["usual_locations"] = frozenset({args["home"]})
         elif key == "usual_hours":
-            fields["usual_hours"] = _parse_hours(value, line_no)
+            fields["usual_hours"] = _parse_hours(value)
             args["usual_hours_label"] = value
         elif key == "resting_hr":
-            fields["resting_heart_rate"] = _parse_int(value, line_no, "resting_hr")
+            fields["resting_heart_rate"] = _parse_int(value, "resting_hr")
         elif key == "usual_moving":
-            fields["usual_moving"] = _parse_bool(value, line_no, "usual_moving")
+            fields["usual_moving"] = _parse_bool(value, "usual_moving")
         else:
-            raise ParseError(line_no, f"unknown subscriber option {key!r}")
+            raise ValueError(f"unknown subscriber option {key!r}")
     args["profile"] = BaselineProfile(**fields)
     return args
 
 
-def _parse_policy(tokens: list[str], line_no: int) -> dict[str, Any]:
+def _parse_policy(tokens: list[str]) -> dict[str, Any]:
     if not tokens:
-        raise ParseError(line_no, "policy requires a callee id")
+        raise ValueError("policy requires a callee id")
     callee = tokens[0]
     fields: dict[str, Any] = {"t": None, "G": None, "N": None, "approve": frozenset()}
     for token in tokens[1:]:
-        key, value = _split_kv(token, line_no)
+        key, value = _split_kv(token)
         if key in ("t", "G", "N"):
-            fields[key] = _parse_int(value, line_no, key)
+            fields[key] = _parse_int(value, key)
         elif key == "approve":
             ids = [s for s in value.split(",") if s]
             fields["approve"] = frozenset(ids)
         else:
-            raise ParseError(line_no, f"unknown policy option {key!r}")
+            raise ValueError(f"unknown policy option {key!r}")
     missing = [k for k in ("t", "G", "N") if fields[k] is None]
     if missing:
-        raise ParseError(line_no, f"policy requires {', '.join(missing)}")
+        raise ValueError(f"policy requires {', '.join(missing)}")
     policy = BurstPolicy(
         callee=callee,
         burst_seconds_t=fields["t"],
@@ -217,66 +218,66 @@ def _parse_policy(tokens: list[str], line_no: int) -> dict[str, Any]:
     return {"policy": policy}
 
 
-def _parse_csv_floats(value: str, line_no: int, what: str, count: int) -> list[float]:
+def _parse_csv_floats(value: str, what: str, count: int) -> list[float]:
     parts = value.split(",")
     if len(parts) != count:
-        raise ParseError(line_no, f"{what} requires {count} comma-separated numbers")
-    return [_parse_float(p, line_no, what) for p in parts]
+        raise ValueError(f"{what} requires {count} comma-separated numbers")
+    return [_parse_float(p, what) for p in parts]
 
 
-def _parse_weights_value(value: str, line_no: int) -> FactorWeights:
-    return FactorWeights(*_parse_csv_floats(value, line_no, "weights", 4))
+def _parse_weights_value(value: str) -> FactorWeights:
+    return FactorWeights(*_parse_csv_floats(value, "weights", 4))
 
 
-def _parse_thresholds_value(value: str, line_no: int) -> TierThresholds:
-    return TierThresholds(*_parse_csv_floats(value, line_no, "thresholds", 3))
+def _parse_thresholds_value(value: str) -> TierThresholds:
+    return TierThresholds(*_parse_csv_floats(value, "thresholds", 3))
 
 
-def _parse_weights(tokens: list[str], line_no: int) -> dict[str, Any]:
+def _parse_weights(tokens: list[str]) -> dict[str, Any]:
     if len(tokens) != 1:
-        raise ParseError(line_no, "weights requires one wl,wt,wh,wa argument")
-    return {"weights": _parse_weights_value(tokens[0], line_no)}
+        raise ValueError("weights requires one wl,wt,wh,wa argument")
+    return {"weights": _parse_weights_value(tokens[0])}
 
 
-def _parse_thresholds(tokens: list[str], line_no: int) -> dict[str, Any]:
+def _parse_thresholds(tokens: list[str]) -> dict[str, Any]:
     if len(tokens) != 1:
-        raise ParseError(line_no, "thresholds requires one connect,voice,text argument")
-    return {"thresholds": _parse_thresholds_value(tokens[0], line_no)}
+        raise ValueError("thresholds requires one connect,voice,text argument")
+    return {"thresholds": _parse_thresholds_value(tokens[0])}
 
 
-def _parse_loctype(value: str, line_no: int) -> LocationType:
+def _parse_loctype(value: str) -> LocationType:
     try:
         return LocationType(value.lower())
     except ValueError:
         names = ", ".join(t.value for t in LocationType)
-        raise ParseError(line_no, f"loctype must be one of {names}") from None
+        raise ValueError(f"loctype must be one of {names}") from None
 
 
-def _parse_call(tokens: list[str], line_no: int) -> dict[str, Any]:
+def _parse_call(tokens: list[str]) -> dict[str, Any]:
     if len(tokens) < 2:
-        raise ParseError(line_no, "call requires <caller> <callee>")
+        raise ValueError("call requires <caller> <callee>")
     caller, callee = tokens[0], tokens[1]
     ctx_kwargs: dict[str, Any] = {}
     for token in tokens[2:]:
-        key, value = _split_kv(token, line_no)
+        key, value = _split_kv(token)
         if key == "loc":
-            ctx_kwargs["location"] = _parse_point(value, line_no)
+            ctx_kwargs["location"] = _parse_point(value)
         elif key == "loctype":
-            ctx_kwargs["location_type"] = _parse_loctype(value, line_no)
+            ctx_kwargs["location_type"] = _parse_loctype(value)
         elif key == "hour":
-            ctx_kwargs["hour_of_day"] = _parse_int(value, line_no, "hour")
+            ctx_kwargs["hour_of_day"] = _parse_int(value, "hour")
         elif key == "hr":
-            ctx_kwargs["heart_rate"] = _parse_float(value, line_no, "hr")
+            ctx_kwargs["heart_rate"] = _parse_float(value, "hr")
         elif key == "speed":
-            ctx_kwargs["moving_speed"] = _parse_float(value, line_no, "speed")
+            ctx_kwargs["moving_speed"] = _parse_float(value, "speed")
         else:
-            raise ParseError(line_no, f"unknown call option {key!r}")
+            raise ValueError(f"unknown call option {key!r}")
     return {"caller": caller, "callee": callee, "context": CallerContext(**ctx_kwargs)}
 
 
-def _parse_burst(tokens: list[str], line_no: int) -> dict[str, Any]:
+def _parse_burst(tokens: list[str]) -> dict[str, Any]:
     if len(tokens) < 2:
-        raise ParseError(line_no, "burst requires <caller> and transcript=... or silence")
+        raise ValueError("burst requires <caller> and transcript=... or silence")
     args: dict[str, Any] = {
         "caller": tokens[0],
         "transcript": None,  # None for a silent burst
@@ -285,18 +286,18 @@ def _parse_burst(tokens: list[str], line_no: int) -> dict[str, Any]:
     }
     mode = tokens[1]
     if mode != "silence":
-        key, value = _split_kv(mode, line_no)
+        key, value = _split_kv(mode)
         if key != "transcript":
-            raise ParseError(line_no, "burst needs transcript=\"...\" or silence first")
+            raise ValueError("burst needs transcript=\"...\" or silence first")
         if not value:
-            raise ParseError(line_no, "transcript must be non-empty; use silence instead")
+            raise ValueError("transcript must be non-empty; use silence instead")
         args["transcript"] = value
     for token in tokens[2:]:
-        key, value = _split_kv(token, line_no)
+        key, value = _split_kv(token)
         if key in ("keywords", "image"):
             args[key] = value
         else:
-            raise ParseError(line_no, f"unknown burst option {key!r}")
+            raise ValueError(f"unknown burst option {key!r}")
     return args
 
 
@@ -307,25 +308,25 @@ _MEDIA_KEYS = {
 }
 
 
-def _parse_media(tokens: list[str], line_no: int) -> dict[str, Any]:
+def _parse_media(tokens: list[str]) -> dict[str, Any]:
     if len(tokens) != 2:
-        raise ParseError(line_no, "media requires <caller> and one image|video|gesture=\"...\"")
-    key, value = _split_kv(tokens[1], line_no)
+        raise ValueError("media requires <caller> and one image|video|gesture=\"...\"")
+    key, value = _split_kv(tokens[1])
     if key not in _MEDIA_KEYS:
-        raise ParseError(line_no, f"media kind must be image, video, or gesture, got {key!r}")
+        raise ValueError(f"media kind must be image, video, or gesture, got {key!r}")
     if not value:
-        raise ParseError(line_no, "media description must be non-empty")
+        raise ValueError("media description must be non-empty")
     return {"caller": tokens[0], "modality": _MEDIA_KEYS[key], "description": value}
 
 
-def _parse_single_id(directive: str, tokens: list[str], line_no: int) -> dict[str, Any]:
+def _parse_single_id(directive: str, tokens: list[str]) -> dict[str, Any]:
     if len(tokens) != 1:
-        raise ParseError(line_no, f"{directive} requires exactly one subscriber id")
+        raise ValueError(f"{directive} requires exactly one subscriber id")
     return {"id": tokens[0]}
 
 
 class Directive(NamedTuple):
-    parse: Callable[[list[str], int], dict[str, Any]]
+    parse: Callable[[list[str]], dict[str, Any]]
     takes_at: bool  # whether an `at <sec>` line may carry it
 
 
@@ -346,8 +347,8 @@ DIRECTIVES: dict[str, Directive] = {
 def parse_scenario(text: str) -> list[SimEvent]:
     """Parse scenario text into events, in file order.
 
-    Raises ParseError with the offending line number; a value that breaks
-    a rule of the event it builds (a ValueError) is one too.
+    Raises ParseError with the offending line number: a grammar rule that
+    a line breaks raises ValueError, and this is where it gets its line.
     """
     events: list[SimEvent] = []
     current_time = 0
@@ -358,22 +359,22 @@ def parse_scenario(text: str) -> list[SimEvent]:
             raise ParseError(line_no, f"bad quoting: {exc}") from None
         if not tokens:
             continue
-        head, rest = tokens[0], tokens[1:]
-        at_line = head == "at"
-        if at_line:
-            if len(rest) < 2:
-                raise ParseError(line_no, "at requires a time and a directive")
-            current_time = _parse_int(rest[0], line_no, "event time")
-            if current_time < 0:
-                raise ParseError(line_no, f"event time must be >= 0, got {current_time}")
-            head, rest = rest[1], rest[2:]
-        directive = DIRECTIVES.get(head)
-        if directive is None:
-            raise ParseError(line_no, f"unknown directive {head!r}")
-        if at_line and not directive.takes_at:
-            raise ParseError(line_no, f"{head} is a directive, not an at-event")
         try:
-            args = directive.parse(rest, line_no)
+            head, rest = tokens[0], tokens[1:]
+            at_line = head == "at"
+            if at_line:
+                if len(rest) < 2:
+                    raise ValueError("at requires a time and a directive")
+                current_time = _parse_int(rest[0], "event time")
+                if current_time < 0:
+                    raise ValueError(f"event time must be >= 0, got {current_time}")
+                head, rest = rest[1], rest[2:]
+            directive = DIRECTIVES.get(head)
+            if directive is None:
+                raise ValueError(f"unknown directive {head!r}")
+            if at_line and not directive.takes_at:
+                raise ValueError(f"{head} is a directive, not an at-event")
+            args = directive.parse(rest)
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
         events.append(SimEvent(current_time, line_no, head, args))

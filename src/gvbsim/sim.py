@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 
 from .calls import (
+    ROUTING_KINDS,
     CallEngine,
     CallEvent,
     CallSession,
     CallState,
-    RoutingKind,
     route_waiting_call,
 )
 from .errors import ExternalTimeout, SimError
@@ -49,6 +49,7 @@ from .scoring import (
     BaselineProfile,
     FactorWeights,
     LocationType,
+    PriorityTier,
     TierThresholds,
     assess,
 )
@@ -206,26 +207,24 @@ class Simulation:
         fields = assessment_fields(assessment)
         self._emit("ASSESSMENT", session=sid, caller=session.caller, **fields)
         policy = self.policies.get(session.callee) or BurstPolicy(session.callee)
-        decision = session.decision = route_waiting_call(session, assessment, policy)
+        tier, reason = route_waiting_call(session, assessment, policy)
+        session.tier = tier
         self._emit(
             "ROUTING",
             session=sid,
-            kind=decision.kind.token,
-            tier=decision.tier.token,
-            reason=decision.reason.value,
+            kind=ROUTING_KINDS[tier],
+            tier=tier.token,
+            reason=reason.value,
         )
-        if decision.kind is RoutingKind.CONNECT_OVERRIDE:
+        if tier is PriorityTier.HIGHEST:
             for current in self.engine.connected_sessions(session.callee):
                 self.engine.hold(current.session_id)
                 self._emit("CALL_HELD", session=current.session_id)
             self.engine.apply_event(sid, CallEvent.OVERRIDE)
             self._emit("CALL_OVERRIDE_CONNECTED", session=sid)
-        elif decision.kind in (
-            RoutingKind.PERMIT_VOICE_BURST,
-            RoutingKind.PERMIT_TEXT_BURST_WITH_BEEP,
-        ):
+        elif tier is not PriorityTier.NONE:
             session.ledger = BurstLedger(policy)
-            mode = "voice" if decision.kind is RoutingKind.PERMIT_VOICE_BURST else "text"
+            mode = "voice" if tier is PriorityTier.MEDIUM else "text"
             self._emit(
                 "BURSTS_ADMITTED",
                 session=sid,
@@ -292,8 +291,7 @@ class Simulation:
             confidence=fmt_score(verdict.confidence),
             signals=",".join(s.modality.value for s in verdict.contributing) or "-",
         )
-        assert session.decision is not None
-        voice_mode = session.decision.kind is RoutingKind.PERMIT_VOICE_BURST
+        voice_mode = session.tier is PriorityTier.MEDIUM
         # (BURST_SENT payload token, text), or None for a silent window
         sent: tuple[str, str] | None = None
         if verdict.incapacitated:
@@ -410,7 +408,6 @@ class Simulation:
             self.engine.apply_event(current.session_id, CallEvent.HANG_UP)
             self._emit("CALL_ENDED", session=current.session_id, by=callee)
         self.engine.apply_event(session.session_id, CallEvent.ANSWER)
-        session.ledger = None  # waiting episode over
         self._emit("CALL_CONNECTED", session=session.session_id)
 
     def _handle_dismiss(self, event: SimEvent) -> None:

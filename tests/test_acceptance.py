@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from gvbsim.calls import CallState, CallSession, RoutingKind, route_waiting_call
+from gvbsim.calls import ROUTING_KINDS, CallState, CallSession, route_waiting_call
 from gvbsim.cli import main
 from gvbsim.generation import ExternalBackend, TemplateBackend
 from gvbsim.policy import BurstPolicy
@@ -66,10 +66,10 @@ def test_c1_tier_routing_table():
     waiting = CallSession(1, "C", "A", CallState.WAITING)
     policy = BurstPolicy(callee="A")
     expected = {
-        0.95: RoutingKind.CONNECT_OVERRIDE,
-        0.7: RoutingKind.PERMIT_VOICE_BURST,
-        0.4: RoutingKind.PERMIT_TEXT_BURST_WITH_BEEP,
-        0.1: RoutingKind.STANDARD_WAITING,
+        0.95: "connect_override",
+        0.7: "permit_voice_burst",
+        0.4: "permit_text_burst_with_beep",
+        0.1: "standard_waiting",
     }
     for score, kind in expected.items():
         tier = classify_tier(score, thresholds)
@@ -78,11 +78,12 @@ def test_c1_tier_routing_table():
             emergency_score=score,
             tier=tier,
         )
-        decision = route_waiting_call(waiting, assessment, policy)
-        assert decision.kind is kind, f"score {score} routed to {decision.kind}"
+        routed, _ = route_waiting_call(waiting, assessment, policy)
+        assert routed is tier, f"score {score} routed to {routed.token}"
+        assert ROUTING_KINDS[routed] == kind
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
-    announce(1, f"scores 0.95/0.7/0.4/0.1 route to the four decision kinds ({elapsed:.3f}s)")
+    announce(1, f"scores 0.95/0.7/0.4/0.1 route to the four routing kinds ({elapsed:.3f}s)")
 
 
 # --- criterion 2: pre-approved burst timeline ---
@@ -149,8 +150,8 @@ def test_c3_runtime_scoring_scenario():
     assert round(result.emergency_score, 3) == 0.958
     assert result.tier is PriorityTier.HIGHEST
     waiting = CallSession(1, "C", "A", CallState.WAITING)
-    decision = route_waiting_call(waiting, result, BurstPolicy(callee="A"))
-    assert decision.kind is RoutingKind.CONNECT_OVERRIDE
+    tier, _ = route_waiting_call(waiting, result, BurstPolicy(callee="A"))
+    assert ROUTING_KINDS[tier] == "connect_override"
 
     baseline = CallerContext(
         location=(0.0, 0.0),
@@ -161,9 +162,8 @@ def test_c3_runtime_scoring_scenario():
     )
     calm = assess(baseline, profile)
     assert calm.emergency_score == 0.0
-    assert route_waiting_call(waiting, calm, BurstPolicy(callee="A")).kind is (
-        RoutingKind.STANDARD_WAITING
-    )
+    tier, _ = route_waiting_call(waiting, calm, BurstPolicy(callee="A"))
+    assert ROUTING_KINDS[tier] == "standard_waiting"
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     announce(3, f"high-risk context scores 23/24 -> override; baseline waits ({elapsed:.3f}s)")

@@ -5,12 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gvbsim.calls import (
+    ROUTING_KINDS,
     CallEngine,
     CallEvent,
     CallSession,
     CallState,
-    RoutingDecision,
-    RoutingKind,
     RoutingReason,
     next_state,
     route_waiting_call,
@@ -31,7 +30,7 @@ def make_engine(*subscribers: str) -> CallEngine:
 
 
 def assessment_with_tier(tier: PriorityTier) -> EmergencyAssessment:
-    # The routing decision only reads the tier; score fields are filler.
+    # Routing only reads the tier; score fields are filler.
     return EmergencyAssessment(
         factors=FactorScores(0.0, 0.0, 0.0, 0.0),
         emergency_score=0.0,
@@ -128,47 +127,47 @@ def test_transition_graph_targets():
 # -- routing --
 
 def test_highest_score_connects_even_without_approval():
-    decision = route_waiting_call(
+    tier, reason = route_waiting_call(
         waiting_session(), assessment_with_tier(PriorityTier.HIGHEST), BurstPolicy(callee="A")
     )
-    assert decision.kind is RoutingKind.CONNECT_OVERRIDE
-    assert decision.tier is PriorityTier.HIGHEST
-    assert decision.reason is RoutingReason.SCORE_THRESHOLD
+    assert ROUTING_KINDS[tier] == "connect_override"
+    assert tier is PriorityTier.HIGHEST
+    assert reason is RoutingReason.SCORE_THRESHOLD
 
 
 def test_approved_caller_is_floored_to_voice_burst():
     policy = BurstPolicy(callee="A", approved_callers=frozenset({"C"}))
-    decision = route_waiting_call(
+    tier, reason = route_waiting_call(
         waiting_session(), assessment_with_tier(PriorityTier.NONE), policy
     )
-    assert decision.kind is RoutingKind.PERMIT_VOICE_BURST
-    assert decision.tier is PriorityTier.MEDIUM
-    assert decision.reason is RoutingReason.PRE_APPROVED
+    assert ROUTING_KINDS[tier] == "permit_voice_burst"
+    assert tier is PriorityTier.MEDIUM
+    assert reason is RoutingReason.PRE_APPROVED
 
 
 def test_unapproved_caller_with_no_signal_waits_normally():
-    decision = route_waiting_call(
+    tier, reason = route_waiting_call(
         waiting_session(), assessment_with_tier(PriorityTier.NONE), BurstPolicy(callee="A")
     )
-    assert decision.kind is RoutingKind.STANDARD_WAITING
-    assert decision.tier is PriorityTier.NONE
-    assert decision.reason is RoutingReason.DEFAULT
+    assert ROUTING_KINDS[tier] == "standard_waiting"
+    assert tier is PriorityTier.NONE
+    assert reason is RoutingReason.DEFAULT
 
 
 def test_approved_caller_with_highest_score_still_overrides():
     policy = BurstPolicy(callee="A", approved_callers=frozenset({"C"}))
-    decision = route_waiting_call(
+    tier, reason = route_waiting_call(
         waiting_session(), assessment_with_tier(PriorityTier.HIGHEST), policy
     )
-    assert decision.kind is RoutingKind.CONNECT_OVERRIDE
-    assert decision.reason is RoutingReason.SCORE_THRESHOLD
+    assert ROUTING_KINDS[tier] == "connect_override"
+    assert reason is RoutingReason.SCORE_THRESHOLD
 
 
 def test_low_tier_gets_text_burst_with_beep():
-    decision = route_waiting_call(
+    tier, _ = route_waiting_call(
         waiting_session(), assessment_with_tier(PriorityTier.LOW), BurstPolicy(callee="A")
     )
-    assert decision.kind is RoutingKind.PERMIT_TEXT_BURST_WITH_BEEP
+    assert ROUTING_KINDS[tier] == "permit_text_burst_with_beep"
 
 
 def test_routing_requires_a_waiting_session():
@@ -191,11 +190,11 @@ def test_raising_tier_never_downgrades_the_decision(approved: bool):
     policy = BurstPolicy(
         callee="A", approved_callers=frozenset({"C"}) if approved else frozenset()
     )
-    kinds = [
-        route_waiting_call(waiting_session(), assessment_with_tier(tier), policy).kind
+    routed = [
+        route_waiting_call(waiting_session(), assessment_with_tier(tier), policy)[0]
         for tier in sorted(PriorityTier)
     ]
-    assert kinds == sorted(kinds)
+    assert routed == sorted(routed)
 
 
 # -- engine bookkeeping --
@@ -213,13 +212,11 @@ def test_at_most_one_unheld_connected_session_per_callee():
 def test_pick_waiting_prefers_higher_tier_then_fifo():
     engine = make_engine("A", "B", "C", "D", "E")
     engine.place_call("A", "B")
-    engine.place_call("C", "A")  # first waiter: no decision, so it ranks as NONE
+    engine.place_call("C", "A")  # first waiter: not routed, so it ranks as NONE
     second = engine.place_call("D", "A")
     third = engine.place_call("E", "A")
     for session in (second, third):
-        session.decision = RoutingDecision(
-            RoutingKind.PERMIT_VOICE_BURST, PriorityTier.MEDIUM, RoutingReason.SCORE_THRESHOLD
-        )
+        session.tier = PriorityTier.MEDIUM
     picked = engine.pick_waiting("A")
     assert picked is not None and picked.session_id == second.session_id
 

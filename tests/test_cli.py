@@ -296,11 +296,25 @@ def test_score_rejects_bad_input(capsys):
     assert capsys.readouterr().err
 
 
-def test_score_names_an_unknown_profile_key(tmp_path: Path, capsys):
-    profile = tmp_path / "profile.json"
-    profile.write_text('{"resting_hr": 60, "resting_HR": 40}', encoding="utf-8")
-    assert main(["score", "--profile", str(profile)]) == 2
-    assert capsys.readouterr().err == "gvbsim: unknown profile key 'resting_HR'\n"
+# A flag or profile field has no scenario line, so its message stands alone.
+@pytest.mark.parametrize(
+    ("profile", "flags", "message"),
+    [
+        ('{"resting_hr": 60, "resting_HR": 40}', [], "unknown profile key 'resting_HR'"),
+        ('{"home": [1]}', [], "expected (x,y), got [1]"),
+        ('{"usual_hours": "25-3"}', [], "usual_hours must be within 0..23, got '25-3'"),
+        ('{"resting_hr": true}', [], "resting_hr must be a finite number, got True"),
+        ("{}", ["--loc", "1"], "expected (x,y), got '1'"),
+    ],
+    ids=["unknown_key", "home", "usual_hours", "resting_hr", "loc_flag"],
+)
+def test_score_names_an_unknown_profile_key(
+    profile: str, flags: list[str], message: str, tmp_path: Path, capsys
+):
+    path = tmp_path / "profile.json"
+    path.write_text(profile, encoding="utf-8")
+    assert main(["score", "--profile", str(path), *flags]) == 2
+    assert capsys.readouterr().err == f"gvbsim: {message}\n"
 
 
 def test_gen_subcommand(capsys):

@@ -145,6 +145,20 @@ def test_a_broken_rule_raises_value_error_and_errors_py_has_four_classes():
     assert other == []
 
 
+def test_only_the_scenario_parser_gives_an_error_its_line():
+    # a grammar rule raises ValueError; parse_scenario knows the line it broke
+    builders = set()
+    for path in sorted((REPO_ROOT / "src" / "gvbsim").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("ParseError"):
+                around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                innermost = max(around, key=lambda f: f.lineno, default=None)
+                builders.add(f"{path.stem}.{innermost.name if innermost else '<module>'}")
+    assert builders == {"scenario._lines", "scenario.parse_scenario"}
+
+
 def test_only_main_maps_a_failure_to_an_exit_code():
     tree = ast.parse((REPO_ROOT / "src" / "gvbsim" / "cli.py").read_text(encoding="utf-8"))
     exits = []
