@@ -22,7 +22,7 @@ from enum import Enum
 from .incapacity import Modality
 from .policy import BurstPolicy
 from .scheduler import BurstLedger
-from .scoring import CallerContext, EmergencyAssessment, PriorityTier
+from .scoring import CallerContext, PriorityTier
 
 
 def validate_subscriber_id(sub_id: str) -> str:
@@ -102,13 +102,12 @@ ROUTING_KINDS: dict[PriorityTier, str] = {
 
 def route_waiting_call(
     waiting: CallSession,
-    assessment: EmergencyAssessment,
+    score_tier: PriorityTier,
     policy: BurstPolicy,
 ) -> tuple[PriorityTier, RoutingReason]:
     """The waiting call's tier, with the pre-approval floor applied, and why."""
     if waiting.state is not CallState.WAITING:
         raise ValueError(f"session {waiting.session_id} is {waiting.state.value}, not waiting")
-    score_tier = assessment.tier
     effective = score_tier
     if waiting.caller in policy.approved_callers:
         effective = max(score_tier, PriorityTier.MEDIUM)

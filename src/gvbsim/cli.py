@@ -86,7 +86,10 @@ def _load_profile(path: str | None) -> BaselineProfile:
     raises ValueError."""
     if path is None:
         return BaselineProfile()
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"profile {path!r} nests too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("profile must be a JSON object")
     for key in data:
@@ -191,9 +194,7 @@ def _cmd_score(args: argparse.Namespace) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> None:
-    # As in a run, OTHER says nothing about the place and is left out.
-    location_type = None if args.loctype is LocationType.OTHER else args.loctype.value
-    seed = compose_seed(keywords=args.keywords, location=location_type)
+    seed = compose_seed(keywords=args.keywords, location=args.loctype.seed_text)
     message = generate_message(seed, rng_seed=args.rng_seed)
     message = fit_to_duration(message, args.t, args.speaking_rate)
     if not message.word_count:

@@ -27,9 +27,8 @@ class Modality(Enum):
     GESTURE = "gesture"
 
 
-MEDIA_MODALITIES = frozenset(
-    {Modality.IMAGE_DESCRIPTION, Modality.VIDEO_DESCRIPTION, Modality.GESTURE}
-)
+# The `media` directive's kinds, in the scenario grammar's order.
+MEDIA_MODALITIES = (Modality.IMAGE_DESCRIPTION, Modality.VIDEO_DESCRIPTION, Modality.GESTURE)
 
 
 @dataclass(frozen=True)

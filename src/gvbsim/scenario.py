@@ -22,9 +22,12 @@ literally, and inside double quotes it escapes only `"` and `\`; `#`
 outside quotes starts a comment, also in the middle of a word.
 
 `DIRECTIVES` is the one list of heads: each maps to its argument parser
-and to whether an `at` line may carry it.  Directives without an `at`
-prefix take effect at the most recent event time (time 0 before the first
-`at` line).  An `usual_hours` range may wrap midnight (e.g. 22-3).
+and to whether an `at` line may carry it.  A parser returns the fields
+that `Simulation` passes to the head's handler as keyword arguments.  The
+media kinds are the values of `incapacity.MEDIA_MODALITIES`, in order.
+Directives without an `at` prefix take effect at the most recent event
+time (time 0 before the first `at` line).  An `usual_hours` range may wrap
+midnight (e.g. 22-3).
 
 A broken grammar rule raises ValueError; `parse_scenario` alone adds the
 line number, so the CLI applies the same rules to flags and profile fields.
@@ -38,7 +41,7 @@ from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import ParseError
-from .incapacity import Modality
+from .incapacity import MEDIA_MODALITIES
 from .policy import BurstPolicy
 from .scoring import BaselineProfile, CallerContext, FactorWeights, LocationType, TierThresholds
 
@@ -171,7 +174,7 @@ def _parse_bool(value: str, what: str) -> bool:
 def _parse_subscriber(tokens: list[str]) -> dict[str, Any]:
     if not tokens:
         raise ValueError("subscriber requires an id")
-    args: dict[str, Any] = {"id": tokens[0], "home": None, "usual_hours_label": "0-23"}
+    args: dict[str, Any] = {"sub_id": tokens[0], "home": None, "usual_hours_label": "0-23"}
     fields: dict[str, Any] = {}
     for token in tokens[1:]:
         key, value = _split_kv(token)
@@ -301,19 +304,15 @@ def _parse_burst(tokens: list[str]) -> dict[str, Any]:
     return args
 
 
-_MEDIA_KEYS = {
-    "image": Modality.IMAGE_DESCRIPTION,
-    "video": Modality.VIDEO_DESCRIPTION,
-    "gesture": Modality.GESTURE,
-}
+_MEDIA_KEYS = {m.value: m for m in MEDIA_MODALITIES}
 
 
 def _parse_media(tokens: list[str]) -> dict[str, Any]:
     if len(tokens) != 2:
-        raise ValueError("media requires <caller> and one image|video|gesture=\"...\"")
+        raise ValueError(f"media requires <caller> and one {'|'.join(_MEDIA_KEYS)}=\"...\"")
     key, value = _split_kv(tokens[1])
     if key not in _MEDIA_KEYS:
-        raise ValueError(f"media kind must be image, video, or gesture, got {key!r}")
+        raise ValueError(f"media kind must be one of {', '.join(_MEDIA_KEYS)}, got {key!r}")
     if not value:
         raise ValueError("media description must be non-empty")
     return {"caller": tokens[0], "modality": _MEDIA_KEYS[key], "description": value}
@@ -322,7 +321,7 @@ def _parse_media(tokens: list[str]) -> dict[str, Any]:
 def _parse_single_id(directive: str, tokens: list[str]) -> dict[str, Any]:
     if len(tokens) != 1:
         raise ValueError(f"{directive} requires exactly one subscriber id")
-    return {"id": tokens[0]}
+    return {"sub_id": tokens[0]}
 
 
 class Directive(NamedTuple):

@@ -1,10 +1,11 @@
 """Contextual anomaly factors, combined emergency score, and priority tiers.
 
-Each factor compares the caller's current context against their baseline
-profile and yields a score in [0, 1].  Missing inputs never escalate: an
-absent sensor reading or an empty baseline contributes 0.  The combined
-score is a normalized weighted average, classified into a tier by three
-thresholds.
+`FACTORS` maps each factor's name to its anomaly function, in
+`FactorWeights` field order.  Each compares the caller's current context
+against their baseline profile and yields a score in [0, 1].  Missing
+inputs never escalate: an absent sensor reading or an empty baseline
+contributes 0.  The combined score is a normalized weighted average,
+classified into a tier by three thresholds.
 """
 from __future__ import annotations
 
@@ -30,6 +31,11 @@ class LocationType(Enum):
     BANK = "bank"
     ISOLATED = "isolated"
     OTHER = "other"
+
+    @property
+    def seed_text(self) -> str | None:
+        """The place as a generation seed part: OTHER says nothing about it."""
+        return None if self is LocationType.OTHER else self.value
 
 
 HIGH_RISK_LOCATIONS = frozenset({LocationType.HIGHWAY, LocationType.HOSPITAL, LocationType.ISOLATED})
@@ -132,19 +138,8 @@ class FactorWeights:
 
 
 @dataclass(frozen=True)
-class FactorScores:
-    location: float
-    timing: float
-    health: float
-    activity: float
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.location, self.timing, self.health, self.activity)
-
-
-@dataclass(frozen=True)
 class EmergencyAssessment:
-    factors: FactorScores
+    factors: tuple[float, float, float, float]  # in `FACTORS` order
     emergency_score: float
     tier: PriorityTier
 
@@ -191,20 +186,28 @@ def activity_anomaly(ctx: CallerContext, profile: BaselineProfile) -> float:
     return min(1.0, ctx.moving_speed / SPEED_NORM_MPS)
 
 
-def emergency_score(scores: Sequence[float], weights: Sequence[float]) -> float:
-    """Normalized weighted average of factor scores.
+FACTORS = {
+    "location": location_anomaly,
+    "timing": timing_anomaly,
+    "health": health_anomaly,
+    "activity": activity_anomaly,
+}
 
-    Invariant under scaling all weights by a positive constant (up to
-    float rounding).  Raises ValueError when every weight is zero.
-    """
+
+def emergency_score(scores: Sequence[float], weights: Sequence[float]) -> float:
+    """Weighted average of factor scores, the weights first divided by the
+    largest, so no positive scaling of them overflows or underflows (the
+    score is exact when the largest is 1).  Raises ValueError when every
+    weight is zero."""
     if len(scores) != len(weights) or not scores:
         raise ValueError("scores and weights must be equal-length, non-empty sequences")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
-    total = sum(weights)
-    if total == 0:
+    largest = max(weights)
+    if largest == 0:
         raise ValueError("at least one weight must be positive")
-    return sum(w * s for w, s in zip(weights, scores)) / total
+    weights = [w / largest for w in weights]
+    return sum(w * s for w, s in zip(weights, scores)) / sum(weights)
 
 
 def classify_tier(score: float, thresholds: TierThresholds = TierThresholds()) -> PriorityTier:
@@ -223,14 +226,9 @@ def assess(
     weights: FactorWeights = FactorWeights(),
     thresholds: TierThresholds = TierThresholds(),
 ) -> EmergencyAssessment:
-    """Score all four factors, combine them, and classify the tier."""
-    factors = FactorScores(
-        location=location_anomaly(ctx, profile),
-        timing=timing_anomaly(ctx, profile),
-        health=health_anomaly(ctx, profile),
-        activity=activity_anomaly(ctx, profile),
-    )
-    score = emergency_score(factors.as_tuple(), weights.as_tuple())
+    """Score every factor, combine them, and classify the tier."""
+    factors = tuple(anomaly(ctx, profile) for anomaly in FACTORS.values())
+    score = emergency_score(factors, weights.as_tuple())
     return EmergencyAssessment(
         factors=factors,
         emergency_score=score,

@@ -46,9 +46,10 @@ from .policy import BurstPolicy
 from .scenario import SimEvent
 from .scheduler import BurstLedger, Deny, dismiss, record_burst, request_burst
 from .scoring import (
+    FACTORS,
     BaselineProfile,
+    CallerContext,
     FactorWeights,
-    LocationType,
     PriorityTier,
     TierThresholds,
     assess,
@@ -79,6 +80,11 @@ def _fmt_point(point: tuple[float, float] | None) -> str:
     if point is None:
         return "-"
     return f"({point[0]:g},{point[1]:g})"
+
+
+def _budget(policy: BurstPolicy) -> dict[str, int]:
+    """The `t`, `G` and `N` fields of `POLICY_SET` and `BURSTS_ADMITTED`."""
+    return {"t": policy.burst_seconds_t, "G": policy.gap_seconds_g, "N": policy.max_bursts_n}
 
 
 class Simulation:
@@ -115,7 +121,7 @@ class Simulation:
             self.clock = event.at
             handler = self._HANDLERS[event.kind]
             try:
-                handler(self, event)
+                handler(self, **event.args)
             except (ValueError, KeyError) as exc:
                 raise SimError(event.line_no, str(exc)) from exc
         self._expire_waiting(before=None)
@@ -144,70 +150,57 @@ class Simulation:
 
     # -- event handlers --
 
-    def _handle_register(self, event: SimEvent) -> None:
-        args = event.args
-        sub_id = self.engine.register(args["id"])
-        profile = args["profile"]
+    def _handle_register(
+        self,
+        sub_id: str,
+        home: tuple[float, float] | None,
+        usual_hours_label: str,
+        profile: BaselineProfile,
+    ) -> None:
+        self.engine.register(sub_id)
         self.profiles[sub_id] = profile
         self._emit(
             "SUBSCRIBER_REGISTERED",
             id=sub_id,
-            home=_fmt_point(args["home"]),
-            usual_hours=args["usual_hours_label"],
+            home=_fmt_point(home),
+            usual_hours=usual_hours_label,
             resting_hr=fmt_num(profile.resting_heart_rate),
             usual_moving=int(profile.usual_moving),
         )
 
-    def _handle_policy(self, event: SimEvent) -> None:
-        policy = event.args["policy"]
+    def _handle_policy(self, policy: BurstPolicy) -> None:
         self.policies[policy.callee] = policy
         approved = ",".join(sorted(policy.approved_callers)) or "-"
-        self._emit(
-            "POLICY_SET",
-            callee=policy.callee,
-            t=policy.burst_seconds_t,
-            G=policy.gap_seconds_g,
-            N=policy.max_bursts_n,
-            approved=approved,
-        )
+        self._emit("POLICY_SET", callee=policy.callee, **_budget(policy), approved=approved)
 
-    def _handle_weights(self, event: SimEvent) -> None:
-        self.weights = event.args["weights"]
-        self._emit(
-            "WEIGHTS_SET",
-            location=fmt_num(self.weights.location),
-            timing=fmt_num(self.weights.timing),
-            health=fmt_num(self.weights.health),
-            activity=fmt_num(self.weights.activity),
-        )
+    def _handle_weights(self, weights: FactorWeights) -> None:
+        self.weights = weights
+        self._emit("WEIGHTS_SET", **{n: fmt_num(w) for n, w in zip(FACTORS, weights.as_tuple())})
 
-    def _handle_thresholds(self, event: SimEvent) -> None:
-        self.thresholds = event.args["thresholds"]
+    def _handle_thresholds(self, thresholds: TierThresholds) -> None:
+        self.thresholds = thresholds
         self._emit(
             "THRESHOLDS_SET",
-            connect=fmt_num(self.thresholds.theta_connect),
-            voice=fmt_num(self.thresholds.theta_voice),
-            text=fmt_num(self.thresholds.theta_text),
+            connect=fmt_num(thresholds.theta_connect),
+            voice=fmt_num(thresholds.theta_voice),
+            text=fmt_num(thresholds.theta_text),
         )
 
-    def _handle_call(self, event: SimEvent) -> None:
-        args = event.args
-        session = self.engine.place_call(args["caller"], args["callee"])
+    def _handle_call(self, caller: str, callee: str, context: CallerContext) -> None:
+        session = self.engine.place_call(caller, callee)
         sid = session.session_id
-        session.context = args["context"]
+        session.context = context
         self._touch(session)
-        self._emit("CALL_PLACED", session=sid, caller=session.caller, callee=session.callee)
+        self._emit("CALL_PLACED", session=sid, caller=caller, callee=callee)
         if session.state is CallState.ACTIVE:
             self._emit("CALL_CONNECTED", session=sid)
             return
         self._emit("CALL_WAITING", session=sid)
-        assessment = assess(
-            args["context"], self.profiles[session.caller], self.weights, self.thresholds
-        )
+        assessment = assess(context, self.profiles[caller], self.weights, self.thresholds)
         fields = assessment_fields(assessment)
-        self._emit("ASSESSMENT", session=sid, caller=session.caller, **fields)
-        policy = self.policies.get(session.callee) or BurstPolicy(session.callee)
-        tier, reason = route_waiting_call(session, assessment, policy)
+        self._emit("ASSESSMENT", session=sid, caller=caller, **fields)
+        policy = self.policies.get(callee) or BurstPolicy(callee)
+        tier, reason = route_waiting_call(session, assessment.tier, policy)
         session.tier = tier
         self._emit(
             "ROUTING",
@@ -217,7 +210,7 @@ class Simulation:
             reason=reason.value,
         )
         if tier is PriorityTier.HIGHEST:
-            for current in self.engine.connected_sessions(session.callee):
+            for current in self.engine.connected_sessions(callee):
                 self.engine.hold(current.session_id)
                 self._emit("CALL_HELD", session=current.session_id)
             self.engine.apply_event(sid, CallEvent.OVERRIDE)
@@ -225,14 +218,7 @@ class Simulation:
         elif tier is not PriorityTier.NONE:
             session.ledger = BurstLedger(policy)
             mode = "voice" if tier is PriorityTier.MEDIUM else "text"
-            self._emit(
-                "BURSTS_ADMITTED",
-                session=sid,
-                mode=mode,
-                t=policy.burst_seconds_t,
-                G=policy.gap_seconds_g,
-                N=policy.max_bursts_n,
-            )
+            self._emit("BURSTS_ADMITTED", session=sid, mode=mode, **_budget(policy))
 
     def _waiting_session_of_caller(self, caller: str) -> CallSession | None:
         for session in self.engine.sessions_of(caller):
@@ -240,16 +226,17 @@ class Simulation:
                 return session
         return None
 
-    def _handle_burst(self, event: SimEvent) -> None:
-        args = event.args
-        session = self._waiting_session_of_caller(args["caller"])
+    def _handle_burst(
+        self, caller: str, transcript: str | None, keywords: str | None, image: str | None
+    ) -> None:
+        session = self._waiting_session_of_caller(caller)
         if session is None:
-            self._emit("BURST_REJECTED", caller=args["caller"], reason="no_waiting_call")
+            self._emit("BURST_REJECTED", caller=caller, reason="no_waiting_call")
             return
         sid = session.session_id
         self._touch(session)
         if session.ledger is None:
-            self._emit("BURST_REJECTED", caller=args["caller"], session=sid, reason="not_admitted")
+            self._emit("BURST_REJECTED", caller=caller, session=sid, reason="not_admitted")
             return
         grant = request_burst(session.ledger, self.clock)
         if isinstance(grant, Deny):
@@ -262,7 +249,6 @@ class Simulation:
             return
         t = session.ledger.policy.burst_seconds_t
         self._emit("PERMIT", session=sid, start=grant.granted_at, window_end=grant.window_end)
-        transcript: str | None = args["transcript"]
         signals: list[ModalitySignal] = []
         if transcript is None:
             duration = t
@@ -274,8 +260,8 @@ class Simulation:
             if keyword_signal is not None:
                 signals.append(keyword_signal)
         media_descs: dict[Modality, list[str]] = {}
-        if args["image"]:
-            media_descs.setdefault(Modality.IMAGE_DESCRIPTION, []).append(args["image"])
+        if image:
+            media_descs.setdefault(Modality.IMAGE_DESCRIPTION, []).append(image)
         for modality, description in session.pending_media:
             media_descs.setdefault(modality, []).append(description)
         session.pending_media.clear()
@@ -296,7 +282,7 @@ class Simulation:
         sent: tuple[str, str] | None = None
         if verdict.incapacitated:
             sent = self._generate_substitute(
-                session, args, transcript, media_descs, t, voice_mode
+                session, keywords, transcript, media_descs, t, voice_mode
             )
         elif transcript is not None:
             sent = ("voice" if voice_mode else "text_beep", transcript)
@@ -312,7 +298,7 @@ class Simulation:
     def _generate_substitute(
         self,
         session: CallSession,
-        args: dict,
+        keywords: str | None,
         transcript: str | None,
         media_descs: dict[Modality, list[str]],
         t: int,
@@ -326,14 +312,11 @@ class Simulation:
         and a message with no word left after fitting says nothing, so
         either way the window stands as silent (None).
         """
-        sid, context = session.session_id, session.context
-        location_type = None
-        if context is not None and context.location_type is not LocationType.OTHER:
-            location_type = context.location_type.value
+        sid = session.session_id
         seed = compose_seed(
-            keywords=args["keywords"],
+            keywords=keywords,
             speech=transcript,
-            location=location_type,
+            location=session.context.location_type.seed_text,
             **{m.value: "; ".join(texts) for m, texts in media_descs.items()},
         )
         if not seed:
@@ -357,18 +340,16 @@ class Simulation:
             return None
         return ("generated" if voice_mode else "text_beep", message.text)
 
-    def _handle_media(self, event: SimEvent) -> None:
-        args = event.args
-        session = self._waiting_session_of_caller(args["caller"])
+    def _handle_media(self, caller: str, modality: Modality, description: str) -> None:
+        session = self._waiting_session_of_caller(caller)
         if session is None:
-            self._emit("MEDIA_IGNORED", caller=args["caller"])
+            self._emit("MEDIA_IGNORED", caller=caller)
             return
-        session.pending_media.append((args["modality"], args["description"]))
+        session.pending_media.append((modality, description))
         self._touch(session)
-        self._emit("MEDIA_NOTED", session=session.session_id, modality=args["modality"].value)
+        self._emit("MEDIA_NOTED", session=session.session_id, modality=modality.value)
 
-    def _handle_hangup(self, event: SimEvent) -> None:
-        sub_id = event.args["id"]
+    def _handle_hangup(self, sub_id: str) -> None:
         target = self._pick_hangup_target(sub_id)
         if target is None:
             raise ValueError(f"{sub_id!r} has no session to hang up")
@@ -399,20 +380,18 @@ class Simulation:
                     self._emit("CALL_RESUMED", session=session.session_id)
                     break
 
-    def _handle_answer(self, event: SimEvent) -> None:
-        callee = event.args["id"]
-        session = self.engine.pick_waiting(callee)
+    def _handle_answer(self, sub_id: str) -> None:
+        session = self.engine.pick_waiting(sub_id)
         if session is None:
-            raise ValueError(f"{callee!r} has no waiting call to answer")
-        for current in self.engine.connected_sessions(callee):
+            raise ValueError(f"{sub_id!r} has no waiting call to answer")
+        for current in self.engine.connected_sessions(sub_id):
             self.engine.apply_event(current.session_id, CallEvent.HANG_UP)
-            self._emit("CALL_ENDED", session=current.session_id, by=callee)
+            self._emit("CALL_ENDED", session=current.session_id, by=sub_id)
         self.engine.apply_event(session.session_id, CallEvent.ANSWER)
         self._emit("CALL_CONNECTED", session=session.session_id)
 
-    def _handle_dismiss(self, event: SimEvent) -> None:
-        callee = event.args["id"]
-        for session in self.engine.waiting_sessions_for(callee):
+    def _handle_dismiss(self, sub_id: str) -> None:
+        for session in self.engine.waiting_sessions_for(sub_id):
             sid, ledger = session.session_id, session.ledger
             if ledger is not None and not ledger.dismissed:
                 remaining = ledger.policy.max_bursts_n - ledger.bursts_sent

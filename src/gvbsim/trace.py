@@ -23,6 +23,7 @@ from __future__ import annotations
 import re
 
 from .generation import decode_text, encode_text
+from .scoring import FACTORS
 
 TRACE_EVENTS: dict[str, tuple[str, tuple[str, ...]]] = {
     "SUBSCRIBER_REGISTERED": (
@@ -75,15 +76,10 @@ def fmt_num(value: float) -> str:
 
 def assessment_fields(assessment) -> dict[str, str]:
     """An `EmergencyAssessment` as `ASSESSMENT` and `gvbsim score` show it."""
-    factors = assessment.factors
-    return {
-        "location": fmt_score(factors.location),
-        "timing": fmt_score(factors.timing),
-        "health": fmt_score(factors.health),
-        "activity": fmt_score(factors.activity),
-        "score": fmt_score(assessment.emergency_score),
-        "tier": assessment.tier.token,
-    }
+    fields = {name: fmt_score(value) for name, value in zip(FACTORS, assessment.factors)}
+    fields["score"] = fmt_score(assessment.emergency_score)
+    fields["tier"] = assessment.tier.token
+    return fields
 
 
 class TraceRecord(str):

@@ -31,8 +31,6 @@ from gvbsim.scheduler import (
 from gvbsim.scoring import (
     BaselineProfile,
     CallerContext,
-    EmergencyAssessment,
-    FactorScores,
     LocationType,
     PriorityTier,
     TierThresholds,
@@ -73,12 +71,7 @@ def test_c1_tier_routing_table():
     }
     for score, kind in expected.items():
         tier = classify_tier(score, thresholds)
-        assessment = EmergencyAssessment(
-            factors=FactorScores(score, score, score, score),
-            emergency_score=score,
-            tier=tier,
-        )
-        routed, _ = route_waiting_call(waiting, assessment, policy)
+        routed, _ = route_waiting_call(waiting, tier, policy)
         assert routed is tier, f"score {score} routed to {routed.token}"
         assert ROUTING_KINDS[routed] == kind
     elapsed = time.perf_counter() - started
@@ -150,7 +143,7 @@ def test_c3_runtime_scoring_scenario():
     assert round(result.emergency_score, 3) == 0.958
     assert result.tier is PriorityTier.HIGHEST
     waiting = CallSession(1, "C", "A", CallState.WAITING)
-    tier, _ = route_waiting_call(waiting, result, BurstPolicy(callee="A"))
+    tier, _ = route_waiting_call(waiting, result.tier, BurstPolicy(callee="A"))
     assert ROUTING_KINDS[tier] == "connect_override"
 
     baseline = CallerContext(
@@ -162,7 +155,7 @@ def test_c3_runtime_scoring_scenario():
     )
     calm = assess(baseline, profile)
     assert calm.emergency_score == 0.0
-    tier, _ = route_waiting_call(waiting, calm, BurstPolicy(callee="A"))
+    tier, _ = route_waiting_call(waiting, calm.tier, BurstPolicy(callee="A"))
     assert ROUTING_KINDS[tier] == "standard_waiting"
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0

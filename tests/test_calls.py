@@ -15,11 +15,7 @@ from gvbsim.calls import (
     route_waiting_call,
 )
 from gvbsim.policy import BurstPolicy
-from gvbsim.scoring import (
-    EmergencyAssessment,
-    FactorScores,
-    PriorityTier,
-)
+from gvbsim.scoring import PriorityTier
 
 
 def make_engine(*subscribers: str) -> CallEngine:
@@ -27,15 +23,6 @@ def make_engine(*subscribers: str) -> CallEngine:
     for sub in subscribers:
         engine.register(sub)
     return engine
-
-
-def assessment_with_tier(tier: PriorityTier) -> EmergencyAssessment:
-    # Routing only reads the tier; score fields are filler.
-    return EmergencyAssessment(
-        factors=FactorScores(0.0, 0.0, 0.0, 0.0),
-        emergency_score=0.0,
-        tier=tier,
-    )
 
 
 def waiting_session(caller: str = "C", callee: str = "A") -> CallSession:
@@ -128,7 +115,7 @@ def test_transition_graph_targets():
 
 def test_highest_score_connects_even_without_approval():
     tier, reason = route_waiting_call(
-        waiting_session(), assessment_with_tier(PriorityTier.HIGHEST), BurstPolicy(callee="A")
+        waiting_session(), PriorityTier.HIGHEST, BurstPolicy(callee="A")
     )
     assert ROUTING_KINDS[tier] == "connect_override"
     assert tier is PriorityTier.HIGHEST
@@ -137,9 +124,7 @@ def test_highest_score_connects_even_without_approval():
 
 def test_approved_caller_is_floored_to_voice_burst():
     policy = BurstPolicy(callee="A", approved_callers=frozenset({"C"}))
-    tier, reason = route_waiting_call(
-        waiting_session(), assessment_with_tier(PriorityTier.NONE), policy
-    )
+    tier, reason = route_waiting_call(waiting_session(), PriorityTier.NONE, policy)
     assert ROUTING_KINDS[tier] == "permit_voice_burst"
     assert tier is PriorityTier.MEDIUM
     assert reason is RoutingReason.PRE_APPROVED
@@ -147,7 +132,7 @@ def test_approved_caller_is_floored_to_voice_burst():
 
 def test_unapproved_caller_with_no_signal_waits_normally():
     tier, reason = route_waiting_call(
-        waiting_session(), assessment_with_tier(PriorityTier.NONE), BurstPolicy(callee="A")
+        waiting_session(), PriorityTier.NONE, BurstPolicy(callee="A")
     )
     assert ROUTING_KINDS[tier] == "standard_waiting"
     assert tier is PriorityTier.NONE
@@ -156,32 +141,27 @@ def test_unapproved_caller_with_no_signal_waits_normally():
 
 def test_approved_caller_with_highest_score_still_overrides():
     policy = BurstPolicy(callee="A", approved_callers=frozenset({"C"}))
-    tier, reason = route_waiting_call(
-        waiting_session(), assessment_with_tier(PriorityTier.HIGHEST), policy
-    )
+    tier, reason = route_waiting_call(waiting_session(), PriorityTier.HIGHEST, policy)
     assert ROUTING_KINDS[tier] == "connect_override"
     assert reason is RoutingReason.SCORE_THRESHOLD
 
 
 def test_low_tier_gets_text_burst_with_beep():
-    tier, _ = route_waiting_call(
-        waiting_session(), assessment_with_tier(PriorityTier.LOW), BurstPolicy(callee="A")
-    )
+    tier, _ = route_waiting_call(waiting_session(), PriorityTier.LOW, BurstPolicy(callee="A"))
     assert ROUTING_KINDS[tier] == "permit_text_burst_with_beep"
 
 
 def test_routing_requires_a_waiting_session():
     active = CallSession(1, "C", "A", CallState.ACTIVE)
     with pytest.raises(ValueError, match="is active, not waiting"):
-        route_waiting_call(active, assessment_with_tier(PriorityTier.NONE), BurstPolicy(callee="A"))
+        route_waiting_call(active, PriorityTier.NONE, BurstPolicy(callee="A"))
 
 
 def test_routing_is_deterministic():
     policy = BurstPolicy(callee="A", approved_callers=frozenset({"C"}))
     session = waiting_session()
-    assessment = assessment_with_tier(PriorityTier.LOW)
-    first = route_waiting_call(session, assessment, policy)
-    second = route_waiting_call(session, assessment, policy)
+    first = route_waiting_call(session, PriorityTier.LOW, policy)
+    second = route_waiting_call(session, PriorityTier.LOW, policy)
     assert first == second
 
 
@@ -191,7 +171,7 @@ def test_raising_tier_never_downgrades_the_decision(approved: bool):
         callee="A", approved_callers=frozenset({"C"}) if approved else frozenset()
     )
     routed = [
-        route_waiting_call(waiting_session(), assessment_with_tier(tier), policy)[0]
+        route_waiting_call(waiting_session(), tier, policy)[0]
         for tier in sorted(PriorityTier)
     ]
     assert routed == sorted(routed)

@@ -127,6 +127,7 @@ PROFILES = {
     "bool_home": '{"home": [true, false]}',
     "bool_resting_hr": '{"resting_hr": true}',
     "unknown_key": '{"resting_HR": 40}',
+    "deep_nesting": "[" * 100000,  # json.loads raises RecursionError
 }
 
 
@@ -160,6 +161,7 @@ PROFILES = {
         "score --loc 1,0 --profile {bool_home}",
         "score --profile {bool_resting_hr}",
         "score --profile {unknown_key}",
+        "score --profile {deep_nesting}",
     ],
 )
 def test_input_faults_exit_2_without_a_traceback(argv: str, tmp_path: Path):
@@ -282,6 +284,28 @@ def test_score_prints_the_fields_of_the_assessment_record(tmp_path: Path, capsys
     assert [field.partition("=")[0] for field in fields] == [
         "location", "timing", "health", "activity", "score", "tier"
     ]
+
+
+@pytest.mark.parametrize(
+    ("weights", "context", "expected"),
+    [
+        ("1e308,1e308,1e308,1e308", "--loctype highway --hr 200 --speed 20 --hour 3", 0.75),
+        ("1,1,1,1", "--loctype highway --hr 200 --speed 20 --hour 3", 0.75),
+        ("5e-324,0,0,0", "--loc 3,0", 0.6),
+        ("1,0,0,0", "--loc 3,0", 0.6),
+    ],
+    ids=["huge", "huge_as_one", "tiny", "tiny_as_one"],
+)
+def test_score_reads_extreme_weights_as_their_ratio(
+    weights: str, context: str, expected: float, tmp_path: Path, capsys
+):
+    # 1e308 weights printed score=nan tier=none; 5e-324 escalated to highest
+    profile = tmp_path / "profile.json"
+    profile.write_text('{"home": [0, 0]}', encoding="utf-8")
+    argv = ["score", "--weights", weights, *context.split(), "--profile", str(profile)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-2:] == [f"score={expected:.6f}", "tier=medium"]
 
 
 def test_score_defaults_to_an_uninformative_profile(capsys):

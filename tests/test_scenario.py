@@ -34,7 +34,7 @@ def test_empty_file_gives_no_events():
 def test_comments_and_inline_comments_ignored():
     events = parse_scenario("# header\nsubscriber A # trailing words\n")
     assert len(events) == 1
-    assert events[0].args["id"] == "A"
+    assert events[0].args["sub_id"] == "A"
 
 
 def test_directives_before_first_at_apply_at_time_zero():
@@ -176,7 +176,7 @@ def test_media_line():
 def test_hangup_answer_dismiss():
     events = parse_scenario("at 1 hangup A\nat 2 answer B\nat 3 dismiss A\n")
     assert [e.kind for e in events] == ["hangup", "answer", "dismiss"]
-    assert events[1].args["id"] == "B"
+    assert events[1].args["sub_id"] == "B"
 
 
 def test_unknown_directive():

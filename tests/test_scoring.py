@@ -167,6 +167,19 @@ def test_bad_weight_vectors_rejected():
         emergency_score((), ())
 
 
+@pytest.mark.parametrize(
+    ("scores", "weights", "expected"),
+    [
+        ((1, 0, 1, 1), (1e308, 1e308, 1e308, 1e308), 0.75),  # the sum overflowed: nan
+        ((1, 0, 0, 0), (1e308, 1e308, 0, 0), 0.5),  # the sum overflowed: 0.0
+        ((0.6, 0, 0, 0), (5e-324, 0, 0, 0), 0.6),  # the product underflowed: 1.0
+    ],
+    ids=["huge", "huge_pair", "tiny"],
+)
+def test_extreme_weights_score_as_their_ratio(scores, weights, expected: float):
+    assert emergency_score(scores, weights) == expected
+
+
 # -- classification --
 
 def test_tier_partition():

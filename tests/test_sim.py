@@ -470,6 +470,16 @@ def test_weights_directive_changes_the_outcome():
     assert one(records, "ROUTING").get("kind") == "connect_override"
 
 
+@pytest.mark.parametrize("weights", ["1e308,1e308,1e308,1e308", "5e-324,5e-324,5e-324,5e-324"])
+def test_extreme_weights_assess_like_equal_weights(weights: str):
+    # 1e308 weights once summed to inf and wrote score=nan tier=none
+    call = "at 0 call A B\nat 10 call C A loc=(40,9) loctype=highway hour=3 hr=200 speed=20\n"
+    equal = one(run_text(PREAMBLE + "weights 1,1,1,1\n" + call), "ASSESSMENT")
+    extreme = one(run_text(PREAMBLE + f"weights {weights}\n" + call), "ASSESSMENT")
+    assert extreme.details == equal.details
+    assert (equal.get("score"), equal.get("tier")) == ("0.958333", "highest")
+
+
 def test_thresholds_directive_changes_the_tier():
     text = (
         PREAMBLE

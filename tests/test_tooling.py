@@ -1,6 +1,7 @@
 """Names and tables that other code or docs repeat: the benchmark's tracer
-wraps engine functions by name from outside the package, and the handlers,
-the docs and the hostile-text property each list the scenario directives.
+wraps engine functions by name from outside the package, the handlers, the
+docs and the hostile-text property each list the scenario directives, and
+the trace and the weights each list the factors.
 A rename or a new head in `src/` must fail here, not only in a traced run
 or a reader's hands.  The error convention is checked here too."""
 from __future__ import annotations
@@ -10,18 +11,25 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import subprocess
 import sys
 
+import pytest
+
 from gvbsim import scenario
 from gvbsim.cli import _build_parser
-from gvbsim.incapacity import DISTRESS_LEXICON, KEYWORDS
+from gvbsim.errors import ParseError
+from gvbsim.generation import SEED_LABELS
+from gvbsim.incapacity import DISTRESS_LEXICON, KEYWORDS, MEDIA_MODALITIES
 from gvbsim.policy import BurstPolicy
-from gvbsim.scenario import DIRECTIVES
+from gvbsim.scenario import _MEDIA_KEYS, DIRECTIVES, parse_scenario
 from gvbsim.scheduler import BurstLedger, request_burst
+from gvbsim.scoring import FACTORS, BaselineProfile, CallerContext, FactorWeights, assess
 from gvbsim.sim import RunConfig, Simulation
+from gvbsim.trace import TRACE_EVENTS, assessment_fields
 
 from .conftest import REPO_ROOT
 from .test_scenario import _TEMPLATES
@@ -60,6 +68,12 @@ def test_a_granted_burst_is_named_permit():
     assert type(grant).__name__ == "Permit"
 
 
+def readme_grammar() -> str:
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1]
+    return re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+
+
 def grammar_heads(lines: list[str]) -> list[tuple[str, bool]]:
     """(head, has an `at <sec>` prefix) for each grammar line."""
     heads = []
@@ -71,15 +85,50 @@ def grammar_heads(lines: list[str]) -> list[tuple[str, bool]]:
 
 def test_the_directive_table_is_the_one_list_of_heads():
     declared = [(head, directive.takes_at) for head, directive in DIRECTIVES.items()]
-    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Scenario files", 1)[1]
-    readme_block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
     doc_block = scenario.__doc__.split("\n\n")[1]  # after the title line
     doc_lines = [line.strip() for line in doc_block.splitlines()]
-    assert grammar_heads(readme_block.splitlines()) == declared
+    assert grammar_heads(readme_grammar().splitlines()) == declared
     assert grammar_heads([line for line in doc_lines if line != "# comment"]) == declared
     assert set(Simulation._HANDLERS) == set(DIRECTIVES)
     assert set(_TEMPLATES) == set(DIRECTIVES)
+
+
+def test_each_handler_takes_the_fields_its_parser_returns():
+    # Simulation.run calls handler(self, **event.args)
+    for head, (template, defaults) in _TEMPLATES.items():
+        prefix = "at 1 " if DIRECTIVES[head].takes_at else ""
+        (event,) = parse_scenario(f"{prefix}{head} {template.format(*defaults)}\n")
+        parameters = list(inspect.signature(Simulation._HANDLERS[head]).parameters)
+        assert parameters == ["self", *event.args], head
+
+
+def test_the_factors_are_declared_once():
+    names = tuple(FACTORS)
+    assert names == tuple(field.name for field in dataclasses.fields(FactorWeights))
+    assert names == TRACE_EVENTS["WEIGHTS_SET"][1]
+    assert names == TRACE_EVENTS["ASSESSMENT"][1][2:-2]
+    assert names == tuple(assessment_fields(assess(CallerContext(), BaselineProfile())))[:-2]
+
+
+def test_the_media_kinds_are_declared_once():
+    for grammar in (readme_grammar(), scenario.__doc__):
+        kinds = re.search(r"media <caller> \((.*?)\)=", grammar).group(1)
+        assert kinds == "|".join(_MEDIA_KEYS)
+    assert all(modality.value in SEED_LABELS for modality in MEDIA_MODALITIES)
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ('media C noise="x"', "media kind must be one of image, video, gesture, got 'noise'"),
+        ("media C", 'media requires <caller> and one image|video|gesture="..."'),
+    ],
+    ids=["kind", "arity"],
+)
+def test_a_bad_media_line_names_the_kinds(line: str, message: str):
+    with pytest.raises(ParseError) as error:
+        parse_scenario(f"at 1 {line}\n")
+    assert error.value.message == message
 
 
 def test_every_run_config_field_is_set_by_a_run_flag():
