@@ -5,8 +5,7 @@
                [--rng-seed N] [--speaking-rate WPS] [--abandon-timeout S]
     gvbsim score [--loc x,y] [--loctype T] [--hour H] [--hr BPM]
                  [--speed MPS] [--profile FILE] [--weights ...] [--thresholds ...]
-    gvbsim gen --keywords "<text>" [--t S] [--loctype T] [--rng-seed N]
-               [--speaking-rate WPS]
+    gvbsim gen --keywords "<text>" [--t S] [--loctype T] [--speaking-rate WPS]
 
 Exit codes: 0 success, 1 simulation error (`SimError`), 2 a parse error
 (`ParseError`) or any other bad input (`ValueError`, `OSError`).
@@ -144,7 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--keywords", required=True)
     gen_p.add_argument("--t", type=int, default=5)
     gen_p.add_argument("--loctype", type=_loctype_arg, default=LocationType.OTHER)
-    gen_p.add_argument("--rng-seed", type=_non_negative_int, default=0)
     gen_p.add_argument("--speaking-rate", type=_positive_float, default=DEFAULT_SPEAKING_RATE_WPS)
     return parser
 
@@ -195,7 +193,7 @@ def _cmd_score(args: argparse.Namespace) -> None:
 
 def _cmd_gen(args: argparse.Namespace) -> None:
     seed = compose_seed(keywords=args.keywords, location=args.loctype.seed_text)
-    message = generate_message(seed, rng_seed=args.rng_seed)
+    message = generate_message(seed)
     message = fit_to_duration(message, args.t, args.speaking_rate)
     if not message.word_count:
         raise ValueError(f"no word fits {args.t}s at {args.speaking_rate} words/s")

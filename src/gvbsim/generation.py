@@ -96,7 +96,7 @@ _TEMPLATE_RULES: tuple[tuple[str, str], ...] = (
 )
 _TEMPLATE_PATTERNS = tuple((phrase_pattern(term), message) for term, message in _TEMPLATE_RULES)
 
-_LOCATION_IN_SEED = re.compile(r"(?:^|; )location: ([^;]+)")
+_LOCATION_IN_SEED = re.compile(r"(?:^|; )location: ([^;]+)\Z")
 
 
 def _template_text(seed: str) -> str:

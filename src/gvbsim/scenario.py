@@ -26,8 +26,9 @@ and to whether an `at` line may carry it.  A parser returns the fields
 that `Simulation` passes to the head's handler as keyword arguments.  The
 media kinds are the values of `incapacity.MEDIA_MODALITIES`, in order.
 Directives without an `at` prefix take effect at the most recent event
-time (time 0 before the first `at` line).  An `usual_hours` range may wrap
-midnight (e.g. 22-3).
+time (time 0 before the first `at` line).  An `at` time may not be below
+the one before it, so the file is the timeline and events run in file
+order.  An `usual_hours` range may wrap midnight (e.g. 22-3).
 
 A broken grammar rule raises ValueError; `parse_scenario` alone adds the
 line number, so the CLI applies the same rules to flags and profile fields.
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -46,15 +46,11 @@ from .policy import BurstPolicy
 from .scoring import BaselineProfile, CallerContext, FactorWeights, LocationType, TierThresholds
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     at: int
     line_no: int
     kind: str  # the directive head
-    args: dict[str, Any] = field(default_factory=dict)
-
-    def sort_key(self) -> tuple[int, int]:
-        return (self.at, self.line_no)
+    args: dict[str, Any]
 
 
 # One match per token, comment or stray quote; unmatched characters are
@@ -364,9 +360,12 @@ def parse_scenario(text: str) -> list[SimEvent]:
             if at_line:
                 if len(rest) < 2:
                     raise ValueError("at requires a time and a directive")
-                current_time = _parse_int(rest[0], "event time")
-                if current_time < 0:
-                    raise ValueError(f"event time must be >= 0, got {current_time}")
+                at = _parse_int(rest[0], "event time")
+                if at < 0:
+                    raise ValueError(f"event time must be >= 0, got {at}")
+                if at < current_time:
+                    raise ValueError(f"event time must not go back, got {at} after {current_time}")
+                current_time = at
                 head, rest = rest[1], rest[2:]
             directive = DIRECTIVES.get(head)
             if directive is None:

@@ -1,7 +1,7 @@
 """Discrete-event simulator: drives every module on a virtual clock and
 emits a deterministic trace.
 
-Events are processed in (time, line) order.  A call into a busy callee is
+Events are processed in file order.  A call into a busy callee is
 scored, routed, and (when bursts are admitted) given a ledger.  A burst
 attempt consults the scheduler, runs incapacity detection on the window,
 and substitutes a generated message when the caller appears incapacitated.
@@ -88,7 +88,7 @@ def _budget(policy: BurstPolicy) -> dict[str, int]:
 
 
 class Simulation:
-    """One run over a sorted event list; not reusable."""
+    """One run over a parsed event list, in file order; not reusable."""
 
     def __init__(self, config: RunConfig | None = None):
         self.config = config or RunConfig()
@@ -116,7 +116,7 @@ class Simulation:
     # -- main loop --
 
     def run(self, events: list[SimEvent]) -> list[TraceRecord]:
-        for event in sorted(events, key=SimEvent.sort_key):
+        for event in events:
             self._expire_waiting(before=event.at)
             self.clock = event.at
             handler = self._HANDLERS[event.kind]
@@ -144,7 +144,7 @@ class Simulation:
             session = self.engine.get(sid)
             if session.state is not CallState.WAITING or session.last_activity + timeout != expiry:
                 continue
-            self.clock = max(self.clock, expiry)
+            self.clock = expiry
             self.engine.apply_event(sid, CallEvent.TIMEOUT)
             self._emit("CALL_ENDED", session=sid, by="timeout")
 

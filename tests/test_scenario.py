@@ -210,11 +210,20 @@ def test_directive_with_at_prefix_rejected():
         parse_scenario("at 5 policy A t=5 G=30 N=3\n")
 
 
-def test_events_keep_file_order_and_line_numbers():
+def test_at_times_never_go_back_and_equal_times_keep_file_order():
     text = "subscriber A\nsubscriber B\nat 7 call A B\nat 7 hangup A\n"
     events = parse_scenario(text)
-    assert [e.line_no for e in events] == [1, 2, 3, 4]
-    assert sorted(events, key=lambda e: e.sort_key()) == events
+    assert [(e.at, e.line_no, e.kind) for e in events] == [
+        (0, 1, "subscriber"), (0, 2, "subscriber"), (7, 3, "call"), (7, 4, "hangup"),
+    ]
+    with pytest.raises(ParseError) as error:
+        parse_scenario("at 7 call A B\nat 4 hangup A\n")
+    assert (error.value.line_no, error.value.message) == (
+        2, "event time must not go back, got 4 after 7"
+    )
+    # a directive without `at` takes the latest time, whatever came before it
+    events = parse_scenario("at 7 call A B\npolicy B t=5 G=0 N=1\nat 7 hangup A\n")
+    assert [(e.at, e.kind) for e in events] == [(7, "call"), (7, "policy"), (7, "hangup")]
 
 
 def _outcome(split, line: str) -> list[str] | str:

@@ -223,6 +223,20 @@ def test_keyword_in_speech_triggers_substitution():
     assert "smoke" in sent.get("text").lower()  # template keyed on the spoken seed
 
 
+@pytest.mark.parametrize(
+    "burst",
+    ['transcript="help; location: the old mill"', 'silence keywords="x; location: nowhere at all"'],
+    ids=["transcript", "keywords"],
+)
+def test_a_callers_words_do_not_set_the_location(burst: str):
+    text = (
+        "subscriber A\nsubscriber B\nsubscriber C\npolicy A t=9 G=0 N=3 approve=C\n"
+        f"at 0 call A B\nat 1 call C A loctype=highway\nat 2 burst C {burst}\n"
+    )
+    gen = one(run_text(text), "GEN")
+    assert gen.get("text") == "Emergency. Please call back immediately. Location: highway."
+
+
 def test_media_description_feeds_the_next_burst():
     text = (
         PREAMBLE
@@ -598,8 +612,9 @@ _BURST_MODES = [
 
 @st.composite
 def _hostile_scenarios(draw) -> str:
-    """Registrations, policies and `at` lines out of time order, with
-    self-calls, unregistered ids and actions that have no target."""
+    """Registrations, policies and `at` lines with self-calls, unregistered
+    ids and actions that have no target.  The drawn lines are sorted into
+    the opening ones by time, stably, since an `at` time may not go back."""
     unregistered = draw(st.sampled_from(["D"] * 6 + ["A", "B", "C"]))
     lines = [f"subscriber {sub}" for sub in "ABC" if sub != unregistered]
     opening = draw(st.booleans())  # C waits on a busy A, which approves it
@@ -621,9 +636,11 @@ def _hostile_scenarios(draw) -> str:
         st.builds("media {} image=smoke".format, _IDS),
         st.builds("{} {}".format, st.sampled_from(["hangup", "answer", "dismiss"]), _IDS),
     )
+    timeline = []
     if opening:
-        lines += ["at 0 call A B", f"at 1 call C A{draw(st.sampled_from(_CONTEXTS))}"]
-    for at, action in draw(st.lists(st.tuples(st.integers(0, 150), actions), max_size=12)):
+        timeline += [(0, "call A B"), (1, f"call C A{draw(st.sampled_from(_CONTEXTS))}")]
+    timeline += draw(st.lists(st.tuples(st.integers(0, 150), actions), max_size=12))
+    for at, action in sorted(timeline, key=lambda line: line[0]):
         lines.append(f"at {at} {action}")
     return "\n".join(lines) + "\n"
 

@@ -1,7 +1,8 @@
 """Names and tables that other code or docs repeat: the benchmark's tracer
-wraps engine functions by name from outside the package, the handlers, the
-docs and the hostile-text property each list the scenario directives, and
-the trace and the weights each list the factors.
+wraps engine functions by name from outside the package, its generator
+writes scenarios that the parser must accept, the handlers, the docs and
+the hostile-text property each list the scenario directives, and the trace
+and the weights each list the factors.
 A rename or a new head in `src/` must fail here, not only in a traced run
 or a reader's hands.  The error convention is checked here too."""
 from __future__ import annotations
@@ -35,11 +36,11 @@ from .conftest import REPO_ROOT
 from .test_scenario import _TEMPLATES
 
 
-def load_tracer(monkeypatch):
-    """Import perfbench/tracer.py without writing its bytecode cache."""
+def load_perfbench(monkeypatch, name: str):
+    """Import perfbench/<name>.py without writing its bytecode cache."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", REPO_ROOT / "perfbench" / "tracer.py"
+        f"perfbench_{name}", REPO_ROOT / "perfbench" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -47,7 +48,7 @@ def load_tracer(monkeypatch):
 
 
 def test_every_name_the_tracer_wraps_resolves(monkeypatch):
-    tracer = load_tracer(monkeypatch)
+    tracer = load_perfbench(monkeypatch, "tracer")
     names = [(module, attr) for module, attr, _ in tracer.SPANNED] + list(tracer.COUNTED)
     assert names
     missing = []
@@ -60,6 +61,14 @@ def test_every_name_the_tracer_wraps_resolves(monkeypatch):
         if name not in getattr(owner, "__dict__", {}):
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_every_benchmark_workload_parses(monkeypatch):
+    # a parser rule stricter than the generator fails here, not in a benchmark run
+    gen = load_perfbench(monkeypatch, "gen")
+    for workload in gen.WORKLOADS:
+        text, _ = gen.generate(workload, 7, gen.FULL_SIZE[workload] // 4)
+        assert parse_scenario(text), workload
 
 
 def test_a_granted_burst_is_named_permit():
