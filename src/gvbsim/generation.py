@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from typing import IO
 
 from .errors import ExternalGeneratorError, ExternalTimeout
-from .incapacity import phrase_pattern
+from .incapacity import term_alternation
 
 # Every request asks for at most MAX_WORDS words at TEMPERATURE, sampled;
 # the template caps its own text at MAX_WORDS too.
@@ -79,9 +79,10 @@ class GeneratedMessage:
         return None if self.fallback is None else str(self.fallback)
 
 
-# Scanned in order; the first term found in the seed, as a whole word in
-# any case, picks the message.  Each message repeats its trigger term so
-# the output stays anchored to the seed content.
+# The first rule in this order whose term is anywhere in the seed, as a
+# whole word in any case, picks the message: "smoke then fire" is a fire.
+# Each message repeats its trigger term so the output stays anchored to
+# the seed content.
 _TEMPLATE_RULES: tuple[tuple[str, str], ...] = (
     ("fire", "The house is on fire. Please send help immediately."),
     ("smoke", "There is smoke everywhere. Please send the fire brigade."),
@@ -94,15 +95,15 @@ _TEMPLATE_RULES: tuple[tuple[str, str], ...] = (
     ("intruder", "An intruder is in the house. Please call the police."),
     ("thief", "A thief has entered the house. Please call the police."),
 )
-_TEMPLATE_PATTERNS = tuple((phrase_pattern(term), message) for term, message in _TEMPLATE_RULES)
+_TEMPLATE_TERMS = term_alternation(tuple(term for term, _ in _TEMPLATE_RULES))
 
 _LOCATION_IN_SEED = re.compile(r"(?:^|; )location: ([^;]+)\Z")
 
 
 def _template_text(seed: str) -> str:
-    for pattern, message in _TEMPLATE_PATTERNS:
-        if pattern.search(seed):
-            return message
+    rule = min((match.lastindex for match in _TEMPLATE_TERMS.finditer(seed)), default=None)
+    if rule is not None:
+        return _TEMPLATE_RULES[rule - 1][1]
     location = _LOCATION_IN_SEED.search(seed)
     if location:
         return f"Emergency. Please call back immediately. Location: {location.group(1).strip()}."

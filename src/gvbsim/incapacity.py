@@ -4,7 +4,9 @@ incapacity verdict that triggers generated-message substitution.
 Two fixed vocabularies are read, each term as a whole word or words in any
 case: a transcript holding a KEYWORDS phrase is a full-strength keyword
 signal, and a media description scores one half per distinct
-DISTRESS_LEXICON term, saturating at two.
+DISTRESS_LEXICON term, saturating at two.  Each vocabulary is one
+`term_alternation` pattern, scanned once per text, and every signal these
+detectors can return is built once, at import.
 """
 from __future__ import annotations
 
@@ -48,21 +50,29 @@ class IncapacityVerdict:
     contributing: tuple[ModalitySignal, ...]
 
 
-def phrase_pattern(phrase: str) -> re.Pattern[str]:
-    """`phrase` as a whole word or words, in any case: "help" never fires
-    inside "helpful"."""
-    return re.compile(r"\b" + re.escape(phrase) + r"\b", re.IGNORECASE)
+def term_alternation(terms: tuple[str, ...]) -> re.Pattern[str]:
+    """One pattern finding any of `terms` as a whole word or words, in any
+    case ("help" never fires inside "helpful"); a match's `lastindex` is
+    the 1-based position of its term in `terms`."""
+    alternatives = "|".join(f"({re.escape(term)})" for term in terms)
+    return re.compile(rf"\b(?:{alternatives})\b", re.IGNORECASE)
 
 
-_KEYWORD_PATTERNS = tuple(phrase_pattern(phrase) for phrase in KEYWORDS)
-_DISTRESS_PATTERNS = tuple(phrase_pattern(term) for term in DISTRESS_LEXICON)
+_KEYWORD_PATTERN = term_alternation(KEYWORDS)
+_DISTRESS_PATTERN = term_alternation(DISTRESS_LEXICON)
+_KEYWORD_SIGNAL = ModalitySignal(Modality.KEYWORD, 1.0)
+_SILENCE_SIGNAL = ModalitySignal(Modality.SILENCE, 1.0)
+# (media modality, distinct DISTRESS_LEXICON terms matched) -> signal
+_MEDIA_SIGNALS = {
+    (modality, matched): ModalitySignal(modality, min(1.0, matched / 2))
+    for modality in MEDIA_MODALITIES
+    for matched in range(1, len(DISTRESS_LEXICON) + 1)
+}
 
 
 def detect_keywords(transcript: str) -> ModalitySignal | None:
     """A full-strength signal when any KEYWORDS phrase is in `transcript`."""
-    if any(pattern.search(transcript) for pattern in _KEYWORD_PATTERNS):
-        return ModalitySignal(Modality.KEYWORD, 1.0)
-    return None
+    return _KEYWORD_SIGNAL if _KEYWORD_PATTERN.search(transcript) else None
 
 
 def detect_silence(duration: int) -> ModalitySignal:
@@ -70,7 +80,7 @@ def detect_silence(duration: int) -> ModalitySignal:
     is a full-strength silence signal."""
     if duration <= 0:
         raise ValueError(f"window duration must be positive, got {duration}")
-    return ModalitySignal(Modality.SILENCE, 1.0)
+    return _SILENCE_SIGNAL
 
 
 def flag_media(description: str, modality: Modality) -> ModalitySignal | None:
@@ -78,10 +88,11 @@ def flag_media(description: str, modality: Modality) -> ModalitySignal | None:
     strength saturates at two matches."""
     if modality not in MEDIA_MODALITIES:
         raise ValueError(f"flag_media expects a media modality, got {modality}")
-    matched = sum(1 for pattern in _DISTRESS_PATTERNS if pattern.search(description))
+    # each term is one word, so no two matches overlap and finditer sees all
+    matched = len({match.lastindex for match in _DISTRESS_PATTERN.finditer(description)})
     if not matched:
         return None
-    return ModalitySignal(modality, min(1.0, matched / 2))
+    return _MEDIA_SIGNALS[modality, matched]
 
 
 def assess_incapacity(signals: Iterable[ModalitySignal]) -> IncapacityVerdict:

@@ -63,8 +63,11 @@ _TOKEN = re.compile(
 )
 _QUOTED_PIECE = re.compile(r"""\\(.)|"([^"\\]*(?:\\.[^"\\]*)*)"|'([^']*)'""", re.DOTALL)
 _DOUBLE_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
-# What str.splitlines would also break at: a \r not ending a line, and the rest.
-_OTHER_LINE_BREAK = re.compile(r"\r(?!\n|\Z)|[\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+# Every character but \n that str.splitlines breaks at.  A line may end
+# in \r\n, or the text in \r; any other of them is a line break that
+# `_lines` rejects, and its regex runs only on a text that holds one.
+_LINE_BREAK_CHARS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_OTHER_LINE_BREAK = re.compile(rf"\r(?!\n|\Z)|[{_LINE_BREAK_CHARS[1:]}]")
 
 
 def _unquote_piece(match: re.Match[str]) -> str:
@@ -99,7 +102,7 @@ def _split_line(line: str) -> list[str]:
 
 def _lines(text: str) -> list[str]:
     r"""Split `text` at \n, dropping a \r before it or at the very end."""
-    other = _OTHER_LINE_BREAK.search(text)
+    other = any(ch in text for ch in _LINE_BREAK_CHARS) and _OTHER_LINE_BREAK.search(text)
     if other:
         line_no = text.count("\n", 0, other.start()) + 1
         raise ParseError(line_no, f"line break {other.group()!r} inside a line; lines end at \\n")

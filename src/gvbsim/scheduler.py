@@ -49,10 +49,13 @@ class Deny:
     eligible_at: int | None = None
 
 
+_EXHAUSTED = Deny(DenyReason.BUDGET_EXHAUSTED)
+
+
 def request_burst(ledger: BurstLedger, now: int) -> Permit | Deny:
     """Grant a window of the policy's full burst duration, or explain why not."""
     if ledger.dismissed or ledger.bursts_sent >= ledger.policy.max_bursts_n:
-        return Deny(DenyReason.BUDGET_EXHAUSTED)
+        return _EXHAUSTED
     if ledger.last_burst_end is not None:
         eligible_at = ledger.last_burst_end + ledger.policy.gap_seconds_g
         if now < eligible_at:
@@ -72,7 +75,8 @@ def record_burst(ledger: BurstLedger, start: int, duration: int) -> BurstLedger:
         )
     if duration < 1:
         raise ValueError(f"burst duration must be >= 1s, got {duration}")
-    return replace(ledger, bursts_sent=ledger.bursts_sent + 1, last_burst_end=start + duration)
+    # the permit above means the ledger is not dismissed
+    return BurstLedger(ledger.policy, ledger.bursts_sent + 1, start + duration)
 
 
 def dismiss(ledger: BurstLedger) -> BurstLedger:

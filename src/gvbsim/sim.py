@@ -100,9 +100,10 @@ class Simulation:
         self.records: list[TraceRecord] = []
         self.clock = 0
         self._seq = 0
-        # (last_activity + abandon_timeout, sid), pushed whenever a session's
-        # idle clock is set; entries made stale by a later touch or by the
-        # session leaving WAITING are skipped when popped.
+        # One (expiry, sid) entry per placed call, pushed when it is placed
+        # and never later than last_activity + abandon_timeout: a touch only
+        # moves last_activity on, and `_expire_waiting` pushes a touched
+        # session's entry back at its real expiry.
         self._expiry: list[tuple[int, int]] = []
 
     # -- trace plumbing --
@@ -130,19 +131,26 @@ class Simulation:
     def _touch(self, session: CallSession) -> None:
         """Restart the session's idle clock at the current time."""
         session.last_activity = self.clock
-        expiry = self.clock + self.config.abandon_timeout
-        heapq.heappush(self._expiry, (expiry, session.session_id))
 
     def _expire_waiting(self, before: int | None) -> None:
         """End waiting sessions whose idle timeout elapsed strictly before
         `before` (all of them when `before` is None, at run end), in
-        (expiry, session id) order."""
+        (expiry, session id) order.
+
+        A popped entry of a session that left WAITING is dropped; one of a
+        session touched since it was pushed goes back at its real expiry.
+        No entry is later than its session's real expiry, so the least
+        entry whose expiry is real is the next session to end."""
         timeout = self.config.abandon_timeout
         due = self._expiry
         while due and (before is None or due[0][0] < before):
             expiry, sid = heapq.heappop(due)
             session = self.engine.get(sid)
-            if session.state is not CallState.WAITING or session.last_activity + timeout != expiry:
+            if session.state is not CallState.WAITING:
+                continue
+            real = session.last_activity + timeout
+            if real != expiry:
+                heapq.heappush(due, (real, sid))
                 continue
             self.clock = expiry
             self.engine.apply_event(sid, CallEvent.TIMEOUT)
@@ -191,6 +199,7 @@ class Simulation:
         sid = session.session_id
         session.context = context
         self._touch(session)
+        heapq.heappush(self._expiry, (self.clock + self.config.abandon_timeout, sid))
         self._emit("CALL_PLACED", session=sid, caller=caller, callee=callee)
         if session.state is CallState.ACTIVE:
             self._emit("CALL_CONNECTED", session=sid)

@@ -4,16 +4,21 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
 
 from gvbsim.generation import (
+    _TEMPLATE_RULES,
     GeneratedMessage,
     MAX_WORDS,
     TemplateBackend,
+    _template_text,
     build_request_line,
     compose_seed,
     fit_to_duration,
     generate_message,
 )
+
+from .test_incapacity import reference_matches, vocabulary_text
 
 
 # -- seed composition --
@@ -73,6 +78,25 @@ def test_fallback_mentions_emergency():
 def test_fallback_includes_location_when_present():
     msg = generate_message("keywords: please call; location: Highway")
     assert msg.text == "Emergency. Please call back immediately. Location: Highway."
+
+
+_TEMPLATE_TERMS = tuple(term for term, _ in _TEMPLATE_RULES)
+
+
+@settings(deadline=None)
+@given(vocabulary_text(_TEMPLATE_TERMS))
+@example("\u017fmoke; FAINTING faint_ thief")
+def test_the_first_rule_whose_term_is_anywhere_in_the_seed_wins(seed: str):
+    matched = reference_matches(_TEMPLATE_TERMS, seed)  # in rule order
+    text = _template_text(seed)
+    if matched:
+        assert text == dict(_TEMPLATE_RULES)[matched[0]]
+    else:
+        assert text.startswith("Emergency. Please call back immediately.")
+
+
+def test_a_later_term_of_an_earlier_rule_picks_it():
+    assert _template_text("smoke then fire") == dict(_TEMPLATE_RULES)["fire"]
 
 
 def test_template_is_deterministic():

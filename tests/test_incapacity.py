@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gvbsim.incapacity import (
     DISTRESS_LEXICON,
     KEYWORDS,
+    MEDIA_MODALITIES,
     Modality,
     ModalitySignal,
     assess_incapacity,
@@ -51,6 +55,53 @@ def test_keyword_detection_ignores_case():
     for _ in range(50):
         mixed = "".join(ch.upper() if rng.random() < 0.5 else ch for ch in text)
         assert detect_keywords(mixed) == ModalitySignal(Modality.KEYWORD, 1.0)
+
+
+# -- both vocabularies against one pattern per term --
+
+def reference_matches(terms: tuple[str, ...], text: str) -> list[str]:
+    """The terms of `terms` that `\\b<term>\\b`, in any case, finds in `text`."""
+    return [t for t in terms if re.search(rf"\b{re.escape(t)}\b", text, re.IGNORECASE)]
+
+
+def mixed_case(term: str, mask: int) -> str:
+    return "".join(ch.upper() if mask >> i & 1 else ch for i, ch in enumerate(term))
+
+
+def vocabulary_text(*vocabularies: tuple[str, ...]) -> st.SearchStrategy[str]:
+    """Texts built from the terms in mixed case and pieces that sit on or
+    break a word boundary, or fold to a term's letter (long s, Kelvin sign)."""
+    terms = sorted({term for vocabulary in vocabularies for term in vocabulary})
+    piece = st.one_of(
+        st.builds(mixed_case, st.sampled_from(terms), st.integers(0, 2**16)),
+        st.sampled_from(["\u017f", "\u212a", "'", "_", "fainting", "helpful"]),
+        st.sampled_from("0123456789"),
+    )
+    separator = st.sampled_from(["", " ", ", ", "; "])
+    return st.lists(st.tuples(piece, separator), max_size=8).map(
+        lambda parts: "".join(p + sep for p, sep in parts)
+    )
+
+
+@settings(deadline=None)
+@given(vocabulary_text(KEYWORDS, DISTRESS_LEXICON))
+@example("\u017fmoke, HELP_ can't \u212aNOW")
+@example("cant speak2 help'")
+def test_keyword_detection_matches_a_pattern_per_phrase(text: str):
+    fired = detect_keywords(text) is not None
+    assert fired == bool(reference_matches(KEYWORDS, text))
+
+
+@settings(deadline=None)
+@given(vocabulary_text(KEYWORDS, DISTRESS_LEXICON), st.sampled_from(MEDIA_MODALITIES))
+@example("FIRE fire_ smoke1 blood,fire \u017fmoke", Modality.IMAGE_DESCRIPTION)
+@example("fainting faint", Modality.GESTURE)
+def test_media_strength_counts_distinct_terms_a_pattern_per_term_finds(
+    text: str, modality: Modality
+):
+    matched = len(reference_matches(DISTRESS_LEXICON, text))
+    expected = ModalitySignal(modality, min(1.0, matched / 2)) if matched else None
+    assert flag_media(text, modality) == expected
 
 
 # -- silence --

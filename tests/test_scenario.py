@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gvbsim.errors import ParseError
 from gvbsim.incapacity import Modality
-from gvbsim.scenario import DIRECTIVES, _split_line, parse_scenario
+from gvbsim.scenario import _LINE_BREAK_CHARS, DIRECTIVES, _split_line, parse_scenario
 from gvbsim.scoring import LocationType
 
 
@@ -263,12 +263,23 @@ def test_tokenizer_matches_shlex(line: str):
         ('subscriber A\nat 1 burst A transcript="a\x85b"\n', 2),
         ("subscriber A\rsubscriber B\n", 1),
         ("subscriber A\r\r\nsubscriber B\n", 1),
+        ("subscriber A\nsubscriber B\x1cC\n", 2),
+        ("subscriber A\x1dB\n", 1),
+        ("subscriber A\n\nsubscriber B\x1e\n", 3),
+        ("# one\n# two\nsubscriber A\u2029\n", 3),
     ],
 )
 def test_other_line_breaks_are_bad_arguments_on_their_real_line(text: str, line_no: int):
     with pytest.raises(ParseError, match="line break") as info:
         parse_scenario(text)
     assert info.value.line_no == line_no
+
+
+def test_the_line_break_characters_are_the_ones_splitlines_breaks_at():
+    every_char = "".join(map(chr, range(0x110000)))
+    kept, bare = every_char.splitlines(keepends=True), every_char.splitlines()
+    breaks = {line[len(text):] for line, text in zip(kept, bare)} - {""}
+    assert breaks == set(_LINE_BREAK_CHARS) | {"\n"}
 
 
 def test_crlf_and_a_final_carriage_return_end_lines():

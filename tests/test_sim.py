@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from gvbsim.errors import ParseError, SimError
 from gvbsim.scenario import parse_scenario
-from gvbsim.sim import RunConfig, run
+from gvbsim.sim import RunConfig, Simulation, run
 from gvbsim.trace import TraceRecord, render_trace
 
 PREAMBLE = """\
@@ -389,15 +389,38 @@ def test_media_dismiss_and_unadmitted_bursts_defer_abandonment(policy: str, touc
 
 
 def test_equal_expiries_end_in_session_order():
-    text = (
-        PREAMBLE
-        + "subscriber D\n"
-        + "at 0 call A B\n"
-        + "at 5 call C A loc=(0,0) loctype=home hour=9\n"
-        + "at 10 call D A\n"
-        + 'at 10 media C gesture="waving"\n'  # session 2 now expires with session 3
+    for earlier_touch in ("", 'at 7 media C image="a hall"\n'):  # touched once, then twice
+        text = (
+            PREAMBLE
+            + "subscriber D\n"
+            + "at 0 call A B\n"
+            + "at 5 call C A loc=(0,0) loctype=home hour=9\n"
+            + earlier_touch
+            + "at 10 call D A\n"
+            + 'at 10 media C gesture="waving"\n'  # session 2 now expires with session 3
+        )
+        assert timeouts(run_text(text)) == [(130, "2"), (130, "3")], earlier_touch
+
+
+def test_a_busy_waiting_caller_keeps_one_expiry_entry():
+    heap_sizes = []
+
+    class Watched(Simulation):
+        def _expire_waiting(self, before):
+            heap_sizes.append(len(self._expiry))
+            super()._expire_waiting(before)
+
+    activity = "".join(
+        f'at {10 + i} burst C transcript="still here"\nat {10 + i} media C image="a hall"\n'
+        for i in range(50)
     )
-    assert timeouts(run_text(text)) == [(130, "2"), (130, "3")]
+    text = PREAMBLE + "policy A t=1 G=0 N=50 approve=C\nat 0 call A B\n" + BASELINE_CALL + activity
+    sim = Watched()
+    records = sim.run(parse_scenario(text))
+    assert len(events_named(records, "BURST_SENT")) == 50
+    assert timeouts(records) == [(179, "2")]  # last activity at 59
+    placed = len(events_named(records, "CALL_PLACED"))
+    assert max(heap_sizes) <= placed and len(sim._expiry) <= placed
 
 
 def test_expiry_at_an_event_time_fires_after_that_event():

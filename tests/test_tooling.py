@@ -1,8 +1,9 @@
 """Names and tables that other code or docs repeat: the benchmark's tracer
 wraps engine functions by name from outside the package, its generator
-writes scenarios that the parser must accept, the handlers, the docs and
-the hostile-text property each list the scenario directives, and the trace
-and the weights each list the factors.
+writes scenarios that the parser must accept and whose traces must match
+its pinned digests, the handlers, the docs and the hostile-text property
+each list the scenario directives, and the trace and the weights each
+list the factors.
 A rename or a new head in `src/` must fail here, not only in a traced run
 or a reader's hands.  The error convention is checked here too."""
 from __future__ import annotations
@@ -10,18 +11,21 @@ from __future__ import annotations
 import argparse
 import ast
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from gvbsim import scenario
-from gvbsim.cli import _build_parser
+from gvbsim.cli import _build_parser, main
 from gvbsim.errors import ParseError
 from gvbsim.generation import SEED_LABELS
 from gvbsim.incapacity import DISTRESS_LEXICON, KEYWORDS, MEDIA_MODALITIES
@@ -69,6 +73,22 @@ def test_every_benchmark_workload_parses(monkeypatch):
     for workload in gen.WORKLOADS:
         text, _ = gen.generate(workload, 7, gen.FULL_SIZE[workload] // 4)
         assert parse_scenario(text), workload
+
+
+def test_each_workload_reproduces_its_pinned_quarter_size_trace(monkeypatch, tmp_path):
+    # the benchmark rejects a run whose trace differs from pins.json
+    gen = load_perfbench(monkeypatch, "gen")
+    pins = json.loads((REPO_ROOT / "perfbench" / "pins.json").read_text(encoding="utf-8"))
+    stub = shlex.join([sys.executable, str(REPO_ROOT / "perfbench" / "genstub.py")])
+    for workload in gen.WORKLOADS:
+        size = gen.FULL_SIZE[workload] // 4
+        text, _ = gen.generate(workload, gen.DEFAULT_SEED, size)
+        scenario_path, trace_path = tmp_path / f"{workload}.gvb", tmp_path / f"{workload}.trace"
+        scenario_path.write_text(text, encoding="utf-8")
+        backend = ["--backend", f"external={stub}"] if workload == "external_gen" else []
+        assert main(["run", str(scenario_path), "--trace", str(trace_path), *backend]) == 0
+        digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
+        assert digest == pins[workload][str(gen.DEFAULT_SEED)][str(size)], workload
 
 
 def test_a_granted_burst_is_named_permit():
