@@ -16,7 +16,6 @@ overrides.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .incapacity import Modality
@@ -64,17 +63,22 @@ _TRANSITIONS: dict[tuple[CallState, CallEvent], CallState] = {
 }
 
 
-@dataclass(slots=True)
 class CallSession:
-    session_id: int
-    caller: str
-    callee: str
-    state: CallState
-    context: CallerContext | None = None
-    tier: PriorityTier = PriorityTier.NONE  # set when a waiting call is routed
-    ledger: BurstLedger | None = None  # this waiting episode's burst budget
-    pending_media: list[tuple[Modality, str]] = field(default_factory=list)
-    last_activity: int = 0
+    __slots__ = (
+        "session_id", "caller", "callee", "state",
+        "context", "tier", "ledger", "pending_media", "last_activity",
+    )
+
+    def __init__(self, session_id: int, caller: str, callee: str, state: CallState) -> None:
+        self.session_id = session_id
+        self.caller = caller
+        self.callee = callee
+        self.state = state
+        self.context: CallerContext | None = None
+        self.tier = PriorityTier.NONE  # set when a waiting call is routed
+        self.ledger: BurstLedger | None = None  # this waiting episode's burst budget
+        self.pending_media: list[tuple[Modality, str]] = []
+        self.last_activity = 0
 
 
 def next_state(state: CallState, event: CallEvent) -> CallState:

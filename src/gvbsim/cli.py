@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 simulation error (`SimError`), 2 a parse error
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -85,6 +84,8 @@ def _load_profile(path: str | None) -> BaselineProfile:
     raises ValueError."""
     if path is None:
         return BaselineProfile()
+    import json  # here, its only reader, so `run` and `gen` never load it
+
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:

@@ -25,8 +25,7 @@ import math
 import os
 import re
 import time
-from dataclasses import dataclass, replace
-from typing import IO
+from typing import IO, NamedTuple
 
 from .errors import ExternalGeneratorError, ExternalTimeout
 from .incapacity import term_alternation
@@ -64,8 +63,7 @@ def compose_seed(**parts: str | None) -> str:
     )
 
 
-@dataclass(frozen=True)
-class GeneratedMessage:
+class GeneratedMessage(NamedTuple):
     text: str
     backend: str  # the `kind` of the backend that wrote `text`
     fallback: ExternalGeneratorError | None = None  # why the template stood in
@@ -357,4 +355,4 @@ def fit_to_duration(
             break
         kept.append(sentence)
         used += sentence_words
-    return replace(msg, text=" ".join(kept) if kept else " ".join(words[:budget]))
+    return msg._replace(text=" ".join(kept) if kept else " ".join(words[:budget]))

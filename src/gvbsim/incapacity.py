@@ -11,9 +11,10 @@ detectors can return is built once, at import.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
+
+from .checked import checked
 
 
 KEYWORDS = ("can't speak", "cant speak", "help")
@@ -33,18 +34,17 @@ class Modality(Enum):
 MEDIA_MODALITIES = (Modality.IMAGE_DESCRIPTION, Modality.VIDEO_DESCRIPTION, Modality.GESTURE)
 
 
-@dataclass(frozen=True)
-class ModalitySignal:
+@checked
+class ModalitySignal(NamedTuple):
     modality: Modality
     strength: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0 <= self.strength <= 1:
             raise ValueError(f"strength must be in [0, 1], got {self.strength}")
 
 
-@dataclass(frozen=True)
-class IncapacityVerdict:
+class IncapacityVerdict(NamedTuple):
     incapacitated: bool
     confidence: float
     contributing: tuple[ModalitySignal, ...]

@@ -5,7 +5,9 @@ gets a `BurstPolicy` with the defaults below.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .checked import checked
 
 
 DEFAULT_BURST_SECONDS = 5
@@ -13,8 +15,8 @@ DEFAULT_GAP_SECONDS = 30
 DEFAULT_MAX_BURSTS = 3
 
 
-@dataclass(frozen=True)
-class BurstPolicy:
+@checked
+class BurstPolicy(NamedTuple):
     """A callee's standing configuration for waiting-caller bursts.
 
     `burst_seconds_t` is the per-burst cap, `gap_seconds_g` the minimum
@@ -32,7 +34,7 @@ class BurstPolicy:
     max_bursts_n: int = DEFAULT_MAX_BURSTS
     approved_callers: frozenset[str] = frozenset()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.burst_seconds_t < 1:
             raise ValueError(f"burst duration must be >= 1s, got {self.burst_seconds_t}")
         if self.gap_seconds_g < 0:

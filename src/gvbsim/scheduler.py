@@ -10,14 +10,15 @@ than the burst duration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
+from .checked import checked
 from .policy import BurstPolicy
 
 
-@dataclass(frozen=True)
-class BurstLedger:
+@checked
+class BurstLedger(NamedTuple):
     """Per-waiting-episode burst accounting against a policy snapshot."""
 
     policy: BurstPolicy
@@ -25,7 +26,7 @@ class BurstLedger:
     last_burst_end: int | None = None
     dismissed: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0 <= self.bursts_sent <= self.policy.max_bursts_n:
             raise ValueError(f"bursts_sent out of range: {self.bursts_sent}")
         if (self.last_burst_end is not None) != (self.bursts_sent >= 1):
@@ -37,14 +38,12 @@ class DenyReason(Enum):
     GAP_NOT_ELAPSED = "gap_not_elapsed"
 
 
-@dataclass(frozen=True)
-class Permit:
+class Permit(NamedTuple):
     granted_at: int
     window_end: int
 
 
-@dataclass(frozen=True)
-class Deny:
+class Deny(NamedTuple):
     reason: DenyReason
     eligible_at: int | None = None
 
@@ -81,4 +80,4 @@ def record_burst(ledger: BurstLedger, start: int, duration: int) -> BurstLedger:
 
 def dismiss(ledger: BurstLedger) -> BurstLedger:
     """Cancel the remaining budget; further requests deny as exhausted."""
-    return replace(ledger, dismissed=True)
+    return ledger._replace(dismissed=True)

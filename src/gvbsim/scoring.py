@@ -10,9 +10,10 @@ classified into a tier by three thresholds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Sequence
+from typing import NamedTuple, Sequence
+
+from .checked import checked
 
 
 # Normalization constants for the factor formulas; no flag or scenario
@@ -54,8 +55,8 @@ class PriorityTier(IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True)
-class CallerContext:
+@checked
+class CallerContext(NamedTuple):
     """Current multimodal context of a caller at call time.
 
     Every field may be absent; absent fields score 0 in their factor.
@@ -67,7 +68,7 @@ class CallerContext:
     heart_rate: float | None = None  # bpm
     moving_speed: float | None = None  # m/s
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.location is not None and not all(map(math.isfinite, self.location)):
             raise ValueError(f"location must be finite, got {self.location}")
         if self.hour_of_day is not None and not 0 <= self.hour_of_day <= 23:
@@ -80,8 +81,8 @@ class CallerContext:
             raise ValueError(f"moving_speed must be finite and >= 0, got {self.moving_speed}")
 
 
-@dataclass(frozen=True)
-class BaselineProfile:
+@checked
+class BaselineProfile(NamedTuple):
     """Historical baseline a context is scored against."""
 
     usual_locations: frozenset[tuple[float, float]] = frozenset()
@@ -89,7 +90,7 @@ class BaselineProfile:
     resting_heart_rate: float = 70.0
     usual_moving: bool = False
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not all(math.isfinite(c) for point in self.usual_locations for c in point):
             raise ValueError("usual_locations must be finite")
         if not self.usual_hours:
@@ -102,15 +103,15 @@ class BaselineProfile:
             )
 
 
-@dataclass(frozen=True)
-class TierThresholds:
+@checked
+class TierThresholds(NamedTuple):
     """Score partition boundaries; lower edges are inclusive."""
 
     theta_connect: float = 0.9
     theta_voice: float = 0.6
     theta_text: float = 0.3
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0 < self.theta_text < self.theta_voice < self.theta_connect <= 1:
             raise ValueError(
                 "thresholds must satisfy 0 < text < voice < connect <= 1, got "
@@ -118,27 +119,23 @@ class TierThresholds:
             )
 
 
-@dataclass(frozen=True)
-class FactorWeights:
+@checked
+class FactorWeights(NamedTuple):
     location: float = 1.0
     timing: float = 1.0
     health: float = 1.0
     activity: float = 1.0
 
-    def __post_init__(self) -> None:
-        if not all(map(math.isfinite, self.as_tuple())):
-            raise ValueError(f"weights must be finite, got {self.as_tuple()}")
-        if any(w < 0 for w in self.as_tuple()):
+    def _check(self) -> None:
+        if not all(map(math.isfinite, self)):
+            raise ValueError(f"weights must be finite, got {tuple(self)}")
+        if any(w < 0 for w in self):
             raise ValueError("weights must be non-negative")
-        if sum(self.as_tuple()) == 0:
+        if sum(self) == 0:
             raise ValueError("at least one weight must be positive")
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.location, self.timing, self.health, self.activity)
 
-
-@dataclass(frozen=True)
-class EmergencyAssessment:
+class EmergencyAssessment(NamedTuple):
     factors: tuple[float, float, float, float]  # in `FACTORS` order
     emergency_score: float
     tier: PriorityTier
@@ -228,7 +225,7 @@ def assess(
 ) -> EmergencyAssessment:
     """Score every factor, combine them, and classify the tier."""
     factors = tuple(anomaly(ctx, profile) for anomaly in FACTORS.values())
-    score = emergency_score(factors, weights.as_tuple())
+    score = emergency_score(factors, weights)
     return EmergencyAssessment(
         factors=factors,
         emergency_score=score,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .calls import (
     ROUTING_KINDS,
@@ -24,6 +24,7 @@ from .calls import (
     CallState,
     route_waiting_call,
 )
+from .checked import checked
 from .errors import ExternalTimeout, SimError
 from .generation import (
     DEFAULT_SPEAKING_RATE_WPS,
@@ -60,8 +61,8 @@ DEFAULT_ABANDON_TIMEOUT_S = 120
 _HANGUP_RANK = {CallState.ACTIVE: 0, CallState.WAITING: 1, CallState.HELD: 2}
 
 
-@dataclass
-class RunConfig:
+@checked
+class RunConfig(NamedTuple):
     weights: FactorWeights = FactorWeights()
     thresholds: TierThresholds = TierThresholds()
     backend: TemplateBackend | ExternalBackend = TemplateBackend()
@@ -69,7 +70,7 @@ class RunConfig:
     speaking_rate: float = DEFAULT_SPEAKING_RATE_WPS
     abandon_timeout: int = DEFAULT_ABANDON_TIMEOUT_S
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name in ("abandon_timeout", "rng_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -183,7 +184,7 @@ class Simulation:
 
     def _handle_weights(self, weights: FactorWeights) -> None:
         self.weights = weights
-        self._emit("WEIGHTS_SET", **{n: fmt_num(w) for n, w in zip(FACTORS, weights.as_tuple())})
+        self._emit("WEIGHTS_SET", **{n: fmt_num(w) for n, w in zip(FACTORS, weights)})
 
     def _handle_thresholds(self, thresholds: TierThresholds) -> None:
         self.thresholds = thresholds

@@ -91,7 +91,7 @@ def test_policy_validation_is_a_parse_error():
 def test_weights_and_thresholds():
     events = parse_scenario("weights 1,2,0.5,0\nthresholds 0.9,0.6,0.3\n")
     weights = events[0].args["weights"]
-    assert weights.as_tuple() == (1.0, 2.0, 0.5, 0.0)
+    assert tuple(weights) == (1.0, 2.0, 0.5, 0.0)
     thresholds = events[1].args["thresholds"]
     assert (thresholds.theta_connect, thresholds.theta_voice, thresholds.theta_text) == (
         0.9,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ast
-import dataclasses
+import functools
 import hashlib
 import importlib
 import importlib.util
@@ -133,7 +133,7 @@ def test_each_handler_takes_the_fields_its_parser_returns():
 
 def test_the_factors_are_declared_once():
     names = tuple(FACTORS)
-    assert names == tuple(field.name for field in dataclasses.fields(FactorWeights))
+    assert names == FactorWeights._fields
     assert names == TRACE_EVENTS["WEIGHTS_SET"][1]
     assert names == TRACE_EVENTS["ASSESSMENT"][1][2:-2]
     assert names == tuple(assessment_fields(assess(CallerContext(), BaselineProfile())))[:-2]
@@ -167,7 +167,7 @@ def test_every_run_config_field_is_set_by_a_run_flag():
         if isinstance(action, argparse._SubParsersAction)
     )
     dests = {action.dest for action in subcommands.choices["run"]._actions}
-    fields = {field.name for field in dataclasses.fields(RunConfig)}
+    fields = set(RunConfig._fields)
     assert fields == dests - {"help", "scenario", "trace"}
 
 
@@ -179,18 +179,23 @@ def test_the_readme_lists_both_incapacity_vocabularies():
 
 
 _TRANSPORT_MODULES = ("subprocess", "socket", "shlex", "select", "queue", "threading")
+# dataclasses alone loads inspect, ast, dis and tokenize: about half of a
+# cold start that no gvbsim command needs
+_UNUSED_STDLIB = ("dataclasses", "inspect", "json")
 _IMPORT_PROBE = f"""
 import sys
-transport = set({_TRANSPORT_MODULES!r})
 before = set(sys.modules)
 import gvbsim.cli
-print(sorted(transport & (set(sys.modules) - before)))
+loaded = set(sys.modules) - before
+print(sorted(set({_TRANSPORT_MODULES!r}) & loaded))
+print(sorted(set({_UNUSED_STDLIB!r}) & loaded))
 gvbsim.cli.build_backend("external=generator --flag").close()
 print("subprocess" in set(sys.modules) - before)
 """
 
 
-def test_only_an_external_backend_loads_the_transport():
+@functools.cache
+def import_probe() -> tuple[str, ...]:
     # a fresh interpreter, since this one has loaded all of them already
     result = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE],
@@ -200,7 +205,16 @@ def test_only_an_external_backend_loads_the_transport():
         timeout=60,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["[]", "True"]
+    return tuple(result.stdout.splitlines())
+
+
+def test_only_an_external_backend_loads_the_transport():
+    transport, _, spawned = import_probe()
+    assert (transport, spawned) == ("[]", "True")
+
+
+def test_importing_the_cli_loads_no_unused_stdlib_module():
+    assert import_probe()[1] == "[]"
 
 
 _ERROR_CLASSES = ("ParseError", "SimError", "ExternalGeneratorError", "ExternalTimeout")
