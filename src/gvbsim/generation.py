@@ -5,8 +5,8 @@ messages to the burst duration.
 Generation takes a seed text (`compose_seed`) and an RNG seed.  Both
 backends share `generate(seed, rng_seed)`; `generate_message` falls back
 from any backend to the template.  The external generator speaks a
-one-line-per-message protocol over the child process's standard streams
-(or a TCP connection):
+one-line-per-message protocol over a child process's stdin and stdout;
+a generator on the network is reached through a relay command such as `nc`:
 
     request:  GENERATE max_words=50 temperature=0.9 sample=1
               seed_rng=<uint> text=<percent-encoded seed>
@@ -16,8 +16,8 @@ Percent-encoding covers space, percent, and newline bytes.  Any external
 failure (timeout, dead process, ERR reply, a response line that is
 over-long, malformed or not UTF-8) falls back to the template backend; the
 returned message keeps the exception as its `fallback`.
-Replies are read on the calling thread, `select` waiting on the pipe or
-socket (on POSIX only) until each request's deadline.
+Replies are read on the calling thread, `select` waiting on the pipe (on
+POSIX only) until each request's deadline.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ import math
 import os
 import re
 import time
-from typing import IO, NamedTuple
+from typing import NamedTuple
 
 from .errors import ExternalGeneratorError, ExternalTimeout
 from .incapacity import term_alternation
@@ -167,12 +167,11 @@ def parse_response_line(line: str) -> str:
 
 
 class ExternalBackend:
-    """Client for an out-of-process generator.
-
-    `target` is either a command line to spawn (stdio transport) or
-    `tcp:<host>:<port>` for an already-listening server.  One request is
-    in flight at a time; any failure surfaces as ExternalGeneratorError
-    and tears the connection down so the next request starts clean.
+    """Client for an out-of-process generator: `target` is the command line
+    of a child process, spawned on the first request, whose stdin and stdout
+    are the connection.  One request is in flight at a time; any failure
+    surfaces as ExternalGeneratorError and ends the child so the next
+    request starts a fresh one.
     """
 
     kind = "external"
@@ -180,53 +179,19 @@ class ExternalBackend:
     def __init__(self, target: str, timeout: float = DEFAULT_EXTERNAL_TIMEOUT_S):
         # The transport's modules load with the first external backend, so a
         # template run never imports them and no request pays for the import.
-        import select, shlex, socket, subprocess  # noqa: E401, F401
+        import select, shlex, subprocess  # noqa: E401, F401
 
-        self._argv: list[str] | None = None
-        self._address: tuple[str, int] | None = None
-        if target.startswith("tcp:"):
-            host, _, port = target[len("tcp:"):].partition(":")
-            if not host:
-                raise ValueError(f"external generator target has no host: {target!r}")
-            if not (port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
-                raise ValueError(f"external generator port must be 1-65535, got {port!r}")
-            self._address = (host, int(port))
-        else:
-            # the command's words, split once; an unclosed quote raises ValueError
-            self._argv = shlex.split(target)
-            if not self._argv:
-                raise ValueError(f"external generator command has no words: {target!r}")
+        # the command's words, split once; an unclosed quote raises ValueError
+        self._argv = shlex.split(target)
+        if not self._argv:
+            raise ValueError(f"external generator command has no words: {target!r}")
         self._timeout = timeout
         self._proc: subprocess.Popen[bytes] | None = None
-        self._sock: socket.socket | None = None
-        self._writer: IO[bytes] | None = None
-        self._fd = -1  # what replies are read from while connected
         self._pending = bytearray()  # bytes read past the last reply line
 
-    def _connect(self) -> None:
-        import socket
-        import subprocess
-
-        if self._address is not None:
-            self._sock = socket.create_connection(self._address, timeout=self._timeout)
-            # per-request deadlines come from select, not the socket
-            self._sock.settimeout(None)
-            self._writer = self._sock.makefile("wb")
-            self._fd = self._sock.fileno()
-        else:
-            self._proc = subprocess.Popen(
-                self._argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-            )
-            assert self._proc.stdin is not None and self._proc.stdout is not None
-            self._writer = self._proc.stdin
-            self._fd = self._proc.stdout.fileno()
-
-    def _read_line(self) -> bytes:
-        """The next reply line, newline included.  The line cap is checked
-        as bytes arrive, so an endless line fails before the deadline."""
+    def _read_line(self, fd: int) -> bytes:
+        """The next reply line on `fd`, newline included.  The line cap is
+        checked as bytes arrive, so an endless line fails before the deadline."""
         import select
 
         deadline = time.monotonic() + self._timeout
@@ -234,9 +199,9 @@ class ExternalBackend:
         while (end := pending.find(b"\n", scanned)) < 0 and len(pending) <= cap:
             scanned = len(pending)
             remaining = deadline - time.monotonic()
-            if remaining <= 0 or not select.select([self._fd], [], [], remaining)[0]:
+            if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
                 raise ExternalTimeout("timeout waiting for generator response")
-            chunk = os.read(self._fd, cap)
+            chunk = os.read(fd, cap)
             if not chunk:
                 raise ExternalGeneratorError("generator closed its output stream")
             pending += chunk
@@ -247,17 +212,25 @@ class ExternalBackend:
         return line
 
     def generate(self, seed: str, rng_seed: int) -> str:
-        if self._writer is None:
+        import subprocess
+
+        if self._proc is None:
             try:
-                self._connect()
+                self._proc = subprocess.Popen(
+                    self._argv,
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL,
+                )
             except (OSError, ValueError) as exc:
                 raise ExternalGeneratorError(f"cannot reach generator: {exc}") from exc
-        assert self._writer is not None
+        stdin, stdout = self._proc.stdin, self._proc.stdout
+        assert stdin is not None and stdout is not None
         request = build_request_line(seed, rng_seed).encode("utf-8") + b"\n"
         try:
-            self._writer.write(request)
-            self._writer.flush()
-            line = self._read_line()
+            stdin.write(request)
+            stdin.flush()
+            line = self._read_line(stdout.fileno())
         except (OSError, ExternalGeneratorError) as exc:
             self.close()
             if isinstance(exc, ExternalGeneratorError):
@@ -269,23 +242,18 @@ class ExternalBackend:
             raise ExternalGeneratorError(f"malformed response: {line!r}") from None
 
     def close(self) -> None:
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except OSError:
-                pass
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc.wait()
-            if self._proc.stdout is not None:
-                self._proc.stdout.close()
-            self._proc = None
-        if self._sock is not None:
-            self._sock.close()
-            self._sock = None
-        self._writer = None
-        self._fd = -1
+        proc, self._proc = self._proc, None
         self._pending.clear()
+        if proc is None:
+            return
+        assert proc.stdin is not None and proc.stdout is not None
+        try:
+            proc.stdin.close()
+        except OSError:
+            pass
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
 
 
 def build_backend(spec: str):

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import re
 from functools import partial
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import ParseError
 from .incapacity import MEDIA_MODALITIES
@@ -116,6 +116,17 @@ def _split_kv(token: str) -> tuple[str, str]:
     return key, value
 
 
+def _options(tokens: list[str]) -> Iterator[tuple[str, str]]:
+    """Each `key=value` token split in two; a key given twice is an error."""
+    seen: set[str] = set()
+    for token in tokens:
+        key, value = _split_kv(token)
+        if key in seen:
+            raise ValueError(f"option {key!r} given twice")
+        seen.add(key)
+        yield key, value
+
+
 def _parse_int(value: str, what: str) -> int:
     try:
         return int(value)
@@ -175,8 +186,7 @@ def _parse_subscriber(tokens: list[str]) -> dict[str, Any]:
         raise ValueError("subscriber requires an id")
     args: dict[str, Any] = {"sub_id": tokens[0], "home": None, "usual_hours_label": "0-23"}
     fields: dict[str, Any] = {}
-    for token in tokens[1:]:
-        key, value = _split_kv(token)
+    for key, value in _options(tokens[1:]):
         if key == "home":
             args["home"] = _parse_point(value)
             fields["usual_locations"] = frozenset({args["home"]})
@@ -198,8 +208,7 @@ def _parse_policy(tokens: list[str]) -> dict[str, Any]:
         raise ValueError("policy requires a callee id")
     callee = tokens[0]
     fields: dict[str, Any] = {"t": None, "G": None, "N": None, "approve": frozenset()}
-    for token in tokens[1:]:
-        key, value = _split_kv(token)
+    for key, value in _options(tokens[1:]):
         if key in ("t", "G", "N"):
             fields[key] = _parse_int(value, key)
         elif key == "approve":
@@ -260,8 +269,7 @@ def _parse_call(tokens: list[str]) -> dict[str, Any]:
         raise ValueError("call requires <caller> <callee>")
     caller, callee = tokens[0], tokens[1]
     ctx_kwargs: dict[str, Any] = {}
-    for token in tokens[2:]:
-        key, value = _split_kv(token)
+    for key, value in _options(tokens[2:]):
         if key == "loc":
             ctx_kwargs["location"] = _parse_point(value)
         elif key == "loctype":
@@ -294,9 +302,10 @@ def _parse_burst(tokens: list[str]) -> dict[str, Any]:
         if not value:
             raise ValueError("transcript must be non-empty; use silence instead")
         args["transcript"] = value
-    for token in tokens[2:]:
-        key, value = _split_kv(token)
+    for key, value in _options(tokens[2:]):
         if key in ("keywords", "image"):
+            if not value:
+                raise ValueError(f"{key} must be non-empty")
             args[key] = value
         else:
             raise ValueError(f"unknown burst option {key!r}")

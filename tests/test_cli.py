@@ -134,8 +134,6 @@ INPUT_FILES = {
         "run {scenarios}/runtime_override.gvb --weights nan,1,1,1",
         "run {scenarios}/preapproved_bursts.gvb --backend bogus",
         "run {scenarios}/preapproved_bursts.gvb --backend external=",
-        "run {scenarios}/preapproved_bursts.gvb --backend external=tcp:nohost",
-        "run {scenarios}/preapproved_bursts.gvb --backend external=tcp:localhost:notaport",
         "run {scenarios}/preapproved_bursts.gvb --trace {tmp}/no-such-dir/out.trace",
         "run {scenarios}/preapproved_bursts.gvb --trace {tmp}",
         "run {scenarios}/preapproved_bursts.gvb --speaking-rate 0",

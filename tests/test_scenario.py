@@ -166,6 +166,13 @@ def test_burst_requires_a_mode():
         parse_scenario('at 12 burst C transcript=""\n')
 
 
+@pytest.mark.parametrize("key", ["keywords", "image"])
+def test_an_empty_burst_option_is_a_parse_error(key: str):
+    with pytest.raises(ParseError, match=f"{key} must be non-empty") as exc:
+        parse_scenario(f'subscriber C\nat 2 burst C silence {key}=""\n')
+    assert exc.value.line_no == 2
+
+
 def test_media_line():
     (event,) = parse_scenario('at 20 media C video="person collapsed on floor"\n')
     assert event.kind == "media"
@@ -189,6 +196,21 @@ def test_unknown_directive():
 def test_unknown_option_is_a_bad_argument():
     with pytest.raises(ParseError, match="unknown subscriber option 'age'"):
         parse_scenario("subscriber A age=9\n")
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("subscriber A resting_hr=60 resting_hr=90", "resting_hr"),
+        ("subscriber B home=(1,1) home=(5,5)", "home"),
+        ("policy A t=5 t=9 G=0 N=1", "t"),
+        ("at 5 call C A hour=3 loc=(0,0) hour=4", "hour"),
+        ('at 5 burst C silence keywords="fire" keywords="smoke"', "keywords"),
+    ],
+)
+def test_a_repeated_option_is_a_parse_error(line: str, key: str):
+    with pytest.raises(ParseError, match=f"option '{key}' given twice"):
+        parse_scenario(line + "\n")
 
 
 def test_parse_errors_carry_the_line_number():
