@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from gvbsim.cli import main
 from gvbsim.errors import ParseError
 from gvbsim.scenario import parse_scenario
+from gvbsim.trace import parse_trace
 
 from .conftest import REPO_ROOT, SCENARIO_DIR
 from .test_sim import EMERGENCY_CALL, PREAMBLE, run_text
@@ -194,6 +195,21 @@ def test_input_faults_in_one_argument_exit_2(argv: list[str], capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("gvbsim: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", ["tcp:nohost", "tcp:localhost:notaport", "tcp:localhost:65535"])
+def test_a_tcp_target_is_a_command_name_that_falls_back(target: str, tmp_path: Path, capsys):
+    # no socket transport: the spec names a command that cannot be spawned
+    trace = tmp_path / "out.trace"
+    code = main([
+        "run", str(SCENARIO_DIR / "silent_generative_burst.gvb"), "--trace", str(trace),
+        "--backend", f"external={target}",
+    ])
+    assert code == 0, capsys.readouterr().err
+    records = parse_trace(trace.read_text(encoding="utf-8"))
+    fallbacks = [r for r in records if r.event == "GEN_FALLBACK"]
+    assert [r.get("reason") for r in fallbacks] == ["error"]
+    assert fallbacks[0].get("detail").startswith("cannot reach generator: ")
 
 
 def test_cli_weights_and_thresholds_flags(tmp_path: Path, capsys):

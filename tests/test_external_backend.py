@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import re
 import socket
 import socketserver
@@ -292,6 +293,7 @@ def test_the_line_cap_counts_the_newline(extra: int):
 
 class _TcpGenerator(socketserver.StreamRequestHandler):
     def handle(self):
+        self.server.connections.append(self.client_address)
         for line in self.rfile:
             if not line.strip():
                 continue
@@ -299,25 +301,70 @@ class _TcpGenerator(socketserver.StreamRequestHandler):
             self.wfile.flush()
 
 
+class _OneReplyTcpGenerator(socketserver.StreamRequestHandler):
+    """Answers the first request on a connection, then hangs up."""
+
+    def handle(self):
+        self.server.connections.append(self.client_address)
+        self.rfile.readline()
+        self.wfile.write(b"OK text=tcp%20generator%20reply\n")
+
+
+@contextlib.contextmanager
+def _tcp_generator(handler: type[socketserver.BaseRequestHandler]):
+    """A line-protocol generator listening on a free local port; yields the
+    server, whose `connections` lists each accepted connection."""
+    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), handler)
+    server.connections = []
+    # a connection left open by a leaked child must not hold up the teardown
+    server.daemon_threads, server.block_on_close = True, False
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 def _relay_command(port: int) -> str:
     return f"{stub_command('gen_tcp_relay.py')} 127.0.0.1 {port}"
 
 
 def test_a_tcp_generator_is_reached_through_a_relay_command():
-    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _TcpGenerator)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with _tcp_generator(_TcpGenerator) as server:
         backend = ExternalBackend(_relay_command(server.server_address[1]), timeout=10.0)
         try:
             msg = generate_message("seed text", backend=backend)
         finally:
             backend.close()
-        assert msg.text == "tcp generator reply"
-        assert msg.backend == "external"
-    finally:
-        server.shutdown()
-        server.server_close()
+    assert msg.text == "tcp generator reply"
+    assert msg.backend == "external"
+
+
+def test_one_relay_child_carries_every_request():
+    with _tcp_generator(_TcpGenerator) as server:
+        backend = ExternalBackend(_relay_command(server.server_address[1]), timeout=10.0)
+        try:
+            kinds = [generate_message(f"seed {i}", backend=backend).backend for i in range(3)]
+        finally:
+            backend.close()
+        assert len(server.connections) == 1
+    assert kinds == ["external"] * 3
+
+
+def test_after_a_failure_the_next_request_spawns_a_fresh_child():
+    # the server hangs up after one reply, so the relay's second request
+    # finds its stream closed; the third request needs a new relay
+    with _tcp_generator(_OneReplyTcpGenerator) as server:
+        backend = ExternalBackend(_relay_command(server.server_address[1]), timeout=10.0)
+        try:
+            messages = [generate_message(f"seed {i}", backend=backend) for i in range(3)]
+        finally:
+            backend.close()
+        assert len(server.connections) == 2
+    assert [m.backend for m in messages] == ["external", "template", "external"]
+    assert "closed its output stream" in messages[1].fallback_reason
 
 
 def test_a_relay_with_no_server_listening_falls_back_with_reason_error():
