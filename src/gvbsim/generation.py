@@ -2,11 +2,14 @@
 template backend, an optional external generator protocol, and fitting
 messages to the burst duration.
 
-Generation takes a seed text (`compose_seed`) and an RNG seed.  Both
-backends share `generate(seed, rng_seed)`; `generate_message` falls back
-from any backend to the template.  The external generator speaks a
-one-line-per-message protocol over a child process's stdin and stdout;
-a generator on the network is reached through a relay command such as `nc`:
+Generation takes a seed text (`compose_seed`), an RNG seed and the
+caller's place (`LocationType.seed_text`, also the seed's `location` part).
+Both backends share `generate(seed, rng_seed, location)`: the template
+names the place when no rule matches, and the external peer reads it in
+the seed.  `generate_message` falls back from any backend to the
+template.  The external generator speaks a one-line-per-message protocol
+over a child process's stdin and stdout; a generator on the network is
+reached through a relay command such as `nc`:
 
     request:  GENERATE max_words=50 temperature=0.9 sample=1
               seed_rng=<uint> text=<percent-encoded seed>
@@ -95,27 +98,23 @@ _TEMPLATE_RULES: tuple[tuple[str, str], ...] = (
 )
 _TEMPLATE_TERMS = term_alternation(tuple(term for term, _ in _TEMPLATE_RULES))
 
-_LOCATION_IN_SEED = re.compile(r"(?:^|; )location: ([^;]+)\Z")
-
-
-def _template_text(seed: str) -> str:
+def _template_text(seed: str, location: str | None = None) -> str:
     rule = min((match.lastindex for match in _TEMPLATE_TERMS.finditer(seed)), default=None)
     if rule is not None:
         return _TEMPLATE_RULES[rule - 1][1]
-    location = _LOCATION_IN_SEED.search(seed)
-    if location:
-        return f"Emergency. Please call back immediately. Location: {location.group(1).strip()}."
+    if location is not None:
+        return f"Emergency. Please call back immediately. Location: {location}."
     return "Emergency. Please call back immediately."
 
 
 class TemplateBackend:
-    """Deterministic rule-table generator; pure in the seed, so `rng_seed`
-    is taken only to match `ExternalBackend.generate`."""
+    """Deterministic rule-table generator; pure in its inputs, so
+    `rng_seed` is taken only to match `ExternalBackend.generate`."""
 
     kind = "template"
 
-    def generate(self, seed: str, rng_seed: int) -> str:
-        text = _template_text(seed)
+    def generate(self, seed: str, rng_seed: int, location: str | None = None) -> str:
+        text = _template_text(seed, location)
         words = text.split()
         if len(words) > MAX_WORDS:
             # keep the output sentence-terminated even when capped
@@ -211,7 +210,7 @@ class ExternalBackend:
         del pending[: end + 1]
         return line
 
-    def generate(self, seed: str, rng_seed: int) -> str:
+    def generate(self, seed: str, rng_seed: int, location: str | None = None) -> str:
         import subprocess
 
         if self._proc is None:
@@ -272,19 +271,21 @@ def generate_message(
     seed: str,
     backend: TemplateBackend | ExternalBackend = _TEMPLATE,
     rng_seed: int = 0,
+    location: str | None = None,
 ) -> GeneratedMessage:
-    """Produce a message for `seed`; external failures fall back to the
-    template backend and note the reason on the message."""
+    """Produce a message for `seed`, the caller being at `location`;
+    external failures fall back to the template backend and note the
+    reason on the message."""
     if not seed.strip():
         raise ValueError("seed must be non-empty")
     fallback: ExternalGeneratorError | None = None
     try:
-        text, kind = backend.generate(seed, rng_seed), backend.kind
+        text, kind = backend.generate(seed, rng_seed, location), backend.kind
         if not text.strip():
             raise ExternalGeneratorError("generator returned empty text")
     except ExternalGeneratorError as exc:
         fallback = exc.with_traceback(None)  # the message keeps no frames alive
-        text, kind = _TEMPLATE.generate(seed, rng_seed), _TEMPLATE.kind
+        text, kind = _TEMPLATE.generate(seed, rng_seed, location), _TEMPLATE.kind
     return GeneratedMessage(text, kind, fallback)
 
 

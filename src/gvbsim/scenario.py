@@ -31,15 +31,18 @@ the one before it, so the file is the timeline and events run in file
 order.  An `usual_hours` range may wrap midnight (e.g. 22-3).
 
 A broken grammar rule raises ValueError; `parse_scenario` alone adds the
-line number, so the CLI applies the same rules to flags and profile fields.
+line number, so `gvbsim score` reads a `call` line's options
+(`_parse_context`) and a `subscriber` line's (`_parse_profile`) by the
+same rules, and the CLI reads `--weights` and `--thresholds` by them too.
 """
 from __future__ import annotations
 
 import math
 import re
 from functools import partial
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, NamedTuple
 
+from .calls import validate_subscriber_id
 from .errors import ParseError
 from .incapacity import MEDIA_MODALITIES
 from .policy import BurstPolicy
@@ -134,11 +137,10 @@ def _parse_int(value: str, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
-def _parse_float(value: object, what: str) -> float:
+def _parse_float(value: str, what: str) -> float:
     try:
-        # A JSON profile's true/false would otherwise read as 1.0/0.0.
-        number = math.nan if isinstance(value, bool) else float(value)
-    except (TypeError, ValueError):
+        number = float(value)
+    except ValueError:
         number = math.nan
     if not math.isfinite(number):
         raise ValueError(f"{what} must be a finite number, got {value!r}")
@@ -146,15 +148,10 @@ def _parse_float(value: object, what: str) -> float:
 
 
 def _parse_point(value: str) -> tuple[float, float]:
+    """The point rule: `(x,y)`, two finite coordinates."""
     raw = value.strip()
-    if not (raw.startswith("(") and raw.endswith(")")):
-        raise ValueError(f"expected (x,y), got {value!r}")
-    return _parse_coordinates(raw[1:-1].split(","), value)
-
-
-def _parse_coordinates(parts: Sequence[object], value: object) -> tuple[float, float]:
-    """The point rule: exactly two finite coordinates; errors quote `value`."""
-    if len(parts) != 2:
+    parts = raw[1:-1].split(",")
+    if not (raw.startswith("(") and raw.endswith(")") and len(parts) == 2):
         raise ValueError(f"expected (x,y), got {value!r}")
     return (
         _parse_float(parts[0], "x coordinate"),
@@ -181,12 +178,12 @@ def _parse_bool(value: str, what: str) -> bool:
     raise ValueError(f"{what} must be 0 or 1, got {value!r}")
 
 
-def _parse_subscriber(tokens: list[str]) -> dict[str, Any]:
-    if not tokens:
-        raise ValueError("subscriber requires an id")
-    args: dict[str, Any] = {"sub_id": tokens[0], "home": None, "usual_hours_label": "0-23"}
+def _parse_profile(tokens: list[str]) -> dict[str, Any]:
+    """A caller's baseline (`profile`), and the `home` and `usual_hours`
+    the trace shows, from a `subscriber` line's options after its id."""
+    args: dict[str, Any] = {"home": None, "usual_hours_label": "0-23"}
     fields: dict[str, Any] = {}
-    for key, value in _options(tokens[1:]):
+    for key, value in _options(tokens):
         if key == "home":
             args["home"] = _parse_point(value)
             fields["usual_locations"] = frozenset({args["home"]})
@@ -203,16 +200,22 @@ def _parse_subscriber(tokens: list[str]) -> dict[str, Any]:
     return args
 
 
+def _parse_subscriber(tokens: list[str]) -> dict[str, Any]:
+    if not tokens:
+        raise ValueError("subscriber requires an id")
+    return {"sub_id": validate_subscriber_id(tokens[0]), **_parse_profile(tokens[1:])}
+
+
 def _parse_policy(tokens: list[str]) -> dict[str, Any]:
     if not tokens:
         raise ValueError("policy requires a callee id")
-    callee = tokens[0]
+    callee = validate_subscriber_id(tokens[0])
     fields: dict[str, Any] = {"t": None, "G": None, "N": None, "approve": frozenset()}
     for key, value in _options(tokens[1:]):
         if key in ("t", "G", "N"):
             fields[key] = _parse_int(value, key)
         elif key == "approve":
-            ids = [s for s in value.split(",") if s]
+            ids = [validate_subscriber_id(s) for s in value.split(",") if s]
             fields["approve"] = frozenset(ids)
         else:
             raise ValueError(f"unknown policy option {key!r}")
@@ -264,25 +267,29 @@ def _parse_loctype(value: str) -> LocationType:
         raise ValueError(f"loctype must be one of {names}") from None
 
 
+def _parse_context(tokens: list[str]) -> CallerContext:
+    """A caller's context from a `call` line's options, after its two ids."""
+    fields: dict[str, Any] = {}
+    for key, value in _options(tokens):
+        if key == "loc":
+            fields["location"] = _parse_point(value)
+        elif key == "loctype":
+            fields["location_type"] = _parse_loctype(value)
+        elif key == "hour":
+            fields["hour_of_day"] = _parse_int(value, "hour")
+        elif key == "hr":
+            fields["heart_rate"] = _parse_float(value, "hr")
+        elif key == "speed":
+            fields["moving_speed"] = _parse_float(value, "speed")
+        else:
+            raise ValueError(f"unknown call option {key!r}")
+    return CallerContext(**fields)
+
+
 def _parse_call(tokens: list[str]) -> dict[str, Any]:
     if len(tokens) < 2:
         raise ValueError("call requires <caller> <callee>")
-    caller, callee = tokens[0], tokens[1]
-    ctx_kwargs: dict[str, Any] = {}
-    for key, value in _options(tokens[2:]):
-        if key == "loc":
-            ctx_kwargs["location"] = _parse_point(value)
-        elif key == "loctype":
-            ctx_kwargs["location_type"] = _parse_loctype(value)
-        elif key == "hour":
-            ctx_kwargs["hour_of_day"] = _parse_int(value, "hour")
-        elif key == "hr":
-            ctx_kwargs["heart_rate"] = _parse_float(value, "hr")
-        elif key == "speed":
-            ctx_kwargs["moving_speed"] = _parse_float(value, "speed")
-        else:
-            raise ValueError(f"unknown call option {key!r}")
-    return {"caller": caller, "callee": callee, "context": CallerContext(**ctx_kwargs)}
+    return {"caller": tokens[0], "callee": tokens[1], "context": _parse_context(tokens[2:])}
 
 
 def _parse_burst(tokens: list[str]) -> dict[str, Any]:

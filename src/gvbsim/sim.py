@@ -323,16 +323,17 @@ class Simulation:
         either way the window stands as silent (None).
         """
         sid = session.session_id
+        location = session.context.location_type.seed_text
         seed = compose_seed(
             keywords=keywords,
             speech=transcript,
-            location=session.context.location_type.seed_text,
+            location=location,
             **{m.value: "; ".join(texts) for m, texts in media_descs.items()},
         )
         if not seed:
             return None
         config = self.config
-        message = generate_message(seed, config.backend, config.rng_seed)
+        message = generate_message(seed, config.backend, config.rng_seed, location)
         if message.fallback is not None:
             token = "timeout" if isinstance(message.fallback, ExternalTimeout) else "error"
             self._emit("GEN_FALLBACK", session=sid, reason=token, detail=message.fallback_reason)

@@ -3,8 +3,8 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -88,13 +88,28 @@ def test_sim_error_exits_1(tmp_path: Path, capsys):
     assert "simulation error" in capsys.readouterr().err
 
 
-def test_an_out_of_range_subscriber_value_exits_2(tmp_path: Path, capsys):
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("subscriber A resting_hr=500", "resting_heart_rate must be in [30, 120], got 500"),
+        ('subscriber ""', "subscriber id must be a non-empty ASCII token: ''"),
+        ('subscriber "A B"', "subscriber id must be a non-empty ASCII token: 'A B'"),
+        ("subscriber \u00c4", "subscriber id must be a non-empty ASCII token: '\u00c4'"),
+        ('policy "A B" t=5 G=0 N=1', "subscriber id must be a non-empty ASCII token: 'A B'"),
+        (
+            'policy A t=5 G=0 N=1 approve="x y"',
+            "subscriber id must be a non-empty ASCII token: 'x y'",
+        ),
+    ],
+    ids=["resting_hr", "empty_id", "spaced_id", "non_ascii_id", "policy_callee", "approve_id"],
+)
+def test_an_out_of_range_subscriber_value_exits_2(
+    line: str, message: str, tmp_path: Path, capsys
+):
     bad = tmp_path / "bad.gvb"
-    bad.write_text("subscriber A resting_hr=500\n", encoding="utf-8")
+    bad.write_text(line + "\n", encoding="utf-8")
     assert main(["run", str(bad)]) == 2
-    assert capsys.readouterr().err == (
-        "gvbsim: parse error: line 1: resting_heart_rate must be in [30, 120], got 500\n"
-    )
+    assert capsys.readouterr().err == f"gvbsim: parse error: line 1: {message}\n"
 
 
 _RUN = ["run", str(SCENARIO_DIR / "runtime_override.gvb")]
@@ -102,28 +117,17 @@ _RUN = ["run", str(SCENARIO_DIR / "runtime_override.gvb")]
 
 @pytest.mark.parametrize("flag", ["--rng-seed", "--abandon-timeout"])
 def test_run_rejects_negative_integer_flags(flag: str, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([*_RUN, flag, "-1"])
-    assert exc.value.code == 2
-    assert f"argument {flag}: must be >= 0, got -1" in capsys.readouterr().err
+    # RunConfig's own rule, which a library caller meets too
+    field = flag.removeprefix("--").replace("-", "_")
+    assert main([*_RUN, flag, "-1"]) == 2
+    assert capsys.readouterr().err == f"gvbsim: {field} must be >= 0, got -1\n"
     assert main([*_RUN, flag, "0"]) == 0
 
 
 INPUT_FILES = {
     "backward_time": "subscriber A\nsubscriber B\nat 7 call A B\nat 4 hangup A\n",
-    "home_profile": '{"home": [0, 0]}',
-    "nan_profile": '{"home": [NaN, 0]}',  # json.loads accepts NaN
-    "scalar_home": '{"home": 5}',
-    "short_home": '{"home": [1]}',
-    "scalar_hours": '{"usual_hours": 5}',
-    "hours_out_of_range": '{"usual_hours": "25-3"}',
-    "list_profile": "[1]",
-    "string_moving": '{"usual_moving": "false"}',
-    "bool_home": '{"home": [true, false]}',
-    "bool_resting_hr": '{"resting_hr": true}',
-    "unknown_key": '{"resting_HR": 40}',
-    "deep_nesting": "[" * 100000,  # json.loads raises RecursionError
 }
+DEEP_NESTING = "(" * 100000
 
 
 @pytest.mark.parametrize(
@@ -143,26 +147,31 @@ INPUT_FILES = {
         "run {scenarios}/silent_generative_burst.gvb --speaking-rate nan",
         "gen --keywords fire --speaking-rate inf",
         "gen --keywords help --loctype bogus",
-        "score --speed nan",
-        "score --loc nan,0 --profile {home_profile}",
-        "score --loc 1,1 --profile {nan_profile}",
-        "score --profile {scalar_home}",
-        "score --profile {short_home}",
-        "score --profile {scalar_hours}",
-        "score --profile {hours_out_of_range}",
-        "score --profile {list_profile}",
-        "score --profile {string_moving}",
-        "score --loc 1,0 --profile {bool_home}",
-        "score --profile {bool_resting_hr}",
-        "score --profile {unknown_key}",
-        "score --profile {deep_nesting}",
+        "run {scenarios}/silent_generative_burst.gvb --rng-seed -1",
+        "run {scenarios}/silent_generative_burst.gvb --abandon-timeout -1",
+        "score speed=nan",
+        "score loc=(nan,0) --profile home=(0,0)",
+        "score loc=(1,1) --profile home=(nan,0)",
+        "score loc=((1,2",
+        "score --profile home=5",
+        "score --profile home=(1)",
+        "score --profile usual_hours=5",
+        "score --profile usual_hours=25-3",
+        "score --profile [1]",
+        "score --profile usual_moving=false",
+        "score loc=(1,0) --profile home=(true,false)",
+        "score --profile resting_hr=true",
+        "score --profile resting_hr=70.5",
+        "score --profile resting_HR=40",
+        "score --profile home=\"(0,0)",
+        "score --profile home={deep_nesting}",
     ],
 )
 def test_input_faults_exit_2_without_a_traceback(argv: str, tmp_path: Path):
     files = {name: tmp_path / name for name in INPUT_FILES}
     for name, path in files.items():
         path.write_text(INPUT_FILES[name], encoding="utf-8")
-    args = argv.format(scenarios=SCENARIO_DIR, tmp=tmp_path, **files)
+    args = argv.format(scenarios=SCENARIO_DIR, tmp=tmp_path, deep_nesting=DEEP_NESTING, **files)
     result = subprocess.run(
         [sys.executable, "-m", "gvbsim.cli", *args.split()],
         capture_output=True,
@@ -246,29 +255,17 @@ def test_weights_and_thresholds_flags_report_the_scenario_rule(flag: str, value:
     assert f"argument {flag}: {line_error.value.message}\n" in capsys.readouterr().err
 
 
-def test_score_subcommand(tmp_path: Path, capsys):
-    profile = tmp_path / "profile.json"
-    profile.write_text(
-        json.dumps(
-            {"home": [0, 0], "usual_hours": "8-22", "resting_hr": 70, "usual_moving": False}
-        ),
-        encoding="utf-8",
-    )
+def test_score_subcommand(capsys):
     code = main(
         [
             "score",
-            "--loc",
-            "40,9",
-            "--loctype",
-            "highway",
-            "--hour",
-            "3",
-            "--hr",
-            "130",
-            "--speed",
-            "14",
+            "loc=(40,9)",
+            "loctype=highway",
+            "hour=3",
+            "hr=130",
+            "speed=14",
             "--profile",
-            str(profile),
+            "home=(0,0) usual_hours=8-22 resting_hr=70 usual_moving=0",
         ]
     )
     assert code == 0
@@ -277,18 +274,14 @@ def test_score_subcommand(tmp_path: Path, capsys):
     assert "tier=highest" in out
 
 
-def test_score_prints_the_fields_of_the_assessment_record(tmp_path: Path, capsys):
-    # the EMERGENCY_CALL context, with a profile equal to C's in PREAMBLE
+def test_score_prints_the_fields_of_the_assessment_record(capsys):
+    # the options of EMERGENCY_CALL and of C's line in PREAMBLE
     records = run_text(PREAMBLE + "at 0 call A B\n" + EMERGENCY_CALL)
     (record,) = [r for r in records if r.event == "ASSESSMENT"]
     fields = [f"{k}={v}" for k, v in record.details if k not in ("session", "caller")]
-    profile = tmp_path / "profile.json"
-    profile.write_text(
-        '{"home": [0, 0], "usual_hours": "8-22", "resting_hr": 70, "usual_moving": false}',
-        encoding="utf-8",
-    )
-    context = "--loc 40,9 --loctype highway --hour 3 --hr 130 --speed 14".split()
-    assert main(["score", *context, "--profile", str(profile)]) == 0
+    context = EMERGENCY_CALL.split()[5:]  # after `at 10 call C A`
+    profile = PREAMBLE.splitlines()[2].split(maxsplit=2)[2]  # after `subscriber C`
+    assert main(["score", *context, "--profile", profile]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == fields
     assert [field.partition("=")[0] for field in fields] == [
@@ -299,20 +292,18 @@ def test_score_prints_the_fields_of_the_assessment_record(tmp_path: Path, capsys
 @pytest.mark.parametrize(
     ("weights", "context", "expected"),
     [
-        ("1e308,1e308,1e308,1e308", "--loctype highway --hr 200 --speed 20 --hour 3", 0.75),
-        ("1,1,1,1", "--loctype highway --hr 200 --speed 20 --hour 3", 0.75),
-        ("5e-324,0,0,0", "--loc 3,0", 0.6),
-        ("1,0,0,0", "--loc 3,0", 0.6),
+        ("1e308,1e308,1e308,1e308", "loctype=highway hr=200 speed=20 hour=3", 0.75),
+        ("1,1,1,1", "loctype=highway hr=200 speed=20 hour=3", 0.75),
+        ("5e-324,0,0,0", "loc=(3,0)", 0.6),
+        ("1,0,0,0", "loc=(3,0)", 0.6),
     ],
     ids=["huge", "huge_as_one", "tiny", "tiny_as_one"],
 )
 def test_score_reads_extreme_weights_as_their_ratio(
-    weights: str, context: str, expected: float, tmp_path: Path, capsys
+    weights: str, context: str, expected: float, capsys
 ):
     # 1e308 weights printed score=nan tier=none; 5e-324 escalated to highest
-    profile = tmp_path / "profile.json"
-    profile.write_text('{"home": [0, 0]}', encoding="utf-8")
-    argv = ["score", "--weights", weights, *context.split(), "--profile", str(profile)]
+    argv = ["score", *context.split(), "--weights", weights, "--profile", "home=(0,0)"]
     assert main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-2:] == [f"score={expected:.6f}", "tier=medium"]
@@ -326,29 +317,97 @@ def test_score_defaults_to_an_uninformative_profile(capsys):
 
 
 def test_score_rejects_bad_input(capsys):
-    assert main(["score", "--hour", "99"]) == 2
+    assert main(["score", "hour=99"]) == 2
     assert capsys.readouterr().err
 
 
-# A flag or profile field has no scenario line, so its message stands alone.
+# `score` options have no scenario line, so their message stands alone.
 @pytest.mark.parametrize(
-    ("profile", "flags", "message"),
+    ("profile", "context", "message"),
     [
-        ('{"resting_hr": 60, "resting_HR": 40}', [], "unknown profile key 'resting_HR'"),
-        ('{"home": [1]}', [], "expected (x,y), got [1]"),
-        ('{"usual_hours": "25-3"}', [], "usual_hours must be within 0..23, got '25-3'"),
-        ('{"resting_hr": true}', [], "resting_hr must be a finite number, got True"),
-        ("{}", ["--loc", "1"], "expected (x,y), got '1'"),
+        ("resting_hr=60 resting_HR=40", [], "unknown subscriber option 'resting_HR'"),
+        ("home=(1)", [], "expected (x,y), got '(1)'"),
+        ("usual_hours=25-3", [], "usual_hours must be within 0..23, got '25-3'"),
+        ("resting_hr=true", [], "resting_hr must be an integer, got 'true'"),
+        ("", ["loc=1"], "expected (x,y), got '1'"),
+        ("home=(0,0) home=(1,1)", [], "option 'home' given twice"),
+        ('home="(0,0)', [], "--profile: bad quoting: No closing quotation"),
+        ("", ["hr=1", "hr=2"], "option 'hr' given twice"),
+        ("", ["Loc=(0,0)"], "unknown call option 'Loc'"),
     ],
-    ids=["unknown_key", "home", "usual_hours", "resting_hr", "loc_flag"],
+    ids=[
+        "unknown_key", "home", "usual_hours", "resting_hr", "loc",
+        "repeated_key", "unclosed_quote", "repeated_call_key", "unknown_call_key",
+    ],
 )
 def test_score_names_an_unknown_profile_key(
-    profile: str, flags: list[str], message: str, tmp_path: Path, capsys
+    profile: str, context: list[str], message: str, capsys
 ):
-    path = tmp_path / "profile.json"
-    path.write_text(profile, encoding="utf-8")
-    assert main(["score", "--profile", str(path), *flags]) == 2
+    assert main(["score", *context, "--profile", profile]) == 2
     assert capsys.readouterr().err == f"gvbsim: {message}\n"
+
+
+# The options of a `call` line after its ids and of a `subscriber` line
+# after its id, valid and hostile; `score` reads both grammars.
+CALL_OPTIONS = [
+    "loc=(40,9)", "loc=(0,0)", "loc=(nan,0)", "loc=((1,2", "loc=1", "loc=",
+    "loctype=highway", "loctype=HOME", "loctype=bogus",
+    "hour=3", "hour=9", "hour=24", "hour=-1",
+    "hr=130", "hr=70.5", "hr=nan", "hr=true", "hr=1e400",
+    "speed=14", "speed=0", "speed=inf", "speed=-1",
+    "Loc=(0,0)", "loc", "",
+]
+SUBSCRIBER_OPTIONS = [
+    "home=(0,0)", "home=(40,9)", "home=(nan,0)", "home=(true,false)", "home=(1)", "home=5",
+    "usual_hours=8-22", "usual_hours=22-3", "usual_hours=25-3", "usual_hours=5",
+    "resting_hr=70", "resting_hr=130", "resting_hr=70.5", "resting_hr=true",
+    "usual_moving=0", "usual_moving=1", "usual_moving=false",
+    "resting_HR=40", "[1]", 'usual_moving="1', "'unclosed", "home=(0,0)\\", "# a comment",
+]
+
+
+def _main(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def scenario_file(tmp_path_factory) -> Path:
+    return tmp_path_factory.mktemp("agree") / "s.gvb"
+
+
+@settings(deadline=None)
+@given(
+    st.lists(st.sampled_from(CALL_OPTIONS), max_size=4),
+    st.lists(st.sampled_from(SUBSCRIBER_OPTIONS), max_size=4).map(" ".join),
+)
+@example(EMERGENCY_CALL.split()[5:], "home=(0,0) usual_hours=8-22 resting_hr=70 usual_moving=0")
+@example(["loc=(1,1)"], "home=(nan,0)")
+@example([], "usual_hours=25-3")
+@example([], "resting_hr=true")
+@example([], "home=(0,0) home=(0,0)")
+@example(["hr=130", "hr=130"], "")
+@example([], "resting_HR=40")
+@example(["Loc=(0,0)"], "")
+@example([], 'usual_moving="1')
+def test_score_agrees_with_the_assessment_of_a_run(
+    scenario_file: Path, context: list[str], profile: str
+):
+    # C's waiting call carries the context, C's subscriber line the profile
+    scenario_file.write_text(
+        f"subscriber A\nsubscriber B\nsubscriber C {profile}\nat 0 call A B\n"
+        f"at 1 call C A {' '.join(map(shlex.quote, context))}\n",
+        encoding="utf-8",
+    )
+    run_code, trace = _main(["run", str(scenario_file)])
+    score_code, scored = _main(["score", *context, "--profile", profile])
+    assert (run_code, score_code) in ((0, 0), (2, 2))
+    if run_code == 0:
+        (record,) = [r for r in parse_trace(trace) if r.event == "ASSESSMENT"]
+        fields = [f"{k}={v}" for k, v in record.details if k not in ("session", "caller")]
+        assert scored.splitlines() == fields
 
 
 def test_gen_subcommand(capsys):
@@ -393,18 +452,13 @@ _FLAG_VALUES = {
     "--thresholds": ["0.9,0.6,0.3", "0.3,0.6,0.9", "1,1,1"],
     "--loctype": ["highway", "other", "bogus", ""],
     "--keywords": ["fire", "help", "", " "],
-    "--loc": ["40,9", "nan,0", "(1)", ""],
-    "--hour": ["3", "99", "-1"],
-    "--hr": ["130", "nan", "-5"],
-    "--speed": ["14", "inf"],
-    "--profile": ["{missing}"],
+    "--profile": [*SUBSCRIBER_OPTIONS, "home=(0,0) usual_hours=22-3 resting_hr=50", ""],
     "--trace": ["{trace}", "{trace_in_missing_dir}", "{trace_dir}"],
 }
 _COMMAND_FLAGS = {
     "run": ["--backend", "--speaking-rate", "--rng-seed", "--abandon-timeout",
             "--weights", "--thresholds", "--trace"],
-    "score": ["--loc", "--loctype", "--hour", "--hr", "--speed", "--profile",
-              "--weights", "--thresholds"],
+    "score": ["--profile", "--weights", "--thresholds"],
     "gen": ["--keywords", "--t", "--loctype", "--speaking-rate"],
 }
 _SCENARIOS = [
@@ -423,6 +477,8 @@ def _argvs(draw) -> list[str]:
         argv.append(draw(st.sampled_from(_SCENARIOS)))
     if command == "gen" and draw(st.integers(0, 9)):
         argv += ["--keywords", "fire"]
+    if command == "score":
+        argv += draw(st.lists(st.sampled_from(CALL_OPTIONS), max_size=4))
     # now and then a flag of another command
     flags = st.sampled_from(_COMMAND_FLAGS[command] * 4 + sorted(_FLAG_VALUES))
     for flag in draw(st.lists(flags, max_size=4)):
@@ -469,6 +525,20 @@ def _no_spawn(argv, *args, **kwargs):
 @example(["gen", "--keywords", "fire", "--speaking-rate", "0.1"])
 @example(["run", _SCENARIOS[0], "--trace", "{trace_in_missing_dir}"])
 @example(["run", _SCENARIOS[0], "--trace", "{trace_dir}"])
+@example(["run", _SCENARIOS[2], "--backend", "external=gen", "--rng-seed", "-1"])
+@example(["run", _SCENARIOS[2], "--backend", "external=gen", "--abandon-timeout", "-1"])
+@example(["run", _SCENARIOS[2], "--backend", "external=gen", "--speaking-rate", "nan"])
+@example(["score", "loc=(1,1)", "--profile", "home=(nan,0)"])
+@example(["score", "--profile", "home=5"])
+@example(["score", "--profile", "home=(1)"])
+@example(["score", "--profile", "usual_hours=5"])
+@example(["score", "--profile", "usual_hours=25-3"])
+@example(["score", "--profile", "[1]"])
+@example(["score", "--profile", "usual_moving=false"])
+@example(["score", "loc=(1,0)", "--profile", "home=(true,false)"])
+@example(["score", "--profile", "resting_hr=true"])
+@example(["score", "--profile", "resting_HR=40"])
+@example(["score", "--profile", "home=" + DEEP_NESTING])
 def test_any_argv_exits_0_1_or_2(argv_files: dict[str, str], argv: list[str]):
     argv = [arg.format(**argv_files) if arg.startswith("{") else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()

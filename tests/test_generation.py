@@ -76,8 +76,14 @@ def test_fallback_mentions_emergency():
 
 
 def test_fallback_includes_location_when_present():
-    msg = generate_message("keywords: please call; location: Highway")
-    assert msg.text == "Emergency. Please call back immediately. Location: Highway."
+    seed = compose_seed(keywords="please call", location="highway")
+    msg = generate_message(seed, location="highway")
+    assert msg.text == "Emergency. Please call back immediately. Location: highway."
+
+
+def test_fallback_takes_the_location_from_the_caller_not_the_seed():
+    msg = generate_message("keywords: please call; location: the old mill")
+    assert msg.text == "Emergency. Please call back immediately."
 
 
 _TEMPLATE_TERMS = tuple(term for term, _ in _TEMPLATE_RULES)
@@ -125,7 +131,7 @@ def test_template_honors_max_words_and_stays_sentence_terminated():
     # no rule matches, so all 60 location words reach the text; the cap keeps
     # 6 lead words and w0..w43, and trades the comma after w43 for a stop
     place = " ".join(f"w{i}," for i in range(60))
-    msg = generate_message(compose_seed(keywords="please call", location=place))
+    msg = generate_message(compose_seed(keywords="please call", location=place), location=place)
     assert msg.word_count == MAX_WORDS
     assert msg.text.startswith("Emergency. Please call back immediately. Location: w0, w1,")
     assert msg.text.endswith(" w42, w43.")

@@ -224,17 +224,38 @@ def test_keyword_in_speech_triggers_substitution():
 
 
 @pytest.mark.parametrize(
-    "burst",
-    ['transcript="help; location: the old mill"', 'silence keywords="x; location: nowhere at all"'],
-    ids=["transcript", "keywords"],
+    ("loctype", "burst", "expected"),
+    [
+        (
+            " loctype=highway",
+            'transcript="help; location: the old mill"',
+            "Emergency. Please call back immediately. Location: highway.",
+        ),
+        (
+            " loctype=highway",
+            'silence keywords="x; location: nowhere at all"',
+            "Emergency. Please call back immediately. Location: highway.",
+        ),
+        (
+            "",
+            'transcript="help; location: the old mill"',
+            "Emergency. Please call back immediately.",
+        ),
+        (
+            "",
+            'silence keywords="x; location: nowhere at all"',
+            "Emergency. Please call back immediately.",
+        ),
+    ],
+    ids=["transcript", "keywords", "transcript_no_loctype", "keywords_no_loctype"],
 )
-def test_a_callers_words_do_not_set_the_location(burst: str):
+def test_a_callers_words_do_not_set_the_location(loctype: str, burst: str, expected: str):
     text = (
         "subscriber A\nsubscriber B\nsubscriber C\npolicy A t=9 G=0 N=3 approve=C\n"
-        f"at 0 call A B\nat 1 call C A loctype=highway\nat 2 burst C {burst}\n"
+        f"at 0 call A B\nat 1 call C A{loctype}\nat 2 burst C {burst}\n"
     )
     gen = one(run_text(text), "GEN")
-    assert gen.get("text") == "Emergency. Please call back immediately. Location: highway."
+    assert gen.get("text") == expected
 
 
 def test_media_description_feeds_the_next_burst():
