@@ -3,14 +3,13 @@
     gvbsim run <scenario> [--trace PATH] [--weights a,b,c,d]
                [--thresholds c,v,t] [--backend template|external=<target>]
                [--rng-seed N] [--speaking-rate WPS] [--abandon-timeout S]
-    gvbsim score [<call option>...] [--profile '<subscriber options>']
+    gvbsim score ['<call options>'] [--profile '<subscriber options>']
                  [--weights ...] [--thresholds ...]
-    gvbsim gen --keywords "<text>" [--t S] [--loctype T] [--speaking-rate WPS]
+    gvbsim gen '<burst options>' [--t S] [--loctype T] [--speaking-rate WPS]
 
-`score` reads its context as the options that follow `call <caller>
-<callee>` on a scenario line, e.g. `'loc=(40,9)' loctype=highway hour=3`,
-and its profile as one argument holding the options that follow
-`subscriber <id>`, e.g. `--profile 'home=(0,0) usual_hours=8-22'`.
+Each quoted group is one argument: the options after `call <caller>
+<callee>`, `subscriber <id>` or `burst <caller>` on a scenario line, read
+by that line's rules, e.g. `'loc=(40,9) hour=3'` or `'transcript="help"'`.
 
 Exit codes: 0 success, 1 simulation error (`SimError`), 2 a parse error
 (`ParseError`) or any other bad input (`ValueError`, `OSError`).
@@ -20,17 +19,13 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 from .errors import ParseError, SimError
-from .generation import (
-    DEFAULT_SPEAKING_RATE_WPS,
-    build_backend,
-    compose_seed,
-    fit_to_duration,
-    generate_message,
-)
+from .generation import DEFAULT_SPEAKING_RATE_WPS, build_backend
+from .incapacity import Modality
 from .scenario import (
+    _parse_burst_options,
     _parse_context,
     _parse_loctype,
     _parse_profile,
@@ -40,7 +35,7 @@ from .scenario import (
     parse_scenario,
 )
 from .scoring import FactorWeights, LocationType, TierThresholds, assess
-from .sim import DEFAULT_ABANDON_TIMEOUT_S, RunConfig, run
+from .sim import DEFAULT_ABANDON_TIMEOUT_S, RunConfig, run, substitute
 from .trace import assessment_fields, render_trace
 
 
@@ -59,7 +54,6 @@ def _grammar_arg(rule: Callable[[str], object]) -> Callable[[str], object]:
 
 _weights_arg = _grammar_arg(_parse_weights_value)
 _thresholds_arg = _grammar_arg(_parse_thresholds_value)
-_loctype_arg = _grammar_arg(_parse_loctype)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,15 +71,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--abandon-timeout", type=int, default=DEFAULT_ABANDON_TIMEOUT_S)
 
     score_p = sub.add_parser("score", help="one-shot emergency scoring")
-    score_p.add_argument("context", nargs="*", help="a call line's options")
+    score_p.add_argument("context", nargs="?", default="", help="a call line's options")
     score_p.add_argument("--profile", default="", help="a subscriber line's options")
     score_p.add_argument("--weights", type=_weights_arg, default=FactorWeights())
     score_p.add_argument("--thresholds", type=_thresholds_arg, default=TierThresholds())
 
     gen_p = sub.add_parser("gen", help="one-shot message generation")
-    gen_p.add_argument("--keywords", required=True)
+    gen_p.add_argument("burst", help="a burst line's options")
     gen_p.add_argument("--t", type=int, default=5)
-    gen_p.add_argument("--loctype", type=_loctype_arg, default=LocationType.OTHER)
+    gen_p.add_argument("--loctype", type=_grammar_arg(_parse_loctype), default=LocationType.OTHER)
     gen_p.add_argument("--speaking-rate", type=float, default=DEFAULT_SPEAKING_RATE_WPS)
     return parser
 
@@ -116,25 +110,31 @@ def _cmd_run(args: argparse.Namespace) -> None:
         sys.stdout.write(rendered)
 
 
-def _cmd_score(args: argparse.Namespace) -> None:
-    ctx = _parse_context(args.context)
+def _read_options(label: str, text: str, rule: Callable[[list[str]], Any]) -> Any:
+    """The options in one argument, split and read as a scenario line's."""
     try:
-        tokens = _split_line(args.profile)
+        tokens = _split_line(text)
     except ValueError as exc:
-        raise ValueError(f"--profile: bad quoting: {exc}") from None
-    profile = _parse_profile(tokens)["profile"]
+        raise ValueError(f"{label}: bad quoting: {exc}") from None
+    return rule(tokens)
+
+
+def _cmd_score(args: argparse.Namespace) -> None:
+    ctx = _read_options("context", args.context, _parse_context)
+    profile = _read_options("--profile", args.profile, _parse_profile)["profile"]
     assessment = assess(ctx, profile, args.weights, args.thresholds)
     for key, value in assessment_fields(assessment).items():
         print(f"{key}={value}")
 
 
 def _cmd_gen(args: argparse.Namespace) -> None:
-    location = args.loctype.seed_text
-    seed = compose_seed(keywords=args.keywords, location=location)
-    message = generate_message(seed, location=location)
-    message = fit_to_duration(message, args.t, args.speaking_rate)
-    if not message.word_count:
-        raise ValueError(f"no word fits {args.t}s at {args.speaking_rate} words/s")
+    burst = _read_options("burst", args.burst, _parse_burst_options)
+    image = burst.pop("image")
+    media = {Modality.IMAGE_DESCRIPTION: [image]} if image else {}
+    config = RunConfig(speaking_rate=args.speaking_rate)
+    message = substitute(config, args.loctype.seed_text, args.t, media=media, **burst)
+    if message is None or not message.word_count:  # nothing seeds it, or no word fits
+        raise ValueError(f"the burst says no word in {args.t}s at {args.speaking_rate} words/s")
     print(message.text)
 
 

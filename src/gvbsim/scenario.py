@@ -31,9 +31,9 @@ the one before it, so the file is the timeline and events run in file
 order.  An `usual_hours` range may wrap midnight (e.g. 22-3).
 
 A broken grammar rule raises ValueError; `parse_scenario` alone adds the
-line number, so `gvbsim score` reads a `call` line's options
-(`_parse_context`) and a `subscriber` line's (`_parse_profile`) by the
-same rules, and the CLI reads `--weights` and `--thresholds` by them too.
+line number, so the CLI reads its flags and the options of a `call` or
+`subscriber` line (`gvbsim score`) or a `burst` line (`gvbsim gen`) by the
+same rules: `_parse_context`, `_parse_profile`, `_parse_burst_options`.
 """
 from __future__ import annotations
 
@@ -292,16 +292,10 @@ def _parse_call(tokens: list[str]) -> dict[str, Any]:
     return {"caller": tokens[0], "callee": tokens[1], "context": _parse_context(tokens[2:])}
 
 
-def _parse_burst(tokens: list[str]) -> dict[str, Any]:
-    if len(tokens) < 2:
-        raise ValueError("burst requires <caller> and transcript=... or silence")
-    args: dict[str, Any] = {
-        "caller": tokens[0],
-        "transcript": None,  # None for a silent burst
-        "keywords": None,
-        "image": None,
-    }
-    mode = tokens[1]
+def _parse_burst_options(tokens: list[str]) -> dict[str, Any]:
+    """The transcript (None if silent), keywords and image after a burst's caller."""
+    args: dict[str, Any] = {"transcript": None, "keywords": None, "image": None}
+    mode = tokens[0] if tokens else ""
     if mode != "silence":
         key, value = _split_kv(mode)
         if key != "transcript":
@@ -309,7 +303,7 @@ def _parse_burst(tokens: list[str]) -> dict[str, Any]:
         if not value:
             raise ValueError("transcript must be non-empty; use silence instead")
         args["transcript"] = value
-    for key, value in _options(tokens[2:]):
+    for key, value in _options(tokens[1:]):
         if key in ("keywords", "image"):
             if not value:
                 raise ValueError(f"{key} must be non-empty")
@@ -317,6 +311,12 @@ def _parse_burst(tokens: list[str]) -> dict[str, Any]:
         else:
             raise ValueError(f"unknown burst option {key!r}")
     return args
+
+
+def _parse_burst(tokens: list[str]) -> dict[str, Any]:
+    if len(tokens) < 2:
+        raise ValueError("burst requires <caller> and transcript=... or silence")
+    return {"caller": tokens[0], **_parse_burst_options(tokens[1:])}
 
 
 _MEDIA_KEYS = {m.value: m for m in MEDIA_MODALITIES}

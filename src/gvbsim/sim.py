@@ -29,6 +29,7 @@ from .errors import ExternalTimeout, SimError
 from .generation import (
     DEFAULT_SPEAKING_RATE_WPS,
     ExternalBackend,
+    GeneratedMessage,
     TemplateBackend,
     check_speaking_rate,
     compose_seed,
@@ -290,12 +291,28 @@ class Simulation:
         voice_mode = session.tier is PriorityTier.MEDIUM
         # (BURST_SENT payload token, text), or None for a silent window
         sent: tuple[str, str] | None = None
+        message: GeneratedMessage | None = None
         if verdict.incapacitated:
-            sent = self._generate_substitute(
-                session, keywords, transcript, media_descs, t, voice_mode
-            )
+            location = session.context.location_type.seed_text
+            message = substitute(self.config, location, t, keywords, transcript, media_descs)
         elif transcript is not None:
             sent = ("voice" if voice_mode else "text_beep", transcript)
+        if message is not None:
+            if message.fallback is not None:
+                token = "timeout" if isinstance(message.fallback, ExternalTimeout) else "error"
+                detail = message.fallback_reason
+                self._emit("GEN_FALLBACK", session=sid, reason=token, detail=detail)
+            words = message.word_count
+            self._emit(
+                "GEN",
+                session=sid,
+                backend=message.backend,
+                words=words,
+                seconds=f"{words / self.config.speaking_rate:.2f}",
+                text=message.text,
+            )
+            if words:  # a message with no word left says nothing
+                sent = ("generated" if voice_mode else "text_beep", message.text)
         session.ledger = record_burst(session.ledger, self.clock, duration)
         window = dict(
             session=sid, sequence=session.ledger.bursts_sent, start=self.clock, duration=duration
@@ -304,52 +321,6 @@ class Simulation:
             self._emit("BURST_WINDOW_SILENT", **window)
         else:
             self._emit("BURST_SENT", **window, payload=sent[0], text=sent[1])
-
-    def _generate_substitute(
-        self,
-        session: CallSession,
-        keywords: str | None,
-        transcript: str | None,
-        media_descs: dict[Modality, list[str]],
-        t: int,
-        voice_mode: bool,
-    ) -> tuple[str, str] | None:
-        """Build a seed from the burst's context and generate a message
-        fitted to `t` seconds, sent as `generated` in voice mode and as
-        `text_beep` otherwise.
-
-        With no seedable context at all there is nothing to generate from,
-        and a message with no word left after fitting says nothing, so
-        either way the window stands as silent (None).
-        """
-        sid = session.session_id
-        location = session.context.location_type.seed_text
-        seed = compose_seed(
-            keywords=keywords,
-            speech=transcript,
-            location=location,
-            **{m.value: "; ".join(texts) for m, texts in media_descs.items()},
-        )
-        if not seed:
-            return None
-        config = self.config
-        message = generate_message(seed, config.backend, config.rng_seed, location)
-        if message.fallback is not None:
-            token = "timeout" if isinstance(message.fallback, ExternalTimeout) else "error"
-            self._emit("GEN_FALLBACK", session=sid, reason=token, detail=message.fallback_reason)
-        message = fit_to_duration(message, t, config.speaking_rate)
-        words = message.word_count
-        self._emit(
-            "GEN",
-            session=sid,
-            backend=message.backend,
-            words=words,
-            seconds=f"{words / config.speaking_rate:.2f}",
-            text=message.text,
-        )
-        if not words:
-            return None
-        return ("generated" if voice_mode else "text_beep", message.text)
 
     def _handle_media(self, caller: str, modality: Modality, description: str) -> None:
         session = self._waiting_session_of_caller(caller)
@@ -422,6 +393,29 @@ class Simulation:
         "answer": _handle_answer,
         "dismiss": _handle_dismiss,
     }
+
+
+def substitute(
+    config: RunConfig,
+    location: str | None,
+    t: int,
+    keywords: str | None,
+    transcript: str | None,
+    media: dict[Modality, list[str]],
+) -> GeneratedMessage | None:
+    """The message generated from a burst's context, the caller being at
+    `location`, and fitted to `t` seconds; None when no part of the
+    context seeds one."""
+    seed = compose_seed(
+        keywords=keywords,
+        speech=transcript,
+        location=location,
+        **{m.value: "; ".join(texts) for m, texts in media.items()},
+    )
+    if not seed:
+        return None
+    message = generate_message(seed, config.backend, config.rng_seed, location)
+    return fit_to_duration(message, t, config.speaking_rate)
 
 
 def run(events: list[SimEvent], config: RunConfig | None = None) -> list[TraceRecord]:

@@ -145,8 +145,8 @@ DEEP_NESTING = "(" * 100000
         "run {scenarios}/silent_generative_burst.gvb --speaking-rate 0",
         "run {scenarios}/silent_generative_burst.gvb --speaking-rate -1",
         "run {scenarios}/silent_generative_burst.gvb --speaking-rate nan",
-        "gen --keywords fire --speaking-rate inf",
-        "gen --keywords help --loctype bogus",
+        "gen transcript=fire --speaking-rate inf",
+        "gen transcript=help --loctype bogus",
         "run {scenarios}/silent_generative_burst.gvb --rng-seed -1",
         "run {scenarios}/silent_generative_burst.gvb --abandon-timeout -1",
         "score speed=nan",
@@ -193,8 +193,10 @@ HUGE = "9" * 400  # overflows a float
     [
         ["run", "silent_generative_burst.gvb", "--backend", "external= "],
         ["run", "silent_generative_burst.gvb", "--backend", 'external=gen "unclosed'],
-        ["gen", "--keywords", "fire", "--t", HUGE],
-        ["gen", "--keywords", "fire", "--speaking-rate", "0.1"],
+        ["gen", "silence keywords=fire", "--t", HUGE],
+        ["gen", "silence keywords=fire", "--speaking-rate", "0.1"],
+        ["gen", 'transcript="help me" keywords=fire keywords=smoke'],
+        ["score", "loc=(1,1) hr=130 speed=nan"],
     ],
 )
 def test_input_faults_in_one_argument_exit_2(argv: list[str], capsys):
@@ -259,11 +261,7 @@ def test_score_subcommand(capsys):
     code = main(
         [
             "score",
-            "loc=(40,9)",
-            "loctype=highway",
-            "hour=3",
-            "hr=130",
-            "speed=14",
+            "loc=(40,9) loctype=highway hour=3 hr=130 speed=14",
             "--profile",
             "home=(0,0) usual_hours=8-22 resting_hr=70 usual_moving=0",
         ]
@@ -279,9 +277,9 @@ def test_score_prints_the_fields_of_the_assessment_record(capsys):
     records = run_text(PREAMBLE + "at 0 call A B\n" + EMERGENCY_CALL)
     (record,) = [r for r in records if r.event == "ASSESSMENT"]
     fields = [f"{k}={v}" for k, v in record.details if k not in ("session", "caller")]
-    context = EMERGENCY_CALL.split()[5:]  # after `at 10 call C A`
+    context = EMERGENCY_CALL.split(maxsplit=5)[5]  # after `at 10 call C A`
     profile = PREAMBLE.splitlines()[2].split(maxsplit=2)[2]  # after `subscriber C`
-    assert main(["score", *context, "--profile", profile]) == 0
+    assert main(["score", context, "--profile", profile]) == 0
     out = capsys.readouterr().out
     assert out.splitlines() == fields
     assert [field.partition("=")[0] for field in fields] == [
@@ -303,7 +301,7 @@ def test_score_reads_extreme_weights_as_their_ratio(
     weights: str, context: str, expected: float, capsys
 ):
     # 1e308 weights printed score=nan tier=none; 5e-324 escalated to highest
-    argv = ["score", *context.split(), "--weights", weights, "--profile", "home=(0,0)"]
+    argv = ["score", context, "--weights", weights, "--profile", "home=(0,0)"]
     assert main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-2:] == [f"score={expected:.6f}", "tier=medium"]
@@ -325,25 +323,27 @@ def test_score_rejects_bad_input(capsys):
 @pytest.mark.parametrize(
     ("profile", "context", "message"),
     [
-        ("resting_hr=60 resting_HR=40", [], "unknown subscriber option 'resting_HR'"),
-        ("home=(1)", [], "expected (x,y), got '(1)'"),
-        ("usual_hours=25-3", [], "usual_hours must be within 0..23, got '25-3'"),
-        ("resting_hr=true", [], "resting_hr must be an integer, got 'true'"),
-        ("", ["loc=1"], "expected (x,y), got '1'"),
-        ("home=(0,0) home=(1,1)", [], "option 'home' given twice"),
-        ('home="(0,0)', [], "--profile: bad quoting: No closing quotation"),
-        ("", ["hr=1", "hr=2"], "option 'hr' given twice"),
-        ("", ["Loc=(0,0)"], "unknown call option 'Loc'"),
+        ("resting_hr=60 resting_HR=40", "", "unknown subscriber option 'resting_HR'"),
+        ("home=(1)", "", "expected (x,y), got '(1)'"),
+        ("usual_hours=25-3", "", "usual_hours must be within 0..23, got '25-3'"),
+        ("resting_hr=true", "", "resting_hr must be an integer, got 'true'"),
+        ("", "loc=1", "expected (x,y), got '1'"),
+        ("home=(0,0) home=(1,1)", "", "option 'home' given twice"),
+        ('home="(0,0)', "", "--profile: bad quoting: No closing quotation"),
+        ("", "hr=1 hr=2", "option 'hr' given twice"),
+        ("", "Loc=(0,0)", "unknown call option 'Loc'"),
+        ("", "hr=1 'loc=(0,0)", "context: bad quoting: No closing quotation"),
     ],
     ids=[
         "unknown_key", "home", "usual_hours", "resting_hr", "loc",
         "repeated_key", "unclosed_quote", "repeated_call_key", "unknown_call_key",
+        "unclosed_call_quote",
     ],
 )
 def test_score_names_an_unknown_profile_key(
-    profile: str, context: list[str], message: str, capsys
+    profile: str, context: str, message: str, capsys
 ):
-    assert main(["score", *context, "--profile", profile]) == 2
+    assert main(["score", context, "--profile", profile]) == 2
     assert capsys.readouterr().err == f"gvbsim: {message}\n"
 
 
@@ -398,11 +398,11 @@ def test_score_agrees_with_the_assessment_of_a_run(
     # C's waiting call carries the context, C's subscriber line the profile
     scenario_file.write_text(
         f"subscriber A\nsubscriber B\nsubscriber C {profile}\nat 0 call A B\n"
-        f"at 1 call C A {' '.join(map(shlex.quote, context))}\n",
+        f"at 1 call C A {shlex.join(context)}\n",
         encoding="utf-8",
     )
     run_code, trace = _main(["run", str(scenario_file)])
-    score_code, scored = _main(["score", *context, "--profile", profile])
+    score_code, scored = _main(["score", shlex.join(context), "--profile", profile])
     assert (run_code, score_code) in ((0, 0), (2, 2))
     if run_code == 0:
         (record,) = [r for r in parse_trace(trace) if r.event == "ASSESSMENT"]
@@ -410,34 +410,119 @@ def test_score_agrees_with_the_assessment_of_a_run(
         assert scored.splitlines() == fields
 
 
+def test_score_reads_its_call_options_before_or_after_a_flag(capsys):
+    # read as several positionals, `score loctype=highway --weights 1,1,1,1 hr=200` exited 2
+    fields = []
+    for argv in (
+        ["score", "--weights", "1,1,1,1", "loctype=highway hr=200"],
+        ["score", "loctype=highway hr=200", "--weights", "1,1,1,1"],
+    ):
+        assert main(argv) == 0
+        fields.append(capsys.readouterr().out)
+    assert fields[0] == fields[1]
+    assert "location=1.000000" in fields[0] and "health=1.000000" in fields[0]
+
+
 def test_gen_subcommand(capsys):
-    assert main(["gen", "--keywords", "House Fire Help Come"]) == 0
+    assert main(["gen", 'silence keywords="House Fire Help Come"']) == 0
     out = capsys.readouterr().out.strip()
     assert "fire" in out.lower()
     assert out.endswith(".")
 
 
 def test_gen_fits_the_duration(capsys):
-    assert main(["gen", "--keywords", "please ring me", "--loctype", "highway", "--t", "2"]) == 0
+    argv = ["gen", 'silence keywords="please ring me"', "--loctype", "highway", "--t", "2"]
+    assert main(argv) == 0
     out = capsys.readouterr().out.strip()
     assert len(out.split()) <= 5  # floor(2 * 2.5)
     assert "Emergency" in out
 
 
 def test_gen_rejects_bad_duration(capsys):
-    assert main(["gen", "--keywords", "fire", "--t", "0"]) == 2
+    assert main(["gen", "silence keywords=fire", "--t", "0"]) == 2
     assert capsys.readouterr().err
 
 
 def test_gen_reads_loctype_as_a_run_does(capsys):
     out = {}
     for loctype in ("", "other", "highway", "HIGHWAY"):
-        assert main(["gen", "--keywords", "help", *(["--loctype", loctype] if loctype else [])]) == 0
+        loctype_flag = ["--loctype", loctype] if loctype else []
+        assert main(["gen", "silence keywords=help", *loctype_flag]) == 0
         out[loctype] = capsys.readouterr().out
     assert "Location" not in out[""]  # OTHER says nothing about the place
     assert out["other"] == out[""]
     assert "Location: highway." in out["highway"]
     assert out["HIGHWAY"] == out["highway"]
+
+
+def test_gen_rejects_an_empty_keywords_option_as_a_burst_line_does(capsys):
+    # `--keywords ""` generated from an empty seed part and exited 0
+    assert main(["gen", 'silence keywords=""']) == 2
+    assert capsys.readouterr().err == "gvbsim: keywords must be non-empty\n"
+
+
+def test_gen_seeds_the_message_with_the_burst_image(capsys):
+    # the transcript alone has no template term; the image picks the smoke template
+    assert main(["gen", 'transcript="help" image="smoke"']) == 0
+    assert capsys.readouterr().out == (
+        "There is smoke everywhere. Please send the fire brigade.\n"
+    )
+
+
+# The options of a `burst` line after its caller, valid and hostile.
+BURST_OPTIONS = [
+    "silence", 'transcript="help me"', 'transcript="I am fine"', "transcript=help",
+    'transcript="smoke everywhere, help"', "silence keywords=fire", 'silence image="smoke"',
+    'silence keywords="chest pain" image="blood on the floor"', 'transcript="help" image="smoke"',
+    'transcript="help me" image="smoke" keywords=fire', 'transcript="I am fine" image="fire"',
+    'transcript="can\'t speak" keywords=accident', "silence keywords=intruder image=thief",
+    'transcript="one two three four five six seven eight nine ten eleven twelve help"',
+    "transcript=", 'silence keywords=""', "silence image=", "Silence", "",
+    "silence keywords=fire keywords=smoke", 'transcript="help', "silence loctype=highway",
+    "keywords=fire", "silence fire", "'unclosed", "silence \\",
+]
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 10),
+    st.sampled_from(["other", "highway"]),
+    st.sampled_from(["2.5", "0.3"]),
+    st.sampled_from(BURST_OPTIONS),
+)
+@example(5, "other", "2.5", 'transcript="help" image="smoke"')
+@example(5, "other", "2.5", "silence")
+@example(1, "highway", "0.3", "silence")
+@example(5, "highway", "2.5", 'silence keywords=""')
+@example(5, "other", "2.5", 'transcript="I am fine"')
+def test_gen_prints_the_gen_text_of_the_matching_one_burst_run(
+    scenario_file: Path, t: int, loctype: str, rate: str, options: str
+):
+    scenario_file.write_text(
+        f"subscriber A\nsubscriber B\nsubscriber C\npolicy A t={t} G=0 N=1 approve=C\n"
+        f"at 0 call B A\nat 1 call C A loctype={loctype}\nat 2 burst C {options}\n",
+        encoding="utf-8",
+    )
+    run_code, trace = _main(["run", str(scenario_file), "--speaking-rate", rate])
+    gen_flags = ["--t", str(t), "--loctype", loctype, "--speaking-rate", rate]
+    gen_code, generated = _main(["gen", options, *gen_flags])
+    assert run_code in (0, 2)
+    if run_code == 2:
+        assert gen_code == 2
+        return
+    records = parse_trace(trace)
+    (incapacity,) = [r for r in records if r.event == "INCAPACITY"]
+    gens = [r for r in records if r.event == "GEN"]
+    if incapacity.get("incapacitated") == "1":
+        if gens and int(gens[0].get("words")) > 0:
+            assert (gen_code, generated) == (0, gens[0].get("text") + "\n")
+        else:
+            assert gen_code == 2
+    else:
+        # the run sends the transcript itself; gen still shows the message
+        # the transcript seeds, unless not one word fits
+        assert not gens
+        assert (gen_code == 2) == (t * float(rate) < 1)
 
 
 # -- argv fuzzing --
@@ -451,7 +536,6 @@ _FLAG_VALUES = {
     "--weights": ["1,1,1,1", "0,0,0,0", "nan,1,1,1", "1,2,3"],
     "--thresholds": ["0.9,0.6,0.3", "0.3,0.6,0.9", "1,1,1"],
     "--loctype": ["highway", "other", "bogus", ""],
-    "--keywords": ["fire", "help", "", " "],
     "--profile": [*SUBSCRIBER_OPTIONS, "home=(0,0) usual_hours=22-3 resting_hr=50", ""],
     "--trace": ["{trace}", "{trace_in_missing_dir}", "{trace_dir}"],
 }
@@ -459,7 +543,7 @@ _COMMAND_FLAGS = {
     "run": ["--backend", "--speaking-rate", "--rng-seed", "--abandon-timeout",
             "--weights", "--thresholds", "--trace"],
     "score": ["--profile", "--weights", "--thresholds"],
-    "gen": ["--keywords", "--t", "--loctype", "--speaking-rate"],
+    "gen": ["--t", "--loctype", "--speaking-rate"],
 }
 _SCENARIOS = [
     *(str(path) for path in sorted(SCENARIO_DIR.glob("*.gvb"))),
@@ -476,9 +560,9 @@ def _argvs(draw) -> list[str]:
     if command == "run" and draw(st.integers(0, 9)):
         argv.append(draw(st.sampled_from(_SCENARIOS)))
     if command == "gen" and draw(st.integers(0, 9)):
-        argv += ["--keywords", "fire"]
-    if command == "score":
-        argv += draw(st.lists(st.sampled_from(CALL_OPTIONS), max_size=4))
+        argv.append(draw(st.sampled_from(BURST_OPTIONS)))
+    if command == "score" and draw(st.integers(0, 9)):
+        argv.append(" ".join(draw(st.lists(st.sampled_from(CALL_OPTIONS), max_size=4))))
     # now and then a flag of another command
     flags = st.sampled_from(_COMMAND_FLAGS[command] * 4 + sorted(_FLAG_VALUES))
     for flag in draw(st.lists(flags, max_size=4)):
@@ -521,21 +605,21 @@ def _no_spawn(argv, *args, **kwargs):
 @example(["run", _SCENARIOS[0], "--speaking-rate", "1e-320"])
 @example(["run", "{huge_t}"])
 @example(["run", "{not_utf8}"])
-@example(["gen", "--keywords", "fire", "--t", HUGE])
-@example(["gen", "--keywords", "fire", "--speaking-rate", "0.1"])
+@example(["gen", "silence keywords=fire", "--t", HUGE])
+@example(["gen", "silence keywords=fire", "--speaking-rate", "0.1"])
 @example(["run", _SCENARIOS[0], "--trace", "{trace_in_missing_dir}"])
 @example(["run", _SCENARIOS[0], "--trace", "{trace_dir}"])
 @example(["run", _SCENARIOS[2], "--backend", "external=gen", "--rng-seed", "-1"])
 @example(["run", _SCENARIOS[2], "--backend", "external=gen", "--abandon-timeout", "-1"])
 @example(["run", _SCENARIOS[2], "--backend", "external=gen", "--speaking-rate", "nan"])
-@example(["score", "loc=(1,1)", "--profile", "home=(nan,0)"])
+@example(["score", "loc=(1,1) hr=130", "--profile", "home=(nan,0)"])
 @example(["score", "--profile", "home=5"])
 @example(["score", "--profile", "home=(1)"])
 @example(["score", "--profile", "usual_hours=5"])
 @example(["score", "--profile", "usual_hours=25-3"])
 @example(["score", "--profile", "[1]"])
 @example(["score", "--profile", "usual_moving=false"])
-@example(["score", "loc=(1,0)", "--profile", "home=(true,false)"])
+@example(["score", "loc=(1,0) loctype=highway", "--profile", "home=(true,false)"])
 @example(["score", "--profile", "resting_hr=true"])
 @example(["score", "--profile", "resting_HR=40"])
 @example(["score", "--profile", "home=" + DEEP_NESTING])

@@ -37,6 +37,7 @@ from gvbsim.sim import RunConfig, Simulation
 from gvbsim.trace import TRACE_EVENTS, assessment_fields
 
 from .conftest import REPO_ROOT
+from .test_cli import _COMMAND_FLAGS, _FLAG_VALUES
 from .test_scenario import _TEMPLATES
 
 
@@ -160,15 +161,29 @@ def test_a_bad_media_line_names_the_kinds(line: str, message: str):
     assert error.value.message == message
 
 
-def test_every_run_config_field_is_set_by_a_run_flag():
-    # a knob that no caller can set is not configuration
+def subcommand_parsers() -> dict[str, argparse.ArgumentParser]:
     subcommands = next(
         action for action in _build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    dests = {action.dest for action in subcommands.choices["run"]._actions}
+    return subcommands.choices
+
+
+def test_every_run_config_field_is_set_by_a_run_flag():
+    # a knob that no caller can set is not configuration
+    dests = {action.dest for action in subcommand_parsers()["run"]._actions}
     fields = set(RunConfig._fields)
     assert fields == dests - {"help", "scenario", "trace"}
+
+
+def test_the_argv_fuzzer_draws_the_flags_of_each_command():
+    # a flag the CLI dropped but the fuzzer still draws tests only argparse's rejection
+    parsers = subcommand_parsers()
+    assert set(_COMMAND_FLAGS) == set(parsers)
+    for command, parser in parsers.items():
+        flags = [flag for action in parser._actions for flag in action.option_strings]
+        assert sorted(_COMMAND_FLAGS[command]) == sorted(set(flags) - {"-h", "--help"}), command
+    assert set(_FLAG_VALUES) == {flag for flags in _COMMAND_FLAGS.values() for flag in flags}
 
 
 def test_the_readme_lists_both_incapacity_vocabularies():
