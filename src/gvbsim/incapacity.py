@@ -55,7 +55,9 @@ def term_alternation(terms: tuple[str, ...]) -> re.Pattern[str]:
     case ("help" never fires inside "helpful"); a match's `lastindex` is
     the 1-based position of its term in `terms`."""
     alternatives = "|".join(f"({re.escape(term)})" for term in terms)
-    return re.compile(rf"\b(?:{alternatives})\b", re.IGNORECASE)
+    # a position where no term can start fails the lookahead before any alternative is tried
+    starts = "".join(sorted({re.escape(term[0]) for term in terms}))
+    return re.compile(rf"\b(?=[{starts}])(?:{alternatives})\b", re.IGNORECASE)
 
 
 _KEYWORD_PATTERN = term_alternation(KEYWORDS)

@@ -59,6 +59,7 @@ from .scoring import (
 from .trace import TraceRecord, assessment_fields, fmt_num, fmt_score, make_record
 
 DEFAULT_ABANDON_TIMEOUT_S = 120
+MESSAGE_MEMO_SIZE = 1024  # most generated messages one run keeps (see `substitute`)
 _HANGUP_RANK = {CallState.ACTIVE: 0, CallState.WAITING: 1, CallState.HELD: 2}
 
 
@@ -107,6 +108,7 @@ class Simulation:
         # moves last_activity on, and `_expire_waiting` pushes a touched
         # session's entry back at its real expiry.
         self._expiry: list[tuple[int, int]] = []
+        self._messages: dict[tuple[str, str | None], GeneratedMessage] = {}
 
     # -- trace plumbing --
 
@@ -294,7 +296,9 @@ class Simulation:
         message: GeneratedMessage | None = None
         if verdict.incapacitated:
             location = session.context.location_type.seed_text
-            message = substitute(self.config, location, t, keywords, transcript, media_descs)
+            message = substitute(
+                self.config, location, t, keywords, transcript, media_descs, self._messages
+            )
         elif transcript is not None:
             sent = ("voice" if voice_mode else "text_beep", transcript)
         if message is not None:
@@ -402,10 +406,13 @@ def substitute(
     keywords: str | None,
     transcript: str | None,
     media: dict[Modality, list[str]],
+    memo: dict[tuple[str, str | None], GeneratedMessage],
 ) -> GeneratedMessage | None:
     """The message generated from a burst's context, the caller being at
     `location`, and fitted to `t` seconds; None when no part of the
-    context seeds one."""
+    context seeds one.  A reply depends only on its request, so `memo`
+    keeps the unfitted message of each (seed, location) that did not fall
+    back, up to MESSAGE_MEMO_SIZE, the least recently used dropped first."""
     seed = compose_seed(
         keywords=keywords,
         speech=transcript,
@@ -414,7 +421,13 @@ def substitute(
     )
     if not seed:
         return None
-    message = generate_message(seed, config.backend, config.rng_seed, location)
+    message = memo.pop((seed, location), None) or generate_message(
+        seed, config.backend, config.rng_seed, location
+    )
+    if message.fallback is None:
+        if len(memo) >= MESSAGE_MEMO_SIZE:
+            del memo[next(iter(memo))]
+        memo[seed, location] = message
     return fit_to_duration(message, t, config.speaking_rate)
 
 

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import collections
 import contextlib
+import os
 import re
+import select
 import socket
 import socketserver
 import threading
 import time
+from typing import Iterator
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gvbsim import generation
 from gvbsim.cli import main
 from gvbsim.errors import ExternalGeneratorError, ExternalTimeout
 from gvbsim.generation import (
@@ -26,7 +32,7 @@ from gvbsim.generation import (
 )
 from gvbsim.scenario import parse_scenario
 from gvbsim.sim import RunConfig, run
-from gvbsim.trace import parse_trace
+from gvbsim.trace import parse_trace, render_trace
 
 from .conftest import SCENARIO_DIR, stub_command
 
@@ -287,6 +293,140 @@ def test_the_line_cap_counts_the_newline(extra: int):
     finally:
         backend.close()
     assert time.monotonic() - started < 10.0
+
+
+# -- drawn reply bytes through an in-process pipe --
+
+_CAP = 40  # the line cap while fuzzing, so an over-long line stays far inside a pipe's buffer
+_FRAGMENTS = [b"OK text=", b"ERR", b" ", b"a", b"%20", b"%0A", b"%e2", b"\r", b"\x00", b"\xff"]
+_LINES = st.one_of(
+    st.text(max_size=10).map(lambda text: b"OK text=" + encode_text(text).encode() + b"\n"),
+    st.lists(st.sampled_from([*_FRAGMENTS, b"\xc3\xa9", b"\n", b"\r\n"]), max_size=12).map(
+        b"".join
+    ),
+    st.just(b"OK text=" + b"x" * _CAP + b"\n"),
+)
+
+
+@st.composite
+def _reply_chunks(draw) -> list[bytes]:
+    """One reply's bytes, none to a few lines, cut into non-empty chunks."""
+    data = b"".join(draw(st.lists(_LINES, max_size=3)))
+    cuts = sorted(draw(st.sets(st.integers(0, len(data)), max_size=3)) | {0, len(data)})
+    return [data[i:j] for i, j in zip(cuts, cuts[1:])]
+
+
+class _PipePeer:
+    """A generator child's stand-in on an os.pipe: a request queues the next
+    drawn reply's chunks, and the peer writes one each time the backend
+    waits on a drained pipe; a wait with no chunk left times out."""
+
+    def __init__(self, replies: Iterator[list[bytes]]):
+        self._replies, self._chunks = replies, collections.deque()
+        read_fd, self._write_fd = os.pipe()
+        self.stdin, self.stdout = self, os.fdopen(read_fd, "rb", buffering=0)
+
+    def write(self, request: bytes) -> None:
+        pass
+
+    def flush(self) -> None:
+        self._chunks.extend(next(self._replies))
+
+    def send_next_chunk(self) -> bool:
+        if not self._chunks:
+            return False
+        os.write(self._write_fd, self._chunks.popleft())
+        return True
+
+    def close(self) -> None:  # the backend closes stdin, then kills
+        pass
+
+    def kill(self) -> None:
+        os.close(self._write_fd)
+
+    def wait(self) -> None:
+        pass
+
+
+def _expected_outcomes(replies: list[list[bytes]]) -> list[str]:
+    """Per request: "timeout", "error", or the text of an external GEN.
+    Every reply's bytes join one stream, read a line at a time; a transport
+    failure (no line yet, or a line over the cap) ends the peer and drops
+    its unread bytes, while a line that is not a message is only skipped."""
+    outcomes, stream = [], b""
+    for reply in replies:
+        stream += b"".join(reply)
+        end = stream.find(b"\n")
+        if end < 0 and len(stream) <= _CAP:
+            outcomes.append("timeout")
+        elif not 0 <= end < _CAP:
+            outcomes.append("error")
+        else:
+            line, stream = stream[: end + 1], stream[end + 1 :]
+            try:
+                body = line.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError:
+                body = ""
+            text = _decode_by_regex(body[len("OK text="):]) if body.startswith("OK text=") else ""
+            outcomes.append(text if text.strip() else "error")
+            continue
+        stream = b""
+    return outcomes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_reply_chunks(), min_size=1, max_size=6))
+@example([
+    [b"OK te", b"xt=split%20", b"line\r\n"],  # "split line"
+    [b"OK text=one\nOK text=two\n"],  # "one"
+    [],  # "two", read with "one"
+    [b"ERR busy\n"],  # error
+    [b"OK text=a\x00b\r\r\n\xff\n"],  # "a\x00b"
+    [],  # error: the line read with "a\x00b" is not UTF-8
+    [b"OK text=%20%0A\n"],  # error: no word
+    [b"OK text=" + b"x" * _CAP + b"\nOK text=lost\n"],  # error: over the cap
+    [b"OK te"],  # timeout
+])
+def test_each_reply_is_a_message_or_one_fallback_and_the_trace_parses_back(replies):
+    peers: list[_PipePeer] = []
+    unsent, real_select = iter(replies), select.select
+
+    def spawn(*args, **kwargs) -> _PipePeer:
+        peers.append(_PipePeer(unsent))
+        return peers[-1]
+
+    def wait(readable, writable, exceptional, timeout):
+        if real_select(readable, [], [], 0)[0] or peers[-1].send_next_chunk():
+            return readable, [], []
+        return [], [], []
+
+    # one burst per reply, each with its own seed, so that each one asks
+    bursts = (f"at {2 + 60 * i} burst C silence keywords=k{i}\n" for i in range(len(replies)))
+    events = parse_scenario(
+        "subscriber A\nsubscriber B\nsubscriber C\npolicy A t=60 G=0 N=9 approve=C\n"
+        "at 0 call A B\nat 1 call C A\n" + "".join(bursts)
+    )
+    backend = ExternalBackend("peer", timeout=10.0)
+    with (
+        mock.patch.object(generation, "MAX_RESPONSE_LINE_BYTES", _CAP),
+        mock.patch("subprocess.Popen", spawn),
+        mock.patch("select.select", wait),
+    ):
+        try:
+            records = run(events, RunConfig(backend=backend))
+        finally:
+            backend.close()
+    outcomes, reason = [], None
+    for record in records:
+        if record.event == "GEN_FALLBACK":
+            assert reason is None  # at most one per reply
+            reason = record.get("reason")
+        elif record.event == "GEN":
+            assert (record.get("backend") == "external") == (reason is None)
+            outcomes.append(record.get("text") if reason is None else reason)
+            reason = None
+    assert outcomes == _expected_outcomes(replies)
+    assert parse_trace(render_trace(records)) == records
 
 
 # -- a TCP generator through a stdio relay --

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gvbsim.generation import _TEMPLATE_RULES
 from gvbsim.incapacity import (
     DISTRESS_LEXICON,
     KEYWORDS,
@@ -17,7 +18,10 @@ from gvbsim.incapacity import (
     detect_keywords,
     detect_silence,
     flag_media,
+    term_alternation,
 )
+
+TEMPLATE_TERMS = tuple(term for term, _ in _TEMPLATE_RULES)
 
 
 # -- keywords --
@@ -70,11 +74,12 @@ def mixed_case(term: str, mask: int) -> str:
 
 def vocabulary_text(*vocabularies: tuple[str, ...]) -> st.SearchStrategy[str]:
     """Texts built from the terms in mixed case and pieces that sit on or
-    break a word boundary, or fold to a term's letter (long s, Kelvin sign)."""
+    break a word boundary, or fold to a term's letter (long s, Kelvin sign,
+    dotless i, dotted I)."""
     terms = sorted({term for vocabulary in vocabularies for term in vocabulary})
     piece = st.one_of(
         st.builds(mixed_case, st.sampled_from(terms), st.integers(0, 2**16)),
-        st.sampled_from(["\u017f", "\u212a", "'", "_", "fainting", "helpful"]),
+        st.sampled_from(["\u017f", "\u212a", "\u0131", "\u0130", "'", "_", "fainting", "helpful"]),
         st.sampled_from("0123456789"),
     )
     separator = st.sampled_from(["", " ", ", ", "; "])
@@ -102,6 +107,23 @@ def test_media_strength_counts_distinct_terms_a_pattern_per_term_finds(
     matched = len(reference_matches(DISTRESS_LEXICON, text))
     expected = ModalitySignal(modality, min(1.0, matched / 2)) if matched else None
     assert flag_media(text, modality) == expected
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from([KEYWORDS, DISTRESS_LEXICON, TEMPLATE_TERMS]),
+    vocabulary_text(KEYWORDS, DISTRESS_LEXICON, TEMPLATE_TERMS),
+)
+@example(TEMPLATE_TERMS, "\u017fmoke \u0130ntruder \u0131ntruder Crash_ crash, thief'")
+@example(KEYWORDS, "CAN'T SPEAK can't \u017fpeak help1 help")
+def test_the_first_character_lookahead_finds_what_the_plain_alternation_finds(
+    terms: tuple[str, ...], text: str
+):
+    # the plain pattern has no lookahead: each term a numbered group between \b
+    groups = "|".join(f"({re.escape(term)})" for term in terms)
+    plain = re.compile(rf"\b(?:{groups})\b", re.IGNORECASE)
+    found = [(m.span(), m.lastindex) for m in term_alternation(terms).finditer(text)]
+    assert found == [(m.span(), m.lastindex) for m in plain.finditer(text)]
 
 
 # -- silence --

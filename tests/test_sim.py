@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvbsim.errors import ParseError, SimError
+from gvbsim.errors import ExternalGeneratorError, ParseError, SimError
+from gvbsim.generation import ExternalBackend
 from gvbsim.scenario import parse_scenario
-from gvbsim.sim import RunConfig, Simulation, run
+from gvbsim.sim import MESSAGE_MEMO_SIZE, RunConfig, Simulation, run, substitute
 from gvbsim.trace import TraceRecord, render_trace
+
+from .conftest import stub_command
 
 PREAMBLE = """\
 subscriber A
@@ -589,6 +592,103 @@ def test_a_word_budget_that_overflows_is_a_sim_error():
     text = silent_scenario().replace("t=5 ", "t=" + "9" * 400 + " ")
     with pytest.raises(SimError, match="overflows"):
         run_text(text)
+
+
+# -- one generator request per distinct seed and location --
+
+class CountingGenerator:
+    """An in-process external generator that numbers its replies, so a
+    reply given twice shows; its first `failures` requests fail."""
+
+    kind = "external"
+
+    def __init__(self, failures: int = 0):
+        self.seeds: list[str] = []
+        self.failures = failures
+
+    def generate(self, seed: str, rng_seed: int, location: str | None = None) -> str:
+        self.seeds.append(seed)
+        if len(self.seeds) <= self.failures:
+            raise ExternalGeneratorError("generator error: busy")
+        return f"Reply {len(self.seeds)}: {seed}."
+
+
+def repeated_silent_bursts(count: int) -> str:
+    bursts = "".join(f'at {12 + 5 * i} burst C silence keywords="fire"\n' for i in range(count))
+    return PREAMBLE + "policy A t=5 G=0 N=3 approve=C\nat 0 call A B\n" + BASELINE_CALL + bursts
+
+
+def test_identical_bursts_ask_the_generator_once():
+    generator = CountingGenerator()
+    records = run_text(repeated_silent_bursts(3), RunConfig(backend=generator))
+    assert generator.seeds == ["keywords: fire; location: home"]
+    reply = "Reply 1: keywords: fire; location: home."
+    gens = events_named(records, "GEN")
+    assert [(g.get("backend"), g.get("text")) for g in gens] == [("external", reply)] * 3
+    assert [s.get("text") for s in events_named(records, "BURST_SENT")] == [reply] * 3
+
+
+def test_a_fallback_is_asked_again_and_the_next_answer_is_kept():
+    generator = CountingGenerator(failures=1)
+    records = run_text(repeated_silent_bursts(3), RunConfig(backend=generator))
+    assert len(generator.seeds) == 2
+    assert [g.get("backend") for g in events_named(records, "GEN")] == [
+        "template", "external", "external"
+    ]
+    assert [f.get("detail") for f in events_named(records, "GEN_FALLBACK")] == [
+        "generator error: busy"
+    ]
+
+
+def test_a_timed_out_seed_is_asked_again():
+    backend = ExternalBackend(stub_command("gen_sleepy.py"), timeout=0.3)
+    try:
+        records = run_text(repeated_silent_bursts(2), RunConfig(backend=backend))
+    finally:
+        backend.close()
+    assert [f.get("reason") for f in events_named(records, "GEN_FALLBACK")] == ["timeout"] * 2
+    assert [g.get("backend") for g in events_named(records, "GEN")] == ["template"] * 2
+
+
+def test_one_seed_at_two_locations_gives_two_messages():
+    # both seeds read "speech: help; location: highway", but only D's
+    # location is its call's, which the template names
+    text = (
+        "subscriber A\nsubscriber B\nsubscriber C\nsubscriber D\n"
+        "policy A t=9 G=0 N=3 approve=C,D\nat 0 call A B\n"
+        "at 1 call C A\nat 1 call D A loctype=highway\n"
+        'at 2 burst C transcript="help; location: highway"\n'
+        'at 3 burst D transcript="help"\n'
+    )
+    assert [g.get("text") for g in events_named(run_text(text), "GEN")] == [
+        "Emergency. Please call back immediately.",
+        "Emergency. Please call back immediately. Location: highway.",
+    ]
+
+
+def ask(generator: CountingGenerator, memo: dict, *seeds: int) -> list[int]:
+    """Substitute a message seeded by `keywords=k<i>` for each i in `seeds`,
+    in order; the seeds the generator was asked for."""
+    config, before = RunConfig(backend=generator), len(generator.seeds)
+    for i in seeds:
+        substitute(config, None, 60, f"k{i}", None, {}, memo)
+    return [int(seed.removeprefix("keywords: k")) for seed in generator.seeds[before:]]
+
+
+def test_after_one_more_distinct_seed_than_the_table_holds_the_first_is_asked_again():
+    generator, memo = CountingGenerator(), {}
+    assert ask(generator, memo, *range(MESSAGE_MEMO_SIZE + 1), 0) == [
+        *range(MESSAGE_MEMO_SIZE + 1), 0
+    ]
+
+
+def test_the_table_drops_the_least_recently_used_message():
+    generator, memo = CountingGenerator(), {}
+    assert ask(generator, memo, *range(MESSAGE_MEMO_SIZE)) == list(range(MESSAGE_MEMO_SIZE))
+    assert ask(generator, memo, 0, 5) == []  # hits: seed 1 is now the least recently used
+    assert len(memo) == MESSAGE_MEMO_SIZE
+    assert ask(generator, memo, MESSAGE_MEMO_SIZE, 0, 5, 2, 1) == [MESSAGE_MEMO_SIZE, 1]
+    assert len(memo) == MESSAGE_MEMO_SIZE
 
 
 # -- trace-level invariants --

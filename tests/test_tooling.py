@@ -24,7 +24,7 @@ import sys
 
 import pytest
 
-from gvbsim import scenario
+from gvbsim import scenario, sim
 from gvbsim.cli import _build_parser, main
 from gvbsim.errors import ParseError
 from gvbsim.generation import SEED_LABELS
@@ -34,7 +34,7 @@ from gvbsim.scenario import _MEDIA_KEYS, DIRECTIVES, parse_scenario
 from gvbsim.scheduler import BurstLedger, request_burst
 from gvbsim.scoring import FACTORS, BaselineProfile, CallerContext, FactorWeights, assess
 from gvbsim.sim import RunConfig, Simulation
-from gvbsim.trace import TRACE_EVENTS, assessment_fields
+from gvbsim.trace import TRACE_EVENTS, assessment_fields, parse_trace
 
 from .conftest import REPO_ROOT
 from .test_cli import _COMMAND_FLAGS, _FLAG_VALUES
@@ -76,20 +76,52 @@ def test_every_benchmark_workload_parses(monkeypatch):
         assert parse_scenario(text), workload
 
 
+def run_pinned_quarter_size(gen, workload: str, tmp_path) -> tuple[bytes, str]:
+    """Run the workload's pinned seed at a quarter of its full size through
+    the CLI; the trace bytes and the digest `pins.json` holds for them."""
+    pins = json.loads((REPO_ROOT / "perfbench" / "pins.json").read_text(encoding="utf-8"))
+    stub = shlex.join([sys.executable, str(REPO_ROOT / "perfbench" / "genstub.py")])
+    size = gen.FULL_SIZE[workload] // 4
+    text, _ = gen.generate(workload, gen.DEFAULT_SEED, size)
+    scenario_path, trace_path = tmp_path / f"{workload}.gvb", tmp_path / f"{workload}.trace"
+    scenario_path.write_text(text, encoding="utf-8")
+    backend = ["--backend", f"external={stub}"] if workload == "external_gen" else []
+    assert main(["run", str(scenario_path), "--trace", str(trace_path), *backend]) == 0
+    return trace_path.read_bytes(), pins[workload][str(gen.DEFAULT_SEED)][str(size)]
+
+
 def test_each_workload_reproduces_its_pinned_quarter_size_trace(monkeypatch, tmp_path):
     # the benchmark rejects a run whose trace differs from pins.json
     gen = load_perfbench(monkeypatch, "gen")
-    pins = json.loads((REPO_ROOT / "perfbench" / "pins.json").read_text(encoding="utf-8"))
-    stub = shlex.join([sys.executable, str(REPO_ROOT / "perfbench" / "genstub.py")])
     for workload in gen.WORKLOADS:
-        size = gen.FULL_SIZE[workload] // 4
-        text, _ = gen.generate(workload, gen.DEFAULT_SEED, size)
-        scenario_path, trace_path = tmp_path / f"{workload}.gvb", tmp_path / f"{workload}.trace"
-        scenario_path.write_text(text, encoding="utf-8")
-        backend = ["--backend", f"external={stub}"] if workload == "external_gen" else []
-        assert main(["run", str(scenario_path), "--trace", str(trace_path), *backend]) == 0
-        digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
-        assert digest == pins[workload][str(gen.DEFAULT_SEED)][str(size)], workload
+        trace, pinned = run_pinned_quarter_size(gen, workload, tmp_path)
+        assert hashlib.sha256(trace).hexdigest() == pinned, workload
+
+
+def test_the_external_workload_asks_once_per_distinct_seed_and_location(monkeypatch, tmp_path):
+    # the benchmark's external_gen gain: a burst context seen before is not
+    # asked again, and the pinned trace keeps its bytes
+    keys, asked = [], []
+
+    def compose_seed(**parts):
+        seed = sim_compose_seed(**parts)
+        keys.append((seed, parts["location"]))
+        return seed
+
+    def generate_message(seed, *args):
+        asked.append(seed)
+        return sim_generate_message(seed, *args)
+
+    sim_compose_seed, sim_generate_message = sim.compose_seed, sim.generate_message
+    monkeypatch.setattr(sim, "compose_seed", compose_seed)
+    monkeypatch.setattr(sim, "generate_message", generate_message)
+    gen = load_perfbench(monkeypatch, "gen")
+    trace, pinned = run_pinned_quarter_size(gen, "external_gen", tmp_path)
+    assert hashlib.sha256(trace).hexdigest() == pinned
+    gens = [r for r in parse_trace(trace.decode("utf-8")) if r.event == "GEN"]
+    assert {r.get("backend") for r in gens} == {"external"}
+    assert len(keys) == len(gens)
+    assert len(asked) == len(set(keys)) < len(gens)
 
 
 def test_a_granted_burst_is_named_permit():
