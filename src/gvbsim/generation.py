@@ -19,8 +19,9 @@ Percent-encoding covers space, percent, and newline bytes.  Any external
 failure (timeout, dead process, ERR reply, a response line that is
 over-long, malformed or not UTF-8) falls back to the template backend; the
 returned message keeps the exception as its `fallback`.
-Replies are read on the calling thread, `select` waiting on the pipe (on
-POSIX only) until each request's deadline.
+Requests may be written ahead of their replies (`ExternalBackend.ask`), and
+the peer answers them in order.  Replies are read on the calling thread,
+`select` waiting on the pipe (on POSIX only) until each reply's deadline.
 """
 from __future__ import annotations
 
@@ -42,6 +43,10 @@ DEFAULT_EXTERNAL_TIMEOUT_S = 2.0
 # Longest generator response line accepted, newline included, so a peer
 # that never ends a line cannot grow memory until the timeout.
 MAX_RESPONSE_LINE_BYTES = 64 * 1024
+# Bytes of unanswered requests at which their replies are read before more
+# are asked; at most half of a Linux pipe's default buffer, so a write cannot
+# block on a child that has stopped reading unless one request is that long.
+ASK_AHEAD_BYTES = 8 * 1024
 
 
 def check_speaking_rate(rate: float) -> None:
@@ -138,7 +143,7 @@ _ESCAPED = {a + b: chr(int(a + b, 16)) for a in _HEX_DIGITS for b in _HEX_DIGITS
 
 def decode_text(text: str) -> str:
     """Replace each `%XX` escape (hex digits in any case) by its character."""
-    parts = text.split("%")
+    parts = text.replace("%20", " ").split("%")
     for i in range(1, len(parts)):
         piece = parts[i]
         char = _ESCAPED.get(piece[:2])
@@ -167,10 +172,11 @@ def parse_response_line(line: str) -> str:
 
 class ExternalBackend:
     """Client for an out-of-process generator: `target` is the command line
-    of a child process, spawned on the first request, whose stdin and stdout
-    are the connection.  One request is in flight at a time; any failure
-    surfaces as ExternalGeneratorError and ends the child so the next
-    request starts a fresh one.
+    of a child process, spawned when a reply is first needed, whose stdin and
+    stdout are the connection.  Requests asked ahead (`ask`) go in one write
+    when a reply is needed, and replies are read in order.  A failure of the
+    transport is the ExternalGeneratorError of the reply being read and ends
+    the child; the next child is sent every request still unanswered.
     """
 
     kind = "external"
@@ -187,6 +193,21 @@ class ExternalBackend:
         self._timeout = timeout
         self._proc: subprocess.Popen[bytes] | None = None
         self._pending = bytearray()  # bytes read past the last reply line
+        # requests whose replies are unread, in order; the child has the first `_written`
+        self._unanswered: list[bytes] = []
+        self._written = 0
+        # (request, reply line or failure) of replies read before their turn
+        self._early: list[tuple[bytes, bytes | ExternalGeneratorError]] = []
+
+    def ask(self, seed: str, rng_seed: int) -> None:
+        """Queue the request for `seed`, to be written with the next one
+        whose reply is needed; `generate` reads its reply."""
+        self._unanswered.append(build_request_line(seed, rng_seed).encode("utf-8") + b"\n")
+
+    def full(self) -> bool:
+        """Whether the unanswered requests reach ASK_AHEAD_BYTES, so their
+        replies are due before more are asked."""
+        return sum(map(len, self._unanswered)) >= ASK_AHEAD_BYTES
 
     def _read_line(self, fd: int) -> bytes:
         """The next reply line on `fd`, newline included.  The line cap is
@@ -210,38 +231,56 @@ class ExternalBackend:
         del pending[: end + 1]
         return line
 
-    def generate(self, seed: str, rng_seed: int, location: str | None = None) -> str:
-        import subprocess
+    def _read_reply(self) -> tuple[bytes, bytes | ExternalGeneratorError]:
+        """The first unanswered request and its reply line, or the failure
+        that ended its child, after writing the requests not yet written."""
+        from subprocess import DEVNULL, PIPE, Popen
 
-        if self._proc is None:
-            try:
-                self._proc = subprocess.Popen(
-                    self._argv,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.DEVNULL,
-                )
-            except (OSError, ValueError) as exc:
-                raise ExternalGeneratorError(f"cannot reach generator: {exc}") from exc
-        stdin, stdout = self._proc.stdin, self._proc.stdout
-        assert stdin is not None and stdout is not None
-        request = build_request_line(seed, rng_seed).encode("utf-8") + b"\n"
+        unanswered = self._unanswered
         try:
-            stdin.write(request)
-            stdin.flush()
-            line = self._read_line(stdout.fileno())
+            if self._proc is None:
+                try:
+                    self._proc = Popen(self._argv, stdin=PIPE, stdout=PIPE, stderr=DEVNULL)
+                except (OSError, ValueError) as exc:
+                    raise ExternalGeneratorError(f"cannot reach generator: {exc}") from exc
+            stdin, stdout = self._proc.stdin, self._proc.stdout
+            assert stdin is not None and stdout is not None
+            if self._written < len(unanswered):
+                stdin.write(b"".join(unanswered[self._written:]))
+                stdin.flush()
+                self._written = len(unanswered)
+            reply: bytes | ExternalGeneratorError = self._read_line(stdout.fileno())
+            self._written -= 1
         except (OSError, ExternalGeneratorError) as exc:
-            self.close()
-            if isinstance(exc, ExternalGeneratorError):
-                raise
-            raise ExternalGeneratorError(f"generator transport failed: {exc}") from exc
-        try:
-            return parse_response_line(line.decode("utf-8"))
-        except UnicodeDecodeError:
-            raise ExternalGeneratorError(f"malformed response: {line!r}") from None
+            self._end_child()
+            if isinstance(exc, OSError):
+                exc = ExternalGeneratorError(f"generator transport failed: {exc}")
+            reply = exc
+        return unanswered.pop(0), reply
 
-    def close(self) -> None:
-        proc, self._proc = self._proc, None
+    def generate(self, seed: str, rng_seed: int, location: str | None = None) -> str:
+        request = build_request_line(seed, rng_seed).encode("utf-8") + b"\n"
+        for i, (asked, reply) in enumerate(self._early):
+            if asked == request:
+                del self._early[i]
+                break
+        else:
+            if request not in self._unanswered:  # not asked ahead: ask now
+                self._unanswered.append(request)
+            while (got := self._read_reply())[0] != request:
+                self._early.append(got)
+            reply = got[1]
+        if isinstance(reply, ExternalTimeout):  # a failure, raised as its own kind
+            raise ExternalTimeout(str(reply))
+        if isinstance(reply, ExternalGeneratorError):
+            raise ExternalGeneratorError(str(reply))
+        try:
+            return parse_response_line(reply.decode("utf-8"))
+        except UnicodeDecodeError:
+            raise ExternalGeneratorError(f"malformed response: {reply!r}") from None
+
+    def _end_child(self) -> None:
+        proc, self._proc, self._written = self._proc, None, 0
         self._pending.clear()
         if proc is None:
             return
@@ -253,6 +292,12 @@ class ExternalBackend:
         proc.kill()
         proc.wait()
         proc.stdout.close()
+
+    def close(self) -> None:
+        """End the child and forget every request not yet answered."""
+        self._end_child()
+        self._unanswered.clear()
+        self._early.clear()
 
 
 def build_backend(spec: str):

@@ -6,7 +6,10 @@ scored, routed, and (when bursts are admitted) given a ledger.  A burst
 attempt consults the scheduler, runs incapacity detection on the window,
 and substitutes a generated message when the caller appears incapacitated.
 Burst windows complete instantaneously at `start + duration`; waiting
-calls with no activity for `abandon_timeout` seconds are ended.
+calls with no activity for `abandon_timeout` seconds are ended.  Nothing
+the engine decides reads a generated message, so a burst whose request is
+asked ahead of its reply (`substitute`) leaves its records, and every
+record after them, to be made in order when the reply is read (`_drain`).
 
 Identical (events, config) pairs produce byte-identical traces.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from functools import partial
 from typing import NamedTuple
 
 from .calls import (
@@ -108,28 +112,48 @@ class Simulation:
         # moves last_activity on, and `_expire_waiting` pushes a touched
         # session's entry back at its real expiry.
         self._expiry: list[tuple[int, int]] = []
-        self._messages: dict[tuple[str, str | None], GeneratedMessage] = {}
+        self._messages: dict[tuple[str, str | None], GeneratedMessage | None] = {}
+        # (clock, line, event, values) of records not yet made, in order; a
+        # burst waiting for its reply is (clock, line, None, its maker)
+        self._held: list[tuple[int, int, str | None, object]] = []
+        self._line_no = 0
 
     # -- trace plumbing --
 
     def _emit(self, event: str, **values: object) -> None:
-        """Append one `event` record at the current clock (see `make_record`);
-        `seq` advances only when the record is made."""
+        """Append one `event` record at the current clock (see `make_record`),
+        or hold it while a record before it is held; `seq` advances only
+        when the record is made."""
+        if self._held:
+            self._held.append((self.clock, self._line_no, event, values))
+            return
         self.records.append(make_record(self.clock, self._seq + 1, event, values))
         self._seq += 1
+
+    def _drain(self) -> None:
+        """Make the held records in order, each at its own clock (the last
+        one's stays); a burst's maker reads its reply then."""
+        held, self._held = self._held, []
+        for self.clock, line_no, event, values in held:
+            try:
+                self._emit(event, **values) if event else values()
+            except (ValueError, KeyError) as exc:
+                raise SimError(line_no, str(exc)) from exc
 
     # -- main loop --
 
     def run(self, events: list[SimEvent]) -> list[TraceRecord]:
         for event in events:
             self._expire_waiting(before=event.at)
-            self.clock = event.at
+            self.clock, self._line_no = event.at, event.line_no
             handler = self._HANDLERS[event.kind]
             try:
                 handler(self, **event.args)
             except (ValueError, KeyError) as exc:
+                self._drain()  # a held burst's error comes first
                 raise SimError(event.line_no, str(exc)) from exc
         self._expire_waiting(before=None)
+        self._drain()
         return self.records
 
     def _touch(self, session: CallSession) -> None:
@@ -293,7 +317,7 @@ class Simulation:
         voice_mode = session.tier is PriorityTier.MEDIUM
         # (BURST_SENT payload token, text), or None for a silent window
         sent: tuple[str, str] | None = None
-        message: GeneratedMessage | None = None
+        message = None
         if verdict.incapacitated:
             location = session.context.location_type.seed_text
             message = substitute(
@@ -301,6 +325,22 @@ class Simulation:
             )
         elif transcript is not None:
             sent = ("voice" if voice_mode else "text_beep", transcript)
+        session.ledger = record_burst(session.ledger, self.clock, duration)
+        window = dict(
+            session=sid, sequence=session.ledger.bursts_sent, start=self.clock, duration=duration
+        )
+        send = partial(self._send, sid, voice_mode, window, sent, message)
+        if not callable(message):
+            return send()
+        # asked ahead: this burst's records, and all after them, wait for the reply
+        self._held.append((self.clock, self._line_no, None, send))
+        if self.config.backend.full():
+            self._drain()
+
+    def _send(self, sid: int, voice_mode: bool, window: dict, sent, message) -> None:
+        """The records of a burst's message, if any (or of a call making it), and of its window."""
+        if callable(message):
+            message = message()
         if message is not None:
             if message.fallback is not None:
                 token = "timeout" if isinstance(message.fallback, ExternalTimeout) else "error"
@@ -317,10 +357,6 @@ class Simulation:
             )
             if words:  # a message with no word left says nothing
                 sent = ("generated" if voice_mode else "text_beep", message.text)
-        session.ledger = record_burst(session.ledger, self.clock, duration)
-        window = dict(
-            session=sid, sequence=session.ledger.bursts_sent, start=self.clock, duration=duration
-        )
         if sent is None:
             self._emit("BURST_WINDOW_SILENT", **window)
         else:
@@ -406,13 +442,16 @@ def substitute(
     keywords: str | None,
     transcript: str | None,
     media: dict[Modality, list[str]],
-    memo: dict[tuple[str, str | None], GeneratedMessage],
-) -> GeneratedMessage | None:
+    memo: dict[tuple[str, str | None], GeneratedMessage | None],
+) -> GeneratedMessage | partial[GeneratedMessage] | None:
     """The message generated from a burst's context, the caller being at
     `location`, and fitted to `t` seconds; None when no part of the
     context seeds one.  A reply depends only on its request, so `memo`
-    keeps the unfitted message of each (seed, location) that did not fall
-    back, up to MESSAGE_MEMO_SIZE, the least recently used dropped first."""
+    keeps the unfitted message of each (seed, location), up to
+    MESSAGE_MEMO_SIZE, the least recently used dropped first.  A missed key
+    holds None until its reply is read (`_read`), at once unless the backend
+    can ask ahead of its replies (`ExternalBackend.ask`); then the message
+    returned is a call that reads the reply when the message is needed."""
     seed = compose_seed(
         keywords=keywords,
         speech=transcript,
@@ -421,13 +460,34 @@ def substitute(
     )
     if not seed:
         return None
-    message = memo.pop((seed, location), None) or generate_message(
-        seed, config.backend, config.rng_seed, location
-    )
-    if message.fallback is None:
+    key = seed, location
+    if key in memo:  # now the most recently used
+        message = memo[key] = memo.pop(key)
+    else:
         if len(memo) >= MESSAGE_MEMO_SIZE:
             del memo[next(iter(memo))]
-        memo[seed, location] = message
+        memo[key] = message = None
+        ask = getattr(config.backend, "ask", None)
+        if ask is None:  # answered at once
+            return _read(config, key, t, memo)
+        ask(seed, config.rng_seed)
+    if message is None:
+        return partial(_read, config, key, t, memo)
+    return fit_to_duration(message, t, config.speaking_rate)
+
+
+def _read(config: RunConfig, key: tuple[str, str | None], t: int, memo: dict) -> GeneratedMessage:
+    """`substitute`'s message of a missed key, fitted to `t` seconds: the
+    first burst to need it reads the reply, which the table keeps unless it
+    fell back; a later burst then asks again."""
+    message = memo.get(key)
+    if message is None:
+        message = generate_message(key[0], config.backend, config.rng_seed, key[1])
+        if key in memo:
+            if message.fallback is None:
+                memo[key] = message
+            else:
+                del memo[key]
     return fit_to_duration(message, t, config.speaking_rate)
 
 

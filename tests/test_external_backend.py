@@ -7,6 +7,7 @@ import re
 import select
 import socket
 import socketserver
+import subprocess
 import threading
 import time
 from typing import Iterator
@@ -295,6 +296,56 @@ def test_the_line_cap_counts_the_newline(extra: int):
     assert time.monotonic() - started < 10.0
 
 
+# -- requests written ahead of their replies --
+
+def test_replies_asked_ahead_are_read_in_any_order_from_one_child():
+    spawned = []
+    real_popen = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        spawned.append(real_popen(*args, **kwargs))
+        return spawned[-1]
+
+    backend = ExternalBackend(stub_command("gen_echo.py"), timeout=10.0)
+    try:
+        backend.ask("first", 0)
+        backend.ask("second", 0)
+        with mock.patch("subprocess.Popen", popen):
+            # out of order, and one never asked ahead: the child stays up
+            replies = {s: backend.generate(s, 0) for s in ("second", "third", "first")}
+    finally:
+        backend.close()
+    assert len(spawned) == 1
+    assert replies == {s: build_request_line(s, 0) for s in ("first", "second", "third")}
+
+
+def test_a_fallback_asked_again_behind_requests_in_flight_keeps_the_child():
+    # k0 errs; its second burst asks again after k1 and k2 were written ahead
+    peers: list[_RequestPeer] = []
+    replies = {b"k0": b"ERR busy\n", b"k1": b"OK text=one\n", b"k2": b"OK text=two\n"}
+    records = _run_on_peers(_burst_scenario(["k0", "k0", "k1", "k2"]), replies, peers)
+    assert len(peers) == 1 and peers[0].requests == [b"k0", b"k1", b"k2", b"k0"]
+    gens = [(r.get("backend"), r.get("text")) for r in records if r.event == "GEN"]
+    assert [backend for backend, _ in gens] == ["template", "template", "external", "external"]
+    assert [text for _, text in gens[2:]] == ["one", "two"]
+
+
+def test_a_generator_that_never_reads_times_out_each_reply_without_a_hang():
+    # more request bytes than ASK_AHEAD_BYTES: a full window goes to a child
+    # that reads none of it, and the write must not block
+    count, timeout, padding = 10, 0.1, "x" * (generation.ASK_AHEAD_BYTES // 8)
+    seeds = [f"{padding}{i}" for i in range(count)]
+    backend = ExternalBackend(stub_command("gen_deaf.py"), timeout=timeout)
+    started = time.monotonic()
+    try:
+        records = run(parse_scenario(_burst_scenario(seeds)), RunConfig(backend=backend))
+    finally:
+        backend.close()
+    assert time.monotonic() - started < count * (timeout + 0.5)
+    fallbacks = [r.get("reason") for r in records if r.event == "GEN_FALLBACK"]
+    assert fallbacks == ["timeout"] * count
+
+
 # -- drawn reply bytes through an in-process pipe --
 
 _CAP = 40  # the line cap while fuzzing, so an over-long line stays far inside a pipe's buffer
@@ -408,6 +459,9 @@ def test_each_reply_is_a_message_or_one_fallback_and_the_trace_parses_back(repli
     )
     backend = ExternalBackend("peer", timeout=10.0)
     with (
+        # one request in flight, as the model has it; the written-ahead path
+        # is checked against this one by the differential property below
+        mock.patch.object(generation, "ASK_AHEAD_BYTES", 1),
         mock.patch.object(generation, "MAX_RESPONSE_LINE_BYTES", _CAP),
         mock.patch("subprocess.Popen", spawn),
         mock.patch("select.select", wait),
@@ -427,6 +481,116 @@ def test_each_reply_is_a_message_or_one_fallback_and_the_trace_parses_back(repli
             reason = None
     assert outcomes == _expected_outcomes(replies)
     assert parse_trace(render_trace(records)) == records
+
+
+def _burst_scenario(seeds: list[str]) -> str:
+    """C waits on A and sends a silent burst a minute, seeded `keywords=<seed>`."""
+    bursts = (f"at {2 + 60 * i} burst C silence keywords={seed}\n" for i, seed in enumerate(seeds))
+    return (
+        "subscriber A\nsubscriber B\nsubscriber C\npolicy A t=60 G=0 N=99 approve=C\n"
+        "at 0 call A B\nat 1 call C A\n" + "".join(bursts)
+    )
+
+
+class _RequestPeer:
+    """A generator child's stand-in on an os.pipe whose reply to a request
+    depends only on its `keywords=` seed: `replies[seed]`'s bytes.  A reply
+    that ends without a newline is the last the peer writes, and it then
+    closes its stream if the reply is `b"OK te"` (not `b"OK t"`)."""
+
+    def __init__(self, replies: dict[bytes, bytes]):
+        self._replies, self._out, self._dead = replies, collections.deque(), False
+        self.requests: list[bytes] = []
+        read_fd, self._write_fd = os.pipe()
+        self.stdin, self.stdout = self, os.fdopen(read_fd, "rb", buffering=0)
+
+    def write(self, data: bytes) -> None:
+        for line in data.splitlines():
+            seed = re.search(rb"keywords:%20(\w+)", line).group(1)
+            self.requests.append(seed)
+            if not self._dead:
+                self._out.append(self._replies[seed])
+                self._dead = not self._replies[seed].endswith(b"\n")
+
+    def flush(self) -> None:
+        pass
+
+    def send_next_reply(self) -> bool:
+        """Write the next reply, or close at its end: False when silent."""
+        if self._out:
+            reply = self._out.popleft()
+            os.write(self._write_fd, reply)
+            if reply == b"OK te":
+                self.kill()
+            return True
+        return False
+
+    def close(self) -> None:  # the backend closes stdin, then kills
+        pass
+
+    def kill(self) -> None:
+        if self._write_fd >= 0:
+            os.close(self._write_fd)
+            self._write_fd = -1
+
+    def wait(self) -> None:
+        pass
+
+
+def _run_on_peers(
+    text: str, replies: dict[bytes, bytes], peers: list[_RequestPeer], budget: int | None = None
+) -> list:
+    """Run `text` on an external backend whose every child is a fresh
+    `_RequestPeer` appended to `peers`, with ASK_AHEAD_BYTES at `budget`."""
+    real_select = select.select
+
+    def spawn(*args, **kwargs) -> _RequestPeer:
+        peers.append(_RequestPeer(replies))
+        return peers[-1]
+
+    def wait(readable, writable, exceptional, timeout):
+        if real_select(readable, [], [], 0)[0] or peers[-1].send_next_reply():
+            return readable, [], []
+        return [], [], []  # silence: the reply times out at once
+
+    backend = ExternalBackend("peer", timeout=10.0)
+    with (
+        mock.patch.object(generation, "ASK_AHEAD_BYTES", budget or generation.ASK_AHEAD_BYTES),
+        mock.patch.object(generation, "MAX_RESPONSE_LINE_BYTES", _CAP),
+        mock.patch("subprocess.Popen", spawn),
+        mock.patch("select.select", wait),
+    ):
+        try:
+            return run(parse_scenario(text), RunConfig(backend=backend))
+        finally:
+            backend.close()
+
+
+_REPLY_KINDS = st.sampled_from([
+    b"ERR busy\n",  # an error reply
+    b"OK text=\xff\n",  # not UTF-8
+    b"OK text=%20\n",  # no word
+    b"OK text=" + b"x" * _CAP + b"\n",  # over the line cap
+    b"OK t",  # a partial line, then silence
+    b"OK te",  # a partial line, then the end of the stream
+]) | st.text(max_size=8).map(lambda text: b"OK text=" + encode_text(text).encode() + b"\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_REPLY_KINDS, min_size=1, max_size=8),
+    st.sampled_from([60, 200, generation.ASK_AHEAD_BYTES]),
+)
+def test_requests_written_ahead_give_the_trace_and_children_of_one_at_a_time(replies, budget):
+    # one burst per reply, each with its own seed; a request is ~70 bytes
+    seeds = [f"k{i}" for i in range(len(replies))]
+    by_seed = {seed.encode(): reply for seed, reply in zip(seeds, replies)}
+    runs = []
+    for ahead in (budget, 1):
+        peers: list[_RequestPeer] = []
+        records = _run_on_peers(_burst_scenario(seeds), by_seed, peers, ahead)
+        runs.append((render_trace(records), len(peers)))
+    assert runs[0] == runs[1]
 
 
 # -- a TCP generator through a stdio relay --

@@ -594,6 +594,19 @@ def test_a_word_budget_that_overflows_is_a_sim_error():
         run_text(text)
 
 
+def test_a_burst_waiting_for_its_reply_names_its_own_line_in_its_error():
+    # the burst on line 7 is asked ahead, so its message is fitted after the
+    # later lines ran; its error still names it, before line 10's own error
+    text = silent_scenario().replace("t=5 ", "t=" + "9" * 400 + " ") + "at 60 answer B\n"
+    backend = ExternalBackend(stub_command("gen_fixed.py"), timeout=10.0)
+    try:
+        with pytest.raises(SimError, match="overflows") as exc:
+            run_text(text, RunConfig(backend=backend))
+    finally:
+        backend.close()
+    assert exc.value.line_no == 7
+
+
 # -- one generator request per distinct seed and location --
 
 class CountingGenerator:
@@ -812,3 +825,61 @@ def test_a_hostile_run_ends_in_a_trace_or_a_sim_error(
         events_named(records, "BURST_WINDOW_SILENT")
     )
     assert permits == delivered
+
+
+class SeedGenerator:
+    """An in-process generator whose reply depends only on the seed; a seed
+    that names smoke fails."""
+
+    kind = "external"
+
+    def generate(self, seed: str, rng_seed: int, location: str | None = None) -> str:
+        if "smoke" in seed:
+            raise ExternalGeneratorError("generator error: busy")
+        return f"Reply to {seed}."
+
+
+class AskingSeedGenerator(SeedGenerator):
+    """A `SeedGenerator` that is asked ahead of its replies, which are due
+    once `window` requests wait."""
+
+    def __init__(self, window: int):
+        self.window, self.waiting = window, []
+
+    def ask(self, seed: str, rng_seed: int) -> None:
+        self.waiting.append(seed)
+
+    def full(self) -> bool:
+        return len(self.waiting) >= self.window
+
+    def generate(self, seed: str, rng_seed: int, location: str | None = None) -> str:
+        if seed in self.waiting:
+            self.waiting.remove(seed)
+        return super().generate(seed, rng_seed, location)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _hostile_scenarios(),
+    st.sampled_from([0, 1, 7, 120]),
+    st.sampled_from([2.5, 0.1, 1e-320]),
+    st.integers(1, 4),
+)
+def test_a_hostile_run_asked_ahead_ends_as_when_each_reply_is_awaited(
+    text: str, abandon_timeout: int, speaking_rate: float, window: int
+):
+    # the same trace bytes, or the same SimError on the same line
+    try:
+        events = parse_scenario(text)
+    except ParseError:
+        return
+    outcomes = []
+    for backend in (SeedGenerator(), AskingSeedGenerator(window)):
+        config = RunConfig(
+            backend=backend, abandon_timeout=abandon_timeout, speaking_rate=speaking_rate
+        )
+        try:
+            outcomes.append(render_trace(run(events, config)))
+        except SimError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]

@@ -18,6 +18,7 @@ import inspect
 import json
 import os
 import re
+import select
 import shlex
 import subprocess
 import sys
@@ -122,6 +123,43 @@ def test_the_external_workload_asks_once_per_distinct_seed_and_location(monkeypa
     assert {r.get("backend") for r in gens} == {"external"}
     assert len(keys) == len(gens)
     assert len(asked) == len(set(keys)) < len(gens)
+
+
+def test_the_external_workload_writes_requests_ahead_to_one_child(monkeypatch, tmp_path):
+    # requests go to the child in windows, and a window is written before
+    # the first of its replies is read; the pinned trace keeps its bytes
+    children, written, at_first_read = [], [0], []
+
+    class CountingStdin:
+        def __init__(self, stdin):
+            self.stdin = stdin
+
+        def write(self, data: bytes) -> None:
+            written[0] += data.count(b"\n")
+            self.stdin.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self.stdin, name)
+
+    def popen(*args, **kwargs):
+        child = real_popen(*args, **kwargs)
+        child.stdin = CountingStdin(child.stdin)
+        children.append(child)
+        return child
+
+    def wait(*args):
+        if not at_first_read:
+            at_first_read.append(written[0])
+        return real_select(*args)
+
+    real_popen, real_select = subprocess.Popen, select.select
+    monkeypatch.setattr(subprocess, "Popen", popen)
+    monkeypatch.setattr(select, "select", wait)
+    gen = load_perfbench(monkeypatch, "gen")
+    trace, pinned = run_pinned_quarter_size(gen, "external_gen", tmp_path)
+    assert hashlib.sha256(trace).hexdigest() == pinned
+    assert len(children) == 1
+    assert at_first_read[0] > 1
 
 
 def test_a_granted_burst_is_named_permit():
