@@ -31,6 +31,7 @@ def validate_subscriber_id(sub_id: str) -> str:
 
 
 class CallState(Enum):
+    __hash__ = object.__hash__  # singletons compared by identity; Enum.__hash__ runs Python in 3.11
     ACTIVE = "active"
     WAITING = "waiting"
     HELD = "held"
@@ -38,6 +39,7 @@ class CallState(Enum):
 
 
 class CallEvent(Enum):
+    __hash__ = object.__hash__  # singletons compared by identity; Enum.__hash__ runs Python in 3.11
     ANSWER = "answer"
     HANG_UP = "hang_up"
     OVERRIDE = "override"
@@ -90,6 +92,7 @@ def next_state(state: CallState, event: CallEvent) -> CallState:
 
 
 class RoutingReason(Enum):
+    __hash__ = object.__hash__  # singletons compared by identity; Enum.__hash__ runs Python in 3.11
     PRE_APPROVED = "pre_approved"
     SCORE_THRESHOLD = "score_threshold"
     DEFAULT = "default"

@@ -23,6 +23,7 @@ INCAPACITY_THRESHOLD = 0.5
 
 
 class Modality(Enum):
+    __hash__ = object.__hash__  # singletons compared by identity; Enum.__hash__ runs Python in 3.11
     KEYWORD = "keyword"
     SILENCE = "silence"
     IMAGE_DESCRIPTION = "image"

@@ -34,6 +34,7 @@ class BurstLedger(NamedTuple):
 
 
 class DenyReason(Enum):
+    __hash__ = object.__hash__  # singletons compared by identity; Enum.__hash__ runs Python in 3.11
     BUDGET_EXHAUSTED = "budget_exhausted"
     GAP_NOT_ELAPSED = "gap_not_elapsed"
 
@@ -51,23 +52,27 @@ class Deny(NamedTuple):
 _EXHAUSTED = Deny(DenyReason.BUDGET_EXHAUSTED)
 
 
-def request_burst(ledger: BurstLedger, now: int) -> Permit | Deny:
-    """Grant a window of the policy's full burst duration, or explain why not."""
+def _denial(ledger: BurstLedger, now: int) -> Deny | None:
+    """Why no burst may start at `now`, or None when one may."""
     if ledger.dismissed or ledger.bursts_sent >= ledger.policy.max_bursts_n:
         return _EXHAUSTED
     if ledger.last_burst_end is not None:
         eligible_at = ledger.last_burst_end + ledger.policy.gap_seconds_g
         if now < eligible_at:
             return Deny(DenyReason.GAP_NOT_ELAPSED, eligible_at=eligible_at)
-    return Permit(granted_at=now, window_end=now + ledger.policy.burst_seconds_t)
+
+
+def request_burst(ledger: BurstLedger, now: int) -> Permit | Deny:
+    """Grant a window of the policy's full burst duration, or explain why not."""
+    return _denial(ledger, now) or Permit(now, now + ledger.policy.burst_seconds_t)
 
 
 def record_burst(ledger: BurstLedger, start: int, duration: int) -> BurstLedger:
     """Account the next burst, `duration` seconds from `start`; rejects a
     burst no permit would cover."""
-    grant = request_burst(ledger, start)
-    if not isinstance(grant, Permit):
-        raise ValueError(f"no permit covers a burst at t={start}: {grant.reason.value}")
+    denial = _denial(ledger, start)
+    if denial is not None:
+        raise ValueError(f"no permit covers a burst at t={start}: {denial.reason.value}")
     if duration > ledger.policy.burst_seconds_t:
         raise ValueError(
             f"burst of {duration}s exceeds the {ledger.policy.burst_seconds_t}s cap"

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum, IntEnum
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 from .checked import checked
@@ -25,6 +26,7 @@ SPEED_NORM_MPS = 10.0
 
 
 class LocationType(Enum):
+    __hash__ = object.__hash__  # singletons compared by identity; Enum.__hash__ runs Python in 3.11
     HOME = "home"
     OFFICE = "office"
     HIGHWAY = "highway"
@@ -35,10 +37,11 @@ class LocationType(Enum):
 
     @property
     def seed_text(self) -> str | None:
-        """The place as a generation seed part: OTHER says nothing about it."""
-        return None if self is LocationType.OTHER else self.value
+        """The place as a generation seed part, from a table: OTHER says nothing."""
+        return _SEED_TEXTS[self]
 
 
+_SEED_TEXTS = {t: None if t is LocationType.OTHER else t.value for t in LocationType}
 HIGH_RISK_LOCATIONS = frozenset({LocationType.HIGHWAY, LocationType.HOSPITAL, LocationType.ISOLATED})
 
 
@@ -52,7 +55,11 @@ class PriorityTier(IntEnum):
 
     @property
     def token(self) -> str:
-        return self.name.lower()
+        """The lowercase name, read from a table built once at import."""
+        return _TIER_TOKENS[self]
+
+
+_TIER_TOKENS = tuple(tier.name.lower() for tier in PriorityTier)  # indexed by the tier
 
 
 @checked
@@ -71,8 +78,9 @@ class CallerContext(NamedTuple):
     def _check(self) -> None:
         if self.location is not None and not all(map(math.isfinite, self.location)):
             raise ValueError(f"location must be finite, got {self.location}")
-        if self.hour_of_day is not None and not 0 <= self.hour_of_day <= 23:
-            raise ValueError(f"hour_of_day must be in 0..23, got {self.hour_of_day}")
+        hour = self.hour_of_day
+        if hour is not None and not (isinstance(hour, int) and 0 <= hour <= 23):
+            raise ValueError(f"hour_of_day must be in 0..23, got {hour}")
         if self.heart_rate is not None and not 20 <= self.heart_rate <= 250:
             raise ValueError(f"heart_rate must be in [20, 250], got {self.heart_rate}")
         if self.moving_speed is not None and not (
@@ -159,12 +167,16 @@ def location_anomaly(ctx: CallerContext, profile: BaselineProfile) -> float:
 
 def timing_anomaly(ctx: CallerContext, profile: BaselineProfile) -> float:
     """Circular hour distance to the nearest usual hour, normalized by
-    HOUR_NORM; 0 when the hour itself is usual or unreported."""
-    hour = ctx.hour_of_day
-    if hour is None or hour in profile.usual_hours:
+    HOUR_NORM; 0 when the hour itself is usual or unreported.  The gap of
+    every hour is computed once per distinct `usual_hours` (`_hour_gaps`)."""
+    if ctx.hour_of_day is None:
         return 0.0
-    gap = min(min(abs(hour - u), 24 - abs(hour - u)) for u in profile.usual_hours)
-    return min(1.0, gap / HOUR_NORM)
+    return min(1.0, _hour_gaps(frozenset(profile.usual_hours))[ctx.hour_of_day] / HOUR_NORM)
+
+
+@lru_cache(maxsize=128)
+def _hour_gaps(usual_hours: frozenset[int]) -> tuple[int, ...]:
+    return tuple(min(min(abs(h - u), 24 - abs(h - u)) for u in usual_hours) for h in range(24))
 
 
 def health_anomaly(ctx: CallerContext, profile: BaselineProfile) -> float:
@@ -195,16 +207,24 @@ def emergency_score(scores: Sequence[float], weights: Sequence[float]) -> float:
     """Weighted average of factor scores, the weights first divided by the
     largest, so no positive scaling of them overflows or underflows (the
     score is exact when the largest is 1).  Raises ValueError when every
-    weight is zero."""
+    weight is zero.  Each distinct weight vector is normalized once (`_normalized`)."""
     if len(scores) != len(weights) or not scores:
         raise ValueError("scores and weights must be equal-length, non-empty sequences")
+    weights, total = _normalized(*weights)
+    return sum(w * s for w, s in zip(weights, scores)) / total
+
+
+@lru_cache(maxsize=16, typed=True)
+def _normalized(*weights: float) -> tuple[tuple[float, ...], float]:
+    """`weights` divided by the largest, and their sum; typed, since equal int
+    and float weights may divide apart: 1 / (2**53 + 1) != 1.0 / (2**53 + 1)."""
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
     largest = max(weights)
     if largest == 0:
         raise ValueError("at least one weight must be positive")
-    weights = [w / largest for w in weights]
-    return sum(w * s for w, s in zip(weights, scores)) / sum(weights)
+    weights = tuple(w / largest for w in weights)
+    return weights, sum(weights)
 
 
 def classify_tier(score: float, thresholds: TierThresholds = TierThresholds()) -> PriorityTier:

@@ -26,6 +26,7 @@ from .calls import (
     CallEvent,
     CallSession,
     CallState,
+    RoutingReason,
     route_waiting_call,
 )
 from .checked import checked
@@ -50,7 +51,7 @@ from .incapacity import (
 )
 from .policy import BurstPolicy
 from .scenario import SimEvent
-from .scheduler import BurstLedger, Deny, dismiss, record_burst, request_burst
+from .scheduler import BurstLedger, Deny, DenyReason, dismiss, record_burst, request_burst
 from .scoring import (
     FACTORS,
     BaselineProfile,
@@ -65,6 +66,8 @@ from .trace import TraceRecord, assessment_fields, fmt_num, fmt_score, make_reco
 DEFAULT_ABANDON_TIMEOUT_S = 120
 MESSAGE_MEMO_SIZE = 1024  # most generated messages one run keeps (see `substitute`)
 _HANGUP_RANK = {CallState.ACTIVE: 0, CallState.WAITING: 1, CallState.HELD: 2}
+# Trace tokens read once, not through the `enum.property` behind `.value`.
+_TOKENS = {m: m.value for kind in (Modality, DenyReason, RoutingReason) for m in kind}
 
 
 @checked
@@ -100,13 +103,12 @@ class Simulation:
     def __init__(self, config: RunConfig | None = None):
         self.config = config or RunConfig()
         self.engine = CallEngine()
-        self.policies: dict[str, BurstPolicy] = {}  # the latest `policy` line per callee
+        self.policies: dict[str, BurstPolicy] = {}  # latest `policy` line (or default) per callee
         self.weights = self.config.weights
         self.thresholds = self.config.thresholds
         self.profiles: dict[str, BaselineProfile] = {}
         self.records: list[TraceRecord] = []
         self.clock = 0
-        self._seq = 0
         # One (expiry, sid) entry per placed call, pushed when it is placed
         # and never later than last_activity + abandon_timeout: a touch only
         # moves last_activity on, and `_expire_waiting` pushes a touched
@@ -122,21 +124,23 @@ class Simulation:
 
     def _emit(self, event: str, **values: object) -> None:
         """Append one `event` record at the current clock (see `make_record`),
-        or hold it while a record before it is held; `seq` advances only
-        when the record is made."""
+        or hold it while a record before it is held; `seq` counts the
+        records made."""
         if self._held:
             self._held.append((self.clock, self._line_no, event, values))
             return
-        self.records.append(make_record(self.clock, self._seq + 1, event, values))
-        self._seq += 1
+        self.records.append(make_record(self.clock, len(self.records) + 1, event, values))
 
     def _drain(self) -> None:
         """Make the held records in order, each at its own clock (the last
         one's stays); a burst's maker reads its reply then."""
-        held, self._held = self._held, []
+        held, self._held, records = self._held, [], self.records
         for self.clock, line_no, event, values in held:
             try:
-                self._emit(event, **values) if event else values()
+                if event is None:
+                    values()
+                else:
+                    records.append(make_record(self.clock, len(records) + 1, event, values))
             except (ValueError, KeyError) as exc:
                 raise SimError(line_no, str(exc)) from exc
 
@@ -236,7 +240,7 @@ class Simulation:
         assessment = assess(context, self.profiles[caller], self.weights, self.thresholds)
         fields = assessment_fields(assessment)
         self._emit("ASSESSMENT", session=sid, caller=caller, **fields)
-        policy = self.policies.get(callee) or BurstPolicy(callee)
+        policy = self.policies.get(callee) or self.policies.setdefault(callee, BurstPolicy(callee))
         tier, reason = route_waiting_call(session, assessment.tier, policy)
         session.tier = tier
         self._emit(
@@ -244,7 +248,7 @@ class Simulation:
             session=sid,
             kind=ROUTING_KINDS[tier],
             tier=tier.token,
-            reason=reason.value,
+            reason=_TOKENS[reason],
         )
         if tier is PriorityTier.HIGHEST:
             for current in self.engine.connected_sessions(callee):
@@ -280,7 +284,7 @@ class Simulation:
             self._emit(
                 "BURST_DENIED",
                 session=sid,
-                reason=grant.reason.value,
+                reason=_TOKENS[grant.reason],
                 eligible_at=grant.eligible_at,
             )
             return
@@ -312,7 +316,7 @@ class Simulation:
             session=sid,
             incapacitated=int(verdict.incapacitated),
             confidence=fmt_score(verdict.confidence),
-            signals=",".join(s.modality.value for s in verdict.contributing) or "-",
+            signals=",".join(_TOKENS[s.modality] for s in verdict.contributing) or "-",
         )
         voice_mode = session.tier is PriorityTier.MEDIUM
         # (BURST_SENT payload token, text), or None for a silent window
@@ -369,7 +373,7 @@ class Simulation:
             return
         session.pending_media.append((modality, description))
         self._touch(session)
-        self._emit("MEDIA_NOTED", session=session.session_id, modality=modality.value)
+        self._emit("MEDIA_NOTED", session=session.session_id, modality=_TOKENS[modality])
 
     def _handle_hangup(self, sub_id: str) -> None:
         target = self._pick_hangup_target(sub_id)
@@ -456,7 +460,7 @@ def substitute(
         keywords=keywords,
         speech=transcript,
         location=location,
-        **{m.value: "; ".join(texts) for m, texts in media.items()},
+        **{_TOKENS[m]: "; ".join(texts) for m, texts in media.items()},
     )
     if not seed:
         return None

@@ -213,6 +213,23 @@ def test_a_repeated_option_is_a_parse_error(line: str, key: str):
         parse_scenario(line + "\n")
 
 
+@pytest.mark.parametrize(
+    "line, repeated, malformed",
+    [
+        ("at 5 call C A {}", "hour=3 hour=4", "speed"),
+        ("subscriber C {}", "resting_hr=60 resting_hr=90", "home"),
+        ("policy A {} N=1", "t=5 t=9", "G"),
+        ("at 5 burst C silence {}", 'keywords="fire" keywords="smoke"', "image"),
+    ],
+)
+def test_option_errors_come_in_the_order_of_the_tokens(line: str, repeated: str, malformed: str):
+    key = repeated.partition("=")[0]
+    with pytest.raises(ParseError, match=f"option '{key}' given twice"):
+        parse_scenario(line.format(f"{repeated} {malformed}") + "\n")
+    with pytest.raises(ParseError, match=f"expected key=value, got '{malformed}'"):
+        parse_scenario(line.format(f"{malformed} {repeated}") + "\n")
+
+
 def test_parse_errors_carry_the_line_number():
     try:
         parse_scenario("subscriber A\nat x call C A\n")
@@ -264,8 +281,14 @@ _QUOTING_CHARS = st.sampled_from(["\"", "'", "\\", "#", " ", "\t", "=", ",", "("
 
 @settings(max_examples=1000, deadline=None)
 @given(st.one_of(st.text(st.one_of(_QUOTING_CHARS, st.characters())), st.text()))
-@example("a#b c")  # a comment may start mid-word
+@example(" a\t b  c\t")  # no quote: split at spaces and tabs
+@example("a\x0bb\x1fc\xa0d\re\nf")  # \r and \n separate too, other whitespace does not
+@example('a"b c"d')  # adjacent quoted and bare pieces join
 @example('x="" y')  # an empty token
+@example('k="a\tb\xa0c" d')  # a tab and a no-break space inside quotes
+@example('k="a # b" c')  # a `#` inside double quotes starts no comment
+@example('k="a b" c"d')  # an odd number of `"`: no closing quotation
+@example("a#b c")  # a comment may start mid-word
 @example("a\xa0b\tc")  # only space and tab separate
 @example(r'"a\"b\\c\d" e\ f')  # escapes inside and outside double quotes
 @example(r"'a\'b")  # no escapes inside single quotes

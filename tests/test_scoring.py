@@ -4,8 +4,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gvbsim.scoring import (
+    HOUR_NORM,
     BaselineProfile,
     CallerContext,
     FactorWeights,
@@ -19,6 +22,7 @@ from gvbsim.scoring import (
     health_anomaly,
     location_anomaly,
     timing_anomaly,
+    _hour_gaps,
 )
 
 HOME_PROFILE = BaselineProfile(
@@ -202,6 +206,9 @@ def test_threshold_ordering_enforced():
 def test_context_field_validation():
     with pytest.raises(ValueError):
         CallerContext(hour_of_day=24)
+    for hour in (3.5, 3.0):  # the hour indexes a table of the 24 whole hours
+        with pytest.raises(ValueError, match=f"hour_of_day must be in 0..23, got {hour}"):
+            CallerContext(hour_of_day=hour)
     with pytest.raises(ValueError):
         CallerContext(heart_rate=300)
     with pytest.raises(ValueError):
@@ -312,3 +319,84 @@ def test_fully_baseline_context_scores_zero():
     result = assess(ctx, HOME_PROFILE)
     assert result.emergency_score == 0.0
     assert result.tier is PriorityTier.NONE
+
+
+# -- values computed once, against the code they replace --
+
+def _direct_gap(hour: int, usual_hours: frozenset[int]) -> int:
+    return min(min(abs(hour - u), 24 - abs(hour - u)) for u in usual_hours)
+
+
+def _timing_reference(hour: int | None, usual_hours: frozenset[int]) -> float:
+    if hour is None or hour in usual_hours:
+        return 0.0
+    return min(1.0, _direct_gap(hour, usual_hours) / HOUR_NORM)
+
+
+@given(st.frozensets(st.integers(0, 23), min_size=1))
+@example(frozenset({23}))
+@example(frozenset(range(24)))
+def test_hour_gap_table_equals_the_direct_scan(usual_hours: frozenset[int]):
+    table = _hour_gaps(usual_hours)
+    assert len(table) == 24
+    profile = BaselineProfile(usual_hours=usual_hours)
+    for hour in [None, *range(24)]:
+        if hour is not None:
+            assert table[hour] == _direct_gap(hour, usual_hours)
+        timing = timing_anomaly(CallerContext(hour_of_day=hour), profile)
+        assert timing.hex() == _timing_reference(hour, usual_hours).hex()
+
+
+def _emergency_score_reference(scores, weights) -> float:
+    """`emergency_score` as it was before its weights were cached."""
+    if len(scores) != len(weights) or not scores:
+        raise ValueError("scores and weights must be equal-length, non-empty sequences")
+    if any(w < 0 for w in weights):
+        raise ValueError("weights must be non-negative")
+    largest = max(weights)
+    if largest == 0:
+        raise ValueError("at least one weight must be positive")
+    weights = [w / largest for w in weights]
+    return sum(w * s for w, s in zip(weights, scores)) / sum(weights)
+
+
+def _score_outcome(score, scores, weights) -> str:
+    try:
+        return score(scores, weights).hex()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+_WEIGHT = st.one_of(
+    st.just(0.0), st.just(0), st.floats(-1, 1e308), st.integers(-1, 2**60), st.just(2**53 + 1)
+)
+
+
+@given(
+    st.lists(_WEIGHT, max_size=5).flatmap(
+        lambda w: st.tuples(st.just(w), st.lists(st.floats(0, 1), min_size=len(w), max_size=len(w)))
+    ),
+    st.booleans(),
+)
+@example(([0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0]), False)
+@example(([0.0, 0.0, 3.0, 0.0], [0.2, 0.4, 0.6, 0.8]), True)
+@example(([1e308, 1e308, 1e308, 1e308], [1.0, 0.0, 1.0, 1.0]), False)
+@example(([1, 2**53 + 1], [1.0, 0.0]), True)  # equal to the next weights, but divides apart
+@example(([1.0, 2**53 + 1], [1.0, 0.0]), True)
+def test_cached_emergency_score_equals_the_uncached_formula(drawn, as_tuple: bool):
+    weights, scores = drawn
+    if as_tuple:
+        weights = tuple(weights)
+    expected = _score_outcome(_emergency_score_reference, scores, weights)
+    for _ in range(2):  # the first call may fill the cache, the second reads it
+        assert _score_outcome(emergency_score, scores, weights) == expected
+    assert _score_outcome(emergency_score, scores[:-1], weights) == _score_outcome(
+        _emergency_score_reference, scores[:-1], weights
+    )
+
+
+def test_token_tables_equal_each_members_name_or_value():
+    for tier in PriorityTier:
+        assert tier.token == tier.name.lower()
+    for place in LocationType:
+        assert place.seed_text == (None if place is LocationType.OTHER else place.value)

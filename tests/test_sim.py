@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gvbsim.calls import RoutingReason
 from gvbsim.errors import ExternalGeneratorError, ParseError, SimError
 from gvbsim.generation import ExternalBackend
+from gvbsim.incapacity import Modality
 from gvbsim.scenario import parse_scenario
-from gvbsim.sim import MESSAGE_MEMO_SIZE, RunConfig, Simulation, run, substitute
+from gvbsim.scheduler import DenyReason
+from gvbsim.sim import _TOKENS, MESSAGE_MEMO_SIZE, RunConfig, Simulation, run, substitute
 from gvbsim.trace import TraceRecord, render_trace
 
 from .conftest import stub_command
@@ -883,3 +886,9 @@ def test_a_hostile_run_asked_ahead_ends_as_when_each_reply_is_awaited(
         except SimError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+def test_token_table_equals_each_members_value():
+    members = [m for kind in (Modality, DenyReason, RoutingReason) for m in kind]
+    assert list(_TOKENS) == members
+    assert all(_TOKENS[m] == m.value for m in members)
