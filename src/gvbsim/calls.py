@@ -92,10 +92,12 @@ def next_state(state: CallState, event: CallEvent) -> CallState:
 
 
 class RoutingReason(Enum):
-    __hash__ = object.__hash__  # singletons compared by identity; Enum.__hash__ runs Python in 3.11
     PRE_APPROVED = "pre_approved"
     SCORE_THRESHOLD = "score_threshold"
     DEFAULT = "default"
+
+    def __init__(self, value: str) -> None:
+        self.token = value  # the trace token; a plain read, where `.value` runs Python in 3.11
 
 
 # The `kind=` token of a ROUTING record for each tier.

@@ -30,6 +30,9 @@ class Modality(Enum):
     VIDEO_DESCRIPTION = "video"
     GESTURE = "gesture"
 
+    def __init__(self, value: str) -> None:
+        self.token = value  # the trace token; a plain read, where `.value` runs Python in 3.11
+
 
 # The `media` directive's kinds, in the scenario grammar's order.
 MEDIA_MODALITIES = (Modality.IMAGE_DESCRIPTION, Modality.VIDEO_DESCRIPTION, Modality.GESTURE)

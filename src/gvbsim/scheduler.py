@@ -34,9 +34,11 @@ class BurstLedger(NamedTuple):
 
 
 class DenyReason(Enum):
-    __hash__ = object.__hash__  # singletons compared by identity; Enum.__hash__ runs Python in 3.11
     BUDGET_EXHAUSTED = "budget_exhausted"
     GAP_NOT_ELAPSED = "gap_not_elapsed"
+
+    def __init__(self, value: str) -> None:
+        self.token = value  # the trace token; a plain read, where `.value` runs Python in 3.11
 
 
 class Permit(NamedTuple):

@@ -35,31 +35,25 @@ class LocationType(Enum):
     ISOLATED = "isolated"
     OTHER = "other"
 
-    @property
-    def seed_text(self) -> str | None:
-        """The place as a generation seed part, from a table: OTHER says nothing."""
-        return _SEED_TEXTS[self]
+    def __init__(self, value: str) -> None:
+        # the place as a generation seed part (OTHER says nothing of it); a plain read
+        self.seed_text = None if value == "other" else value
 
 
-_SEED_TEXTS = {t: None if t is LocationType.OTHER else t.value for t in LocationType}
 HIGH_RISK_LOCATIONS = frozenset({LocationType.HIGHWAY, LocationType.HOSPITAL, LocationType.ISOLATED})
 
 
 class PriorityTier(IntEnum):
-    """Total order NONE < LOW < MEDIUM < HIGHEST."""
+    """Total order NONE < LOW < MEDIUM < HIGHEST; each member's trace `token`
+    is its lowercase name, set once when the class is made."""
 
     NONE = 0
     LOW = 1
     MEDIUM = 2
     HIGHEST = 3
 
-    @property
-    def token(self) -> str:
-        """The lowercase name, read from a table built once at import."""
-        return _TIER_TOKENS[self]
-
-
-_TIER_TOKENS = tuple(tier.name.lower() for tier in PriorityTier)  # indexed by the tier
+    def __init__(self, value: int) -> None:
+        self.token = self.name.lower()
 
 
 @checked
@@ -78,9 +72,8 @@ class CallerContext(NamedTuple):
     def _check(self) -> None:
         if self.location is not None and not all(map(math.isfinite, self.location)):
             raise ValueError(f"location must be finite, got {self.location}")
-        hour = self.hour_of_day
-        if hour is not None and not (isinstance(hour, int) and 0 <= hour <= 23):
-            raise ValueError(f"hour_of_day must be in 0..23, got {hour}")
+        if self.hour_of_day is not None and not 0 <= self.hour_of_day <= 23:
+            raise ValueError(f"hour_of_day must be in 0..23, got {self.hour_of_day}")
         if self.heart_rate is not None and not 20 <= self.heart_rate <= 250:
             raise ValueError(f"heart_rate must be in [20, 250], got {self.heart_rate}")
         if self.moving_speed is not None and not (
@@ -167,16 +160,12 @@ def location_anomaly(ctx: CallerContext, profile: BaselineProfile) -> float:
 
 def timing_anomaly(ctx: CallerContext, profile: BaselineProfile) -> float:
     """Circular hour distance to the nearest usual hour, normalized by
-    HOUR_NORM; 0 when the hour itself is usual or unreported.  The gap of
-    every hour is computed once per distinct `usual_hours` (`_hour_gaps`)."""
-    if ctx.hour_of_day is None:
+    HOUR_NORM; 0 when the hour itself is usual or unreported."""
+    hour = ctx.hour_of_day
+    if hour is None or hour in profile.usual_hours:
         return 0.0
-    return min(1.0, _hour_gaps(frozenset(profile.usual_hours))[ctx.hour_of_day] / HOUR_NORM)
-
-
-@lru_cache(maxsize=128)
-def _hour_gaps(usual_hours: frozenset[int]) -> tuple[int, ...]:
-    return tuple(min(min(abs(h - u), 24 - abs(h - u)) for u in usual_hours) for h in range(24))
+    gap = min(min(abs(hour - u), 24 - abs(hour - u)) for u in profile.usual_hours)
+    return min(1.0, gap / HOUR_NORM)
 
 
 def health_anomaly(ctx: CallerContext, profile: BaselineProfile) -> float:
@@ -207,7 +196,8 @@ def emergency_score(scores: Sequence[float], weights: Sequence[float]) -> float:
     """Weighted average of factor scores, the weights first divided by the
     largest, so no positive scaling of them overflows or underflows (the
     score is exact when the largest is 1).  Raises ValueError when every
-    weight is zero.  Each distinct weight vector is normalized once (`_normalized`)."""
+    weight is zero.  A weight vector is normalized once while it is among the
+    16 latest used (`_normalized`)."""
     if len(scores) != len(weights) or not scores:
         raise ValueError("scores and weights must be equal-length, non-empty sequences")
     weights, total = _normalized(*weights)

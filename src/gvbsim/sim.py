@@ -26,7 +26,6 @@ from .calls import (
     CallEvent,
     CallSession,
     CallState,
-    RoutingReason,
     route_waiting_call,
 )
 from .checked import checked
@@ -51,7 +50,7 @@ from .incapacity import (
 )
 from .policy import BurstPolicy
 from .scenario import SimEvent
-from .scheduler import BurstLedger, Deny, DenyReason, dismiss, record_burst, request_burst
+from .scheduler import BurstLedger, Deny, dismiss, record_burst, request_burst
 from .scoring import (
     FACTORS,
     BaselineProfile,
@@ -66,8 +65,6 @@ from .trace import TraceRecord, assessment_fields, fmt_num, fmt_score, make_reco
 DEFAULT_ABANDON_TIMEOUT_S = 120
 MESSAGE_MEMO_SIZE = 1024  # most generated messages one run keeps (see `substitute`)
 _HANGUP_RANK = {CallState.ACTIVE: 0, CallState.WAITING: 1, CallState.HELD: 2}
-# Trace tokens read once, not through the `enum.property` behind `.value`.
-_TOKENS = {m: m.value for kind in (Modality, DenyReason, RoutingReason) for m in kind}
 
 
 @checked
@@ -248,7 +245,7 @@ class Simulation:
             session=sid,
             kind=ROUTING_KINDS[tier],
             tier=tier.token,
-            reason=_TOKENS[reason],
+            reason=reason.token,
         )
         if tier is PriorityTier.HIGHEST:
             for current in self.engine.connected_sessions(callee):
@@ -284,7 +281,7 @@ class Simulation:
             self._emit(
                 "BURST_DENIED",
                 session=sid,
-                reason=_TOKENS[grant.reason],
+                reason=grant.reason.token,
                 eligible_at=grant.eligible_at,
             )
             return
@@ -316,7 +313,7 @@ class Simulation:
             session=sid,
             incapacitated=int(verdict.incapacitated),
             confidence=fmt_score(verdict.confidence),
-            signals=",".join(_TOKENS[s.modality] for s in verdict.contributing) or "-",
+            signals=",".join(s.modality.token for s in verdict.contributing) or "-",
         )
         voice_mode = session.tier is PriorityTier.MEDIUM
         # (BURST_SENT payload token, text), or None for a silent window
@@ -373,7 +370,7 @@ class Simulation:
             return
         session.pending_media.append((modality, description))
         self._touch(session)
-        self._emit("MEDIA_NOTED", session=session.session_id, modality=_TOKENS[modality])
+        self._emit("MEDIA_NOTED", session=session.session_id, modality=modality.token)
 
     def _handle_hangup(self, sub_id: str) -> None:
         target = self._pick_hangup_target(sub_id)
@@ -460,7 +457,7 @@ def substitute(
         keywords=keywords,
         speech=transcript,
         location=location,
-        **{_TOKENS[m]: "; ".join(texts) for m, texts in media.items()},
+        **{m.token: "; ".join(texts) for m, texts in media.items()},
     )
     if not seed:
         return None

@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gvbsim.scoring import (
-    HOUR_NORM,
     BaselineProfile,
     CallerContext,
     FactorWeights,
@@ -22,7 +21,6 @@ from gvbsim.scoring import (
     health_anomaly,
     location_anomaly,
     timing_anomaly,
-    _hour_gaps,
 )
 
 HOME_PROFILE = BaselineProfile(
@@ -206,9 +204,6 @@ def test_threshold_ordering_enforced():
 def test_context_field_validation():
     with pytest.raises(ValueError):
         CallerContext(hour_of_day=24)
-    for hour in (3.5, 3.0):  # the hour indexes a table of the 24 whole hours
-        with pytest.raises(ValueError, match=f"hour_of_day must be in 0..23, got {hour}"):
-            CallerContext(hour_of_day=hour)
     with pytest.raises(ValueError):
         CallerContext(heart_rate=300)
     with pytest.raises(ValueError):
@@ -323,30 +318,6 @@ def test_fully_baseline_context_scores_zero():
 
 # -- values computed once, against the code they replace --
 
-def _direct_gap(hour: int, usual_hours: frozenset[int]) -> int:
-    return min(min(abs(hour - u), 24 - abs(hour - u)) for u in usual_hours)
-
-
-def _timing_reference(hour: int | None, usual_hours: frozenset[int]) -> float:
-    if hour is None or hour in usual_hours:
-        return 0.0
-    return min(1.0, _direct_gap(hour, usual_hours) / HOUR_NORM)
-
-
-@given(st.frozensets(st.integers(0, 23), min_size=1))
-@example(frozenset({23}))
-@example(frozenset(range(24)))
-def test_hour_gap_table_equals_the_direct_scan(usual_hours: frozenset[int]):
-    table = _hour_gaps(usual_hours)
-    assert len(table) == 24
-    profile = BaselineProfile(usual_hours=usual_hours)
-    for hour in [None, *range(24)]:
-        if hour is not None:
-            assert table[hour] == _direct_gap(hour, usual_hours)
-        timing = timing_anomaly(CallerContext(hour_of_day=hour), profile)
-        assert timing.hex() == _timing_reference(hour, usual_hours).hex()
-
-
 def _emergency_score_reference(scores, weights) -> float:
     """`emergency_score` as it was before its weights were cached."""
     if len(scores) != len(weights) or not scores:
@@ -395,7 +366,7 @@ def test_cached_emergency_score_equals_the_uncached_formula(drawn, as_tuple: boo
     )
 
 
-def test_token_tables_equal_each_members_name_or_value():
+def test_each_tiers_token_is_its_lowercase_name_and_each_places_seed_text_its_value():
     for tier in PriorityTier:
         assert tier.token == tier.name.lower()
     for place in LocationType:

@@ -12,7 +12,7 @@ from gvbsim.generation import ExternalBackend
 from gvbsim.incapacity import Modality
 from gvbsim.scenario import parse_scenario
 from gvbsim.scheduler import DenyReason
-from gvbsim.sim import _TOKENS, MESSAGE_MEMO_SIZE, RunConfig, Simulation, run, substitute
+from gvbsim.sim import MESSAGE_MEMO_SIZE, RunConfig, Simulation, run, substitute
 from gvbsim.trace import TraceRecord, render_trace
 
 from .conftest import stub_command
@@ -888,7 +888,6 @@ def test_a_hostile_run_asked_ahead_ends_as_when_each_reply_is_awaited(
     assert outcomes[0] == outcomes[1]
 
 
-def test_token_table_equals_each_members_value():
-    members = [m for kind in (Modality, DenyReason, RoutingReason) for m in kind]
-    assert list(_TOKENS) == members
-    assert all(_TOKENS[m] == m.value for m in members)
+def test_each_members_trace_token_is_its_value():
+    for kind in (Modality, DenyReason, RoutingReason):
+        assert all(member.token == member.value for member in kind)
