@@ -19,9 +19,10 @@ Percent-encoding covers space, percent, and newline bytes.  Any external
 failure (timeout, dead process, ERR reply, a response line that is
 over-long, malformed or not UTF-8) falls back to the template backend; the
 returned message keeps the exception as its `fallback`.
-Requests may be written ahead of their replies (`ExternalBackend.ask`), and
-the peer answers them in order.  Replies are read on the calling thread,
-`select` waiting on the pipe (on POSIX only) until each reply's deadline.
+Requests may be written ahead of their replies (`ExternalBackend.ask`); the
+peer answers them, and their replies are read, in the order asked.  Replies
+are read on the calling thread, `select` waiting on the pipe (on POSIX only)
+until each reply's deadline.
 """
 from __future__ import annotations
 
@@ -196,8 +197,6 @@ class ExternalBackend:
         # requests whose replies are unread, in order; the child has the first `_written`
         self._unanswered: list[bytes] = []
         self._written = 0
-        # (request, reply line or failure) of replies read before their turn
-        self._early: list[tuple[bytes, bytes | ExternalGeneratorError]] = []
 
     def ask(self, seed: str, rng_seed: int) -> None:
         """Queue the request for `seed`, to be written with the next one
@@ -231,12 +230,17 @@ class ExternalBackend:
         del pending[: end + 1]
         return line
 
-    def _read_reply(self) -> tuple[bytes, bytes | ExternalGeneratorError]:
-        """The first unanswered request and its reply line, or the failure
-        that ended its child, after writing the requests not yet written."""
+    def generate(self, seed: str, rng_seed: int, location: str | None = None) -> str:
+        """The reply to the oldest unanswered request, which must be `seed`'s
+        (a read out of turn raises TypeError); `seed` is asked if none waits."""
         from subprocess import DEVNULL, PIPE, Popen
 
+        request = build_request_line(seed, rng_seed).encode("utf-8") + b"\n"
         unanswered = self._unanswered
+        if not unanswered:
+            unanswered.append(request)
+        elif unanswered[0] != request:
+            raise TypeError(f"reply read out of turn: {request!r} before {unanswered[0]!r}")
         try:
             if self._proc is None:
                 try:
@@ -249,31 +253,15 @@ class ExternalBackend:
                 stdin.write(b"".join(unanswered[self._written:]))
                 stdin.flush()
                 self._written = len(unanswered)
-            reply: bytes | ExternalGeneratorError = self._read_line(stdout.fileno())
-            self._written -= 1
+            reply = self._read_line(stdout.fileno())
         except (OSError, ExternalGeneratorError) as exc:
             self._end_child()
-            if isinstance(exc, OSError):
-                exc = ExternalGeneratorError(f"generator transport failed: {exc}")
-            reply = exc
-        return unanswered.pop(0), reply
-
-    def generate(self, seed: str, rng_seed: int, location: str | None = None) -> str:
-        request = build_request_line(seed, rng_seed).encode("utf-8") + b"\n"
-        for i, (asked, reply) in enumerate(self._early):
-            if asked == request:
-                del self._early[i]
-                break
-        else:
-            if request not in self._unanswered:  # not asked ahead: ask now
-                self._unanswered.append(request)
-            while (got := self._read_reply())[0] != request:
-                self._early.append(got)
-            reply = got[1]
-        if isinstance(reply, ExternalTimeout):  # a failure, raised as its own kind
-            raise ExternalTimeout(str(reply))
-        if isinstance(reply, ExternalGeneratorError):
-            raise ExternalGeneratorError(str(reply))
+            del unanswered[0]
+            if isinstance(exc, ExternalGeneratorError):
+                raise
+            raise ExternalGeneratorError(f"generator transport failed: {exc}") from exc
+        del unanswered[0]
+        self._written -= 1
         try:
             return parse_response_line(reply.decode("utf-8"))
         except UnicodeDecodeError:
@@ -297,7 +285,6 @@ class ExternalBackend:
         """End the child and forget every request not yet answered."""
         self._end_child()
         self._unanswered.clear()
-        self._early.clear()
 
 
 def build_backend(spec: str):
@@ -341,6 +328,17 @@ def _sentences(text: str) -> list[str]:
     return [chunk.strip() for chunk in _SENTENCE_SPLIT.findall(text) if chunk.strip()]
 
 
+def word_budget(t: int, speaking_rate: float) -> int:
+    """The most words that speak within `t` seconds at `speaking_rate`."""
+    if t < 1:
+        raise ValueError(f"burst duration must be >= 1s, got {t}")
+    check_speaking_rate(speaking_rate)
+    try:
+        return math.floor(t * speaking_rate)
+    except OverflowError:
+        raise ValueError(f"burst duration times speaking_rate {speaking_rate} overflows") from None
+
+
 def fit_to_duration(
     msg: GeneratedMessage,
     t: int,
@@ -351,13 +349,7 @@ def fit_to_duration(
     Whole trailing sentences are dropped first; if even the first sentence
     exceeds the word budget, the text is cut at the budget.
     """
-    if t < 1:
-        raise ValueError(f"burst duration must be >= 1s, got {t}")
-    check_speaking_rate(speaking_rate)
-    try:
-        budget = math.floor(t * speaking_rate)
-    except OverflowError:
-        raise ValueError(f"burst duration times speaking_rate {speaking_rate} overflows") from None
+    budget = word_budget(t, speaking_rate)
     words = msg.text.split()
     if len(words) <= budget:
         return msg

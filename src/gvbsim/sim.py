@@ -8,8 +8,9 @@ and substitutes a generated message when the caller appears incapacitated.
 Burst windows complete instantaneously at `start + duration`; waiting
 calls with no activity for `abandon_timeout` seconds are ended.  Nothing
 the engine decides reads a generated message, so a burst whose request is
-asked ahead of its reply (`substitute`) leaves its records, and every
-record after them, to be made in order when the reply is read (`_drain`).
+asked ahead of its reply (`substitute`), or that shares one still unread,
+leaves its records, and every record after them, to be made in order when
+the replies are read, in the order asked (`_drain`).
 
 Identical (events, config) pairs produce byte-identical traces.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .calls import (
     ROUTING_KINDS,
@@ -39,6 +40,7 @@ from .generation import (
     compose_seed,
     fit_to_duration,
     generate_message,
+    word_budget,
 )
 from .incapacity import (
     Modality,
@@ -111,11 +113,10 @@ class Simulation:
         # moves last_activity on, and `_expire_waiting` pushes a touched
         # session's entry back at its real expiry.
         self._expiry: list[tuple[int, int]] = []
-        self._messages: dict[tuple[str, str | None], GeneratedMessage | None] = {}
-        # (clock, line, event, values) of records not yet made, in order; a
-        # burst waiting for its reply is (clock, line, None, its maker)
-        self._held: list[tuple[int, int, str | None, object]] = []
-        self._line_no = 0
+        self._messages: dict[tuple[str, str | None], GeneratedMessage | _Reply] = {}
+        # (clock, event, values) of records not yet made, in order; a burst
+        # waiting for its reply is (clock, None, its maker)
+        self._held: list[tuple[int, str | None, object]] = []
 
     # -- trace plumbing --
 
@@ -124,7 +125,7 @@ class Simulation:
         or hold it while a record before it is held; `seq` counts the
         records made."""
         if self._held:
-            self._held.append((self.clock, self._line_no, event, values))
+            self._held.append((self.clock, event, values))
             return
         self.records.append(make_record(self.clock, len(self.records) + 1, event, values))
 
@@ -132,26 +133,22 @@ class Simulation:
         """Make the held records in order, each at its own clock (the last
         one's stays); a burst's maker reads its reply then."""
         held, self._held, records = self._held, [], self.records
-        for self.clock, line_no, event, values in held:
-            try:
-                if event is None:
-                    values()
-                else:
-                    records.append(make_record(self.clock, len(records) + 1, event, values))
-            except (ValueError, KeyError) as exc:
-                raise SimError(line_no, str(exc)) from exc
+        for self.clock, event, values in held:
+            if event is None:
+                values()
+            else:
+                records.append(make_record(self.clock, len(records) + 1, event, values))
 
     # -- main loop --
 
     def run(self, events: list[SimEvent]) -> list[TraceRecord]:
         for event in events:
             self._expire_waiting(before=event.at)
-            self.clock, self._line_no = event.at, event.line_no
+            self.clock = event.at
             handler = self._HANDLERS[event.kind]
             try:
                 handler(self, **event.args)
             except (ValueError, KeyError) as exc:
-                self._drain()  # a held burst's error comes first
                 raise SimError(event.line_no, str(exc)) from exc
         self._expire_waiting(before=None)
         self._drain()
@@ -334,7 +331,7 @@ class Simulation:
         if not callable(message):
             return send()
         # asked ahead: this burst's records, and all after them, wait for the reply
-        self._held.append((self.clock, self._line_no, None, send))
+        self._held.append((self.clock, None, send))
         if self.config.backend.full():
             self._drain()
 
@@ -443,16 +440,16 @@ def substitute(
     keywords: str | None,
     transcript: str | None,
     media: dict[Modality, list[str]],
-    memo: dict[tuple[str, str | None], GeneratedMessage | None],
-) -> GeneratedMessage | partial[GeneratedMessage] | None:
+    memo: dict[tuple[str, str | None], GeneratedMessage | _Reply],
+) -> GeneratedMessage | Callable[[], GeneratedMessage] | None:
     """The message generated from a burst's context, the caller being at
     `location`, and fitted to `t` seconds; None when no part of the
     context seeds one.  A reply depends only on its request, so `memo`
     keeps the unfitted message of each (seed, location), up to
     MESSAGE_MEMO_SIZE, the least recently used dropped first.  A missed key
-    holds None until its reply is read (`_read`), at once unless the backend
-    can ask ahead of its replies (`ExternalBackend.ask`); then the message
-    returned is a call that reads the reply when the message is needed."""
+    holds its `_Reply`, read at once unless the backend can ask ahead
+    (`ExternalBackend.ask`); then the message returned is a call that reads
+    it when needed, and every burst that meets the key until then shares it."""
     seed = compose_seed(
         keywords=keywords,
         speech=transcript,
@@ -461,35 +458,41 @@ def substitute(
     )
     if not seed:
         return None
+    word_budget(t, config.speaking_rate)  # fails now, not when a held burst reads its reply
     key = seed, location
     if key in memo:  # now the most recently used
         message = memo[key] = memo.pop(key)
     else:
         if len(memo) >= MESSAGE_MEMO_SIZE:
             del memo[next(iter(memo))]
-        memo[key] = message = None
-        ask = getattr(config.backend, "ask", None)
-        if ask is None:  # answered at once
-            return _read(config, key, t, memo)
-        ask(seed, config.rng_seed)
-    if message is None:
-        return partial(_read, config, key, t, memo)
+        message = memo[key] = _Reply(config, key, memo)
+        if hasattr(config.backend, "ask"):
+            config.backend.ask(seed, config.rng_seed)
+        else:  # answered at once
+            message = message()
+    if callable(message):
+        return lambda: fit_to_duration(message(), t, config.speaking_rate)
     return fit_to_duration(message, t, config.speaking_rate)
 
 
-def _read(config: RunConfig, key: tuple[str, str | None], t: int, memo: dict) -> GeneratedMessage:
-    """`substitute`'s message of a missed key, fitted to `t` seconds: the
-    first burst to need it reads the reply, which the table keeps unless it
-    fell back; a later burst then asks again."""
-    message = memo.get(key)
-    if message is None:
-        message = generate_message(key[0], config.backend, config.rng_seed, key[1])
-        if key in memo:
-            if message.fallback is None:
-                memo[key] = message
-            else:
-                del memo[key]
-    return fit_to_duration(message, t, config.speaking_rate)
+class _Reply:
+    """A missed key's reply, read once, when a burst first needs it, and
+    shared, fallback included, by every burst that meets the key until
+    then; `memo` then keeps it unless it fell back (a later burst asks again)."""
+
+    def __init__(self, config: RunConfig, key: tuple[str, str | None], memo: dict):
+        self.config, self.key, self.memo, self.message = config, key, memo, None
+
+    def __call__(self) -> GeneratedMessage:
+        if self.message is None:
+            (seed, location), config, memo = self.key, self.config, self.memo
+            self.message = generate_message(seed, config.backend, config.rng_seed, location)
+            if memo.get(self.key) is self:  # not dropped from the table while unread
+                if self.message.fallback is None:
+                    memo[self.key] = self.message
+                else:
+                    del memo[self.key]
+        return self.message
 
 
 def run(events: list[SimEvent], config: RunConfig | None = None) -> list[TraceRecord]:

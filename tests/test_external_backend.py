@@ -298,7 +298,7 @@ def test_the_line_cap_counts_the_newline(extra: int):
 
 # -- requests written ahead of their replies --
 
-def test_replies_asked_ahead_are_read_in_any_order_from_one_child():
+def test_replies_asked_ahead_are_read_in_order_from_one_child():
     spawned = []
     real_popen = subprocess.Popen
 
@@ -311,23 +311,32 @@ def test_replies_asked_ahead_are_read_in_any_order_from_one_child():
         backend.ask("first", 0)
         backend.ask("second", 0)
         with mock.patch("subprocess.Popen", popen):
-            # out of order, and one never asked ahead: the child stays up
-            replies = {s: backend.generate(s, 0) for s in ("second", "third", "first")}
+            replies = [backend.generate("first", 0)]
+            # a read out of turn is the caller's error, not a fallback: the child stays up
+            with pytest.raises(TypeError, match="out of turn"):
+                backend.generate("third", 0)
+            assert spawned[0].poll() is None
+            replies += [backend.generate(s, 0) for s in ("second", "third")]
     finally:
         backend.close()
     assert len(spawned) == 1
-    assert replies == {s: build_request_line(s, 0) for s in ("first", "second", "third")}
+    assert replies == [build_request_line(s, 0) for s in ("first", "second", "third")]
 
 
-def test_a_fallback_asked_again_behind_requests_in_flight_keeps_the_child():
-    # k0 errs; its second burst asks again after k1 and k2 were written ahead
+def test_bursts_waiting_on_one_request_share_its_reply_and_ask_again_once_it_is_read():
+    # k0's two bursts share one request and its ERR; once the full window
+    # is read, the fallback is not kept, so the last k0 burst asks again
     peers: list[_RequestPeer] = []
     replies = {b"k0": b"ERR busy\n", b"k1": b"OK text=one\n", b"k2": b"OK text=two\n"}
-    records = _run_on_peers(_burst_scenario(["k0", "k0", "k1", "k2"]), replies, peers)
+    scenario = _burst_scenario(["k0", "k0", "k1", "k2", "k0"])
+    records = _run_on_peers(scenario, replies, peers, budget=200)  # full at 3 requests of 78 bytes
     assert len(peers) == 1 and peers[0].requests == [b"k0", b"k1", b"k2", b"k0"]
     gens = [(r.get("backend"), r.get("text")) for r in records if r.event == "GEN"]
-    assert [backend for backend, _ in gens] == ["template", "template", "external", "external"]
-    assert [text for _, text in gens[2:]] == ["one", "two"]
+    backends = ["template", "template", "external", "external", "template"]
+    assert [backend for backend, _ in gens] == backends
+    assert [text for _, text in gens[2:4]] == ["one", "two"]
+    details = [r.get("detail") for r in records if r.event == "GEN_FALLBACK"]
+    assert details == ["generator error: busy"] * 3
 
 
 def test_a_generator_that_never_reads_times_out_each_reply_without_a_hang():

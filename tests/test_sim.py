@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import collections
 import math
+from functools import partial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gvbsim import generation
 from gvbsim.calls import RoutingReason
 from gvbsim.errors import ExternalGeneratorError, ParseError, SimError
 from gvbsim.generation import ExternalBackend
@@ -599,7 +603,8 @@ def test_a_word_budget_that_overflows_is_a_sim_error():
 
 def test_a_burst_waiting_for_its_reply_names_its_own_line_in_its_error():
     # the burst on line 7 is asked ahead, so its message is fitted after the
-    # later lines ran; its error still names it, before line 10's own error
+    # later lines ran; its word budget is checked while line 7 is handled,
+    # so its error names it, before line 10's own error
     text = silent_scenario().replace("t=5 ", "t=" + "9" * 400 + " ") + "at 60 answer B\n"
     backend = ExternalBackend(stub_command("gen_fixed.py"), timeout=10.0)
     try:
@@ -656,14 +661,35 @@ def test_a_fallback_is_asked_again_and_the_next_answer_is_kept():
     ]
 
 
-def test_a_timed_out_seed_is_asked_again():
+def sleepy_bursts(ask_ahead_bytes: int) -> tuple[int, int]:
+    """The requests asked and the replies waited for by two silent bursts on
+    one seed, each timing out on a generator that never answers in time,
+    with ASK_AHEAD_BYTES at `ask_ahead_bytes`."""
     backend = ExternalBackend(stub_command("gen_sleepy.py"), timeout=0.3)
-    try:
-        records = run_text(repeated_silent_bursts(2), RunConfig(backend=backend))
-    finally:
-        backend.close()
+    spy = partial(mock.patch.object, ExternalBackend, autospec=True)
+    with (
+        mock.patch.object(generation, "ASK_AHEAD_BYTES", ask_ahead_bytes),
+        spy("ask", side_effect=ExternalBackend.ask) as ask,
+        spy("_read_line", side_effect=ExternalBackend._read_line) as wait,
+    ):
+        try:
+            records = run_text(repeated_silent_bursts(2), RunConfig(backend=backend))
+        finally:
+            backend.close()
     assert [f.get("reason") for f in events_named(records, "GEN_FALLBACK")] == ["timeout"] * 2
     assert [g.get("backend") for g in events_named(records, "GEN")] == ["template"] * 2
+    return ask.call_count, wait.call_count
+
+
+def test_a_timed_out_seed_is_asked_again():
+    # one request in flight: the first reply is read before the second burst
+    asked, waits = sleepy_bursts(1)
+    assert asked == waits == 2
+
+
+def test_bursts_in_one_window_on_a_timed_out_seed_share_its_one_wait():
+    asked, waits = sleepy_bursts(generation.ASK_AHEAD_BYTES)
+    assert asked == waits == 1
 
 
 def test_one_seed_at_two_locations_gives_two_messages():
@@ -832,33 +858,43 @@ def test_a_hostile_run_ends_in_a_trace_or_a_sim_error(
 
 class SeedGenerator:
     """An in-process generator whose reply depends only on the seed; a seed
-    that names smoke fails."""
+    that names smoke fails.  `requests` logs the seeds it was asked for."""
 
     kind = "external"
 
+    def __init__(self):
+        self.requests: list[str] = []
+
     def generate(self, seed: str, rng_seed: int, location: str | None = None) -> str:
+        self.requests.append(seed)
+        return self.reply(seed)
+
+    def reply(self, seed: str) -> str:
         if "smoke" in seed:
             raise ExternalGeneratorError("generator error: busy")
         return f"Reply to {seed}."
 
 
 class AskingSeedGenerator(SeedGenerator):
-    """A `SeedGenerator` that is asked ahead of its replies, which are due
-    once `window` requests wait."""
+    """A `SeedGenerator` that is asked ahead of its replies, which are read
+    in the order asked and are due once `window` requests wait."""
 
     def __init__(self, window: int):
-        self.window, self.waiting = window, []
+        super().__init__()
+        self.window, self.waiting = window, collections.deque()
 
     def ask(self, seed: str, rng_seed: int) -> None:
+        self.requests.append(seed)
         self.waiting.append(seed)
 
     def full(self) -> bool:
         return len(self.waiting) >= self.window
 
     def generate(self, seed: str, rng_seed: int, location: str | None = None) -> str:
-        if seed in self.waiting:
-            self.waiting.remove(seed)
-        return super().generate(seed, rng_seed, location)
+        if not self.waiting:
+            return super().generate(seed, rng_seed, location)
+        assert self.waiting.popleft() == seed  # not out of turn
+        return self.reply(seed)
 
 
 @settings(max_examples=150, deadline=None)
@@ -871,13 +907,15 @@ class AskingSeedGenerator(SeedGenerator):
 def test_a_hostile_run_asked_ahead_ends_as_when_each_reply_is_awaited(
     text: str, abandon_timeout: int, speaking_rate: float, window: int
 ):
-    # the same trace bytes, or the same SimError on the same line
+    # the same trace bytes, or the same SimError on the same line, and
+    # never more requests than when each reply is awaited
     try:
         events = parse_scenario(text)
     except ParseError:
         return
+    awaited, ahead = SeedGenerator(), AskingSeedGenerator(window)
     outcomes = []
-    for backend in (SeedGenerator(), AskingSeedGenerator(window)):
+    for backend in (awaited, ahead):
         config = RunConfig(
             backend=backend, abandon_timeout=abandon_timeout, speaking_rate=speaking_rate
         )
@@ -886,6 +924,7 @@ def test_a_hostile_run_asked_ahead_ends_as_when_each_reply_is_awaited(
         except SimError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+    assert len(ahead.requests) <= len(awaited.requests)
 
 
 def test_each_members_trace_token_is_its_value():

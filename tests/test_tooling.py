@@ -25,7 +25,7 @@ import sys
 
 import pytest
 
-from gvbsim import scenario, sim
+from gvbsim import generation, scenario, sim
 from gvbsim.cli import _build_parser, main
 from gvbsim.errors import ParseError
 from gvbsim.generation import SEED_LABELS
@@ -126,15 +126,17 @@ def test_the_external_workload_asks_once_per_distinct_seed_and_location(monkeypa
 
 
 def test_the_external_workload_writes_requests_ahead_to_one_child(monkeypatch, tmp_path):
-    # requests go to the child in windows, and a window is written before
-    # the first of its replies is read; the pinned trace keeps its bytes
-    children, written, at_first_read = [], [0], []
+    # requests go to the child in windows of at least ASK_AHEAD_BYTES but the
+    # last, and a window is written before the first of its replies is read;
+    # the pinned trace keeps its bytes
+    children, writes, written, at_first_read = [], [], [0], []
 
     class CountingStdin:
         def __init__(self, stdin):
             self.stdin = stdin
 
         def write(self, data: bytes) -> None:
+            writes.append(len(data))
             written[0] += data.count(b"\n")
             self.stdin.write(data)
 
@@ -160,6 +162,7 @@ def test_the_external_workload_writes_requests_ahead_to_one_child(monkeypatch, t
     assert hashlib.sha256(trace).hexdigest() == pinned
     assert len(children) == 1
     assert at_first_read[0] > 1
+    assert len(writes) > 1 and min(writes[:-1]) >= generation.ASK_AHEAD_BYTES
 
 
 def test_a_granted_burst_is_named_permit():
