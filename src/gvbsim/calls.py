@@ -189,6 +189,14 @@ class CallEngine:
         an unregistered id."""
         return [self._sessions[sid] for sid in self._live.get(sub_id, ())]
 
+    def waiting_call_of(self, caller: str) -> CallSession | None:
+        """The lowest-id WAITING call `caller` placed, read from the live index in place."""
+        for sid in self._live.get(caller, ()):
+            session = self._sessions[sid]
+            if session.caller == caller and session.state is CallState.WAITING:
+                return session
+        return None
+
     def apply_event(self, session_id: int, event: CallEvent) -> CallSession:
         """Move the session along `event` in place."""
         session = self._sessions[session_id]

@@ -130,7 +130,7 @@ def _cmd_score(args: argparse.Namespace) -> None:
 def _cmd_gen(args: argparse.Namespace) -> None:
     burst = _read_options("burst", args.burst, _parse_burst_options)
     image = burst.pop("image")
-    media = {Modality.IMAGE_DESCRIPTION: [image]} if image else {}
+    media = {Modality.IMAGE_DESCRIPTION.token: image} if image else {}
     config = RunConfig(speaking_rate=args.speaking_rate)
     message = substitute(config, args.loctype.seed_text, args.t, media=media, memo={}, **burst)
     if message is None or not message.word_count:  # nothing seeds it, or no word fits

@@ -67,9 +67,12 @@ def compose_seed(**parts: str | None) -> str:
     unknown = parts.keys() - SEED_LABELS
     if unknown:
         raise TypeError(f"compose_seed() got unknown seed labels {sorted(unknown)}")
-    return "; ".join(
-        f"{label}: {parts[label]}" for label in SEED_LABELS if parts.get(label) is not None
-    )
+    seed = []
+    for label in SEED_LABELS:
+        text = parts.get(label)
+        if text is not None:
+            seed.append(f"{label}: {text}")
+    return "; ".join(seed)
 
 
 class GeneratedMessage(NamedTuple):
@@ -105,7 +108,10 @@ _TEMPLATE_RULES: tuple[tuple[str, str], ...] = (
 _TEMPLATE_TERMS = term_alternation(tuple(term for term, _ in _TEMPLATE_RULES))
 
 def _template_text(seed: str, location: str | None = None) -> str:
-    rule = min((match.lastindex for match in _TEMPLATE_TERMS.finditer(seed)), default=None)
+    rule = None
+    for match in _TEMPLATE_TERMS.finditer(seed):
+        if rule is None or match.lastindex < rule:
+            rule = match.lastindex
     if rule is not None:
         return _TEMPLATE_RULES[rule - 1][1]
     if location is not None:
@@ -196,17 +202,20 @@ class ExternalBackend:
         self._pending = bytearray()  # bytes read past the last reply line
         # requests whose replies are unread, in order; the child has the first `_written`
         self._unanswered: list[bytes] = []
+        self._unanswered_bytes = 0  # their lengths, summed
         self._written = 0
 
     def ask(self, seed: str, rng_seed: int) -> None:
         """Queue the request for `seed`, to be written with the next one
         whose reply is needed; `generate` reads its reply."""
-        self._unanswered.append(build_request_line(seed, rng_seed).encode("utf-8") + b"\n")
+        request = build_request_line(seed, rng_seed).encode("utf-8") + b"\n"
+        self._unanswered.append(request)
+        self._unanswered_bytes += len(request)
 
     def full(self) -> bool:
         """Whether the unanswered requests reach ASK_AHEAD_BYTES, so their
         replies are due before more are asked."""
-        return sum(map(len, self._unanswered)) >= ASK_AHEAD_BYTES
+        return self._unanswered_bytes >= ASK_AHEAD_BYTES
 
     def _read_line(self, fd: int) -> bytes:
         """The next reply line on `fd`, newline included.  The line cap is
@@ -239,6 +248,7 @@ class ExternalBackend:
         unanswered = self._unanswered
         if not unanswered:
             unanswered.append(request)
+            self._unanswered_bytes += len(request)
         elif unanswered[0] != request:
             raise TypeError(f"reply read out of turn: {request!r} before {unanswered[0]!r}")
         try:
@@ -256,11 +266,11 @@ class ExternalBackend:
             reply = self._read_line(stdout.fileno())
         except (OSError, ExternalGeneratorError) as exc:
             self._end_child()
-            del unanswered[0]
+            self._unanswered_bytes -= len(unanswered.pop(0))
             if isinstance(exc, ExternalGeneratorError):
                 raise
             raise ExternalGeneratorError(f"generator transport failed: {exc}") from exc
-        del unanswered[0]
+        self._unanswered_bytes -= len(unanswered.pop(0))
         self._written -= 1
         try:
             return parse_response_line(reply.decode("utf-8"))
@@ -285,6 +295,7 @@ class ExternalBackend:
         """End the child and forget every request not yet answered."""
         self._end_child()
         self._unanswered.clear()
+        self._unanswered_bytes = 0
 
 
 def build_backend(spec: str):

@@ -7,6 +7,12 @@ signal, and a media description scores one half per distinct
 DISTRESS_LEXICON term, saturating at two.  Each vocabulary is one
 `term_alternation` pattern, scanned once per text, and every signal these
 detectors can return is built once, at import.
+
+Each result is made once per distinct input and kept in a table that drops
+its oldest entry when full: a media signal per (description, modality), a
+verdict per signal tuple.  The detectors make at most 3 * 79 = 237 signal
+tuples, all within VERDICT_TABLE_SIZE: silence, a keyword or neither, then
+media signals of distinct kinds of strength 0.5 or 1 (1 + 3*2 + 6*4 + 6*8 = 79).
 """
 from __future__ import annotations
 
@@ -20,6 +26,8 @@ from .checked import checked
 KEYWORDS = ("can't speak", "cant speak", "help")
 DISTRESS_LEXICON = ("accident", "blood", "collapsed", "faint", "fire", "intruder", "smoke")
 INCAPACITY_THRESHOLD = 0.5
+VERDICT_TABLE_SIZE = 256  # signal tuples whose verdict is kept (the detectors make 237)
+MEDIA_FLAG_TABLE_SIZE = 1024  # (description, modality) pairs whose signal is kept
 
 
 class Modality(Enum):
@@ -74,6 +82,8 @@ _MEDIA_SIGNALS = {
     for modality in MEDIA_MODALITIES
     for matched in range(1, len(DISTRESS_LEXICON) + 1)
 }
+_MEDIA_FLAGS: dict[tuple[str, Modality], ModalitySignal | None] = {}
+_VERDICTS: dict[tuple[ModalitySignal, ...], IncapacityVerdict] = {}
 
 
 def detect_keywords(transcript: str) -> ModalitySignal | None:
@@ -92,22 +102,33 @@ def detect_silence(duration: int) -> ModalitySignal:
 def flag_media(description: str, modality: Modality) -> ModalitySignal | None:
     """Count distinct DISTRESS_LEXICON terms in a textual media description;
     strength saturates at two matches."""
+    key = description, modality
+    if key in _MEDIA_FLAGS:
+        return _MEDIA_FLAGS[key]
     if modality not in MEDIA_MODALITIES:
         raise ValueError(f"flag_media expects a media modality, got {modality}")
     # each term is one word, so no two matches overlap and finditer sees all
     matched = len({match.lastindex for match in _DISTRESS_PATTERN.finditer(description)})
-    if not matched:
-        return None
-    return _MEDIA_SIGNALS[modality, matched]
+    if len(_MEDIA_FLAGS) >= MEDIA_FLAG_TABLE_SIZE:
+        del _MEDIA_FLAGS[next(iter(_MEDIA_FLAGS))]
+    signal = _MEDIA_FLAGS[key] = _MEDIA_SIGNALS[modality, matched] if matched else None
+    return signal
 
 
 def assess_incapacity(signals: Iterable[ModalitySignal]) -> IncapacityVerdict:
     """Max-fusion: the strongest signal sets the confidence; the verdict
-    trips at INCAPACITY_THRESHOLD (inclusive)."""
-    contributing = tuple(s for s in signals if s.strength > 0)
-    confidence = max((s.strength for s in contributing), default=0.0)
-    return IncapacityVerdict(
-        incapacitated=confidence >= INCAPACITY_THRESHOLD,
-        confidence=confidence,
-        contributing=contributing,
-    )
+    trips at INCAPACITY_THRESHOLD (inclusive).  Equal signal tuples get
+    the one verdict while it is among the VERDICT_TABLE_SIZE latest made."""
+    signals = tuple(signals)
+    verdict = _VERDICTS.get(signals)
+    if verdict is None:
+        if len(_VERDICTS) >= VERDICT_TABLE_SIZE:
+            del _VERDICTS[next(iter(_VERDICTS))]
+        contributing = tuple(s for s in signals if s.strength > 0)
+        confidence = max((s.strength for s in contributing), default=0.0)
+        verdict = _VERDICTS[signals] = IncapacityVerdict(
+            incapacitated=confidence >= INCAPACITY_THRESHOLD,
+            confidence=confidence,
+            contributing=contributing,
+        )
+    return verdict

@@ -299,9 +299,11 @@ def _parse_call(tokens: list[str]) -> dict[str, Any]:
     return {"caller": tokens[0], "callee": tokens[1], "context": _parse_context(tokens[2:])}
 
 
-def _parse_burst_options(tokens: list[str]) -> dict[str, Any]:
-    """The transcript (None if silent), keywords and image after a burst's caller."""
-    args: dict[str, Any] = {"transcript": None, "keywords": None, "image": None}
+def _parse_burst_options(tokens: list[str], args: dict[str, Any] | None = None) -> dict[str, Any]:
+    """The transcript (None if silent), keywords and image after a burst's
+    caller, added to `args` (a new dict when None)."""
+    args = {} if args is None else args
+    args["transcript"] = args["keywords"] = args["image"] = None
     mode = tokens[0] if tokens else ""
     if mode != "silence":
         key, value = _split_kv(mode)
@@ -310,20 +312,22 @@ def _parse_burst_options(tokens: list[str]) -> dict[str, Any]:
         if not value:
             raise ValueError("transcript must be non-empty; use silence instead")
         args["transcript"] = value
-    for key, value in _options(tokens[1:]):
-        if key in ("keywords", "image"):
-            if not value:
-                raise ValueError(f"{key} must be non-empty")
-            args[key] = value
-        else:
+    for token in tokens[1:]:
+        key, value = _split_kv(token)
+        if key not in ("keywords", "image"):
             raise ValueError(f"unknown burst option {key!r}")
+        if args[key] is not None:  # only a non-empty value is kept
+            raise ValueError(f"option {key!r} given twice")
+        if not value:
+            raise ValueError(f"{key} must be non-empty")
+        args[key] = value
     return args
 
 
 def _parse_burst(tokens: list[str]) -> dict[str, Any]:
     if len(tokens) < 2:
         raise ValueError("burst requires <caller> and transcript=... or silence")
-    return {"caller": tokens[0], **_parse_burst_options(tokens[1:])}
+    return _parse_burst_options(tokens[1:], {"caller": tokens[0]})
 
 
 _MEDIA_KEYS = {m.value: m for m in MEDIA_MODALITIES}

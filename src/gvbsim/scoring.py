@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from enum import Enum, IntEnum
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .checked import checked
@@ -201,7 +202,7 @@ def emergency_score(scores: Sequence[float], weights: Sequence[float]) -> float:
     if len(scores) != len(weights) or not scores:
         raise ValueError("scores and weights must be equal-length, non-empty sequences")
     weights, total = _normalized(*weights)
-    return sum(w * s for w, s in zip(weights, scores)) / total
+    return sum(map(mul, weights, scores)) / total
 
 
 @lru_cache(maxsize=16, typed=True)
@@ -234,7 +235,7 @@ def assess(
     thresholds: TierThresholds = TierThresholds(),
 ) -> EmergencyAssessment:
     """Score every factor, combine them, and classify the tier."""
-    factors = tuple(anomaly(ctx, profile) for anomaly in FACTORS.values())
+    factors = tuple([anomaly(ctx, profile) for anomaly in FACTORS.values()])
     score = emergency_score(factors, weights)
     return EmergencyAssessment(
         factors=factors,

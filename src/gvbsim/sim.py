@@ -43,6 +43,7 @@ from .generation import (
     word_budget,
 )
 from .incapacity import (
+    IncapacityVerdict,
     Modality,
     ModalitySignal,
     assess_incapacity,
@@ -114,6 +115,8 @@ class Simulation:
         # session's entry back at its real expiry.
         self._expiry: list[tuple[int, int]] = []
         self._messages: dict[tuple[str, str | None], GeneratedMessage | _Reply] = {}
+        # each verdict's INCAPACITY values; at most 237 (see `incapacity`)
+        self._incapacity: dict[IncapacityVerdict, dict[str, object]] = {}
         # (clock, event, values) of records not yet made, in order; a burst
         # waiting for its reply is (clock, None, its maker)
         self._held: list[tuple[int, str | None, object]] = []
@@ -142,8 +145,10 @@ class Simulation:
     # -- main loop --
 
     def run(self, events: list[SimEvent]) -> list[TraceRecord]:
+        due = self._expiry
         for event in events:
-            self._expire_waiting(before=event.at)
+            if due and due[0][0] < event.at:
+                self._expire_waiting(before=event.at)
             self.clock = event.at
             handler = self._HANDLERS[event.kind]
             try:
@@ -255,16 +260,10 @@ class Simulation:
             mode = "voice" if tier is PriorityTier.MEDIUM else "text"
             self._emit("BURSTS_ADMITTED", session=sid, mode=mode, **_budget(policy))
 
-    def _waiting_session_of_caller(self, caller: str) -> CallSession | None:
-        for session in self.engine.sessions_of(caller):
-            if session.caller == caller and session.state is CallState.WAITING:
-                return session
-        return None
-
     def _handle_burst(
         self, caller: str, transcript: str | None, keywords: str | None, image: str | None
     ) -> None:
-        session = self._waiting_session_of_caller(caller)
+        session = self.engine.waiting_call_of(caller)
         if session is None:
             self._emit("BURST_REJECTED", caller=caller, reason="no_waiting_call")
             return
@@ -294,24 +293,25 @@ class Simulation:
             keyword_signal = detect_keywords(transcript)
             if keyword_signal is not None:
                 signals.append(keyword_signal)
-        media_descs: dict[Modality, list[str]] = {}
-        if image:
-            media_descs.setdefault(Modality.IMAGE_DESCRIPTION, []).append(image)
+        descs: dict[Modality, list[str]] = {Modality.IMAGE_DESCRIPTION: [image]} if image else {}
         for modality, description in session.pending_media:
-            media_descs.setdefault(modality, []).append(description)
+            descs.setdefault(modality, []).append(description)
         session.pending_media.clear()
-        for modality, descriptions in media_descs.items():
-            media_signal = flag_media("; ".join(descriptions), modality)
+        media: dict[str, str] = {}  # seed label -> the window's descriptions of that kind
+        for modality, texts in descs.items():
+            text = media[modality.token] = "; ".join(texts)
+            media_signal = flag_media(text, modality)
             if media_signal is not None:
                 signals.append(media_signal)
         verdict = assess_incapacity(signals)
-        self._emit(
-            "INCAPACITY",
-            session=sid,
-            incapacitated=int(verdict.incapacitated),
-            confidence=fmt_score(verdict.confidence),
-            signals=",".join(s.modality.token for s in verdict.contributing) or "-",
-        )
+        fields = self._incapacity.get(verdict)
+        if fields is None:
+            fields = self._incapacity[verdict] = dict(
+                incapacitated=int(verdict.incapacitated),
+                confidence=fmt_score(verdict.confidence),
+                signals=",".join(s.modality.token for s in verdict.contributing) or "-",
+            )
+        self._emit("INCAPACITY", session=sid, **fields)
         voice_mode = session.tier is PriorityTier.MEDIUM
         # (BURST_SENT payload token, text), or None for a silent window
         sent: tuple[str, str] | None = None
@@ -319,7 +319,7 @@ class Simulation:
         if verdict.incapacitated:
             location = session.context.location_type.seed_text
             message = substitute(
-                self.config, location, t, keywords, transcript, media_descs, self._messages
+                self.config, location, t, keywords, transcript, media, self._messages
             )
         elif transcript is not None:
             sent = ("voice" if voice_mode else "text_beep", transcript)
@@ -327,10 +327,10 @@ class Simulation:
         window = dict(
             session=sid, sequence=session.ledger.bursts_sent, start=self.clock, duration=duration
         )
-        send = partial(self._send, sid, voice_mode, window, sent, message)
         if not callable(message):
-            return send()
+            return self._send(sid, voice_mode, window, sent, message)
         # asked ahead: this burst's records, and all after them, wait for the reply
+        send = partial(self._send, sid, voice_mode, window, sent, message)
         self._held.append((self.clock, None, send))
         if self.config.backend.full():
             self._drain()
@@ -361,7 +361,7 @@ class Simulation:
             self._emit("BURST_SENT", **window, payload=sent[0], text=sent[1])
 
     def _handle_media(self, caller: str, modality: Modality, description: str) -> None:
-        session = self._waiting_session_of_caller(caller)
+        session = self.engine.waiting_call_of(caller)
         if session is None:
             self._emit("MEDIA_IGNORED", caller=caller)
             return
@@ -439,23 +439,18 @@ def substitute(
     t: int,
     keywords: str | None,
     transcript: str | None,
-    media: dict[Modality, list[str]],
+    media: dict[str, str],
     memo: dict[tuple[str, str | None], GeneratedMessage | _Reply],
 ) -> GeneratedMessage | Callable[[], GeneratedMessage] | None:
-    """The message generated from a burst's context, the caller being at
-    `location`, and fitted to `t` seconds; None when no part of the
-    context seeds one.  A reply depends only on its request, so `memo`
+    """The message generated from a burst's context (media texts by seed
+    label), the caller at `location`, fitted to `t` seconds; None when no
+    part of the context seeds one.  A reply depends only on its request, so `memo`
     keeps the unfitted message of each (seed, location), up to
     MESSAGE_MEMO_SIZE, the least recently used dropped first.  A missed key
     holds its `_Reply`, read at once unless the backend can ask ahead
     (`ExternalBackend.ask`); then the message returned is a call that reads
     it when needed, and every burst that meets the key until then shares it."""
-    seed = compose_seed(
-        keywords=keywords,
-        speech=transcript,
-        location=location,
-        **{m.token: "; ".join(texts) for m, texts in media.items()},
-    )
+    seed = compose_seed(keywords=keywords, speech=transcript, location=location, **media)
     if not seed:
         return None
     word_budget(t, config.speaking_rate)  # fails now, not when a held burst reads its reply

@@ -323,6 +323,41 @@ def test_replies_asked_ahead_are_read_in_order_from_one_child():
     assert replies == [build_request_line(s, 0) for s in ("first", "second", "third")]
 
 
+def test_full_counts_the_bytes_of_the_unanswered_requests(monkeypatch):
+    # a request here is about 75 bytes: the budget is reached at the third
+    monkeypatch.setattr(generation, "ASK_AHEAD_BYTES", 200)
+    backend = ExternalBackend(stub_command("gen_echo.py"), timeout=10.0)
+
+    def check() -> None:
+        total = sum(map(len, backend._unanswered))
+        assert backend.full() == (total >= generation.ASK_AHEAD_BYTES)
+
+    seeds = [f"seed {i}" for i in range(5)]
+    try:
+        for seed in seeds:
+            backend.ask(seed, 0)
+            check()
+        assert backend.full()
+        with mock.patch("subprocess.Popen", side_effect=OSError("unreachable")):
+            with pytest.raises(ExternalGeneratorError, match="cannot reach"):
+                backend.generate(seeds[0], 0)  # a transport failure drops its request
+        check()
+        for seed in seeds[1:]:
+            assert backend.generate(seed, 0) == build_request_line(seed, 0)
+            check()
+        assert not backend.full() and backend._unanswered == []
+        backend.generate("asked when none waits", 0)
+        check()
+        for seed in seeds:
+            backend.ask(seed, 0)
+        check()
+        assert backend.full()
+    finally:
+        backend.close()
+    check()
+    assert not backend.full()
+
+
 def test_bursts_waiting_on_one_request_share_its_reply_and_ask_again_once_it_is_read():
     # k0's two bursts share one request and its ERR; once the full window
     # is read, the fallback is not kept, so the last k0 burst asks again

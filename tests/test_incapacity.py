@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import re
 
@@ -7,11 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gvbsim import incapacity
 from gvbsim.generation import _TEMPLATE_RULES
 from gvbsim.incapacity import (
     DISTRESS_LEXICON,
     KEYWORDS,
+    MEDIA_FLAG_TABLE_SIZE,
     MEDIA_MODALITIES,
+    VERDICT_TABLE_SIZE,
     Modality,
     ModalitySignal,
     assess_incapacity,
@@ -245,3 +249,57 @@ def test_zero_strength_signals_do_not_contribute():
 def test_signal_invariants():
     with pytest.raises(ValueError, match="strength must be in"):
         ModalitySignal(Modality.KEYWORD, 1.5)
+
+
+# -- work done once per distinct input --
+
+def detector_signal_tuples() -> set[tuple[ModalitySignal, ...]]:
+    """Every signal tuple a burst window can make: silence, a keyword or
+    neither, then the media signals of distinct kinds in any order."""
+    voice = [(), (detect_silence(1),), (detect_keywords("help"),)]
+    media = {
+        modality: [flag_media("fire", modality), flag_media("fire and smoke", modality)]
+        for modality in MEDIA_MODALITIES
+    }
+    tuples = set()
+    for count in range(len(MEDIA_MODALITIES) + 1):
+        for kinds in itertools.permutations(MEDIA_MODALITIES, count):
+            for picked in itertools.product(*(media[kind] for kind in kinds)):
+                tuples.update(head + picked for head in voice)
+    return tuples
+
+
+def test_every_verdict_the_detectors_can_need_is_made_once(monkeypatch):
+    monkeypatch.setattr(incapacity, "_VERDICTS", {})
+    tuples = detector_signal_tuples()
+    assert len(tuples) == 3 * 79 <= VERDICT_TABLE_SIZE
+    verdicts = {signals: assess_incapacity(list(signals)) for signals in tuples}
+    for signals, verdict in verdicts.items():
+        assert assess_incapacity(iter(signals)) is verdict
+        confidence = max((s.strength for s in signals), default=0.0)
+        assert verdict == (confidence >= 0.5, confidence, signals)
+
+
+def test_the_verdict_table_keeps_at_most_its_bound(monkeypatch):
+    monkeypatch.setattr(incapacity, "_VERDICTS", {})
+    strengths = [i / (2 * VERDICT_TABLE_SIZE) for i in range(VERDICT_TABLE_SIZE + 20)]
+    for strength in strengths:
+        signals = [ModalitySignal(Modality.GESTURE, strength), detect_silence(1)]
+        verdict = assess_incapacity(signals)
+        assert verdict.confidence == 1.0 and verdict.contributing[-1] is signals[-1]
+        assert len(incapacity._VERDICTS) <= VERDICT_TABLE_SIZE
+    first = (ModalitySignal(Modality.GESTURE, strengths[0]), detect_silence(1))
+    assert first not in incapacity._VERDICTS  # the oldest went first
+    assert assess_incapacity(first).contributing == first[1:]
+
+
+def test_the_media_table_keeps_at_most_its_bound_and_scans_a_kept_text_once(monkeypatch):
+    monkeypatch.setattr(incapacity, "_MEDIA_FLAGS", {})
+    for i in range(MEDIA_FLAG_TABLE_SIZE + 20):
+        signal = flag_media(f"room {i} with smoke", Modality.VIDEO_DESCRIPTION)
+        assert signal == ModalitySignal(Modality.VIDEO_DESCRIPTION, 0.5)
+        assert len(incapacity._MEDIA_FLAGS) <= MEDIA_FLAG_TABLE_SIZE
+    monkeypatch.setattr(incapacity, "_DISTRESS_PATTERN", None)  # a scan now fails
+    assert flag_media(f"room {i} with smoke", Modality.VIDEO_DESCRIPTION) is signal
+    with pytest.raises(AttributeError):
+        flag_media("room 0 with smoke", Modality.VIDEO_DESCRIPTION)  # dropped: scanned again

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gvbsim.scoring import (
+    FACTORS,
     BaselineProfile,
     CallerContext,
     FactorWeights,
@@ -364,6 +365,48 @@ def test_cached_emergency_score_equals_the_uncached_formula(drawn, as_tuple: boo
     assert _score_outcome(emergency_score, scores[:-1], weights) == _score_outcome(
         _emergency_score_reference, scores[:-1], weights
     )
+
+
+def _assess_reference(ctx, profile, weights) -> tuple[tuple[float, ...], float]:
+    """`assess`'s factors and score as they were made with generator expressions."""
+    factors = tuple(anomaly(ctx, profile) for anomaly in FACTORS.values())
+    weights, total = _normalized_reference(weights)
+    return factors, sum(w * s for w, s in zip(weights, factors)) / total
+
+
+def _normalized_reference(weights) -> tuple[tuple[float, ...], float]:
+    largest = max(weights)
+    weights = tuple(w / largest for w in weights)
+    return weights, sum(weights)
+
+
+_COORD = st.floats(-30, 30)
+_CONTEXTS = st.builds(
+    CallerContext,
+    location=st.none() | st.tuples(_COORD, _COORD),
+    location_type=st.sampled_from(LocationType),
+    hour_of_day=st.none() | st.integers(0, 23),
+    heart_rate=st.none() | st.floats(20, 250),
+    moving_speed=st.none() | st.floats(0, 40),
+)
+_PROFILES = st.builds(
+    BaselineProfile,
+    usual_locations=st.frozensets(st.tuples(_COORD, _COORD), max_size=3),
+    usual_hours=st.frozensets(st.integers(0, 23), min_size=1),
+    resting_heart_rate=st.floats(30, 120),
+    usual_moving=st.booleans(),
+)
+_WEIGHT_VECTORS = st.tuples(*[st.floats(0, 1e308) | st.integers(0, 2**60)] * 4).filter(any)
+
+
+@given(_CONTEXTS, _PROFILES, _WEIGHT_VECTORS)
+@example(CallerContext(heart_rate=190.0), BaselineProfile(), (1e308, 1e308, 1e308, 1e308))
+def test_assess_scores_bit_for_bit_as_the_generator_formula(ctx, profile, weights):
+    factors, score = _assess_reference(ctx, profile, weights)
+    result = assess(ctx, profile, FactorWeights(*weights))
+    assert result.factors == factors
+    assert result.emergency_score == score
+    assert emergency_score(factors, weights) == score
 
 
 def test_each_tiers_token_is_its_lowercase_name_and_each_places_seed_text_its_value():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import collections
 import functools
 import hashlib
 import importlib
@@ -163,6 +164,60 @@ def test_the_external_workload_writes_requests_ahead_to_one_child(monkeypatch, t
     assert len(children) == 1
     assert at_first_read[0] > 1
     assert len(writes) > 1 and min(writes[:-1]) >= generation.ASK_AHEAD_BYTES
+
+
+def test_caching_leaves_the_tracer_one_call_per_window(monkeypatch, tmp_path):
+    # the benchmark's per-layer counts are calls of the names gvbsim.sim
+    # imported: a table in front of a function must not skip its call
+    tracer_module, gen = load_perfbench(monkeypatch, "tracer"), load_perfbench(monkeypatch, "gen")
+    text, _ = gen.generate("burst_storm", gen.DEFAULT_SEED, gen.FULL_SIZE["burst_storm"] // 4)
+    scenario_path = tmp_path / "burst_storm.gvb"
+    scenario_path.write_text(text, encoding="utf-8")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert main(["run", str(scenario_path), "--trace", str(tmp_path / "trace")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    calls = collections.Counter(name for name, *_ in tracer.spans)
+    records = parse_trace((tmp_path / "trace").read_text(encoding="utf-8"))
+    events = collections.Counter(r.event for r in records)
+    incapacitated = sum(r.get("incapacitated") == "1" for r in records if r.event == "INCAPACITY")
+    assert calls["assess_incapacity"] == events["INCAPACITY"] > 0
+    assert calls["request_burst"] == events["PERMIT"] + events["BURST_DENIED"]
+    assert calls["record_burst"] == events["BURST_SENT"] + events["BURST_WINDOW_SILENT"]
+    assert calls["compose_seed"] == incapacitated > 0
+
+
+def line_events_per_record(events: list) -> float:
+    """Line events that `sys.settrace` sees while `Simulation.run` runs
+    `events`, per trace record made."""
+    count = 0
+
+    def trace(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        records = Simulation().run(events)
+    finally:
+        sys.settrace(previous)
+    return count / len(records)
+
+
+@pytest.mark.parametrize("workload", ["call_storm", "burst_storm"])
+def test_the_engine_spends_flat_work_per_record_as_a_shape_grows(monkeypatch, workload):
+    # counted work, not time, so the ratio is exact; both sizes in one process
+    gen = load_perfbench(monkeypatch, "gen")
+    small, large = (
+        line_events_per_record(parse_scenario(gen.generate(workload, gen.DEFAULT_SEED, size)[0]))
+        for size in (200, 800)
+    )
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_a_granted_burst_is_named_permit():
