@@ -4,22 +4,21 @@ a ParseError or a SimError carrying the offending line."""
 from __future__ import annotations
 
 
-class ParseError(Exception):
+class _LineError(Exception):
+    """A failure that names the scenario line it came from."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
+        self.message = message
+
+
+class ParseError(_LineError):
     """Scenario text could not be parsed (the CLI exits 2)."""
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-        self.message = message
 
-
-class SimError(Exception):
+class SimError(_LineError):
     """A scenario event could not be applied (the CLI exits 1)."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-        self.message = message
 
 
 class ExternalGeneratorError(Exception):

@@ -5,19 +5,21 @@ Two fixed vocabularies are read, each term as a whole word or words in any
 case: a transcript holding a KEYWORDS phrase is a full-strength keyword
 signal, and a media description scores one half per distinct
 DISTRESS_LEXICON term, saturating at two.  Each vocabulary is one
-`term_alternation` pattern, scanned once per text, and every signal these
-detectors can return is built once, at import.
+`term_alternation` pattern, scanned once per text.
 
-Each result is made once per distinct input and kept in a table that drops
-its oldest entry when full: a media signal per (description, modality), a
-verdict per signal tuple.  The detectors make at most 3 * 79 = 237 signal
-tuples, all within VERDICT_TABLE_SIZE: silence, a keyword or neither, then
-media signals of distinct kinds of strength 0.5 or 1 (1 + 3*2 + 6*4 + 6*8 = 79).
+Each result is made once per distinct input and kept in a bounded
+`functools.lru_cache`, the least recently used dropped first: a media
+signal per (description, modality), up to MEDIA_FLAG_TABLE_SIZE, and a
+verdict per signal tuple, up to VERDICT_TABLE_SIZE.  The detectors make at
+most 3 * 79 = 237 signal tuples, all within VERDICT_TABLE_SIZE: silence, a
+keyword or neither, then media signals of distinct kinds of strength 0.5
+or 1 (1 + 3*2 + 6*4 + 6*8 = 79).
 """
 from __future__ import annotations
 
 import re
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .checked import checked
@@ -76,14 +78,6 @@ _KEYWORD_PATTERN = term_alternation(KEYWORDS)
 _DISTRESS_PATTERN = term_alternation(DISTRESS_LEXICON)
 _KEYWORD_SIGNAL = ModalitySignal(Modality.KEYWORD, 1.0)
 _SILENCE_SIGNAL = ModalitySignal(Modality.SILENCE, 1.0)
-# (media modality, distinct DISTRESS_LEXICON terms matched) -> signal
-_MEDIA_SIGNALS = {
-    (modality, matched): ModalitySignal(modality, min(1.0, matched / 2))
-    for modality in MEDIA_MODALITIES
-    for matched in range(1, len(DISTRESS_LEXICON) + 1)
-}
-_MEDIA_FLAGS: dict[tuple[str, Modality], ModalitySignal | None] = {}
-_VERDICTS: dict[tuple[ModalitySignal, ...], IncapacityVerdict] = {}
 
 
 def detect_keywords(transcript: str) -> ModalitySignal | None:
@@ -99,36 +93,30 @@ def detect_silence(duration: int) -> ModalitySignal:
     return _SILENCE_SIGNAL
 
 
+@lru_cache(maxsize=MEDIA_FLAG_TABLE_SIZE)
 def flag_media(description: str, modality: Modality) -> ModalitySignal | None:
     """Count distinct DISTRESS_LEXICON terms in a textual media description;
     strength saturates at two matches."""
-    key = description, modality
-    if key in _MEDIA_FLAGS:
-        return _MEDIA_FLAGS[key]
     if modality not in MEDIA_MODALITIES:
         raise ValueError(f"flag_media expects a media modality, got {modality}")
     # each term is one word, so no two matches overlap and finditer sees all
     matched = len({match.lastindex for match in _DISTRESS_PATTERN.finditer(description)})
-    if len(_MEDIA_FLAGS) >= MEDIA_FLAG_TABLE_SIZE:
-        del _MEDIA_FLAGS[next(iter(_MEDIA_FLAGS))]
-    signal = _MEDIA_FLAGS[key] = _MEDIA_SIGNALS[modality, matched] if matched else None
-    return signal
+    return ModalitySignal(modality, min(1.0, matched / 2)) if matched else None
 
 
 def assess_incapacity(signals: Iterable[ModalitySignal]) -> IncapacityVerdict:
     """Max-fusion: the strongest signal sets the confidence; the verdict
     trips at INCAPACITY_THRESHOLD (inclusive).  Equal signal tuples get
-    the one verdict while it is among the VERDICT_TABLE_SIZE latest made."""
-    signals = tuple(signals)
-    verdict = _VERDICTS.get(signals)
-    if verdict is None:
-        if len(_VERDICTS) >= VERDICT_TABLE_SIZE:
-            del _VERDICTS[next(iter(_VERDICTS))]
-        contributing = tuple(s for s in signals if s.strength > 0)
-        confidence = max((s.strength for s in contributing), default=0.0)
-        verdict = _VERDICTS[signals] = IncapacityVerdict(
-            incapacitated=confidence >= INCAPACITY_THRESHOLD,
-            confidence=confidence,
-            contributing=contributing,
-        )
-    return verdict
+    the one verdict while it is cached (see `_fuse`)."""
+    return _fuse(tuple(signals))
+
+
+@lru_cache(maxsize=VERDICT_TABLE_SIZE)
+def _fuse(signals: tuple[ModalitySignal, ...]) -> IncapacityVerdict:
+    contributing = tuple(s for s in signals if s.strength > 0)
+    confidence = max((s.strength for s in contributing), default=0.0)
+    return IncapacityVerdict(
+        incapacitated=confidence >= INCAPACITY_THRESHOLD,
+        confidence=confidence,
+        contributing=contributing,
+    )

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .calls import (
@@ -43,6 +43,7 @@ from .generation import (
     word_budget,
 )
 from .incapacity import (
+    VERDICT_TABLE_SIZE,
     IncapacityVerdict,
     Modality,
     ModalitySignal,
@@ -52,7 +53,7 @@ from .incapacity import (
     flag_media,
 )
 from .policy import BurstPolicy
-from .scenario import SimEvent
+from .scenario import DIRECTIVES, SimEvent
 from .scheduler import BurstLedger, Deny, dismiss, record_burst, request_burst
 from .scoring import (
     FACTORS,
@@ -115,8 +116,6 @@ class Simulation:
         # session's entry back at its real expiry.
         self._expiry: list[tuple[int, int]] = []
         self._messages: dict[tuple[str, str | None], GeneratedMessage | _Reply] = {}
-        # each verdict's INCAPACITY values; at most 237 (see `incapacity`)
-        self._incapacity: dict[IncapacityVerdict, dict[str, object]] = {}
         # (clock, event, values) of records not yet made, in order; a burst
         # waiting for its reply is (clock, None, its maker)
         self._held: list[tuple[int, str | None, object]] = []
@@ -189,7 +188,7 @@ class Simulation:
 
     # -- event handlers --
 
-    def _handle_register(
+    def _handle_subscriber(
         self,
         sub_id: str,
         home: tuple[float, float] | None,
@@ -304,14 +303,7 @@ class Simulation:
             if media_signal is not None:
                 signals.append(media_signal)
         verdict = assess_incapacity(signals)
-        fields = self._incapacity.get(verdict)
-        if fields is None:
-            fields = self._incapacity[verdict] = dict(
-                incapacitated=int(verdict.incapacitated),
-                confidence=fmt_score(verdict.confidence),
-                signals=",".join(s.modality.token for s in verdict.contributing) or "-",
-            )
-        self._emit("INCAPACITY", session=sid, **fields)
+        self._emit("INCAPACITY", session=sid, **_incapacity_fields(verdict))
         voice_mode = session.tier is PriorityTier.MEDIUM
         # (BURST_SENT payload token, text), or None for a silent window
         sent: tuple[str, str] | None = None
@@ -419,18 +411,19 @@ class Simulation:
                 self._touch(session)
                 self._emit("BURSTS_DISMISSED", session=sid, remaining_cancelled=remaining)
 
-    _HANDLERS = {  # keyed by the heads of scenario.DIRECTIVES
-        "subscriber": _handle_register,
-        "policy": _handle_policy,
-        "weights": _handle_weights,
-        "thresholds": _handle_thresholds,
-        "call": _handle_call,
-        "burst": _handle_burst,
-        "media": _handle_media,
-        "hangup": _handle_hangup,
-        "answer": _handle_answer,
-        "dismiss": _handle_dismiss,
-    }
+
+# keyed by the heads of scenario.DIRECTIVES; a head with no handler fails the import
+Simulation._HANDLERS = {head: getattr(Simulation, f"_handle_{head}") for head in DIRECTIVES}
+
+
+@lru_cache(maxsize=VERDICT_TABLE_SIZE)
+def _incapacity_fields(verdict: IncapacityVerdict) -> dict[str, object]:
+    """A verdict's INCAPACITY values; `_emit` copies them, so runs share them."""
+    return dict(
+        incapacitated=int(verdict.incapacitated),
+        confidence=fmt_score(verdict.confidence),
+        signals=",".join(s.modality.token for s in verdict.contributing) or "-",
+    )
 
 
 def substitute(
@@ -453,7 +446,6 @@ def substitute(
     seed = compose_seed(keywords=keywords, speech=transcript, location=location, **media)
     if not seed:
         return None
-    word_budget(t, config.speaking_rate)  # fails now, not when a held burst reads its reply
     key = seed, location
     if key in memo:  # now the most recently used
         message = memo[key] = memo.pop(key)
@@ -466,6 +458,7 @@ def substitute(
         else:  # answered at once
             message = message()
     if callable(message):
+        word_budget(t, config.speaking_rate)  # fails now, not when the held burst reads its reply
         return lambda: fit_to_duration(message(), t, config.speaking_rate)
     return fit_to_duration(message, t, config.speaking_rate)
 

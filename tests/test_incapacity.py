@@ -269,36 +269,48 @@ def detector_signal_tuples() -> set[tuple[ModalitySignal, ...]]:
     return tuples
 
 
-def test_every_verdict_the_detectors_can_need_is_made_once(monkeypatch):
-    monkeypatch.setattr(incapacity, "_VERDICTS", {})
+@pytest.fixture
+def cleared():
+    """Empty the incapacity caches before and after a test."""
+    incapacity._fuse.cache_clear()
+    flag_media.cache_clear()
+    yield
+    incapacity._fuse.cache_clear()
+    flag_media.cache_clear()
+
+
+def test_every_verdict_the_detectors_can_need_is_made_once(cleared):
     tuples = detector_signal_tuples()
     assert len(tuples) == 3 * 79 <= VERDICT_TABLE_SIZE
     verdicts = {signals: assess_incapacity(list(signals)) for signals in tuples}
+    assert incapacity._fuse.cache_info()[:2] == (0, len(tuples))  # (hits, misses)
     for signals, verdict in verdicts.items():
         assert assess_incapacity(iter(signals)) is verdict
         confidence = max((s.strength for s in signals), default=0.0)
         assert verdict == (confidence >= 0.5, confidence, signals)
+    assert incapacity._fuse.cache_info()[:2] == (len(tuples), len(tuples))
 
 
-def test_the_verdict_table_keeps_at_most_its_bound(monkeypatch):
-    monkeypatch.setattr(incapacity, "_VERDICTS", {})
+def test_the_verdict_table_keeps_at_most_its_bound(cleared):
     strengths = [i / (2 * VERDICT_TABLE_SIZE) for i in range(VERDICT_TABLE_SIZE + 20)]
     for strength in strengths:
         signals = [ModalitySignal(Modality.GESTURE, strength), detect_silence(1)]
         verdict = assess_incapacity(signals)
         assert verdict.confidence == 1.0 and verdict.contributing[-1] is signals[-1]
-        assert len(incapacity._VERDICTS) <= VERDICT_TABLE_SIZE
+        assert incapacity._fuse.cache_info().currsize <= VERDICT_TABLE_SIZE
+    misses = incapacity._fuse.cache_info().misses
     first = (ModalitySignal(Modality.GESTURE, strengths[0]), detect_silence(1))
-    assert first not in incapacity._VERDICTS  # the oldest went first
     assert assess_incapacity(first).contributing == first[1:]
+    assert incapacity._fuse.cache_info().misses == misses + 1  # the oldest went first
 
 
-def test_the_media_table_keeps_at_most_its_bound_and_scans_a_kept_text_once(monkeypatch):
-    monkeypatch.setattr(incapacity, "_MEDIA_FLAGS", {})
+def test_the_media_table_keeps_at_most_its_bound_and_scans_a_kept_text_once(
+    cleared, monkeypatch
+):
     for i in range(MEDIA_FLAG_TABLE_SIZE + 20):
         signal = flag_media(f"room {i} with smoke", Modality.VIDEO_DESCRIPTION)
         assert signal == ModalitySignal(Modality.VIDEO_DESCRIPTION, 0.5)
-        assert len(incapacity._MEDIA_FLAGS) <= MEDIA_FLAG_TABLE_SIZE
+        assert flag_media.cache_info().currsize <= MEDIA_FLAG_TABLE_SIZE
     monkeypatch.setattr(incapacity, "_DISTRESS_PATTERN", None)  # a scan now fails
     assert flag_media(f"room {i} with smoke", Modality.VIDEO_DESCRIPTION) is signal
     with pytest.raises(AttributeError):

@@ -28,7 +28,7 @@ import pytest
 
 from gvbsim import generation, scenario, sim
 from gvbsim.cli import _build_parser, main
-from gvbsim.errors import ParseError
+from gvbsim.errors import ParseError, SimError
 from gvbsim.generation import SEED_LABELS
 from gvbsim.incapacity import DISTRESS_LEXICON, KEYWORDS, MEDIA_MODALITIES
 from gvbsim.policy import BurstPolicy
@@ -38,7 +38,7 @@ from gvbsim.scoring import FACTORS, BaselineProfile, CallerContext, FactorWeight
 from gvbsim.sim import RunConfig, Simulation
 from gvbsim.trace import TRACE_EVENTS, assessment_fields, parse_trace
 
-from .conftest import REPO_ROOT
+from .conftest import REPO_ROOT, SCENARIO_DIR
 from .test_cli import _COMMAND_FLAGS, _FLAG_VALUES
 from .test_scenario import _TEMPLATES
 
@@ -168,7 +168,7 @@ def test_the_external_workload_writes_requests_ahead_to_one_child(monkeypatch, t
 
 def test_caching_leaves_the_tracer_one_call_per_window(monkeypatch, tmp_path):
     # the benchmark's per-layer counts are calls of the names gvbsim.sim
-    # imported: a table in front of a function must not skip its call
+    # imported: a cache in front of a function must not skip its call
     tracer_module, gen = load_perfbench(monkeypatch, "tracer"), load_perfbench(monkeypatch, "gen")
     text, _ = gen.generate("burst_storm", gen.DEFAULT_SEED, gen.FULL_SIZE["burst_storm"] // 4)
     scenario_path = tmp_path / "burst_storm.gvb"
@@ -188,6 +188,31 @@ def test_caching_leaves_the_tracer_one_call_per_window(monkeypatch, tmp_path):
     assert calls["request_burst"] == events["PERMIT"] + events["BURST_DENIED"]
     assert calls["record_burst"] == events["BURST_SENT"] + events["BURST_WINDOW_SILENT"]
     assert calls["compose_seed"] == incapacitated > 0
+
+
+def test_module_caches_carry_nothing_from_one_run_to_the_next(monkeypatch, tmp_path):
+    # incapacity's and sim's caches live as long as the process: a run after
+    # another, in either order, traces as it does alone in a fresh process
+    gen = load_perfbench(monkeypatch, "gen")
+    text, _ = gen.generate("burst_storm", gen.DEFAULT_SEED, gen.FULL_SIZE["burst_storm"] // 20)
+    storm = tmp_path / "burst_storm.gvb"
+    storm.write_text(text, encoding="utf-8")
+    scenarios = [storm, SCENARIO_DIR / "preapproved_bursts.gvb"]
+    alone = {}
+    for path in scenarios:
+        trace = tmp_path / f"{path.stem}.alone"
+        subprocess.run(
+            [sys.executable, "-m", "gvbsim.cli", "run", str(path), "--trace", str(trace)],
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            timeout=60,
+        )
+        alone[path] = trace.read_bytes()
+    for order in (scenarios, scenarios[::-1]):
+        for path in order:
+            trace = tmp_path / f"{path.stem}.after"
+            assert main(["run", str(path), "--trace", str(trace)]) == 0
+            assert trace.read_bytes() == alone[path], path.name
 
 
 def line_events_per_record(events: list) -> float:
@@ -368,9 +393,11 @@ _RAISABLE = {*_ERROR_CLASSES, "ValueError", "TypeError", "argparse.ArgumentTypeE
 def test_a_broken_rule_raises_value_error_and_errors_py_has_four_classes():
     src = REPO_ROOT / "src" / "gvbsim"
     errors = ast.parse((src / "errors.py").read_text(encoding="utf-8"))
-    assert [node.name for node in errors.body if isinstance(node, ast.ClassDef)] == list(
-        _ERROR_CLASSES
-    )
+    # the private base holds the line-numbered constructor of the first two
+    assert [node.name for node in errors.body if isinstance(node, ast.ClassDef)] == [
+        "_LineError",
+        *_ERROR_CLASSES,
+    ]
     other = []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -379,6 +406,14 @@ def test_a_broken_rule_raises_value_error_and_errors_py_has_four_classes():
                 if ast.unparse(exc) not in _RAISABLE:
                     other.append(f"{path.name}:{node.lineno} raises {ast.unparse(exc)}")
     assert other == []
+
+
+def test_a_parse_error_and_a_sim_error_share_a_constructor_not_a_handler():
+    # main maps ParseError to exit 2 and SimError to exit 1: neither catches the other
+    assert not issubclass(SimError, ParseError) and not issubclass(ParseError, SimError)
+    for cls in (ParseError, SimError):
+        error = cls(7, "bad value")
+        assert (str(error), error.line_no, error.message) == ("line 7: bad value", 7, "bad value")
 
 
 def test_only_the_scenario_parser_gives_an_error_its_line():
