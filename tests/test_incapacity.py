@@ -271,10 +271,7 @@ def detector_signal_tuples() -> set[tuple[ModalitySignal, ...]]:
 
 @pytest.fixture
 def cleared():
-    """Empty the incapacity caches before and after a test."""
-    incapacity._fuse.cache_clear()
-    flag_media.cache_clear()
-    yield
+    """Empty the incapacity caches, so `cache_info` counts only this test."""
     incapacity._fuse.cache_clear()
     flag_media.cache_clear()
 
