@@ -132,7 +132,7 @@ def _cmd_gen(args: argparse.Namespace) -> None:
     image = burst.pop("image")
     media = {Modality.IMAGE_DESCRIPTION.token: image} if image else {}
     config = RunConfig(speaking_rate=args.speaking_rate)
-    message = substitute(config, args.loctype.seed_text, args.t, media=media, memo={}, **burst)
+    message = substitute(config, args.loctype.seed_text, args.t, media=media, **burst)
     if message is None or not message.word_count:  # nothing seeds it, or no word fits
         raise ValueError(f"the burst says no word in {args.t}s at {args.speaking_rate} words/s")
     print(message.text)

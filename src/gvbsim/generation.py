@@ -42,7 +42,7 @@ TEMPERATURE = 0.9
 DEFAULT_SPEAKING_RATE_WPS = 2.5
 DEFAULT_EXTERNAL_TIMEOUT_S = 2.0
 # Longest generator response line accepted, newline included, so a peer
-# that never ends a line cannot grow memory until the timeout.
+# that never ends a line cannot grow the read buffer until the timeout.
 MAX_RESPONSE_LINE_BYTES = 64 * 1024
 # Bytes of unanswered requests at which their replies are read before more
 # are asked; at most half of a Linux pipe's default buffer, so a write cannot

@@ -6,11 +6,12 @@ scored, routed, and (when bursts are admitted) given a ledger.  A burst
 attempt consults the scheduler, runs incapacity detection on the window,
 and substitutes a generated message when the caller appears incapacitated.
 Burst windows complete instantaneously at `start + duration`; waiting
-calls with no activity for `abandon_timeout` seconds are ended.  Nothing
-the engine decides reads a generated message, so a burst whose request is
-asked ahead of its reply (`substitute`), or that shares one still unread,
-leaves its records, and every record after them, to be made in order when
-the replies are read, in the order asked (`_drain`).
+calls with no activity for `abandon_timeout` seconds are ended.  Each
+incapacitated window with a seed asks its backend once.  Nothing the engine
+decides reads a generated message, so a burst whose request is asked ahead
+of its reply (`substitute`) leaves its records, and every record after
+them, to be made in order when the replies are read, in the order asked
+(`_drain`).
 
 Identical (events, config) pairs produce byte-identical traces.
 """
@@ -67,7 +68,6 @@ from .scoring import (
 from .trace import TraceRecord, assessment_fields, fmt_num, fmt_score, make_record
 
 DEFAULT_ABANDON_TIMEOUT_S = 120
-MESSAGE_MEMO_SIZE = 1024  # most generated messages one run keeps (see `substitute`)
 _HANGUP_RANK = {CallState.ACTIVE: 0, CallState.WAITING: 1, CallState.HELD: 2}
 
 
@@ -115,7 +115,6 @@ class Simulation:
         # moves last_activity on, and `_expire_waiting` pushes a touched
         # session's entry back at its real expiry.
         self._expiry: list[tuple[int, int]] = []
-        self._messages: dict[tuple[str, str | None], GeneratedMessage | _Reply] = {}
         # (clock, event, values) of records not yet made, in order; a burst
         # waiting for its reply is (clock, None, its maker)
         self._held: list[tuple[int, str | None, object]] = []
@@ -310,9 +309,7 @@ class Simulation:
         message = None
         if verdict.incapacitated:
             location = session.context.location_type.seed_text
-            message = substitute(
-                self.config, location, t, keywords, transcript, media, self._messages
-            )
+            message = substitute(self.config, location, t, keywords, transcript, media)
         elif transcript is not None:
             sent = ("voice" if voice_mode else "text_beep", transcript)
         session.ledger = record_burst(session.ledger, self.clock, duration)
@@ -433,54 +430,23 @@ def substitute(
     keywords: str | None,
     transcript: str | None,
     media: dict[str, str],
-    memo: dict[tuple[str, str | None], GeneratedMessage | _Reply],
 ) -> GeneratedMessage | Callable[[], GeneratedMessage] | None:
     """The message generated from a burst's context (media texts by seed
     label), the caller at `location`, fitted to `t` seconds; None when no
-    part of the context seeds one.  A reply depends only on its request, so `memo`
-    keeps the unfitted message of each (seed, location), up to
-    MESSAGE_MEMO_SIZE, the least recently used dropped first.  A missed key
-    holds its `_Reply`, read at once unless the backend can ask ahead
-    (`ExternalBackend.ask`); then the message returned is a call that reads
-    it when needed, and every burst that meets the key until then shares it."""
+    part of the context seeds one.  Each call asks the backend once.  A
+    backend that can ask ahead (`ExternalBackend.ask`) is sent the request
+    now, and the message returned is a call that reads its reply when
+    needed; any other backend answers at once."""
     seed = compose_seed(keywords=keywords, speech=transcript, location=location, **media)
     if not seed:
         return None
-    key = seed, location
-    if key in memo:  # now the most recently used
-        message = memo[key] = memo.pop(key)
-    else:
-        if len(memo) >= MESSAGE_MEMO_SIZE:
-            del memo[next(iter(memo))]
-        message = memo[key] = _Reply(config, key, memo)
-        if hasattr(config.backend, "ask"):
-            config.backend.ask(seed, config.rng_seed)
-        else:  # answered at once
-            message = message()
-    if callable(message):
-        word_budget(t, config.speaking_rate)  # fails now, not when the held burst reads its reply
-        return lambda: fit_to_duration(message(), t, config.speaking_rate)
-    return fit_to_duration(message, t, config.speaking_rate)
-
-
-class _Reply:
-    """A missed key's reply, read once, when a burst first needs it, and
-    shared, fallback included, by every burst that meets the key until
-    then; `memo` then keeps it unless it fell back (a later burst asks again)."""
-
-    def __init__(self, config: RunConfig, key: tuple[str, str | None], memo: dict):
-        self.config, self.key, self.memo, self.message = config, key, memo, None
-
-    def __call__(self) -> GeneratedMessage:
-        if self.message is None:
-            (seed, location), config, memo = self.key, self.config, self.memo
-            self.message = generate_message(seed, config.backend, config.rng_seed, location)
-            if memo.get(self.key) is self:  # not dropped from the table while unread
-                if self.message.fallback is None:
-                    memo[self.key] = self.message
-                else:
-                    del memo[self.key]
-        return self.message
+    backend, rate = config.backend, config.speaking_rate
+    reply = partial(generate_message, seed, backend, config.rng_seed, location)
+    if hasattr(backend, "ask"):
+        word_budget(t, rate)  # fails now, not when the held burst reads its reply
+        backend.ask(seed, config.rng_seed)
+        return lambda: fit_to_duration(reply(), t, rate)
+    return fit_to_duration(reply(), t, rate)
 
 
 def run(events: list[SimEvent], config: RunConfig | None = None) -> list[TraceRecord]:

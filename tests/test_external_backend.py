@@ -358,14 +358,13 @@ def test_full_counts_the_bytes_of_the_unanswered_requests(monkeypatch):
     assert not backend.full()
 
 
-def test_bursts_waiting_on_one_request_share_its_reply_and_ask_again_once_it_is_read():
-    # k0's two bursts share one request and its ERR; once the full window
-    # is read, the fallback is not kept, so the last k0 burst asks again
+def test_each_burst_sends_its_own_request_in_order_to_one_child():
+    # a repeated seed is asked again, and an ERR reply leaves the child running
     peers: list[_RequestPeer] = []
     replies = {b"k0": b"ERR busy\n", b"k1": b"OK text=one\n", b"k2": b"OK text=two\n"}
     scenario = _burst_scenario(["k0", "k0", "k1", "k2", "k0"])
     records = _run_on_peers(scenario, replies, peers, budget=200)  # full at 3 requests of 78 bytes
-    assert len(peers) == 1 and peers[0].requests == [b"k0", b"k1", b"k2", b"k0"]
+    assert len(peers) == 1 and peers[0].requests == [b"k0", b"k0", b"k1", b"k2", b"k0"]
     gens = [(r.get("backend"), r.get("text")) for r in records if r.event == "GEN"]
     backends = ["template", "template", "external", "external", "template"]
     assert [backend for backend, _ in gens] == backends

@@ -16,7 +16,7 @@ from gvbsim.generation import ExternalBackend
 from gvbsim.incapacity import Modality
 from gvbsim.scenario import parse_scenario
 from gvbsim.scheduler import DenyReason
-from gvbsim.sim import MESSAGE_MEMO_SIZE, RunConfig, Simulation, run, substitute
+from gvbsim.sim import RunConfig, Simulation, run
 from gvbsim.trace import TraceRecord, render_trace
 
 from .conftest import stub_command
@@ -615,7 +615,7 @@ def test_a_burst_waiting_for_its_reply_names_its_own_line_in_its_error():
     assert exc.value.line_no == 7
 
 
-# -- one generator request per distinct seed and location --
+# -- one generator request per window --
 
 class CountingGenerator:
     """An in-process external generator that numbers its replies, so a
@@ -639,23 +639,27 @@ def repeated_silent_bursts(count: int) -> str:
     return PREAMBLE + "policy A t=5 G=0 N=3 approve=C\nat 0 call A B\n" + BASELINE_CALL + bursts
 
 
-def test_identical_bursts_ask_the_generator_once():
+def test_identical_bursts_each_ask_the_generator_in_order():
     generator = CountingGenerator()
     records = run_text(repeated_silent_bursts(3), RunConfig(backend=generator))
-    assert generator.seeds == ["keywords: fire; location: home"]
-    reply = "Reply 1: keywords: fire; location: home."
+    seed = "keywords: fire; location: home"
+    assert generator.seeds == [seed] * 3
+    replies = [f"Reply {i}: {seed}." for i in (1, 2, 3)]
     gens = events_named(records, "GEN")
-    assert [(g.get("backend"), g.get("text")) for g in gens] == [("external", reply)] * 3
-    assert [s.get("text") for s in events_named(records, "BURST_SENT")] == [reply] * 3
+    assert [(g.get("backend"), g.get("text")) for g in gens] == [
+        ("external", reply) for reply in replies
+    ]
+    assert [s.get("text") for s in events_named(records, "BURST_SENT")] == replies
 
 
-def test_a_fallback_is_asked_again_and_the_next_answer_is_kept():
+def test_a_fallback_falls_back_once_and_the_next_windows_carry_their_own_replies():
     generator = CountingGenerator(failures=1)
     records = run_text(repeated_silent_bursts(3), RunConfig(backend=generator))
-    assert len(generator.seeds) == 2
-    assert [g.get("backend") for g in events_named(records, "GEN")] == [
-        "template", "external", "external"
-    ]
+    assert len(generator.seeds) == 3
+    seed = "keywords: fire; location: home"
+    gens = events_named(records, "GEN")
+    assert [g.get("backend") for g in gens] == ["template", "external", "external"]
+    assert [g.get("text") for g in gens[1:]] == [f"Reply {i}: {seed}." for i in (2, 3)]
     assert [f.get("detail") for f in events_named(records, "GEN_FALLBACK")] == [
         "generator error: busy"
     ]
@@ -682,14 +686,8 @@ def sleepy_bursts(ask_ahead_bytes: int) -> tuple[int, int]:
 
 
 def test_a_timed_out_seed_is_asked_again():
-    # one request in flight: the first reply is read before the second burst
-    asked, waits = sleepy_bursts(1)
-    assert asked == waits == 2
-
-
-def test_bursts_in_one_window_on_a_timed_out_seed_share_its_one_wait():
-    asked, waits = sleepy_bursts(generation.ASK_AHEAD_BYTES)
-    assert asked == waits == 1
+    # one request in flight, then both asked ahead: each burst waits for its own reply
+    assert sleepy_bursts(1) == sleepy_bursts(generation.ASK_AHEAD_BYTES) == (2, 2)
 
 
 def test_one_seed_at_two_locations_gives_two_messages():
@@ -706,31 +704,6 @@ def test_one_seed_at_two_locations_gives_two_messages():
         "Emergency. Please call back immediately.",
         "Emergency. Please call back immediately. Location: highway.",
     ]
-
-
-def ask(generator: CountingGenerator, memo: dict, *seeds: int) -> list[int]:
-    """Substitute a message seeded by `keywords=k<i>` for each i in `seeds`,
-    in order; the seeds the generator was asked for."""
-    config, before = RunConfig(backend=generator), len(generator.seeds)
-    for i in seeds:
-        substitute(config, None, 60, f"k{i}", None, {}, memo)
-    return [int(seed.removeprefix("keywords: k")) for seed in generator.seeds[before:]]
-
-
-def test_after_one_more_distinct_seed_than_the_table_holds_the_first_is_asked_again():
-    generator, memo = CountingGenerator(), {}
-    assert ask(generator, memo, *range(MESSAGE_MEMO_SIZE + 1), 0) == [
-        *range(MESSAGE_MEMO_SIZE + 1), 0
-    ]
-
-
-def test_the_table_drops_the_least_recently_used_message():
-    generator, memo = CountingGenerator(), {}
-    assert ask(generator, memo, *range(MESSAGE_MEMO_SIZE)) == list(range(MESSAGE_MEMO_SIZE))
-    assert ask(generator, memo, 0, 5) == []  # hits: seed 1 is now the least recently used
-    assert len(memo) == MESSAGE_MEMO_SIZE
-    assert ask(generator, memo, MESSAGE_MEMO_SIZE, 0, 5, 2, 1) == [MESSAGE_MEMO_SIZE, 1]
-    assert len(memo) == MESSAGE_MEMO_SIZE
 
 
 # -- trace-level invariants --

@@ -100,30 +100,23 @@ def test_each_workload_reproduces_its_pinned_quarter_size_trace(monkeypatch, tmp
         assert hashlib.sha256(trace).hexdigest() == pinned, workload
 
 
-def test_the_external_workload_asks_once_per_distinct_seed_and_location(monkeypatch, tmp_path):
-    # the benchmark's external_gen gain: a burst context seen before is not
-    # asked again, and the pinned trace keeps its bytes
-    keys, asked = [], []
-
-    def compose_seed(**parts):
-        seed = sim_compose_seed(**parts)
-        keys.append((seed, parts["location"]))
-        return seed
+def test_the_external_workload_asks_once_per_window(monkeypatch, tmp_path):
+    # every incapacitated window asks its own request, a repeated context
+    # included, and the pinned trace keeps its bytes
+    asked = []
 
     def generate_message(seed, *args):
         asked.append(seed)
         return sim_generate_message(seed, *args)
 
-    sim_compose_seed, sim_generate_message = sim.compose_seed, sim.generate_message
-    monkeypatch.setattr(sim, "compose_seed", compose_seed)
+    sim_generate_message = sim.generate_message
     monkeypatch.setattr(sim, "generate_message", generate_message)
     gen = load_perfbench(monkeypatch, "gen")
     trace, pinned = run_pinned_quarter_size(gen, "external_gen", tmp_path)
     assert hashlib.sha256(trace).hexdigest() == pinned
     gens = [r for r in parse_trace(trace.decode("utf-8")) if r.event == "GEN"]
     assert {r.get("backend") for r in gens} == {"external"}
-    assert len(keys) == len(gens)
-    assert len(asked) == len(set(keys)) < len(gens)
+    assert len(asked) == len(gens) > len(set(asked))
 
 
 def test_the_external_workload_writes_requests_ahead_to_one_child(monkeypatch, tmp_path):
@@ -168,7 +161,8 @@ def test_the_external_workload_writes_requests_ahead_to_one_child(monkeypatch, t
 
 def test_caching_leaves_the_tracer_one_call_per_window(monkeypatch, tmp_path):
     # the benchmark's per-layer counts are calls of the names gvbsim.sim
-    # imported: a cache in front of a function must not skip its call
+    # imported: a cache in front of a function must not skip its call, nor
+    # one in front of a backend its window's message
     tracer_module, gen = load_perfbench(monkeypatch, "tracer"), load_perfbench(monkeypatch, "gen")
     text, _ = gen.generate("burst_storm", gen.DEFAULT_SEED, gen.FULL_SIZE["burst_storm"] // 4)
     scenario_path = tmp_path / "burst_storm.gvb"
@@ -188,6 +182,7 @@ def test_caching_leaves_the_tracer_one_call_per_window(monkeypatch, tmp_path):
     assert calls["request_burst"] == events["PERMIT"] + events["BURST_DENIED"]
     assert calls["record_burst"] == events["BURST_SENT"] + events["BURST_WINDOW_SILENT"]
     assert calls["compose_seed"] == incapacitated > 0
+    assert calls["generate_message"] == events["GEN"] > 0
 
 
 def test_module_caches_carry_nothing_from_one_run_to_the_next(monkeypatch, tmp_path):
@@ -344,6 +339,22 @@ def test_the_readme_lists_both_incapacity_vocabularies():
     for vocabulary in (KEYWORDS, DISTRESS_LEXICON):
         listed = ", ".join(f"`{term}`" for term in vocabulary)
         assert listed in readme
+
+
+
+def test_the_readme_protocol_numbers_are_the_sources():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## External generator protocol\n", 1)[1].split("\n## ", 1)[0]
+    stated = {
+        r"reach (\d+) KiB\s+\(`generation\.ASK_AHEAD_BYTES`": generation.ASK_AHEAD_BYTES / 1024,
+        r"at most (\d+) KiB, newline included": generation.MAX_RESPONSE_LINE_BYTES / 1024,
+        r"max_words=(\d+)": generation.MAX_WORDS,
+        r"the same (\d+) words": generation.MAX_WORDS,
+        r"temperature=([\d.]+)": generation.TEMPERATURE,
+    }
+    for pattern, value in stated.items():
+        found = re.findall(pattern, section)
+        assert found and {float(n) for n in found} == {value}, pattern
 
 
 _TRANSPORT_MODULES = ("subprocess", "socket", "shlex", "select", "queue", "threading")
