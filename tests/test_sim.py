@@ -16,7 +16,7 @@ from gvbsim.generation import ExternalBackend
 from gvbsim.incapacity import Modality
 from gvbsim.scenario import parse_scenario
 from gvbsim.scheduler import DenyReason
-from gvbsim.sim import RunConfig, Simulation, run
+from gvbsim.sim import RunConfig, Simulation, run, substitute
 from gvbsim.trace import TraceRecord, render_trace
 
 from .conftest import stub_command
@@ -686,8 +686,48 @@ def sleepy_bursts(ask_ahead_bytes: int) -> tuple[int, int]:
 
 
 def test_a_timed_out_seed_is_asked_again():
-    # one request in flight, then both asked ahead: each burst waits for its own reply
-    assert sleepy_bursts(1) == sleepy_bursts(generation.ASK_AHEAD_BYTES) == (2, 2)
+    # one request in flight: the first reply is read before the second burst
+    asked, waits = sleepy_bursts(1)
+    assert asked == waits == 2
+
+
+def test_bursts_asked_ahead_on_a_timed_out_seed_each_wait_for_their_own_reply():
+    asked, waits = sleepy_bursts(generation.ASK_AHEAD_BYTES)
+    assert asked == waits == 2
+
+
+class AskingGenerator(CountingGenerator):
+    """A CountingGenerator that can ask ahead, noting each seed asked."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked: list[str] = []
+
+    def ask(self, seed: str, rng_seed: int) -> None:
+        self.asked.append(seed)
+
+
+def test_substitute_asks_the_backend_once_per_call_a_repeated_seed_included():
+    generator = CountingGenerator()
+    config, keys = RunConfig(backend=generator), [0, 1, 2, 0, 0, 1]
+    messages = [substitute(config, None, 60, f"k{i}", None, {}) for i in keys]
+    assert generator.seeds == [f"keywords: k{i}" for i in keys]
+    assert [m.text for m in messages] == [
+        f"Reply {n}: keywords: k{i}." for n, i in enumerate(keys, 1)
+    ]
+
+
+def test_substitute_asks_ahead_now_and_reads_the_reply_only_when_called():
+    generator = AskingGenerator()
+    config = RunConfig(backend=generator)
+    deferred = [substitute(config, "home", 60, f"k{i}", None, {}) for i in (0, 0)]
+    seed = "keywords: k0; location: home"
+    assert generator.asked == [seed] * 2 and generator.seeds == []
+    assert [read().text for read in deferred] == [f"Reply {n}: {seed}." for n in (1, 2)]
+    assert generator.seeds == [seed] * 2
+    with pytest.raises(ValueError, match="duration"):
+        substitute(config, None, 0, "k1", None, {})  # the word budget fails before asking
+    assert len(generator.asked) == 2
 
 
 def test_one_seed_at_two_locations_gives_two_messages():
