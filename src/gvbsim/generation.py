@@ -190,7 +190,8 @@ class ExternalBackend:
 
     def __init__(self, target: str, timeout: float = DEFAULT_EXTERNAL_TIMEOUT_S):
         # The transport's modules load with the first external backend, so a
-        # template run never imports them and no request pays for the import.
+        # template run never imports `select` or `subprocess` and no request
+        # pays for the import.
         import select, shlex, subprocess  # noqa: E401, F401
 
         # the command's words, split once; an unclosed quote raises ValueError
@@ -200,8 +201,8 @@ class ExternalBackend:
         self._timeout = timeout
         self._proc: subprocess.Popen[bytes] | None = None
         self._pending = bytearray()  # bytes read past the last reply line
-        # requests whose replies are unread, in order; the child has the first `_written`
-        self._unanswered: list[bytes] = []
+        # ((seed, rng_seed), request) per unread reply, in order; the child has the first `_written`
+        self._unanswered: list[tuple[tuple[str, int], bytes]] = []
         self._unanswered_bytes = 0  # their lengths, summed
         self._written = 0
 
@@ -209,7 +210,7 @@ class ExternalBackend:
         """Queue the request for `seed`, to be written with the next one
         whose reply is needed; `generate` reads its reply."""
         request = build_request_line(seed, rng_seed).encode("utf-8") + b"\n"
-        self._unanswered.append(request)
+        self._unanswered.append(((seed, rng_seed), request))
         self._unanswered_bytes += len(request)
 
     def full(self) -> bool:
@@ -244,13 +245,11 @@ class ExternalBackend:
         (a read out of turn raises TypeError); `seed` is asked if none waits."""
         from subprocess import DEVNULL, PIPE, Popen
 
-        request = build_request_line(seed, rng_seed).encode("utf-8") + b"\n"
         unanswered = self._unanswered
         if not unanswered:
-            unanswered.append(request)
-            self._unanswered_bytes += len(request)
-        elif unanswered[0] != request:
-            raise TypeError(f"reply read out of turn: {request!r} before {unanswered[0]!r}")
+            self.ask(seed, rng_seed)
+        elif unanswered[0][0] != (seed, rng_seed):
+            raise TypeError(f"reply read out of turn: {(seed, rng_seed)} before {unanswered[0][0]}")
         try:
             if self._proc is None:
                 try:
@@ -260,17 +259,17 @@ class ExternalBackend:
             stdin, stdout = self._proc.stdin, self._proc.stdout
             assert stdin is not None and stdout is not None
             if self._written < len(unanswered):
-                stdin.write(b"".join(unanswered[self._written:]))
+                stdin.write(b"".join(request for _, request in unanswered[self._written:]))
                 stdin.flush()
                 self._written = len(unanswered)
             reply = self._read_line(stdout.fileno())
         except (OSError, ExternalGeneratorError) as exc:
             self._end_child()
-            self._unanswered_bytes -= len(unanswered.pop(0))
+            self._unanswered_bytes -= len(unanswered.pop(0)[1])
             if isinstance(exc, ExternalGeneratorError):
                 raise
             raise ExternalGeneratorError(f"generator transport failed: {exc}") from exc
-        self._unanswered_bytes -= len(unanswered.pop(0))
+        self._unanswered_bytes -= len(unanswered.pop(0)[1])
         self._written -= 1
         try:
             return parse_response_line(reply.decode("utf-8"))

@@ -19,7 +19,10 @@ does: only space and tab separate tokens; `"..."` and `'...'` keep
 spaces, and adjacent quoted and bare pieces join into one token (`""` is
 an empty token); a backslash outside quotes takes the next character
 literally, and inside double quotes it escapes only `"` and `\`; `#`
-outside quotes starts a comment, also in the middle of a word.
+outside quotes starts a comment, also in the middle of a word.  `shlex`
+itself splits a line that holds a backslash, a `#`, an unpaired `"` or a
+`'` outside double quotes; every other line has nothing to unescape and
+is split here, so the CLI seldom imports `shlex`.
 
 `DIRECTIVES` is the one list of heads: each maps to its argument parser
 and to whether an `at` line may carry it.  A parser returns the fields
@@ -56,18 +59,10 @@ class SimEvent(NamedTuple):
     args: dict[str, Any]
 
 
-# One match per token, comment or stray quote; unmatched characters are
-# separators.  A token is a run of bare characters, backslash escapes and
-# closed quotes.  A quote or backslash that cannot start one of those is
-# unclosed, so the stray group takes the rest of the line.
-_TOKEN = re.compile(
-    r"""((?:[^ \t\r\n#"'\\]+|\\.|"[^"\\]*(?:\\.[^"\\]*)*"|'[^']*')+)|#[^\n]*|(["'\\].*)""",
-    re.DOTALL,
-)
-# A token of a line that holds no `\`, `'` or `#`, and its `"` in pairs.
+# A token of a line that holds no `\` or `#`, its `"` in pairs.
 _PLAIN_TOKEN = re.compile(r'(?:[^ \t\r\n"]+|"[^"]*")+')
-_QUOTED_PIECE = re.compile(r"""\\(.)|"([^"\\]*(?:\\.[^"\\]*)*)"|'([^']*)'""", re.DOTALL)
-_DOUBLE_QUOTED_ESCAPE = re.compile(r'\\([\\"])')
+# A line whose every `'` sits inside a closed `"..."` piece.
+_QUOTED_APOSTROPHES = re.compile(r'[^"\']*(?:"[^"]*"[^"\']*)*')
 _LOCTYPES = {t.value: t for t in LocationType}
 # Every character but \n that str.splitlines breaks at.  A line may end
 # in \r\n, or the text in \r; any other of them is a line break that
@@ -76,39 +71,23 @@ _LINE_BREAK_CHARS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 _OTHER_LINE_BREAK = re.compile(rf"\r(?!\n|\Z)|[{_LINE_BREAK_CHARS[1:]}]")
 
 
-def _unquote_piece(match: re.Match[str]) -> str:
-    escaped, double, single = match.groups()
-    if escaped is not None:
-        return escaped
-    if double is not None:
-        return _DOUBLE_QUOTED_ESCAPE.sub(r"\1", double)
-    return single
-
-
 def _split_line(line: str) -> list[str]:
-    """Split `line` into tokens exactly as shlex.split(line, comments=True,
-    posix=True) does, raising ValueError with shlex's message."""
-    if "\\" not in line and "'" not in line and "#" not in line:
-        if '"' not in line and "\r" not in line and "\n" not in line:  # faster than a regex
+    """Split `line` into tokens exactly as shlex.split(line, comments=True)
+    does, raising ValueError with shlex's message.  A line with no `\\` or
+    `#`, whose `"` pair up and hold every `'`, has nothing to unescape: its
+    tokens are its runs of bare characters and `"..."` pieces, quotes
+    dropped.  Every other line (an escape, a comment, a `'...'` piece, an
+    unclosed quote) goes to shlex itself; scenario files seldom hold one, so
+    shlex is imported only then and `import gvbsim.cli` does not load it."""
+    if "\\" not in line and "#" not in line:
+        if "'" not in line and '"' not in line and "\r" not in line and "\n" not in line:
+            # faster than a regex
             return [token for token in line.replace("\t", " ").split(" ") if token]
-        if not line.count('"') % 2:
+        if not line.count('"') % 2 and ("'" not in line or _QUOTED_APOSTROPHES.fullmatch(line)):
             return [raw.replace('"', "") for raw in _PLAIN_TOKEN.findall(line)]
-    tokens = []
-    for raw, stray in _TOKEN.findall(line):
-        if stray:
-            # shlex reads on to the end: a lone backslash there, outside
-            # quotes or inside double ones, is the error it reports.
-            if stray[0] != "'" and (len(stray) - len(stray.rstrip("\\"))) % 2:
-                raise ValueError("No escaped character")
-            raise ValueError("No closing quotation")
-        if not raw:
-            continue  # a comment
-        if "\\" in raw or "'" in raw:
-            raw = _QUOTED_PIECE.sub(_unquote_piece, raw)
-        elif '"' in raw:
-            raw = raw.replace('"', "")  # _TOKEN matched its quotes in pairs
-        tokens.append(raw)
-    return tokens
+    import shlex
+
+    return shlex.split(line, comments=True)
 
 
 def _lines(text: str) -> list[str]:

@@ -329,7 +329,7 @@ def test_full_counts_the_bytes_of_the_unanswered_requests(monkeypatch):
     backend = ExternalBackend(stub_command("gen_echo.py"), timeout=10.0)
 
     def check() -> None:
-        total = sum(map(len, backend._unanswered))
+        total = sum(len(request) for _, request in backend._unanswered)
         assert backend.full() == (total >= generation.ASK_AHEAD_BYTES)
 
     seeds = [f"seed {i}" for i in range(5)]

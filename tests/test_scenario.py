@@ -299,6 +299,21 @@ def test_tokenizer_matches_shlex(line: str):
     assert _outcome(_split_line, line) == _outcome(_shlex_split, line)
 
 
+# Lines with no `\` or `#`: only these can take the tokenizer's own paths,
+# so most draws here check them against shlex, not shlex against itself.
+_FAST_PATH_CHARS = st.sampled_from(["\"", "'", " ", "\t", "\r", "\n", "\xa0", "=", "a", "k"])
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(st.one_of(_FAST_PATH_CHARS, st.characters(categories=["L"]))))
+@example('k="can\'t speak" x')  # every `'` inside double quotes: split here
+@example("k=can't")  # a bare `'`: shlex reports no closing quotation
+@example("'a' \"b'c\"")  # a single-quoted piece goes to shlex
+@example('k="a\'b" c"d')  # an odd number of `"`: no closing quotation
+def test_the_tokenizers_own_paths_match_shlex(line: str):
+    assert _outcome(_split_line, line) == _outcome(_shlex_split, line)
+
+
 @pytest.mark.parametrize(
     ("text", "line_no"),
     [

@@ -100,23 +100,53 @@ def test_each_workload_reproduces_its_pinned_quarter_size_trace(monkeypatch, tmp
         assert hashlib.sha256(trace).hexdigest() == pinned, workload
 
 
+def test_the_benchmark_lines_stay_off_shlex(monkeypatch):
+    # the tokenizer hands a line to shlex only for an escape, a comment, a
+    # `'` outside double quotes or an unclosed quote: of the workloads' lines
+    # only the `#` header is one, a `can't speak` transcript is not
+    calls = [0]
+
+    def split(*args, **kwargs):
+        calls[0] += 1
+        return shlex_split(*args, **kwargs)
+
+    shlex_split = shlex.split
+    monkeypatch.setattr(shlex, "split", split)
+    gen = load_perfbench(monkeypatch, "gen")
+    for workload in gen.WORKLOADS:
+        text, _ = gen.generate(workload, gen.DEFAULT_SEED, gen.FULL_SIZE[workload] // 4)
+        assert "can't" in text, workload
+        calls[0] = 0
+        assert parse_scenario(text), workload
+        comments = sum("#" in line for line in text.split("\n"))
+        assert calls[0] == comments == 1, workload
+
+
 def test_the_external_workload_asks_once_per_window(monkeypatch, tmp_path):
     # every incapacitated window asks its own request, a repeated context
-    # included, and the pinned trace keeps its bytes
-    asked = []
+    # included, its request line is built once, and the pinned trace keeps
+    # its bytes
+    asked, built = [], [0]
 
     def generate_message(seed, *args):
         asked.append(seed)
         return sim_generate_message(seed, *args)
 
+    def build_request_line(*args):
+        built[0] += 1
+        return generation_build_request_line(*args)
+
     sim_generate_message = sim.generate_message
+    generation_build_request_line = generation.build_request_line
     monkeypatch.setattr(sim, "generate_message", generate_message)
+    monkeypatch.setattr(generation, "build_request_line", build_request_line)
     gen = load_perfbench(monkeypatch, "gen")
     trace, pinned = run_pinned_quarter_size(gen, "external_gen", tmp_path)
     assert hashlib.sha256(trace).hexdigest() == pinned
     gens = [r for r in parse_trace(trace.decode("utf-8")) if r.event == "GEN"]
     assert {r.get("backend") for r in gens} == {"external"}
     assert len(asked) == len(gens) > len(set(asked))
+    assert built[0] == len(gens)
 
 
 def test_the_external_workload_writes_requests_ahead_to_one_child(monkeypatch, tmp_path):
