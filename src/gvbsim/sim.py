@@ -57,7 +57,6 @@ from .policy import BurstPolicy
 from .scenario import DIRECTIVES, SimEvent
 from .scheduler import BurstLedger, Deny, dismiss, record_burst, request_burst
 from .scoring import (
-    FACTORS,
     BaselineProfile,
     CallerContext,
     FactorWeights,
@@ -93,9 +92,9 @@ def _fmt_point(point: tuple[float, float] | None) -> str:
     return f"({point[0]:g},{point[1]:g})"
 
 
-def _budget(policy: BurstPolicy) -> dict[str, int]:
-    """The `t`, `G` and `N` fields of `POLICY_SET` and `BURSTS_ADMITTED`."""
-    return {"t": policy.burst_seconds_t, "G": policy.gap_seconds_g, "N": policy.max_bursts_n}
+def _budget(policy: BurstPolicy) -> tuple[int, int, int]:
+    """The `t`, `G` and `N` values of `POLICY_SET` and `BURSTS_ADMITTED`."""
+    return policy.burst_seconds_t, policy.gap_seconds_g, policy.max_bursts_n
 
 
 class Simulation:
@@ -108,7 +107,7 @@ class Simulation:
         self.weights = self.config.weights
         self.thresholds = self.config.thresholds
         self.profiles: dict[str, BaselineProfile] = {}
-        self.records: list[TraceRecord] = []
+        self.records: list[str] = []  # plain lines, made `TraceRecord`s when `run` returns
         self.clock = 0
         # One (expiry, sid) entry per placed call, pushed when it is placed
         # and never later than last_activity + abandon_timeout: a touch only
@@ -121,10 +120,11 @@ class Simulation:
 
     # -- trace plumbing --
 
-    def _emit(self, event: str, **values: object) -> None:
-        """Append one `event` record at the current clock (see `make_record`),
-        or hold it while a record before it is held; `seq` counts the
-        records made."""
+    def _emit(self, event: str, *values: object) -> None:
+        """Append the line of one `event` record at the current clock, its
+        values in the order `TRACE_EVENTS` declares (see `make_record`), or
+        hold it while a record before it is held; `seq` counts the records
+        made."""
         if self._held:
             self._held.append((self.clock, event, values))
             return
@@ -155,7 +155,7 @@ class Simulation:
                 raise SimError(event.line_no, str(exc)) from exc
         self._expire_waiting(before=None)
         self._drain()
-        return self.records
+        return list(map(TraceRecord, self.records))
 
     def _touch(self, session: CallSession) -> None:
         """Restart the session's idle clock at the current time."""
@@ -183,7 +183,7 @@ class Simulation:
                 continue
             self.clock = expiry
             self.engine.apply_event(sid, CallEvent.TIMEOUT)
-            self._emit("CALL_ENDED", session=sid, by="timeout")
+            self._emit("CALL_ENDED", sid, "timeout")
 
     # -- event handlers --
 
@@ -198,29 +198,29 @@ class Simulation:
         self.profiles[sub_id] = profile
         self._emit(
             "SUBSCRIBER_REGISTERED",
-            id=sub_id,
-            home=_fmt_point(home),
-            usual_hours=usual_hours_label,
-            resting_hr=fmt_num(profile.resting_heart_rate),
-            usual_moving=int(profile.usual_moving),
+            sub_id,
+            _fmt_point(home),
+            usual_hours_label,
+            fmt_num(profile.resting_heart_rate),
+            int(profile.usual_moving),
         )
 
     def _handle_policy(self, policy: BurstPolicy) -> None:
         self.policies[policy.callee] = policy
         approved = ",".join(sorted(policy.approved_callers)) or "-"
-        self._emit("POLICY_SET", callee=policy.callee, **_budget(policy), approved=approved)
+        self._emit("POLICY_SET", policy.callee, *_budget(policy), approved)
 
     def _handle_weights(self, weights: FactorWeights) -> None:
         self.weights = weights
-        self._emit("WEIGHTS_SET", **{n: fmt_num(w) for n, w in zip(FACTORS, weights)})
+        self._emit("WEIGHTS_SET", *map(fmt_num, weights))
 
     def _handle_thresholds(self, thresholds: TierThresholds) -> None:
         self.thresholds = thresholds
         self._emit(
             "THRESHOLDS_SET",
-            connect=fmt_num(thresholds.theta_connect),
-            voice=fmt_num(thresholds.theta_voice),
-            text=fmt_num(thresholds.theta_text),
+            fmt_num(thresholds.theta_connect),
+            fmt_num(thresholds.theta_voice),
+            fmt_num(thresholds.theta_text),
         )
 
     def _handle_call(self, caller: str, callee: str, context: CallerContext) -> None:
@@ -229,58 +229,46 @@ class Simulation:
         session.context = context
         self._touch(session)
         heapq.heappush(self._expiry, (self.clock + self.config.abandon_timeout, sid))
-        self._emit("CALL_PLACED", session=sid, caller=caller, callee=callee)
+        self._emit("CALL_PLACED", sid, caller, callee)
         if session.state is CallState.ACTIVE:
-            self._emit("CALL_CONNECTED", session=sid)
+            self._emit("CALL_CONNECTED", sid)
             return
-        self._emit("CALL_WAITING", session=sid)
+        self._emit("CALL_WAITING", sid)
         assessment = assess(context, self.profiles[caller], self.weights, self.thresholds)
-        fields = assessment_fields(assessment)
-        self._emit("ASSESSMENT", session=sid, caller=caller, **fields)
+        self._emit("ASSESSMENT", sid, caller, *assessment_fields(assessment).values())
         policy = self.policies.get(callee) or self.policies.setdefault(callee, BurstPolicy(callee))
         tier, reason = route_waiting_call(session, assessment.tier, policy)
         session.tier = tier
-        self._emit(
-            "ROUTING",
-            session=sid,
-            kind=ROUTING_KINDS[tier],
-            tier=tier.token,
-            reason=reason.token,
-        )
+        self._emit("ROUTING", sid, ROUTING_KINDS[tier], tier.token, reason.token)
         if tier is PriorityTier.HIGHEST:
             for current in self.engine.connected_sessions(callee):
                 self.engine.hold(current.session_id)
-                self._emit("CALL_HELD", session=current.session_id)
+                self._emit("CALL_HELD", current.session_id)
             self.engine.apply_event(sid, CallEvent.OVERRIDE)
-            self._emit("CALL_OVERRIDE_CONNECTED", session=sid)
+            self._emit("CALL_OVERRIDE_CONNECTED", sid)
         elif tier is not PriorityTier.NONE:
             session.ledger = BurstLedger(policy)
             mode = "voice" if tier is PriorityTier.MEDIUM else "text"
-            self._emit("BURSTS_ADMITTED", session=sid, mode=mode, **_budget(policy))
+            self._emit("BURSTS_ADMITTED", sid, mode, *_budget(policy))
 
     def _handle_burst(
         self, caller: str, transcript: str | None, keywords: str | None, image: str | None
     ) -> None:
         session = self.engine.waiting_call_of(caller)
         if session is None:
-            self._emit("BURST_REJECTED", caller=caller, reason="no_waiting_call")
+            self._emit("BURST_REJECTED", caller, None, "no_waiting_call")
             return
         sid = session.session_id
         self._touch(session)
         if session.ledger is None:
-            self._emit("BURST_REJECTED", caller=caller, session=sid, reason="not_admitted")
+            self._emit("BURST_REJECTED", caller, sid, "not_admitted")
             return
         grant = request_burst(session.ledger, self.clock)
         if isinstance(grant, Deny):
-            self._emit(
-                "BURST_DENIED",
-                session=sid,
-                reason=grant.reason.token,
-                eligible_at=grant.eligible_at,
-            )
+            self._emit("BURST_DENIED", sid, grant.reason.token, grant.eligible_at)
             return
         t = session.ledger.policy.burst_seconds_t
-        self._emit("PERMIT", session=sid, start=grant.granted_at, window_end=grant.window_end)
+        self._emit("PERMIT", sid, grant.granted_at, grant.window_end)
         signals: list[ModalitySignal] = []
         if transcript is None:
             duration = t
@@ -302,7 +290,7 @@ class Simulation:
             if media_signal is not None:
                 signals.append(media_signal)
         verdict = assess_incapacity(signals)
-        self._emit("INCAPACITY", session=sid, **_incapacity_fields(verdict))
+        self._emit("INCAPACITY", sid, *_incapacity_fields(verdict))
         voice_mode = session.tier is PriorityTier.MEDIUM
         # (BURST_SENT payload token, text), or None for a silent window
         sent: tuple[str, str] | None = None
@@ -313,9 +301,7 @@ class Simulation:
         elif transcript is not None:
             sent = ("voice" if voice_mode else "text_beep", transcript)
         session.ledger = record_burst(session.ledger, self.clock, duration)
-        window = dict(
-            session=sid, sequence=session.ledger.bursts_sent, start=self.clock, duration=duration
-        )
+        window = (sid, session.ledger.bursts_sent, self.clock, duration)
         if not callable(message):
             return self._send(sid, voice_mode, window, sent, message)
         # asked ahead: this burst's records, and all after them, wait for the reply
@@ -324,7 +310,7 @@ class Simulation:
         if self.config.backend.full():
             self._drain()
 
-    def _send(self, sid: int, voice_mode: bool, window: dict, sent, message) -> None:
+    def _send(self, sid: int, voice_mode: bool, window: tuple, sent, message) -> None:
         """The records of a burst's message, if any (or of a call making it), and of its window."""
         if callable(message):
             message = message()
@@ -332,31 +318,25 @@ class Simulation:
             if message.fallback is not None:
                 token = "timeout" if isinstance(message.fallback, ExternalTimeout) else "error"
                 detail = message.fallback_reason
-                self._emit("GEN_FALLBACK", session=sid, reason=token, detail=detail)
+                self._emit("GEN_FALLBACK", sid, token, detail)
             words = message.word_count
-            self._emit(
-                "GEN",
-                session=sid,
-                backend=message.backend,
-                words=words,
-                seconds=f"{words / self.config.speaking_rate:.2f}",
-                text=message.text,
-            )
+            seconds = f"{words / self.config.speaking_rate:.2f}"
+            self._emit("GEN", sid, message.backend, words, seconds, message.text)
             if words:  # a message with no word left says nothing
                 sent = ("generated" if voice_mode else "text_beep", message.text)
         if sent is None:
-            self._emit("BURST_WINDOW_SILENT", **window)
+            self._emit("BURST_WINDOW_SILENT", *window)
         else:
-            self._emit("BURST_SENT", **window, payload=sent[0], text=sent[1])
+            self._emit("BURST_SENT", *window, *sent)
 
     def _handle_media(self, caller: str, modality: Modality, description: str) -> None:
         session = self.engine.waiting_call_of(caller)
         if session is None:
-            self._emit("MEDIA_IGNORED", caller=caller)
+            self._emit("MEDIA_IGNORED", caller)
             return
         session.pending_media.append((modality, description))
         self._touch(session)
-        self._emit("MEDIA_NOTED", session=session.session_id, modality=modality.token)
+        self._emit("MEDIA_NOTED", session.session_id, modality.token)
 
     def _handle_hangup(self, sub_id: str) -> None:
         target = self._pick_hangup_target(sub_id)
@@ -364,7 +344,7 @@ class Simulation:
             raise ValueError(f"{sub_id!r} has no session to hang up")
         was_connected = target.state is CallState.ACTIVE
         self.engine.apply_event(target.session_id, CallEvent.HANG_UP)
-        self._emit("CALL_ENDED", session=target.session_id, by=sub_id)
+        self._emit("CALL_ENDED", target.session_id, sub_id)
         if was_connected:
             self._maybe_resume(target)
 
@@ -386,7 +366,7 @@ class Simulation:
             for session in self.engine.sessions_of(party):
                 if session.state is CallState.HELD:
                     self.engine.resume(session.session_id)
-                    self._emit("CALL_RESUMED", session=session.session_id)
+                    self._emit("CALL_RESUMED", session.session_id)
                     break
 
     def _handle_answer(self, sub_id: str) -> None:
@@ -395,9 +375,9 @@ class Simulation:
             raise ValueError(f"{sub_id!r} has no waiting call to answer")
         for current in self.engine.connected_sessions(sub_id):
             self.engine.apply_event(current.session_id, CallEvent.HANG_UP)
-            self._emit("CALL_ENDED", session=current.session_id, by=sub_id)
+            self._emit("CALL_ENDED", current.session_id, sub_id)
         self.engine.apply_event(session.session_id, CallEvent.ANSWER)
-        self._emit("CALL_CONNECTED", session=session.session_id)
+        self._emit("CALL_CONNECTED", session.session_id)
 
     def _handle_dismiss(self, sub_id: str) -> None:
         for session in self.engine.waiting_sessions_for(sub_id):
@@ -406,7 +386,7 @@ class Simulation:
                 remaining = ledger.policy.max_bursts_n - ledger.bursts_sent
                 session.ledger = dismiss(ledger)
                 self._touch(session)
-                self._emit("BURSTS_DISMISSED", session=sid, remaining_cancelled=remaining)
+                self._emit("BURSTS_DISMISSED", sid, remaining)
 
 
 # keyed by the heads of scenario.DIRECTIVES; a head with no handler fails the import
@@ -414,12 +394,12 @@ Simulation._HANDLERS = {head: getattr(Simulation, f"_handle_{head}") for head in
 
 
 @lru_cache(maxsize=VERDICT_TABLE_SIZE)
-def _incapacity_fields(verdict: IncapacityVerdict) -> dict[str, object]:
-    """A verdict's INCAPACITY values; `_emit` copies them, so runs share them."""
-    return dict(
-        incapacitated=int(verdict.incapacitated),
-        confidence=fmt_score(verdict.confidence),
-        signals=",".join(s.modality.token for s in verdict.contributing) or "-",
+def _incapacity_fields(verdict: IncapacityVerdict) -> tuple[int, str, str]:
+    """A verdict's INCAPACITY values after `session`."""
+    return (
+        int(verdict.incapacitated),
+        fmt_score(verdict.confidence),
+        ",".join(s.modality.token for s in verdict.contributing) or "-",
     )
 
 

@@ -11,12 +11,16 @@ in-order subsequence of the declared ones.  Values reuse the wire
 protocol's percent-encoding (space, percent, newline), so a record always
 stays on one line and round-trips exactly.
 
-A `TraceRecord` is its rendered line (a `str`, without the newline), built
-once by `make_record` when the event is emitted; `.at`, `.event`,
-`.get(key)` and the rest parse it on demand.  `render_trace` joins records
-with newlines and `parse_trace` reads that text back.  Split a trace at
-`\\n` only: a value may hold a raw `\\r`, `\\x0b` or other character that
-`str.splitlines` also treats as a line break.
+`make_record` makes each line in one step from its event's template,
+built once from `TRACE_EVENTS`, with the values given in schema order; a
+line the template cannot make alone goes through `encode_record`, the one
+per-value reference encoder.  A run holds its lines as plain `str`s, which
+the cyclic GC does not track, and `Simulation.run` returns them as
+`TraceRecord`s: a `TraceRecord` is its line (a `str` without the newline),
+and `.at`, `.event`, `.get(key)` and the rest parse it on demand.
+`render_trace` ends each line with a newline and `parse_trace` reads that
+text back.  Split a trace at `\\n` only: a value may hold a raw `\\r`,
+`\\x0b` or other character that `str.splitlines` also treats as a line break.
 """
 from __future__ import annotations
 
@@ -120,27 +124,54 @@ class TraceRecord(str):
         return None
 
 
-def make_record(at: int, seq: int, event: str, values: dict[str, object]) -> TraceRecord:
-    """The record of `event` with `str(value)` in the key order `TRACE_EVENTS`
-    declares.  A None value leaves its key out; a key the table does not
-    declare raises TypeError.  Only a value holding a reserved character
-    goes through `encode_text`.  Empties `values`."""
+def encode_record(at: int, seq: int, event: str, values: tuple) -> str:
+    """The line of `event` with `str(value)` for each key `TRACE_EVENTS`
+    declares, the values given in that order.  A None value leaves its key
+    out; only a value holding a reserved character goes through
+    `encode_text`.  A wrong number of values raises TypeError.  The one
+    reference encoder: `make_record` falls back to it and must match it."""
     component, keys = TRACE_EVENTS[event]
+    if len(values) != len(keys):
+        raise TypeError(f"{event} declares {len(keys)} trace keys, got {len(values)} values")
     line = f"t={at} seq={seq} {component} {event}"
-    for key in keys:
-        value = values.pop(key, None)
+    for key, value in zip(keys, values):
         if value is not None:
             text = str(value)
             if "%" in text or " " in text or "\n" in text:
                 text = encode_text(text)
             line += f" {key}={text}"
-    if values:
-        raise TypeError(f"{event} declares no trace key {sorted(values)}")
-    return TraceRecord(line)
+    return line
 
 
-def render_trace(records: list[TraceRecord]) -> str:
-    return "\n".join(records) + "\n" if records else ""
+def _template(event: str) -> tuple[str, int, int]:
+    """The `%` template of an `event` line up to its last value, the
+    number of values the event takes and the spaces the template holds."""
+    component, keys = TRACE_EVENTS[event]
+    head = "".join(f" {key}=%s" for key in keys[:-1])
+    template = f"t=%s seq=%s {component} {event}{head} {keys[-1]}="
+    return template, len(keys), template.count(" ")
+
+
+_TEMPLATES = {event: _template(event) for event in TRACE_EVENTS}
+
+
+def make_record(at: int, seq: int, event: str, values: tuple) -> str:
+    """The line `encode_record` makes, in one step from the event's
+    template when it can be: every value present, and no head value
+    holding a reserved character, a space or the text `None` (which `%s`
+    writes for a missing value).  The last value is always encoded; every
+    free-text key is its event's last."""
+    template, size, spaces = _TEMPLATES[event]
+    if len(values) == size and (last := values[-1]) is not None:
+        head = template % (at, seq, *values[:-1])
+        if head.count(" ") == spaces and "None" not in head and "%" not in head and "\n" not in head:
+            return head + encode_text(str(last))
+    return encode_record(at, seq, event, values)
+
+
+def render_trace(records: list[str]) -> str:
+    """The trace text: each record followed by a newline, joined once."""
+    return "\n".join([*records, ""])
 
 
 def _is_record(line: str) -> bool:

@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gvbsim.errors import SimError
 from gvbsim.generation import ExternalBackend, encode_text
 from gvbsim.scenario import parse_scenario
 from gvbsim.sim import RunConfig, Simulation, run
-from gvbsim.trace import TRACE_EVENTS, TraceRecord, parse_trace, render_trace
+from gvbsim.trace import (
+    TRACE_EVENTS,
+    TraceRecord,
+    encode_record,
+    make_record,
+    parse_trace,
+    render_trace,
+)
 
 from .conftest import SCENARIO_DIR, stub_command
 from .test_acceptance import STRESS_TIMEOUT, stress_scenario
@@ -57,31 +66,77 @@ def test_every_record_follows_the_declared_schema():
     assert sorted(set(TRACE_EVENTS) - seen) == []
 
 
-def test_emit_renders_in_table_order_and_rejects_undeclared_keys():
+def test_emit_renders_in_table_order_and_rejects_a_wrong_count():
     sim = Simulation()
-    sim._emit("BURST_DENIED", eligible_at=None, reason="gap", session=3)
-    sim._emit("BURST_DENIED", eligible_at=40, reason="gap", session=3)
+    sim._emit("BURST_DENIED", 3, "gap", None)
+    sim._emit("BURST_DENIED", 3, "gap", 40)
     assert sim.records == [
         "t=0 seq=1 burst_scheduler BURST_DENIED session=3 reason=gap",
         "t=0 seq=2 burst_scheduler BURST_DENIED session=3 reason=gap eligible_at=40",
     ]
-    with pytest.raises(TypeError, match="sesion"):
-        sim._emit("CALL_HELD", sesion=3)
+    for values in [(), (3, "x"), (None, 3), (3, None)]:
+        with pytest.raises(TypeError, match="CALL_HELD declares 1 trace keys"):
+            sim._emit("CALL_HELD", *values)
     assert len(sim.records) == 2
-    sim._emit("GEN_FALLBACK", session=3, reason="error", detail="50% off\nnow")
-    assert sim.records[2] == (
-        "t=0 seq=3 message_generator GEN_FALLBACK session=3 reason=error detail=50%25%20off%0Anow"
-    )
+    sim._emit("GEN_FALLBACK", 3, "error", "50% off\nnow")
+    sim._emit("BURST_REJECTED", "a b%\nc", None, "no_waiting_call")
+    assert sim.records[2:] == [
+        "t=0 seq=3 message_generator GEN_FALLBACK session=3 reason=error detail=50%25%20off%0Anow",
+        "t=0 seq=4 sim_harness BURST_REJECTED caller=a%20b%25%0Ac reason=no_waiting_call",
+    ]
 
 
 @given(st.text())
 def test_emit_encodes_a_value_as_encode_text_does(value: str):
     sim = Simulation()
-    sim._emit("GEN_FALLBACK", session=1, reason="error", detail=value)
-    [record] = sim.records
+    sim._emit("GEN_FALLBACK", 1, "error", value)
+    [line] = sim.records
     header = "t=0 seq=1 message_generator GEN_FALLBACK session=1 reason=error"
-    assert record == f"{header} detail={encode_text(value)}"
-    assert record.get("detail") == value
+    assert line == f"{header} detail={encode_text(value)}"
+    assert TraceRecord(line).get("detail") == value
+
+
+# The longest event (ASSESSMENT) takes eight values; each event takes the
+# first as many as it declares keys.
+@pytest.mark.parametrize("event", sorted(TRACE_EVENTS))
+@given(values=st.lists(st.none() | st.integers() | st.text(), min_size=8, max_size=8))
+@example(values=[" "] * 8)
+@example(values=["%"] * 8)
+@example(values=["\n"] * 8)
+@example(values=["\r"] * 8)
+@example(values=["None"] * 8)
+@example(values=["é ü", "日本", 0, None, "x%y", "a\nb", "None", "\r"])
+@example(values=[1, 2, 3, 4, 5, 6, 7, "50% off\nnow"])
+def test_templates_match_the_reference_encoder(event: str, values: list):
+    keys = TRACE_EVENTS[event][1]
+    values = tuple(values[: len(keys)])
+    line = make_record(5, 9, event, values)
+    assert line == encode_record(5, 9, event, values)
+    [record] = parse_trace(line + "\n")
+    assert record.details == tuple((k, str(v)) for k, v in zip(keys, values) if v is not None)
+    for wrong in (values[:-1], (*values, 1)):
+        for encode in (make_record, encode_record):
+            with pytest.raises(TypeError, match=f"{event} declares"):
+                encode(5, 9, event, wrong)
+
+
+def test_a_runs_lines_stay_out_of_the_cyclic_gc_until_run_returns():
+    events = parse_scenario(stress_scenario(seed=2024, calls=60))
+    sim = Simulation(RunConfig(abandon_timeout=STRESS_TIMEOUT))
+    records = sim.run(events)
+    assert sim.records and not any(map(gc.is_tracked, sim.records))
+    assert records == sim.records
+    assert {type(record) for record in records} == {TraceRecord}
+    assert {type(record) for record in run(events)} == {TraceRecord}
+
+
+def test_render_trace_ends_each_record_with_a_newline_and_leaves_the_list_alone():
+    records = [TraceRecord("t=0 seq=1 call_engine CALL_HELD session=1"), "t=0 seq=2 x y"]
+    text = render_trace(records)
+    assert type(text) is str
+    assert text == "t=0 seq=1 call_engine CALL_HELD session=1\nt=0 seq=2 x y\n"
+    assert records == ["t=0 seq=1 call_engine CALL_HELD session=1", "t=0 seq=2 x y"]
+    assert render_trace([]) == ""
 
 
 def assert_round_trips(records: list[TraceRecord]) -> None:
@@ -106,7 +161,7 @@ def test_stress_traces_round_trip(seed: int, calls: int, timeout: int):
     except SimError:
         pass  # the records emitted before the error still round-trip
     assert sim.records
-    assert_round_trips(sim.records)
+    assert_round_trips(list(map(TraceRecord, sim.records)))
 
 
 def test_raw_line_break_characters_round_trip():
