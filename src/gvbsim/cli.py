@@ -1,7 +1,6 @@
 """Command-line interface.
 
-    gvbsim run <scenario> [--trace PATH] [--weights a,b,c,d]
-               [--thresholds c,v,t] [--backend template|external=<target>]
+    gvbsim run <scenario> [--trace PATH] [--backend template|external=<target>]
                [--rng-seed N] [--speaking-rate WPS] [--abandon-timeout S]
     gvbsim score ['<call options>'] [--profile '<subscriber options>']
                  [--weights ...] [--thresholds ...]
@@ -24,6 +23,7 @@ from typing import Any, Callable
 from .errors import ParseError, SimError
 from .generation import DEFAULT_SPEAKING_RATE_WPS, build_backend
 from .incapacity import Modality
+from .policy import DEFAULT_BURST_SECONDS
 from .scenario import (
     _parse_burst_options,
     _parse_context,
@@ -63,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario file and emit its trace")
     run_p.add_argument("scenario")
     run_p.add_argument("--trace", help="write the trace here instead of stdout")
-    run_p.add_argument("--weights", type=_weights_arg, default=FactorWeights())
-    run_p.add_argument("--thresholds", type=_thresholds_arg, default=TierThresholds())
     run_p.add_argument("--backend", default="template")
     run_p.add_argument("--rng-seed", type=int, default=0)
     run_p.add_argument("--speaking-rate", type=float, default=DEFAULT_SPEAKING_RATE_WPS)
@@ -78,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen_p = sub.add_parser("gen", help="one-shot message generation")
     gen_p.add_argument("burst", help="a burst line's options")
-    gen_p.add_argument("--t", type=int, default=5)
+    gen_p.add_argument("--t", type=int, default=DEFAULT_BURST_SECONDS)
     gen_p.add_argument("--loctype", type=_grammar_arg(_parse_loctype), default=LocationType.OTHER)
     gen_p.add_argument("--speaking-rate", type=float, default=DEFAULT_SPEAKING_RATE_WPS)
     return parser
@@ -92,8 +90,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
     events = parse_scenario(text)
     backend = build_backend(args.backend)
     config = RunConfig(
-        weights=args.weights,
-        thresholds=args.thresholds,
         backend=backend,
         rng_seed=args.rng_seed,
         speaking_rate=args.speaking_rate,

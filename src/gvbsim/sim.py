@@ -72,8 +72,6 @@ _HANGUP_RANK = {CallState.ACTIVE: 0, CallState.WAITING: 1, CallState.HELD: 2}
 
 @checked
 class RunConfig(NamedTuple):
-    weights: FactorWeights = FactorWeights()
-    thresholds: TierThresholds = TierThresholds()
     backend: TemplateBackend | ExternalBackend = TemplateBackend()
     rng_seed: int = 0
     speaking_rate: float = DEFAULT_SPEAKING_RATE_WPS
@@ -104,8 +102,8 @@ class Simulation:
         self.config = config or RunConfig()
         self.engine = CallEngine()
         self.policies: dict[str, BurstPolicy] = {}  # latest `policy` line (or default) per callee
-        self.weights = self.config.weights
-        self.thresholds = self.config.thresholds
+        self.weights = FactorWeights()  # until a `weights` line
+        self.thresholds = TierThresholds()  # until a `thresholds` line
         self.profiles: dict[str, BaselineProfile] = {}
         self.records: list[str] = []  # plain lines, made `TraceRecord`s when `run` returns
         self.clock = 0

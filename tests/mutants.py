@@ -12,7 +12,7 @@ a failing test (exit code 1); an error while collecting does not count.  A
 snippet that is not in its file exactly once is a stale mutant, and an
 error: a change to the code a mutant names re-aims or retires the mutant.
 Pytest does not collect this file, as its name does not start with `test_`.
-Takes under a minute.
+Takes under two minutes.
 """
 from __future__ import annotations
 
@@ -125,6 +125,84 @@ MUTANTS = (
         "proc, self._proc, self._written = self._proc, None, 0",
         "proc, self._written = self._proc, 0",
         ("tests/test_external_backend.py::test_after_a_failure_the_next_request_spawns_a_fresh_child",),
+    ),
+    Mutant(
+        "a_run_leaves_its_backend_open",
+        "src/gvbsim/cli.py",
+        "    finally:\n        backend.close()\n",
+        "    finally:\n        pass\n",
+        ("tests/test_external_backend.py::test_a_run_ends_its_generator_child_as_it_exits",),
+    ),
+    Mutant(
+        "close_keeps_the_child",
+        "src/gvbsim/generation.py",
+        '"""End the child and forget every request not yet answered."""\n        self._end_child()\n',
+        '"""End the child and forget every request not yet answered."""\n',
+        ("tests/test_external_backend.py::test_a_closed_backend_has_reaped_its_child_and_closed_its_pipes",),
+    ),
+    Mutant(
+        "a_child_that_never_reads_is_not_killed",
+        "src/gvbsim/generation.py",
+        "        proc.kill()\n",
+        "",
+        ("tests/test_external_backend.py::test_a_closed_backend_has_reaped_its_child_and_closed_its_pipes",),
+    ),
+    Mutant(
+        "an_ended_child_keeps_its_stdin",
+        "src/gvbsim/generation.py",
+        "            proc.stdin.close()\n",
+        "            pass\n",
+        ("tests/test_external_backend.py::test_a_closed_backend_has_reaped_its_child_and_closed_its_pipes",),
+    ),
+    Mutant(
+        "an_ended_child_is_not_reaped",
+        "src/gvbsim/generation.py",
+        "        proc.wait()\n",
+        "",
+        ("tests/test_external_backend.py::test_a_closed_backend_has_reaped_its_child_and_closed_its_pipes",),
+    ),
+    Mutant(
+        "an_ended_child_keeps_its_stdout",
+        "src/gvbsim/generation.py",
+        "        proc.stdout.close()\n",
+        "",
+        ("tests/test_external_backend.py::test_a_closed_backend_has_reaped_its_child_and_closed_its_pipes",),
+    ),
+    Mutant(
+        "a_pipe_failure_is_not_raised",
+        "src/gvbsim/generation.py",
+        'raise ExternalGeneratorError(f"generator transport failed: {exc}") from exc',
+        "pass",
+        (
+            "tests/test_external_backend.py::"
+            "test_a_broken_pipe_drops_its_request_and_the_next_reply_spawns_a_fresh_child",
+        ),
+    ),
+    Mutant(
+        "a_bare_subscriber_line_is_read",
+        "src/gvbsim/scenario.py",
+        '    if not tokens:\n        raise ValueError("subscriber requires an id")\n',
+        "",
+        (
+            "tests/test_scenario.py::test_a_missing_argument_or_an_unknown_option_is_a_parse_error",
+            "tests/test_scenario.py::test_scenario_text_parses_or_raises_a_parse_error",
+        ),
+    ),
+    Mutant(
+        "an_unknown_policy_option_is_ignored",
+        "src/gvbsim/scenario.py",
+        'raise ValueError(f"unknown policy option {key!r}")',
+        "pass",
+        ("tests/test_scenario.py::test_a_missing_argument_or_an_unknown_option_is_a_parse_error",),
+    ),
+    Mutant(
+        "sim_keeps_its_own_verdicts",
+        "src/gvbsim/sim.py",
+        "        verdict = assess_incapacity(signals)\n",
+        "        key = tuple(signals)\n"
+        '        verdicts = self.__dict__.setdefault("_verdicts", {})\n'
+        "        verdict = verdicts.get(key) or verdicts.setdefault(key, assess_incapacity(key))\n",
+        ("tests/test_tooling.py::test_caching_leaves_the_tracer_one_call_per_window",),
     ),
     Mutant(
         "gen_drops_the_image",

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from gvbsim.cli import main
 from gvbsim.errors import ParseError
+from gvbsim.policy import DEFAULT_BURST_SECONDS
 from gvbsim.scenario import parse_scenario
+from gvbsim.sim import RunConfig
 from gvbsim.trace import parse_trace
 
 from .conftest import REPO_ROOT, SCENARIO_DIR
@@ -100,8 +102,13 @@ def test_sim_error_exits_1(tmp_path: Path, capsys):
             'policy A t=5 G=0 N=1 approve="x y"',
             "subscriber id must be a non-empty ASCII token: 'x y'",
         ),
+        ("weights 0,0,0,0", "at least one weight must be positive"),
+        ("weights nan,1,1,1", "weights must be a finite number, got 'nan'"),
     ],
-    ids=["resting_hr", "empty_id", "spaced_id", "non_ascii_id", "policy_callee", "approve_id"],
+    ids=[
+        "resting_hr", "empty_id", "spaced_id", "non_ascii_id", "policy_callee", "approve_id",
+        "zero_weights", "nan_weights",
+    ],
 )
 def test_an_out_of_range_subscriber_value_exits_2(
     line: str, message: str, tmp_path: Path, capsys
@@ -126,6 +133,10 @@ def test_run_rejects_negative_integer_flags(flag: str, capsys):
 
 INPUT_FILES = {
     "backward_time": "subscriber A\nsubscriber B\nat 7 call A B\nat 4 hangup A\n",
+    "zero_weights": "weights 0,0,0,0\n"
+    + (SCENARIO_DIR / "preapproved_bursts.gvb").read_text(encoding="utf-8"),
+    "nan_weights": "weights nan,1,1,1\n"
+    + (SCENARIO_DIR / "runtime_override.gvb").read_text(encoding="utf-8"),
 }
 DEEP_NESTING = "(" * 100000
 
@@ -134,9 +145,9 @@ DEEP_NESTING = "(" * 100000
     "argv",
     [
         "run {backward_time} --trace {tmp}/out.trace",
-        "run {scenarios}/preapproved_bursts.gvb --weights 0,0,0,0",
+        "run {zero_weights}",
         "score --weights 0,0,0,0",
-        "run {scenarios}/runtime_override.gvb --weights nan,1,1,1",
+        "run {nan_weights}",
         "run {scenarios}/preapproved_bursts.gvb --backend bogus",
         "run {scenarios}/preapproved_bursts.gvb --backend external=",
         "run {scenarios}/preapproved_bursts.gvb --trace {tmp}/no-such-dir/out.trace",
@@ -224,18 +235,30 @@ def test_a_tcp_target_is_a_command_name_that_falls_back(target: str, tmp_path: P
 
 
 def test_cli_weights_and_thresholds_flags(tmp_path: Path, capsys):
+    # a run takes its weights and thresholds from scenario lines, which its
+    # trace records; only `score`, which reads no scenario, has the flags
     scenario = tmp_path / "s.gvb"
     scenario.write_text(
-        "subscriber A\nsubscriber B\nsubscriber C\n"
+        "weights 1,0,0,0\nthresholds 0.9,0.6,0.3\nsubscriber A\nsubscriber B\nsubscriber C\n"
         "at 0 call A B\n"
         "at 10 call C A loctype=highway\n",
         encoding="utf-8",
     )
-    assert main(["run", str(scenario), "--weights", "1,0,0,0"]) == 0
-    out = capsys.readouterr().out
-    assert "score=1.000000" in out
-    assert "connect_override" in out
-    assert main(["run", str(scenario), "--weights", "1,0,0,0", "--thresholds", "0.9,0.6,0.3"]) == 0
+    assert main(["run", str(scenario)]) == 0
+    records = parse_trace(capsys.readouterr().out)
+    assert [r.event for r in records[:2]] == ["WEIGHTS_SET", "THRESHOLDS_SET"]
+    (assessment,) = [r for r in records if r.event == "ASSESSMENT"]
+    (routing,) = [r for r in records if r.event == "ROUTING"]
+    assert (assessment.get("score"), routing.get("kind")) == ("1.000000", "connect_override")
+    for flag, value in (("--weights", "1,0,0,0"), ("--thresholds", "0.9,0.6,0.3")):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(scenario), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
+    assert RunConfig._fields == ("backend", "rng_seed", "speaking_rate", "abandon_timeout")
+    argv = ["score", "loctype=highway", "--weights", "1,0,0,0", "--thresholds", "0.9,0.6,0.3"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("score=1.000000\ntier=highest\n")
 
 
 @pytest.mark.parametrize(
@@ -436,6 +459,15 @@ def test_gen_fits_the_duration(capsys):
     out = capsys.readouterr().out.strip()
     assert len(out.split()) <= 5  # floor(2 * 2.5)
     assert "Emergency" in out
+    # with no --t, gen fits the t of a callee with no `policy` line;
+    # at 0.9 words/s, t - 1, t and t + 1 seconds fit 3, 4 and 5 words
+    argv = ["gen", 'silence keywords="House Fire Help Come"', "--speaking-rate", "0.9"]
+    fitted = {}
+    for t in (DEFAULT_BURST_SECONDS - 1, DEFAULT_BURST_SECONDS, DEFAULT_BURST_SECONDS + 1, None):
+        assert main([*argv, "--t", str(t)] if t else argv) == 0
+        fitted[t] = capsys.readouterr().out
+    assert len(set(fitted.values())) == 3
+    assert fitted[None] == fitted[DEFAULT_BURST_SECONDS]
 
 
 def test_gen_rejects_bad_duration(capsys):
@@ -540,8 +572,7 @@ _FLAG_VALUES = {
     "--trace": ["{trace}", "{trace_in_missing_dir}", "{trace_dir}"],
 }
 _COMMAND_FLAGS = {
-    "run": ["--backend", "--speaking-rate", "--rng-seed", "--abandon-timeout",
-            "--weights", "--thresholds", "--trace"],
+    "run": ["--backend", "--speaking-rate", "--rng-seed", "--abandon-timeout", "--trace"],
     "score": ["--profile", "--weights", "--thresholds"],
     "gen": ["--t", "--loctype", "--speaking-rate"],
 }

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import contextlib
+import functools
 import os
 import re
 import select
@@ -296,6 +297,82 @@ def test_the_line_cap_counts_the_newline(extra: int):
     assert time.monotonic() - started < 10.0
 
 
+# -- the child's lifetime --
+
+@contextlib.contextmanager
+def _recorded_children():
+    """The generator children spawned inside, in order; one left running at
+    the end is killed.  A wait for a child that does not end times out, so
+    a child left running fails a test instead of hanging it."""
+    spawned: list[subprocess.Popen] = []
+    real_popen = subprocess.Popen
+
+    def popen(*args, **kwargs):
+        proc = real_popen(*args, **kwargs)
+        proc.wait = functools.partial(proc.wait, timeout=5)
+        spawned.append(proc)
+        return proc
+
+    try:
+        with mock.patch("subprocess.Popen", popen):
+            yield spawned
+    finally:
+        for proc in spawned:
+            if proc.poll() is None:
+                proc.kill()
+                real_popen.wait(proc)
+            proc.stdin.close()
+            proc.stdout.close()
+
+
+@pytest.mark.parametrize(
+    ("stub", "timeout", "kind"),
+    [("gen_fixed.py", 10.0, "external"), ("gen_deaf.py", 0.2, "template")],
+)
+def test_a_closed_backend_has_reaped_its_child_and_closed_its_pipes(stub, timeout, kind):
+    # gen_fixed's child is up when close() ends it; gen_deaf's child, which
+    # never reads, was ended by the timed-out read, and only a kill ends it
+    backend = ExternalBackend(stub_command(stub), timeout=timeout)
+    with _recorded_children() as spawned:
+        try:
+            assert generate_message("keywords: fire", backend=backend).backend == kind
+        finally:
+            backend.close()
+        [proc] = spawned
+        assert proc.returncode is not None
+        assert proc.stdin.closed and proc.stdout.closed
+
+
+@pytest.mark.parametrize(("tail", "code"), [("", 0), ("at 60 hangup Z\n", 1)], ids=["ok", "sim_error"])
+def test_a_run_ends_its_generator_child_as_it_exits(tail, code, tmp_path, monkeypatch, capsys):
+    # each burst reads its reply at once, so the child is up before a bad line
+    monkeypatch.setattr(generation, "ASK_AHEAD_BYTES", 1)
+    scenario = tmp_path / "s.gvb"
+    text = (SCENARIO_DIR / "silent_generative_burst.gvb").read_text(encoding="utf-8")
+    scenario.write_text(text + tail, encoding="utf-8")
+    backend = f"external={stub_command('gen_fixed.py')}"
+    argv = ["run", str(scenario), "--trace", str(tmp_path / "out.trace"), "--backend", backend]
+    with _recorded_children() as spawned:
+        assert main(argv) == code, capsys.readouterr().err
+        [proc] = spawned
+        assert proc.returncode is not None
+
+
+def test_a_broken_pipe_drops_its_request_and_the_next_reply_spawns_a_fresh_child():
+    # an OSError on the child's pipes is its reply's transport failure;
+    # the next child is sent every request still unanswered
+    peers: list[_RequestPeer] = []
+    replies = {b"k0": b"OK text=zero\n", b"k1": b"OK text=one\n"}
+    records = _run_on_peers(_burst_scenario(["k0", "k1"]), replies, peers, first=_BrokenPipePeer)
+    assert [type(peer) for peer in peers] == [_BrokenPipePeer, _RequestPeer]
+    assert peers[1].requests == [b"k1"]
+    [fallback] = [r for r in records if r.event == "GEN_FALLBACK"]
+    assert fallback.get("reason") == "error"
+    assert fallback.get("detail").startswith("generator transport failed: ")
+    gens = [(r.get("backend"), r.get("text")) for r in records if r.event == "GEN"]
+    assert gens[0][0] == "template" and gens[1] == ("external", "one")
+
+
 # -- requests written ahead of their replies --
 
 def test_replies_asked_ahead_are_read_in_order_from_one_child():
@@ -580,15 +657,27 @@ class _RequestPeer:
         pass
 
 
+class _BrokenPipePeer(_RequestPeer):
+    """A child whose stdin fails every write."""
+
+    def write(self, data: bytes) -> None:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
 def _run_on_peers(
-    text: str, replies: dict[bytes, bytes], peers: list[_RequestPeer], budget: int | None = None
+    text: str,
+    replies: dict[bytes, bytes],
+    peers: list[_RequestPeer],
+    budget: int | None = None,
+    first: type[_RequestPeer] = _RequestPeer,
 ) -> list:
     """Run `text` on an external backend whose every child is a fresh
-    `_RequestPeer` appended to `peers`, with ASK_AHEAD_BYTES at `budget`."""
+    `_RequestPeer` (the first one a `first`) appended to `peers`, with
+    ASK_AHEAD_BYTES at `budget`."""
     real_select = select.select
 
     def spawn(*args, **kwargs) -> _RequestPeer:
-        peers.append(_RequestPeer(replies))
+        peers.append((_RequestPeer if peers else first)(replies))
         return peers[-1]
 
     def wait(readable, writable, exceptional, timeout):

@@ -199,6 +199,26 @@ def test_unknown_option_is_a_bad_argument():
 
 
 @pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("subscriber", "subscriber requires an id"),
+        ("policy", "policy requires a callee id"),
+        ("policy A t=5 G=1 N=1 bogus=1", "unknown policy option 'bogus'"),
+        ("at 1 burst", "burst requires <caller> and transcript=... or silence"),
+        ("at 1 burst C", "burst requires <caller> and transcript=... or silence"),
+        ('at 1 media A image=""', "media description must be non-empty"),
+    ],
+    ids=["bare_subscriber", "bare_policy", "policy_option", "bare_burst", "burst_mode", "media_text"],
+)
+def test_a_missing_argument_or_an_unknown_option_is_a_parse_error(line: str, message: str):
+    # a bare head must not escape as an IndexError, nor an unknown policy
+    # option pass as no option at all
+    with pytest.raises(ParseError) as error:
+        parse_scenario(line + "\n")
+    assert error.value.message == message
+
+
+@pytest.mark.parametrize(
     "line, key",
     [
         ("subscriber A resting_hr=60 resting_hr=90", "resting_hr"),
@@ -380,9 +400,13 @@ _FRAGMENTS = [
 def _scenario_lines(draw) -> str:
     head = draw(st.sampled_from(list(_TEMPLATES)))
     template, defaults = _TEMPLATES[head]
-    template, values = "{} " + template, [head, *defaults]
+    template, values, head_words = "{} " + template, [head, *defaults], 1
     if DIRECTIVES[head].takes_at and draw(st.booleans()):
-        template, values = "at {} " + template, ["1", *values]
+        template, values, head_words = "at {} " + template, ["1", *values], 3
+    if not draw(st.integers(0, 4)):  # now and then the line stops early, down to a bare head
+        words = template.split(" ")
+        template = " ".join(words[: draw(st.integers(head_words, len(words) - 1))])
+        values = values[: template.count("{}")]
     for slot in draw(st.lists(st.integers(0, len(values) - 1), max_size=2)):
         values[slot] = draw(st.sampled_from(_FRAGMENTS))
     return template.format(*values)
@@ -390,6 +414,9 @@ def _scenario_lines(draw) -> str:
 
 @settings(max_examples=1000, deadline=None)
 @given(st.lists(_scenario_lines(), max_size=8))
+@example(["subscriber"])
+@example(["policy"])
+@example(["at 1 burst"])
 def test_scenario_text_parses_or_raises_a_parse_error(lines: list[str]):
     # Parsing stops at the first bad line, so each line is also parsed alone.
     for text in ["\n".join(lines), *lines]:

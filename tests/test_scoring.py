@@ -211,6 +211,8 @@ def test_context_field_validation():
         CallerContext(moving_speed=-1)
     with pytest.raises(ValueError):
         BaselineProfile(usual_hours=frozenset())
+    with pytest.raises(ValueError, match="usual_hours entries must be in 0..23"):
+        BaselineProfile(usual_hours=frozenset({24}))
     with pytest.raises(ValueError):
         BaselineProfile(usual_hours=frozenset({9}), resting_heart_rate=20)
 

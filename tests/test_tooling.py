@@ -354,6 +354,36 @@ def test_every_run_config_field_is_set_by_a_run_flag():
     assert fields == dests - {"help", "scenario", "trace"}
 
 
+# C's call scores 0.5: highest under the scenario's thresholds, low under the defaults.
+THRESHOLDS_SCENARIO = """\
+thresholds 0.5,0.4,0.3
+subscriber A
+subscriber B
+subscriber C resting_hr=70
+at 0 call B A
+at 5 call C A loctype=highway hr=130
+at 20 hangup C
+at 30 hangup B
+"""
+
+
+def test_the_trace_holds_the_thresholds_its_routing_used(monkeypatch, tmp_path, capsys):
+    # a run's thresholds come only from scenario lines, which the trace
+    # records, so the benchmark's checker can follow its routing from the trace alone
+    oracle = load_perfbench(monkeypatch, "oracle")
+    scenario_path = tmp_path / "thresholds.gvb"
+    scenario_path.write_text(THRESHOLDS_SCENARIO, encoding="utf-8")
+    assert main(["run", str(scenario_path)]) == 0
+    text = capsys.readouterr().out
+    records = parse_trace(text)
+    assert (records[0].seq, records[0].event) == (1, "THRESHOLDS_SET")
+    (assessment,) = [r for r in records if r.event == "ASSESSMENT"]
+    (routing,) = [r for r in records if r.event == "ROUTING"]
+    assert (assessment.get("score"), routing.get("tier")) == ("0.500000", "highest")
+    problems, _ = oracle.check(text, None, "thresholds")
+    assert problems == []
+
+
 def test_the_argv_fuzzer_draws_the_flags_of_each_command():
     # a flag the CLI dropped but the fuzzer still draws tests only argparse's rejection
     parsers = subcommand_parsers()
