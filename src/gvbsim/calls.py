@@ -148,12 +148,11 @@ class CallEngine:
 
     # -- subscribers --
 
-    def register(self, sub_id: str) -> str:
+    def register(self, sub_id: str) -> None:
         validate_subscriber_id(sub_id)
         if sub_id in self._live:
             raise ValueError(f"subscriber {sub_id!r} already registered")
         self._live[sub_id] = {}
-        return sub_id
 
     # -- sessions --
 
@@ -197,14 +196,13 @@ class CallEngine:
                 return session
         return None
 
-    def apply_event(self, session_id: int, event: CallEvent) -> CallSession:
+    def apply_event(self, session_id: int, event: CallEvent) -> None:
         """Move the session along `event` in place."""
         session = self._sessions[session_id]
         session.state = next_state(session.state, event)
         if session.state is CallState.ENDED:
             del self._live[session.caller][session_id]
             del self._live[session.callee][session_id]
-        return session
 
     def hold(self, session_id: int) -> None:
         self.apply_event(session_id, CallEvent.HOLD)

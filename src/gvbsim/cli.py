@@ -1,14 +1,15 @@
 """Command-line interface.
 
     gvbsim run <scenario> [--trace PATH] [--backend template|external=<target>]
-               [--rng-seed N] [--speaking-rate WPS] [--abandon-timeout S]
+               [--rng-seed N] [--abandon-timeout S]
     gvbsim score ['<call options>'] [--profile '<subscriber options>']
                  [--weights ...] [--thresholds ...]
-    gvbsim gen '<burst options>' [--t S] [--loctype T] [--speaking-rate WPS]
+    gvbsim gen '<burst options>' [--t S] [--loctype T]
 
 Each quoted group is one argument: the options after `call <caller>
 <callee>`, `subscriber <id>` or `burst <caller>` on a scenario line, read
 by that line's rules, e.g. `'loc=(40,9) hour=3'` or `'transcript="help"'`.
+A flag is spelled in full: a prefix of one is an unrecognized argument.
 
 Exit codes: 0 success, 1 simulation error (`SimError`), 2 a parse error
 (`ParseError`) or any other bad input (`ValueError`, `OSError`).
@@ -21,7 +22,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .errors import ParseError, SimError
-from .generation import DEFAULT_SPEAKING_RATE_WPS, build_backend
+from .generation import build_backend
 from .incapacity import Modality
 from .policy import DEFAULT_BURST_SECONDS
 from .scenario import (
@@ -57,28 +58,26 @@ _thresholds_arg = _grammar_arg(_parse_thresholds_value)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gvbsim")
+    parser = argparse.ArgumentParser(prog="gvbsim", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a scenario file and emit its trace")
+    run_p = sub.add_parser("run", allow_abbrev=False, help="run a scenario file and emit its trace")
     run_p.add_argument("scenario")
     run_p.add_argument("--trace", help="write the trace here instead of stdout")
     run_p.add_argument("--backend", default="template")
     run_p.add_argument("--rng-seed", type=int, default=0)
-    run_p.add_argument("--speaking-rate", type=float, default=DEFAULT_SPEAKING_RATE_WPS)
     run_p.add_argument("--abandon-timeout", type=int, default=DEFAULT_ABANDON_TIMEOUT_S)
 
-    score_p = sub.add_parser("score", help="one-shot emergency scoring")
+    score_p = sub.add_parser("score", allow_abbrev=False, help="one-shot emergency scoring")
     score_p.add_argument("context", nargs="?", default="", help="a call line's options")
     score_p.add_argument("--profile", default="", help="a subscriber line's options")
     score_p.add_argument("--weights", type=_weights_arg, default=FactorWeights())
     score_p.add_argument("--thresholds", type=_thresholds_arg, default=TierThresholds())
 
-    gen_p = sub.add_parser("gen", help="one-shot message generation")
+    gen_p = sub.add_parser("gen", allow_abbrev=False, help="one-shot message generation")
     gen_p.add_argument("burst", help="a burst line's options")
     gen_p.add_argument("--t", type=int, default=DEFAULT_BURST_SECONDS)
     gen_p.add_argument("--loctype", type=_grammar_arg(_parse_loctype), default=LocationType.OTHER)
-    gen_p.add_argument("--speaking-rate", type=float, default=DEFAULT_SPEAKING_RATE_WPS)
     return parser
 
 
@@ -92,7 +91,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
     config = RunConfig(
         backend=backend,
         rng_seed=args.rng_seed,
-        speaking_rate=args.speaking_rate,
         abandon_timeout=args.abandon_timeout,
     )
     try:
@@ -127,10 +125,9 @@ def _cmd_gen(args: argparse.Namespace) -> None:
     burst = _read_options("burst", args.burst, _parse_burst_options)
     image = burst.pop("image")
     media = {Modality.IMAGE_DESCRIPTION.token: image} if image else {}
-    config = RunConfig(speaking_rate=args.speaking_rate)
-    message = substitute(config, args.loctype.seed_text, args.t, media=media, **burst)
-    if message is None or not message.word_count:  # nothing seeds it, or no word fits
-        raise ValueError(f"the burst says no word in {args.t}s at {args.speaking_rate} words/s")
+    message = substitute(RunConfig(), args.loctype.seed_text, args.t, media=media, **burst)
+    if message is None:
+        raise ValueError("a silent burst with no keywords, image or place seeds no message")
     print(message.text)
 
 

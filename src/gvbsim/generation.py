@@ -39,7 +39,9 @@ from .incapacity import term_alternation
 # the template caps its own text at MAX_WORDS too.
 MAX_WORDS = 50
 TEMPERATURE = 0.9
-DEFAULT_SPEAKING_RATE_WPS = 2.5
+# Words per second a message is spoken at: the fitted length of every
+# generated message and the window of every spoken transcript.
+SPEAKING_RATE_WPS = 2.5
 DEFAULT_EXTERNAL_TIMEOUT_S = 2.0
 # Longest generator response line accepted, newline included, so a peer
 # that never ends a line cannot grow the read buffer until the timeout.
@@ -48,12 +50,6 @@ MAX_RESPONSE_LINE_BYTES = 64 * 1024
 # are asked; at most half of a Linux pipe's default buffer, so a write cannot
 # block on a child that has stopped reading unless one request is that long.
 ASK_AHEAD_BYTES = 8 * 1024
-
-
-def check_speaking_rate(rate: float) -> None:
-    """Reject a rate that would make a word count's speaking time non-finite."""
-    if not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"speaking_rate must be a finite number > 0, got {rate}")
 
 
 # The seed's parts in the order they are written.  The media labels are
@@ -338,28 +334,23 @@ def _sentences(text: str) -> list[str]:
     return [chunk.strip() for chunk in _SENTENCE_SPLIT.findall(text) if chunk.strip()]
 
 
-def word_budget(t: int, speaking_rate: float) -> int:
-    """The most words that speak within `t` seconds at `speaking_rate`."""
+def word_budget(t: int) -> int:
+    """The most words that speak within `t` seconds, at least 2."""
     if t < 1:
         raise ValueError(f"burst duration must be >= 1s, got {t}")
-    check_speaking_rate(speaking_rate)
     try:
-        return math.floor(t * speaking_rate)
+        return math.floor(t * SPEAKING_RATE_WPS)
     except OverflowError:
-        raise ValueError(f"burst duration times speaking_rate {speaking_rate} overflows") from None
+        raise ValueError(f"burst duration times {SPEAKING_RATE_WPS} words/s overflows") from None
 
 
-def fit_to_duration(
-    msg: GeneratedMessage,
-    t: int,
-    speaking_rate: float = DEFAULT_SPEAKING_RATE_WPS,
-) -> GeneratedMessage:
-    """Shrink `msg` so it speaks within `t` seconds at `speaking_rate`.
+def fit_to_duration(msg: GeneratedMessage, t: int) -> GeneratedMessage:
+    """Shrink `msg` so it speaks within `t` seconds.
 
     Whole trailing sentences are dropped first; if even the first sentence
     exceeds the word budget, the text is cut at the budget.
     """
-    budget = word_budget(t, speaking_rate)
+    budget = word_budget(t)
     words = msg.text.split()
     if len(words) <= budget:
         return msg

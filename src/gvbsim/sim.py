@@ -33,11 +33,10 @@ from .calls import (
 from .checked import checked
 from .errors import ExternalTimeout, SimError
 from .generation import (
-    DEFAULT_SPEAKING_RATE_WPS,
+    SPEAKING_RATE_WPS,
     ExternalBackend,
     GeneratedMessage,
     TemplateBackend,
-    check_speaking_rate,
     compose_seed,
     fit_to_duration,
     generate_message,
@@ -74,14 +73,12 @@ _HANGUP_RANK = {CallState.ACTIVE: 0, CallState.WAITING: 1, CallState.HELD: 2}
 class RunConfig(NamedTuple):
     backend: TemplateBackend | ExternalBackend = TemplateBackend()
     rng_seed: int = 0
-    speaking_rate: float = DEFAULT_SPEAKING_RATE_WPS
     abandon_timeout: int = DEFAULT_ABANDON_TIMEOUT_S
 
     def _check(self) -> None:
         for name in ("abandon_timeout", "rng_seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        check_speaking_rate(self.speaking_rate)
 
 
 def _fmt_point(point: tuple[float, float] | None) -> str:
@@ -272,7 +269,7 @@ class Simulation:
             duration = t
             signals.append(detect_silence(duration))
         else:
-            spoken = len(transcript.split()) / self.config.speaking_rate
+            spoken = len(transcript.split()) / SPEAKING_RATE_WPS
             duration = max(1, math.ceil(min(spoken, t)))
             keyword_signal = detect_keywords(transcript)
             if keyword_signal is not None:
@@ -318,10 +315,9 @@ class Simulation:
                 detail = message.fallback_reason
                 self._emit("GEN_FALLBACK", sid, token, detail)
             words = message.word_count
-            seconds = f"{words / self.config.speaking_rate:.2f}"
+            seconds = f"{words / SPEAKING_RATE_WPS:.2f}"
             self._emit("GEN", sid, message.backend, words, seconds, message.text)
-            if words:  # a message with no word left says nothing
-                sent = ("generated" if voice_mode else "text_beep", message.text)
+            sent = ("generated" if voice_mode else "text_beep", message.text)
         if sent is None:
             self._emit("BURST_WINDOW_SILENT", *window)
         else:
@@ -418,13 +414,13 @@ def substitute(
     seed = compose_seed(keywords=keywords, speech=transcript, location=location, **media)
     if not seed:
         return None
-    backend, rate = config.backend, config.speaking_rate
+    backend = config.backend
     reply = partial(generate_message, seed, backend, config.rng_seed, location)
     if hasattr(backend, "ask"):
-        word_budget(t, rate)  # fails now, not when the held burst reads its reply
+        word_budget(t)  # fails now, not when the held burst reads its reply
         backend.ask(seed, config.rng_seed)
-        return lambda: fit_to_duration(reply(), t, rate)
-    return fit_to_duration(reply(), t, rate)
+        return lambda: fit_to_duration(reply(), t)
+    return fit_to_duration(reply(), t)
 
 
 def run(events: list[SimEvent], config: RunConfig | None = None) -> list[TraceRecord]:

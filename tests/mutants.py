@@ -219,6 +219,30 @@ MUTANTS = (
         ("tests/test_tooling.py::test_the_readme_protocol_numbers_are_the_sources",),
     ),
     Mutant(
+        "the_readme_states_another_speaking_rate",
+        "README.md",
+        "Messages are spoken at 2.5 words per second",
+        "Messages are spoken at 3 words per second",
+        ("tests/test_tooling.py::test_the_readme_speaking_rate_is_the_source",),
+    ),
+    Mutant(
+        "run_reads_a_prefix_as_its_flag",
+        "src/gvbsim/cli.py",
+        'sub.add_parser("run", allow_abbrev=False, ',
+        'sub.add_parser("run", ',
+        (
+            "tests/test_cli.py::test_any_argv_exits_0_1_or_2",
+            "tests/test_cli.py::test_a_prefix_of_a_flag_or_a_removed_flag_is_unrecognized",
+        ),
+    ),
+    Mutant(
+        "gvbsim_reads_a_prefix_as_its_flag",
+        "src/gvbsim/cli.py",
+        'argparse.ArgumentParser(prog="gvbsim", allow_abbrev=False)',
+        'argparse.ArgumentParser(prog="gvbsim")',
+        ("tests/test_cli.py::test_a_prefix_of_a_flag_or_a_removed_flag_is_unrecognized",),
+    ),
+    Mutant(
         "the_readme_states_another_ask_ahead_cap",
         "README.md",
         "until the unanswered requests reach 8 KiB",

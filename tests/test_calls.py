@@ -252,7 +252,8 @@ def test_live_index_matches_a_full_table_scan(steps):
     for op, *args in steps:
         sessions = engine.sessions()
         if op == "register" and args[0] not in registered:
-            registered.append(engine.register(args[0]))
+            engine.register(args[0])
+            registered.append(args[0])
         elif op == "call" and args[0] != args[1] and set(args) <= set(registered):
             engaged = bool(brute_connected(engine, args[1], include_held=True))
             placed = engine.place_call(args[0], args[1])

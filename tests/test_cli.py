@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from gvbsim.cli import main
 from gvbsim.errors import ParseError
+from gvbsim.generation import word_budget
 from gvbsim.policy import DEFAULT_BURST_SECONDS
 from gvbsim.scenario import parse_scenario
 from gvbsim.sim import RunConfig
@@ -152,11 +154,6 @@ DEEP_NESTING = "(" * 100000
         "run {scenarios}/preapproved_bursts.gvb --backend external=",
         "run {scenarios}/preapproved_bursts.gvb --trace {tmp}/no-such-dir/out.trace",
         "run {scenarios}/preapproved_bursts.gvb --trace {tmp}",
-        "run {scenarios}/preapproved_bursts.gvb --speaking-rate 0",
-        "run {scenarios}/silent_generative_burst.gvb --speaking-rate 0",
-        "run {scenarios}/silent_generative_burst.gvb --speaking-rate -1",
-        "run {scenarios}/silent_generative_burst.gvb --speaking-rate nan",
-        "gen transcript=fire --speaking-rate inf",
         "gen transcript=help --loctype bogus",
         "run {scenarios}/silent_generative_burst.gvb --rng-seed -1",
         "run {scenarios}/silent_generative_burst.gvb --abandon-timeout -1",
@@ -205,7 +202,6 @@ HUGE = "9" * 400  # overflows a float
         ["run", "silent_generative_burst.gvb", "--backend", "external= "],
         ["run", "silent_generative_burst.gvb", "--backend", 'external=gen "unclosed'],
         ["gen", "silence keywords=fire", "--t", HUGE],
-        ["gen", "silence keywords=fire", "--speaking-rate", "0.1"],
         ["gen", 'transcript="help me" keywords=fire keywords=smoke'],
         ["score", "loc=(1,1) hr=130 speed=nan"],
     ],
@@ -255,7 +251,7 @@ def test_cli_weights_and_thresholds_flags(tmp_path: Path, capsys):
             main(["run", str(scenario), flag, value])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
-    assert RunConfig._fields == ("backend", "rng_seed", "speaking_rate", "abandon_timeout")
+    assert RunConfig._fields == ("backend", "rng_seed", "abandon_timeout")
     argv = ["score", "loctype=highway", "--weights", "1,0,0,0", "--thresholds", "0.9,0.6,0.3"]
     assert main(argv) == 0
     assert capsys.readouterr().out.endswith("score=1.000000\ntier=highest\n")
@@ -459,14 +455,18 @@ def test_gen_fits_the_duration(capsys):
     out = capsys.readouterr().out.strip()
     assert len(out.split()) <= 5  # floor(2 * 2.5)
     assert "Emergency" in out
-    # with no --t, gen fits the t of a callee with no `policy` line;
-    # at 0.9 words/s, t - 1, t and t + 1 seconds fit 3, 4 and 5 words
-    argv = ["gen", 'silence keywords="House Fire Help Come"', "--speaking-rate", "0.9"]
-    fitted = {}
-    for t in (DEFAULT_BURST_SECONDS - 1, DEFAULT_BURST_SECONDS, DEFAULT_BURST_SECONDS + 1, None):
-        assert main([*argv, "--t", str(t)] if t else argv) == 0
-        fitted[t] = capsys.readouterr().out
-    assert len(set(fitted.values())) == 3
+    # with no --t, gen fits the t of a callee with no `policy` line: a
+    # message of one sentence per step in the word budget keeps one, two
+    # or all three sentences in t - 1, t and t + 1 seconds
+    lengths = [DEFAULT_BURST_SECONDS - 1, DEFAULT_BURST_SECONDS, DEFAULT_BURST_SECONDS + 1]
+    budgets = [0, *map(word_budget, lengths)]
+    text = " ".join("word " * (budgets[i + 1] - budgets[i] - 1) + "end." for i in range(3))
+    argv, fitted = ["gen", "silence keywords=fire"], {}
+    with mock.patch("gvbsim.generation._template_text", return_value=text):
+        for t in (*lengths, None):
+            assert main([*argv, "--t", str(t)] if t else argv) == 0
+            fitted[t] = capsys.readouterr().out
+    assert [len(fitted[t].split()) for t in lengths] == budgets[1:]
     assert fitted[None] == fitted[DEFAULT_BURST_SECONDS]
 
 
@@ -519,25 +519,24 @@ BURST_OPTIONS = [
 @given(
     st.integers(1, 10),
     st.sampled_from(["other", "highway"]),
-    st.sampled_from(["2.5", "0.3"]),
     st.sampled_from(BURST_OPTIONS),
 )
-@example(5, "other", "2.5", 'transcript="help" image="smoke"')
-@example(5, "other", "2.5", "silence")
-@example(1, "highway", "0.3", "silence")
-@example(5, "highway", "2.5", 'silence keywords=""')
-@example(5, "other", "2.5", 'transcript="I am fine"')
+@example(5, "other", 'transcript="help" image="smoke"')
+@example(5, "other", "silence")
+@example(1, "highway", "silence")
+@example(1, "other", "silence keywords=fire")
+@example(5, "highway", 'silence keywords=""')
+@example(5, "other", 'transcript="I am fine"')
 def test_gen_prints_the_gen_text_of_the_matching_one_burst_run(
-    scenario_file: Path, t: int, loctype: str, rate: str, options: str
+    scenario_file: Path, t: int, loctype: str, options: str
 ):
     scenario_file.write_text(
         f"subscriber A\nsubscriber B\nsubscriber C\npolicy A t={t} G=0 N=1 approve=C\n"
         f"at 0 call B A\nat 1 call C A loctype={loctype}\nat 2 burst C {options}\n",
         encoding="utf-8",
     )
-    run_code, trace = _main(["run", str(scenario_file), "--speaking-rate", rate])
-    gen_flags = ["--t", str(t), "--loctype", loctype, "--speaking-rate", rate]
-    gen_code, generated = _main(["gen", options, *gen_flags])
+    run_code, trace = _main(["run", str(scenario_file)])
+    gen_code, generated = _main(["gen", options, "--t", str(t), "--loctype", loctype])
     assert run_code in (0, 2)
     if run_code == 2:
         assert gen_code == 2
@@ -545,23 +544,23 @@ def test_gen_prints_the_gen_text_of_the_matching_one_burst_run(
     records = parse_trace(trace)
     (incapacity,) = [r for r in records if r.event == "INCAPACITY"]
     gens = [r for r in records if r.event == "GEN"]
-    if incapacity.get("incapacitated") == "1":
-        if gens and int(gens[0].get("words")) > 0:
-            assert (gen_code, generated) == (0, gens[0].get("text") + "\n")
-        else:
-            assert gen_code == 2
+    if incapacity.get("incapacitated") == "1" and gens:
+        assert (gen_code, generated) == (0, gens[0].get("text") + "\n")
+        (sent,) = [r for r in records if r.event == "BURST_SENT"]  # never cut to no word
+        assert sent.get("text") == gens[0].get("text")
+    elif incapacity.get("incapacitated") == "1":
+        assert gen_code == 2  # nothing seeds a message
     else:
         # the run sends the transcript itself; gen still shows the message
-        # the transcript seeds, unless not one word fits
+        # the transcript seeds
         assert not gens
-        assert (gen_code == 2) == (t * float(rate) < 1)
+        assert gen_code == 0
 
 
 # -- argv fuzzing --
 
 _FLAG_VALUES = {
     "--backend": ["template", "bogus", "external=", "external= ", 'external="unclosed'],
-    "--speaking-rate": ["2.5", "0.1", "1e-320", "1e308", "0", "-1", "nan", "x"],
     "--t": ["1", "5", "0", "-3", HUGE, "x"],
     "--rng-seed": ["0", "7", "-1", HUGE],
     "--abandon-timeout": ["0", "1", "120", "-1", HUGE],
@@ -572,9 +571,9 @@ _FLAG_VALUES = {
     "--trace": ["{trace}", "{trace_in_missing_dir}", "{trace_dir}"],
 }
 _COMMAND_FLAGS = {
-    "run": ["--backend", "--speaking-rate", "--rng-seed", "--abandon-timeout", "--trace"],
+    "run": ["--backend", "--rng-seed", "--abandon-timeout", "--trace"],
     "score": ["--profile", "--weights", "--thresholds"],
-    "gen": ["--t", "--loctype", "--speaking-rate"],
+    "gen": ["--t", "--loctype"],
 }
 _SCENARIOS = [
     *(str(path) for path in sorted(SCENARIO_DIR.glob("*.gvb"))),
@@ -625,6 +624,17 @@ def argv_files(tmp_path_factory) -> dict[str, str]:
     }
 
 
+@contextlib.contextmanager
+def _working_directory(path: str):
+    # contextlib.chdir, which Python 3.10 lacks
+    before = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
 def _no_spawn(argv, *args, **kwargs):
     pytest.fail(f"a generator process was started: {argv!r}")
 
@@ -633,16 +643,14 @@ def _no_spawn(argv, *args, **kwargs):
 @given(_argvs())
 @example(["run", _SCENARIOS[2], "--backend", "external= "])
 @example(["run", _SCENARIOS[2], "--backend", 'external="unclosed'])
-@example(["run", _SCENARIOS[0], "--speaking-rate", "1e-320"])
+@example(["run", _SCENARIOS[0], "--t", "1"])
 @example(["run", "{huge_t}"])
 @example(["run", "{not_utf8}"])
 @example(["gen", "silence keywords=fire", "--t", HUGE])
-@example(["gen", "silence keywords=fire", "--speaking-rate", "0.1"])
 @example(["run", _SCENARIOS[0], "--trace", "{trace_in_missing_dir}"])
 @example(["run", _SCENARIOS[0], "--trace", "{trace_dir}"])
 @example(["run", _SCENARIOS[2], "--backend", "external=gen", "--rng-seed", "-1"])
 @example(["run", _SCENARIOS[2], "--backend", "external=gen", "--abandon-timeout", "-1"])
-@example(["run", _SCENARIOS[2], "--backend", "external=gen", "--speaking-rate", "nan"])
 @example(["score", "loc=(1,1) hr=130", "--profile", "home=(nan,0)"])
 @example(["score", "--profile", "home=5"])
 @example(["score", "--profile", "home=(1)"])
@@ -655,15 +663,43 @@ def _no_spawn(argv, *args, **kwargs):
 @example(["score", "--profile", "resting_HR=40"])
 @example(["score", "--profile", "home=" + DEEP_NESTING])
 def test_any_argv_exits_0_1_or_2(argv_files: dict[str, str], argv: list[str]):
+    # and writes nothing in its working directory: every path it names is absolute
     argv = [arg.format(**argv_files) if arg.startswith("{") else arg for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with (
+        tempfile.TemporaryDirectory() as cwd,
         mock.patch("subprocess.Popen", _no_spawn),
         contextlib.redirect_stdout(out),
         contextlib.redirect_stderr(err),
     ):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the argv
-            code = exc.code
+        with _working_directory(cwd):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the argv
+                code = exc.code
+        left = os.listdir(cwd)
     assert code in (0, 1, 2), err.getvalue()
+    assert left == [], argv
+
+
+def test_a_prefix_of_a_flag_or_a_removed_flag_is_unrecognized(tmp_path: Path, monkeypatch, capsys):
+    # argparse once read `run s.gvb --t 1` (`--t` is gen's) as `--trace 1`
+    # and wrote the trace to a file named `1` in the working directory
+    monkeypatch.chdir(tmp_path)
+    scenario = str(SCENARIO_DIR / "preapproved_bursts.gvb")
+    heads = {"run": ["run", scenario], "score": ["score"], "gen": ["gen", "silence keywords=fire"]}
+    argvs = [
+        ["run", scenario, "--t", "1"],
+        ["run", scenario, "--speaking-rate", "2.5"],
+        ["gen", "silence", "--speaking-rate", "1"],
+        ["--hel", "run", scenario],  # gvbsim's own --help
+    ]
+    for command, flags in _COMMAND_FLAGS.items():
+        argvs += ([*heads[command], flag[:-1], "1"] for flag in [*flags, "--help"] if flag != "--t")
+    for argv in argvs:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        prefix = next(arg for arg in argv if arg.startswith("--"))
+        assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err, argv
+    assert list(tmp_path.iterdir()) == []

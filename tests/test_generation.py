@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
@@ -10,12 +9,14 @@ from gvbsim.generation import (
     _TEMPLATE_RULES,
     GeneratedMessage,
     MAX_WORDS,
+    SPEAKING_RATE_WPS,
     TemplateBackend,
     _template_text,
     build_request_line,
     compose_seed,
     fit_to_duration,
     generate_message,
+    word_budget,
 )
 
 from .test_incapacity import reference_matches, vocabulary_text
@@ -155,34 +156,41 @@ def ten_word_message() -> str:
 
 def test_short_message_passes_through_unchanged():
     msg = generate_message("keywords: fire")  # 9 words
-    fitted = fit_to_duration(msg, t=5, speaking_rate=2.5)  # budget 12
+    fitted = fit_to_duration(msg, t=5)  # budget 12
     assert fitted.text == msg.text
-    assert fitted.word_count / 2.5 <= 5
+    assert fitted.word_count / SPEAKING_RATE_WPS <= 5
 
 
 def test_single_long_sentence_is_hard_truncated():
     text = "a b c d e f g h i j k l m n o"  # 15 words, no sentence break
     msg = GeneratedMessage(text=text, backend="template")
     assert msg.word_count == 15
-    fitted = fit_to_duration(msg, t=4, speaking_rate=2.5)  # budget 10
+    fitted = fit_to_duration(msg, t=4)  # budget 10
     assert fitted.text == "a b c d e f g h i j"
     assert fitted.word_count == 10
-    assert fitted.word_count / 2.5 <= 4
+    assert fitted.word_count / SPEAKING_RATE_WPS <= 4
 
 
 def test_truncation_prefers_sentence_boundaries():
     msg = GeneratedMessage(text=ten_word_message(), backend="template")
-    fitted = fit_to_duration(msg, t=2, speaking_rate=2.5)  # budget 5
+    fitted = fit_to_duration(msg, t=2)  # budget 5
     assert fitted.text == "One two three four five."
     assert fitted.word_count == 5
 
 
-def test_minimum_budget_is_two_words_at_default_rate():
-    assert math.floor(1 * 2.5) == 2
-    msg = generate_message("keywords: fire")
-    fitted = fit_to_duration(msg, t=1, speaking_rate=2.5)
-    assert fitted.word_count == 2
-    assert fitted.word_count / 2.5 <= 1
+def test_minimum_budget_is_two_words():
+    # every t a policy allows (t >= 1) fits two words or more, so no fitted
+    # message is left without a word and every generated window is sent
+    assert [word_budget(t) for t in range(1, 5)] == [2, 5, 7, 10]
+    for t in (*range(1, 10_000), 2**53, 10**300):
+        assert word_budget(t) >= 2
+    rules = [text for _, text in _TEMPLATE_RULES] + [_template_text("x", "isolated")]
+    for text in [*rules, _template_text("x"), "a", "a. b", "a b c. d e f g"]:
+        msg = GeneratedMessage(text=text, backend="template")
+        for t in range(1, 2 + len(text.split())):
+            fitted = fit_to_duration(msg, t)
+            assert 1 <= fitted.word_count <= word_budget(t)
+    assert fit_to_duration(generate_message("keywords: fire"), t=1).word_count == 2
 
 
 def test_fitted_estimate_never_exceeds_duration():
@@ -191,29 +199,18 @@ def test_fitted_estimate_never_exceeds_duration():
     seeds = ["keywords: fire", "keywords: accident", "keywords: hello there", "keywords: thief"]
     for _ in range(200):
         t = rng.randint(1, 5)
-        rate = rng.uniform(1.0, 4.0)
         msg = generate_message(rng.choice(seeds), backend=backend)
-        fitted = fit_to_duration(msg, t, rate)
-        assert fitted.word_count / rate <= t + 1e-9
+        fitted = fit_to_duration(msg, t)
+        assert fitted.word_count / SPEAKING_RATE_WPS <= t
 
 
 def test_fit_validates_inputs():
     msg = generate_message("keywords: fire")
     with pytest.raises(ValueError):
         fit_to_duration(msg, t=0)
-    with pytest.raises(ValueError):
-        fit_to_duration(msg, t=5, speaking_rate=0)
 
 
-@pytest.mark.parametrize(("t", "rate"), [(10**400, 2.5), (5, 1e308)])
-def test_fit_rejects_a_word_budget_that_overflows(t: int, rate: float):
+def test_fit_rejects_a_word_budget_that_overflows():
     msg = generate_message("keywords: fire")
     with pytest.raises(ValueError, match="overflows"):
-        fit_to_duration(msg, t, rate)
-
-
-@pytest.mark.parametrize("rate", [0, -1.0, math.nan, math.inf, -math.inf])
-def test_speaking_rate_must_be_a_finite_positive_number(rate):
-    msg = generate_message("keywords: fire")
-    with pytest.raises(ValueError, match="finite number > 0"):
-        fit_to_duration(msg, t=5, speaking_rate=rate)
+        fit_to_duration(msg, 10**400)

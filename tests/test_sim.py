@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import collections
-import math
 from functools import partial
 from unittest import mock
 
@@ -372,16 +371,12 @@ def test_abandonment_timeout_is_configurable():
     [
         ("abandon_timeout", -5),
         ("rng_seed", -1),
-        ("speaking_rate", 0),
-        ("speaking_rate", -2.5),
-        ("speaking_rate", math.nan),
-        ("speaking_rate", math.inf),
     ],
 )
-def test_run_config_rejects_invalid_values(field: str, value: float):
+def test_run_config_rejects_invalid_values(field: str, value: int):
     with pytest.raises(ValueError, match=field):
         RunConfig(**{field: value})
-    RunConfig(abandon_timeout=0, rng_seed=0, speaking_rate=0.1)  # the edges stay valid
+    RunConfig(abandon_timeout=0, rng_seed=0)  # the edges stay valid
 
 
 def test_burst_activity_defers_abandonment():
@@ -560,39 +555,20 @@ def test_thresholds_directive_changes_the_tier():
     assert one(records, "ROUTING").get("kind") == "standard_waiting"
 
 
-def test_speaking_rate_affects_burst_duration():
+@pytest.mark.parametrize(
+    ("words", "duration"), [(1, 1), (2, 1), (3, 2), (6, 3), (12, 5), (13, 5), (40, 5)]
+)
+def test_a_transcripts_window_is_its_speaking_time_up_to_t(words: int, duration: int):
+    # at 2.5 words per second, rounded up to a whole second
+    transcript = " ".join(["one"] * words)
     text = (
         PREAMBLE
         + "policy A t=5 G=30 N=3 approve=C\n"
         + "at 0 call A B\n"
         + BASELINE_CALL
-        + 'at 11 burst C transcript="one two three four five six"\n'
+        + f'at 11 burst C transcript="{transcript}"\n'
     )
-    fast = run_text(text, RunConfig(speaking_rate=6.0))
-    slow = run_text(text, RunConfig(speaking_rate=1.0))
-    assert one(fast, "BURST_SENT").get("duration") == "1"
-    assert one(slow, "BURST_SENT").get("duration") == "5"  # capped at t
-
-
-def test_a_vanishing_speaking_rate_gives_speech_the_full_window():
-    text = (
-        PREAMBLE
-        + "policy A t=5 G=30 N=3 approve=C\n"
-        + "at 0 call A B\n"
-        + BASELINE_CALL
-        + 'at 11 burst C transcript="one two three"\n'
-    )
-    records = run_text(text, RunConfig(speaking_rate=1e-320))  # 3 / rate is inf
-    assert one(records, "BURST_SENT").get("duration") == "5"
-
-
-def test_a_generated_message_with_no_word_leaves_the_window_silent():
-    # 5 s at 0.1 words/s is half a word: the fitted message is empty
-    records = run_text(silent_scenario(), RunConfig(speaking_rate=0.1))
-    gen = one(records, "GEN")
-    assert (gen.get("words"), gen.get("text")) == ("0", "")
-    assert one(records, "BURST_WINDOW_SILENT").get("duration") == "5"
-    assert not events_named(records, "BURST_SENT")
+    assert one(run_text(text), "BURST_SENT").get("duration") == str(duration)
 
 
 def test_a_word_budget_that_overflows_is_a_sim_error():
@@ -845,19 +821,13 @@ def _hostile_scenarios(draw) -> str:
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    _hostile_scenarios(),
-    st.sampled_from([0, 1, 7, 120]),
-    st.sampled_from([2.5, 0.1, 1e-320]),
-)
-def test_a_hostile_run_ends_in_a_trace_or_a_sim_error(
-    text: str, abandon_timeout: int, speaking_rate: float
-):
+@given(_hostile_scenarios(), st.sampled_from([0, 1, 7, 120]))
+def test_a_hostile_run_ends_in_a_trace_or_a_sim_error(text: str, abandon_timeout: int):
     try:
         events = parse_scenario(text)
     except ParseError:
         return
-    config = RunConfig(abandon_timeout=abandon_timeout, speaking_rate=speaking_rate)
+    config = RunConfig(abandon_timeout=abandon_timeout)
     try:
         records = run(events, config)
     except SimError:
@@ -914,11 +884,10 @@ class AskingSeedGenerator(SeedGenerator):
 @given(
     _hostile_scenarios(),
     st.sampled_from([0, 1, 7, 120]),
-    st.sampled_from([2.5, 0.1, 1e-320]),
     st.integers(1, 4),
 )
 def test_a_hostile_run_asked_ahead_ends_as_when_each_reply_is_awaited(
-    text: str, abandon_timeout: int, speaking_rate: float, window: int
+    text: str, abandon_timeout: int, window: int
 ):
     # the same trace bytes, or the same SimError on the same line, and
     # never more requests than when each reply is awaited
@@ -929,9 +898,7 @@ def test_a_hostile_run_asked_ahead_ends_as_when_each_reply_is_awaited(
     awaited, ahead = SeedGenerator(), AskingSeedGenerator(window)
     outcomes = []
     for backend in (awaited, ahead):
-        config = RunConfig(
-            backend=backend, abandon_timeout=abandon_timeout, speaking_rate=speaking_rate
-        )
+        config = RunConfig(backend=backend, abandon_timeout=abandon_timeout)
         try:
             outcomes.append(render_trace(run(events, config)))
         except SimError as exc:

@@ -417,6 +417,13 @@ def test_the_readme_protocol_numbers_are_the_sources():
         assert found and {float(n) for n in found} == {value}, pattern
 
 
+def test_the_readme_speaking_rate_is_the_source():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"([\d.]+) words per second\s+\(`generation\.SPEAKING_RATE_WPS`\)", readme)
+    assert [float(n) for n in stated] == [generation.SPEAKING_RATE_WPS]
+    assert readme.count("words per second") == 1  # the rate is stated once
+
+
 _TRANSPORT_MODULES = ("subprocess", "socket", "shlex", "select", "queue", "threading")
 # dataclasses alone loads inspect, ast, dis and tokenize: about half of a
 # cold start that no gvbsim command needs
