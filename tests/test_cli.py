@@ -154,6 +154,11 @@ DEEP_NESTING = "(" * 100000
         "run {scenarios}/preapproved_bursts.gvb --backend external=",
         "run {scenarios}/preapproved_bursts.gvb --trace {tmp}/no-such-dir/out.trace",
         "run {scenarios}/preapproved_bursts.gvb --trace {tmp}",
+        "run {scenarios}/preapproved_bursts.gvb --speaking-rate 0",  # a removed flag
+        "run {scenarios}/silent_generative_burst.gvb --speaking-rate 0",
+        "run {scenarios}/silent_generative_burst.gvb --speaking-rate -1",
+        "run {scenarios}/silent_generative_burst.gvb --speaking-rate nan",
+        "gen transcript=fire --speaking-rate inf",
         "gen transcript=help --loctype bogus",
         "run {scenarios}/silent_generative_burst.gvb --rng-seed -1",
         "run {scenarios}/silent_generative_burst.gvb --abandon-timeout -1",
@@ -682,24 +687,35 @@ def test_any_argv_exits_0_1_or_2(argv_files: dict[str, str], argv: list[str]):
     assert left == [], argv
 
 
-def test_a_prefix_of_a_flag_or_a_removed_flag_is_unrecognized(tmp_path: Path, monkeypatch, capsys):
-    # argparse once read `run s.gvb --t 1` (`--t` is gen's) as `--trace 1`
-    # and wrote the trace to a file named `1` in the working directory
-    monkeypatch.chdir(tmp_path)
-    scenario = str(SCENARIO_DIR / "preapproved_bursts.gvb")
-    heads = {"run": ["run", scenario], "score": ["score"], "gen": ["gen", "silence keywords=fire"]}
-    argvs = [
-        ["run", scenario, "--t", "1"],
-        ["run", scenario, "--speaking-rate", "2.5"],
+_HEADS = {"run": ["run", "{scenario}"], "score": ["score"], "gen": ["gen", "silence keywords=fire"]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # argparse once read `run s.gvb --t 1` (`--t` is gen's) as `--trace 1`
+        # and wrote the trace to a file named `1` in the working directory
+        ["run", "{scenario}", "--t", "1"],
+        ["run", "{scenario}", "--speaking-rate", "2.5"],
         ["gen", "silence", "--speaking-rate", "1"],
-        ["--hel", "run", scenario],  # gvbsim's own --help
-    ]
-    for command, flags in _COMMAND_FLAGS.items():
-        argvs += ([*heads[command], flag[:-1], "1"] for flag in [*flags, "--help"] if flag != "--t")
-    for argv in argvs:
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2, argv
-        prefix = next(arg for arg in argv if arg.startswith("--"))
-        assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err, argv
+        ["--hel", "run", "{scenario}"],  # gvbsim's own --help
+        *(
+            [*_HEADS[command], flag[:-1], "1"]
+            for command, flags in _COMMAND_FLAGS.items()
+            for flag in [*flags, "--help"]
+            if flag != "--t"
+        ),
+    ],
+    ids=" ".join,
+)
+def test_a_prefix_of_a_flag_or_a_removed_flag_is_unrecognized(
+    argv: list[str], tmp_path: Path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    argv = [str(SCENARIO_DIR / "preapproved_bursts.gvb") if arg == "{scenario}" else arg for arg in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    prefix = next(arg for arg in argv if arg.startswith("--"))
+    assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -210,7 +211,15 @@ def test_fit_validates_inputs():
         fit_to_duration(msg, t=0)
 
 
-def test_fit_rejects_a_word_budget_that_overflows():
+@pytest.mark.parametrize(
+    "t",
+    [
+        10**400,  # too large for a float
+        int(sys.float_info.max),  # a float, but times the rate it is inf
+    ],
+    ids=["int-overflow", "product-overflow"],
+)
+def test_fit_rejects_a_word_budget_that_overflows(t: int):
     msg = generate_message("keywords: fire")
     with pytest.raises(ValueError, match="overflows"):
-        fit_to_duration(msg, 10**400)
+        fit_to_duration(msg, t)
