@@ -1,7 +1,7 @@
 """Command-line interface.
 
     gvbsim run <scenario> [--trace PATH] [--backend template|external=<target>]
-               [--rng-seed N] [--abandon-timeout S]
+               [--rng-seed N]
     gvbsim score ['<call options>'] [--profile '<subscriber options>']
                  [--weights ...] [--thresholds ...]
     gvbsim gen '<burst options>' [--t S] [--loctype T]
@@ -36,7 +36,7 @@ from .scenario import (
     parse_scenario,
 )
 from .scoring import FactorWeights, LocationType, TierThresholds, assess
-from .sim import DEFAULT_ABANDON_TIMEOUT_S, RunConfig, run, substitute
+from .sim import RunConfig, run, substitute
 from .trace import assessment_fields, render_trace
 
 
@@ -66,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--trace", help="write the trace here instead of stdout")
     run_p.add_argument("--backend", default="template")
     run_p.add_argument("--rng-seed", type=int, default=0)
-    run_p.add_argument("--abandon-timeout", type=int, default=DEFAULT_ABANDON_TIMEOUT_S)
 
     score_p = sub.add_parser("score", allow_abbrev=False, help="one-shot emergency scoring")
     score_p.add_argument("context", nargs="?", default="", help="a call line's options")
@@ -88,11 +87,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         raise ValueError(f"{args.scenario!r} is not UTF-8: {exc}") from None
     events = parse_scenario(text)
     backend = build_backend(args.backend)
-    config = RunConfig(
-        backend=backend,
-        rng_seed=args.rng_seed,
-        abandon_timeout=args.abandon_timeout,
-    )
+    config = RunConfig(backend=backend, rng_seed=args.rng_seed)
     try:
         records = run(events, config)
     finally:

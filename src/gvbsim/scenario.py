@@ -291,12 +291,9 @@ def _parse_burst_options(tokens: list[str], args: dict[str, Any] | None = None) 
         if not value:
             raise ValueError("transcript must be non-empty; use silence instead")
         args["transcript"] = value
-    for token in tokens[1:]:
-        key, value = _split_kv(token)
+    for key, value in _options(tokens[1:]):
         if key not in ("keywords", "image"):
             raise ValueError(f"unknown burst option {key!r}")
-        if args[key] is not None:  # only a non-empty value is kept
-            raise ValueError(f"option {key!r} given twice")
         if not value:
             raise ValueError(f"{key} must be non-empty")
         args[key] = value

@@ -6,7 +6,7 @@ scored, routed, and (when bursts are admitted) given a ledger.  A burst
 attempt consults the scheduler, runs incapacity detection on the window,
 and substitutes a generated message when the caller appears incapacitated.
 Burst windows complete instantaneously at `start + duration`; waiting
-calls with no activity for `abandon_timeout` seconds are ended.  Each
+calls with no activity for `ABANDON_TIMEOUT_S` seconds are ended.  Each
 incapacitated window with a seed asks its backend once.  Nothing the engine
 decides reads a generated message, so a burst whose request is asked ahead
 of its reply (`substitute`) leaves its records, and every record after
@@ -65,7 +65,7 @@ from .scoring import (
 )
 from .trace import TraceRecord, assessment_fields, fmt_num, fmt_score, make_record
 
-DEFAULT_ABANDON_TIMEOUT_S = 120
+ABANDON_TIMEOUT_S = 120
 _HANGUP_RANK = {CallState.ACTIVE: 0, CallState.WAITING: 1, CallState.HELD: 2}
 
 
@@ -73,12 +73,10 @@ _HANGUP_RANK = {CallState.ACTIVE: 0, CallState.WAITING: 1, CallState.HELD: 2}
 class RunConfig(NamedTuple):
     backend: TemplateBackend | ExternalBackend = TemplateBackend()
     rng_seed: int = 0
-    abandon_timeout: int = DEFAULT_ABANDON_TIMEOUT_S
 
     def _check(self) -> None:
-        for name in ("abandon_timeout", "rng_seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def _fmt_point(point: tuple[float, float] | None) -> str:
@@ -105,7 +103,7 @@ class Simulation:
         self.records: list[str] = []  # plain lines, made `TraceRecord`s when `run` returns
         self.clock = 0
         # One (expiry, sid) entry per placed call, pushed when it is placed
-        # and never later than last_activity + abandon_timeout: a touch only
+        # and never later than last_activity + ABANDON_TIMEOUT_S: a touch only
         # moves last_activity on, and `_expire_waiting` pushes a touched
         # session's entry back at its real expiry.
         self._expiry: list[tuple[int, int]] = []
@@ -165,14 +163,13 @@ class Simulation:
         session touched since it was pushed goes back at its real expiry.
         No entry is later than its session's real expiry, so the least
         entry whose expiry is real is the next session to end."""
-        timeout = self.config.abandon_timeout
         due = self._expiry
         while due and (before is None or due[0][0] < before):
             expiry, sid = heapq.heappop(due)
             session = self.engine.get(sid)
             if session.state is not CallState.WAITING:
                 continue
-            real = session.last_activity + timeout
+            real = session.last_activity + ABANDON_TIMEOUT_S
             if real != expiry:
                 heapq.heappush(due, (real, sid))
                 continue
@@ -223,7 +220,7 @@ class Simulation:
         sid = session.session_id
         session.context = context
         self._touch(session)
-        heapq.heappush(self._expiry, (self.clock + self.config.abandon_timeout, sid))
+        heapq.heappush(self._expiry, (self.clock + ABANDON_TIMEOUT_S, sid))
         self._emit("CALL_PLACED", sid, caller, callee)
         if session.state is CallState.ACTIVE:
             self._emit("CALL_CONNECTED", sid)

@@ -243,6 +243,43 @@ MUTANTS = (
         ("tests/test_cli.py::test_a_prefix_of_a_flag_or_a_removed_flag_is_unrecognized",),
     ),
     Mutant(
+        "an_expiry_is_pushed_a_second_late",
+        "src/gvbsim/sim.py",
+        "(self.clock + ABANDON_TIMEOUT_S, sid)",
+        "(self.clock + ABANDON_TIMEOUT_S + 1, sid)",
+        (
+            "tests/test_acceptance.py::test_c7_golden_traces_hash_identically",
+            "tests/test_sim.py::test_a_waiting_call_has_ended_one_second_after_its_expiry",
+        ),
+    ),
+    Mutant(
+        "the_readme_states_another_abandon_timeout",
+        "README.md",
+        "ends with `CALL_ENDED by=timeout` after 120 s",
+        "ends with `CALL_ENDED by=timeout` after 60 s",
+        ("tests/test_tooling.py::test_the_readme_abandon_timeout_is_the_source",),
+    ),
+    Mutant(
+        "the_speaking_rate_leaves_the_benchmarks_copy",
+        "src/gvbsim/generation.py",
+        "SPEAKING_RATE_WPS = 2.5",
+        "SPEAKING_RATE_WPS = 2.6",
+        (
+            "tests/test_tooling.py::test_the_benchmark_shadow_copies_the_engines_constants",
+            "tests/test_tooling.py::test_the_readme_speaking_rate_is_the_source",
+        ),
+    ),
+    Mutant(
+        "burst_options_skip_the_repeated_key_rule",
+        "src/gvbsim/scenario.py",
+        '    for key, value in _options(tokens[1:]):\n        if key not in ("keywords", "image"):',
+        '    for key, value in map(_split_kv, tokens[1:]):\n        if key not in ("keywords", "image"):',
+        (
+            "tests/test_scenario.py::test_burst_options_use_the_shared_repeated_key_rule",
+            "tests/test_scenario.py::test_a_repeated_option_is_a_parse_error",
+        ),
+    ),
+    Mutant(
         "the_readme_states_another_ask_ahead_cap",
         "README.md",
         "until the unanswered requests reach 8 KiB",

@@ -15,6 +15,7 @@ import sys
 import time
 from pathlib import Path
 
+from gvbsim import sim
 from gvbsim.calls import ROUTING_KINDS, CallState, CallSession, route_waiting_call
 from gvbsim.cli import main
 from gvbsim.generation import ExternalBackend, TemplateBackend
@@ -376,7 +377,7 @@ class _StressShadow:
 def stress_scenario(seed: int, calls: int = 300, subscribers: int = 30) -> str:
     """A seeded scenario with overrides that hold and resume, answers,
     hangups, dismisses, admitted and unadmitted bursts, media, and
-    abandon timeouts; run it with --abandon-timeout STRESS_TIMEOUT."""
+    abandon timeouts; run it with `sim.ABANDON_TIMEOUT_S` at STRESS_TIMEOUT."""
     rng = random.Random(seed)
     subs = [f"S{i}" for i in range(subscribers)]
     lines = [f"subscriber {sub} {STRESS_PROFILE}" for sub in subs]
@@ -448,16 +449,17 @@ STRESS_PATHS = (
 )
 
 
-def test_c7_golden_traces_hash_identically(tmp_path: Path):
+def test_c7_golden_traces_hash_identically(tmp_path: Path, monkeypatch):
     started = time.perf_counter()
     stress = tmp_path / "stress.gvb"
     stress.write_text(stress_scenario(seed=2024), encoding="utf-8")
-    runs = [(path, []) for path in sorted(SCENARIO_DIR.glob("*.gvb"))]
-    runs.append((stress, ["--abandon-timeout", str(STRESS_TIMEOUT)]))
+    runs = [(path, sim.ABANDON_TIMEOUT_S) for path in sorted(SCENARIO_DIR.glob("*.gvb"))]
+    runs.append((stress, STRESS_TIMEOUT))
     assert sorted(path.name for path, _ in runs) == sorted(GOLDEN_DIGESTS)
-    for scenario, extra in runs:
+    for scenario, timeout in runs:
         trace_path = tmp_path / f"{scenario.stem}.trace"
-        code = main(["run", str(scenario), "--trace", str(trace_path), "--rng-seed", "7", *extra])
+        monkeypatch.setattr(sim, "ABANDON_TIMEOUT_S", timeout)
+        code = main(["run", str(scenario), "--trace", str(trace_path), "--rng-seed", "7"])
         assert code == 0
         digest = hashlib.sha256(trace_path.read_bytes()).hexdigest()
         assert digest == GOLDEN_DIGESTS[scenario.name], f"{scenario.name} trace changed"

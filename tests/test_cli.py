@@ -124,7 +124,7 @@ def test_an_out_of_range_subscriber_value_exits_2(
 _RUN = ["run", str(SCENARIO_DIR / "runtime_override.gvb")]
 
 
-@pytest.mark.parametrize("flag", ["--rng-seed", "--abandon-timeout"])
+@pytest.mark.parametrize("flag", ["--rng-seed"])
 def test_run_rejects_negative_integer_flags(flag: str, capsys):
     # RunConfig's own rule, which a library caller meets too
     field = flag.removeprefix("--").replace("-", "_")
@@ -161,7 +161,7 @@ DEEP_NESTING = "(" * 100000
         "gen transcript=fire --speaking-rate inf",
         "gen transcript=help --loctype bogus",
         "run {scenarios}/silent_generative_burst.gvb --rng-seed -1",
-        "run {scenarios}/silent_generative_burst.gvb --abandon-timeout -1",
+        "run {scenarios}/silent_generative_burst.gvb --abandon-timeout -1",  # a removed flag
         "score speed=nan",
         "score loc=(nan,0) --profile home=(0,0)",
         "score loc=(1,1) --profile home=(nan,0)",
@@ -256,7 +256,7 @@ def test_cli_weights_and_thresholds_flags(tmp_path: Path, capsys):
             main(["run", str(scenario), flag, value])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}\n" in capsys.readouterr().err
-    assert RunConfig._fields == ("backend", "rng_seed", "abandon_timeout")
+    assert RunConfig._fields == ("backend", "rng_seed")
     argv = ["score", "loctype=highway", "--weights", "1,0,0,0", "--thresholds", "0.9,0.6,0.3"]
     assert main(argv) == 0
     assert capsys.readouterr().out.endswith("score=1.000000\ntier=highest\n")
@@ -568,7 +568,6 @@ _FLAG_VALUES = {
     "--backend": ["template", "bogus", "external=", "external= ", 'external="unclosed'],
     "--t": ["1", "5", "0", "-3", HUGE, "x"],
     "--rng-seed": ["0", "7", "-1", HUGE],
-    "--abandon-timeout": ["0", "1", "120", "-1", HUGE],
     "--weights": ["1,1,1,1", "0,0,0,0", "nan,1,1,1", "1,2,3"],
     "--thresholds": ["0.9,0.6,0.3", "0.3,0.6,0.9", "1,1,1"],
     "--loctype": ["highway", "other", "bogus", ""],
@@ -576,7 +575,7 @@ _FLAG_VALUES = {
     "--trace": ["{trace}", "{trace_in_missing_dir}", "{trace_dir}"],
 }
 _COMMAND_FLAGS = {
-    "run": ["--backend", "--rng-seed", "--abandon-timeout", "--trace"],
+    "run": ["--backend", "--rng-seed", "--trace"],
     "score": ["--profile", "--weights", "--thresholds"],
     "gen": ["--t", "--loctype"],
 }
@@ -698,6 +697,7 @@ _HEADS = {"run": ["run", "{scenario}"], "score": ["score"], "gen": ["gen", "sile
         ["run", "{scenario}", "--t", "1"],
         ["run", "{scenario}", "--speaking-rate", "2.5"],
         ["gen", "silence", "--speaking-rate", "1"],
+        ["run", "{scenario}", "--abandon-timeout", "25"],
         ["--hel", "run", "{scenario}"],  # gvbsim's own --help
         *(
             [*_HEADS[command], flag[:-1], "1"]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import shlex
 
 import pytest
@@ -8,7 +9,14 @@ from hypothesis import strategies as st
 
 from gvbsim.errors import ParseError
 from gvbsim.incapacity import Modality
-from gvbsim.scenario import _LINE_BREAK_CHARS, DIRECTIVES, _split_line, parse_scenario
+from gvbsim.scenario import (
+    _LINE_BREAK_CHARS,
+    DIRECTIVES,
+    _parse_burst_options,
+    _split_kv,
+    _split_line,
+    parse_scenario,
+)
 from gvbsim.scoring import LocationType
 
 
@@ -248,6 +256,52 @@ def test_option_errors_come_in_the_order_of_the_tokens(line: str, repeated: str,
         parse_scenario(line.format(f"{repeated} {malformed}") + "\n")
     with pytest.raises(ParseError, match=f"expected key=value, got '{malformed}'"):
         parse_scenario(line.format(f"{malformed} {repeated}") + "\n")
+
+
+def _reference_burst_options(tokens: list[str]) -> dict:
+    """The burst options as read when the burst rule kept its own check
+    for a repeated key."""
+    args = {"transcript": None, "keywords": None, "image": None}
+    mode = tokens[0] if tokens else ""
+    if mode != "silence":
+        key, value = _split_kv(mode)
+        if key != "transcript":
+            raise ValueError("burst needs transcript=\"...\" or silence first")
+        if not value:
+            raise ValueError("transcript must be non-empty; use silence instead")
+        args["transcript"] = value
+    for token in tokens[1:]:
+        key, value = _split_kv(token)
+        if key not in ("keywords", "image"):
+            raise ValueError(f"unknown burst option {key!r}")
+        if args[key] is not None:
+            raise ValueError(f"option {key!r} given twice")
+        if not value:
+            raise ValueError(f"{key} must be non-empty")
+        args[key] = value
+    return args
+
+
+_BURST_TOKENS = (
+    "silence", "transcript=hi", "transcript=", "keywords=a", "keywords=b", "keywords=",
+    "image=x", "image=", "bogus=1", "bare", "transcript=x", "=v",
+)
+
+
+def _outcome(read, tokens: list[str]) -> object:
+    try:
+        return read(tokens)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_burst_options_use_the_shared_repeated_key_rule():
+    # every token list of length 0-4 drawn from the pool: the same options
+    # or the same message as the burst rule's own check gave
+    lists = [list(t) for n in range(5) for t in itertools.product(_BURST_TOKENS, repeat=n)]
+    assert len(lists) == 22621
+    for tokens in lists:
+        assert _outcome(_parse_burst_options, tokens) == _outcome(_reference_burst_options, tokens), tokens
 
 
 def test_parse_errors_carry_the_line_number():

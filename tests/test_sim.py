@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gvbsim import generation
+from gvbsim import generation, sim
 from gvbsim.calls import RoutingReason
 from gvbsim.errors import ExternalGeneratorError, ParseError, SimError
 from gvbsim.generation import ExternalBackend
@@ -359,24 +359,20 @@ def test_stale_waiting_call_is_abandoned():
     assert timeout_end[0].get("session") == "2"
 
 
-def test_abandonment_timeout_is_configurable():
+@pytest.mark.parametrize("timeout, ends_at", [(15, 25), (None, 130)])
+def test_the_idle_end_follows_the_abandon_timeout_constant(monkeypatch, timeout, ends_at):
+    if timeout is not None:
+        monkeypatch.setattr(sim, "ABANDON_TIMEOUT_S", timeout)
     text = PREAMBLE + "at 0 call A B\n" + BASELINE_CALL
-    records = run_text(text, RunConfig(abandon_timeout=15))
-    timeout_end = [r for r in events_named(records, "CALL_ENDED") if r.get("by") == "timeout"]
-    assert timeout_end[0].at == 25
+    timeout_end = [r for r in events_named(run_text(text), "CALL_ENDED") if r.get("by") == "timeout"]
+    assert [r.at for r in timeout_end] == [ends_at]  # placed at 10
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("abandon_timeout", -5),
-        ("rng_seed", -1),
-    ],
-)
+@pytest.mark.parametrize("field, value", [("rng_seed", -1)])
 def test_run_config_rejects_invalid_values(field: str, value: int):
     with pytest.raises(ValueError, match=field):
         RunConfig(**{field: value})
-    RunConfig(abandon_timeout=0, rng_seed=0)  # the edges stay valid
+    RunConfig(rng_seed=0)  # the edge stays valid
 
 
 def test_burst_activity_defers_abandonment():
@@ -441,12 +437,12 @@ def test_a_busy_waiting_caller_keeps_one_expiry_entry():
         for i in range(50)
     )
     text = PREAMBLE + "policy A t=1 G=0 N=50 approve=C\nat 0 call A B\n" + BASELINE_CALL + activity
-    sim = Watched()
-    records = sim.run(parse_scenario(text))
+    simulation = Watched()
+    records = simulation.run(parse_scenario(text))
     assert len(events_named(records, "BURST_SENT")) == 50
     assert timeouts(records) == [(179, "2")]  # last activity at 59
     placed = len(events_named(records, "CALL_PLACED"))
-    assert max(heap_sizes) <= placed and len(sim._expiry) <= placed
+    assert max(heap_sizes) <= placed and len(simulation._expiry) <= placed
 
 
 def test_expiry_at_an_event_time_fires_after_that_event():
@@ -456,6 +452,13 @@ def test_expiry_at_an_event_time_fires_after_that_event():
     placed = events_named(records, "CALL_PLACED")[-1]
     ended = [r for r in events_named(records, "CALL_ENDED") if r.get("session") == "2"]
     assert placed.get("session") == "3" and placed.seq < ended[0].seq
+
+
+def test_a_waiting_call_has_ended_one_second_after_its_expiry():
+    text = PREAMBLE + "at 0 call A B\n" + BASELINE_CALL + 'at 131 media C image="a hall"\n'
+    records = run_text(text)
+    assert timeouts(records) == [(130, "2")]
+    assert [r.get("caller") for r in events_named(records, "MEDIA_IGNORED")] == ["C"]
 
 
 def test_answered_session_never_times_out():
@@ -827,9 +830,9 @@ def test_a_hostile_run_ends_in_a_trace_or_a_sim_error(text: str, abandon_timeout
         events = parse_scenario(text)
     except ParseError:
         return
-    config = RunConfig(abandon_timeout=abandon_timeout)
     try:
-        records = run(events, config)
+        with mock.patch.object(sim, "ABANDON_TIMEOUT_S", abandon_timeout):
+            records = run(events)
     except SimError:
         return
     permits = len(events_named(records, "PERMIT"))
@@ -898,9 +901,9 @@ def test_a_hostile_run_asked_ahead_ends_as_when_each_reply_is_awaited(
     awaited, ahead = SeedGenerator(), AskingSeedGenerator(window)
     outcomes = []
     for backend in (awaited, ahead):
-        config = RunConfig(backend=backend, abandon_timeout=abandon_timeout)
         try:
-            outcomes.append(render_trace(run(events, config)))
+            with mock.patch.object(sim, "ABANDON_TIMEOUT_S", abandon_timeout):
+                outcomes.append(render_trace(run(events, RunConfig(backend=backend))))
         except SimError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]

@@ -34,11 +34,20 @@ from gvbsim.incapacity import DISTRESS_LEXICON, KEYWORDS, MEDIA_MODALITIES
 from gvbsim.policy import BurstPolicy
 from gvbsim.scenario import _MEDIA_KEYS, DIRECTIVES, parse_scenario
 from gvbsim.scheduler import BurstLedger, request_burst
-from gvbsim.scoring import FACTORS, BaselineProfile, CallerContext, FactorWeights, assess
+from gvbsim.scoring import (
+    FACTORS,
+    HIGH_RISK_LOCATIONS,
+    BaselineProfile,
+    CallerContext,
+    FactorWeights,
+    PriorityTier,
+    assess,
+)
 from gvbsim.sim import RunConfig, Simulation
 from gvbsim.trace import TRACE_EVENTS, assessment_fields, parse_trace
 
 from .conftest import REPO_ROOT, SCENARIO_DIR
+from .test_acceptance import STRESS_TIMEOUT
 from .test_cli import _COMMAND_FLAGS, _FLAG_VALUES
 from .test_scenario import _TEMPLATES
 
@@ -422,6 +431,26 @@ def test_the_readme_speaking_rate_is_the_source():
     stated = re.findall(r"([\d.]+) words per second\s+\(`generation\.SPEAKING_RATE_WPS`\)", readme)
     assert [float(n) for n in stated] == [generation.SPEAKING_RATE_WPS]
     assert readme.count("words per second") == 1  # the rate is stated once
+
+
+def test_the_readme_abandon_timeout_is_the_source():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"after (\d+) s\s+\(`sim\.ABANDON_TIMEOUT_S`", readme)
+    assert [int(n) for n in stated] == [sim.ABANDON_TIMEOUT_S]
+    patched = re.findall(r"`sim\.ABANDON_TIMEOUT_S` patched\s+to (\d+)", readme)
+    assert [int(n) for n in patched] == [STRESS_TIMEOUT]
+    assert readme.count("by=timeout") == 1  # the rule is stated once
+
+
+def test_the_benchmark_shadow_copies_the_engines_constants(monkeypatch):
+    # perfbench/gen.py never imports gvbsim, so its model keeps copies that
+    # would mispredict in silence if a source constant moved
+    gen = load_perfbench(monkeypatch, "gen")
+    assert gen.ABANDON_TIMEOUT == sim.ABANDON_TIMEOUT_S
+    assert gen.SPEAKING_RATE == generation.SPEAKING_RATE_WPS
+    assert set(gen.HIGH_RISK) == {location.value for location in HIGH_RISK_LOCATIONS}
+    assert set(gen.KEYWORDS) <= set(KEYWORDS)
+    assert gen.TIER_NAMES == tuple(tier.token for tier in sorted(PriorityTier))
 
 
 _TRANSPORT_MODULES = ("subprocess", "socket", "shlex", "select", "queue", "threading")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,7 +46,8 @@ def schema_traces() -> list[list[TraceRecord]]:
         for path in sorted(SCENARIO_DIR.glob("*.gvb"))
     ]
     stress = parse_scenario(stress_scenario(seed=2024))
-    traces.append(run(stress, RunConfig(rng_seed=7, abandon_timeout=STRESS_TIMEOUT)))
+    with mock.patch("gvbsim.sim.ABANDON_TIMEOUT_S", STRESS_TIMEOUT):
+        traces.append(run(stress, RunConfig(rng_seed=7)))
     backend = ExternalBackend(stub_command("gen_error.py"), timeout=10.0)
     try:
         traces.append(run(parse_scenario(RARE_EVENTS_SCENARIO), RunConfig(backend=backend)))
@@ -122,8 +124,9 @@ def test_templates_match_the_reference_encoder(event: str, values: list):
 
 def test_a_runs_lines_stay_out_of_the_cyclic_gc_until_run_returns():
     events = parse_scenario(stress_scenario(seed=2024, calls=60))
-    sim = Simulation(RunConfig(abandon_timeout=STRESS_TIMEOUT))
-    records = sim.run(events)
+    sim = Simulation()
+    with mock.patch("gvbsim.sim.ABANDON_TIMEOUT_S", STRESS_TIMEOUT):
+        records = sim.run(events)
     assert sim.records and not any(map(gc.is_tracked, sim.records))
     assert records == sim.records
     assert {type(record) for record in records} == {TraceRecord}
@@ -155,9 +158,10 @@ def assert_round_trips(records: list[TraceRecord]) -> None:
     timeout=st.sampled_from([0, 7, STRESS_TIMEOUT, 120]),
 )
 def test_stress_traces_round_trip(seed: int, calls: int, timeout: int):
-    sim = Simulation(RunConfig(rng_seed=seed, abandon_timeout=timeout))
+    sim = Simulation(RunConfig(rng_seed=seed))
     try:
-        sim.run(parse_scenario(stress_scenario(seed, calls=calls)))
+        with mock.patch("gvbsim.sim.ABANDON_TIMEOUT_S", timeout):
+            sim.run(parse_scenario(stress_scenario(seed, calls=calls)))
     except SimError:
         pass  # the records emitted before the error still round-trip
     assert sim.records
